@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -20,20 +19,20 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputValidationError, IpdKitError, LoadError, NoInstancesError
-from .geometry import AffineTransform2D, bbox_center
+from .geometry import AffineTransform2D, BBox, bbox_center
 from .ingestion import (
-    DatasetManifest,
     ImageLabels,
     load_dataset,
     merge_pairings,
     pair_datasets,
     parse_label_file,
+    read_manifest,
     write_ipd_report,
     write_report,
 )
 from .matching import InstancePairing, default_gate_distance, match_instances
 from .metric import IpdResult, cross_validation, evaluate_pair
-from .registration import RegistrationConfig, register
+from .registration import RegistrationConfig, RegistrationResult, register
 from .scenegen import DetectorProfile, SceneSpec, emit_dataset, random_affine
 
 
@@ -43,14 +42,22 @@ def stable_subseed(seed: int, real_id: str, synth_id: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _registration_config(args: argparse.Namespace, sub_seed: int) -> RegistrationConfig:
-    return RegistrationConfig(
-        max_iterations=args.max_iterations,
-        early_exit_score=args.early_exit,
-        rng_seed=sub_seed,
-        trim_fraction=args.trim,
-        real_triples_per_iteration=args.real_triples,
-    )
+def align_pair(
+    real_gt: Sequence[BBox],
+    synth_gt: Sequence[BBox],
+    cfg: RegistrationConfig,
+    gate: float | None,
+) -> tuple[RegistrationResult, float, InstancePairing]:
+    """Register the synthetic GT centers onto the real ones, then match
+    them inside the gate (None: half the median real GT diagonal).
+    Returns the registration, the gate used and the pairing; both sides
+    must be non-empty."""
+    real_centers = [bbox_center(b) for b in real_gt]
+    synth_centers = [bbox_center(b) for b in synth_gt]
+    reg = register(synth_centers, real_centers, cfg)
+    if gate is None:
+        gate = default_gate_distance(real_gt)
+    return reg, gate, match_instances(reg.transform, synth_centers, real_centers, gate)
 
 
 def evaluate_dataset_pair(
@@ -60,40 +67,34 @@ def evaluate_dataset_pair(
 ) -> tuple[IpdResult, list[dict]]:
     """registration -> matching -> per-instance evaluation over all image
     pairs; returns the result plus per-pair provenance rows."""
-    reals: list[ImageLabels] = []
-    synths: list[ImageLabels] = []
     pairings: list[InstancePairing] = []
     per_pair: list[dict] = []
     for real, synth in pairs:
         sub_seed = stable_subseed(args.seed, real.image_id, synth.image_id)
-        real_centers = [bbox_center(b) for b in real.gt_boxes]
-        synth_centers = [bbox_center(b) for b in synth.gt_boxes]
         row: dict = {
             "real_image": real.image_id,
             "synth_image": synth.image_id,
             "sub_seed": sub_seed,
         }
-        if not real_centers or not synth_centers:
+        if not real.gt_boxes or not synth.gt_boxes:
             pairing = InstancePairing(
                 pairs=(),
-                unmatched_real=tuple(range(len(real_centers))),
-                unmatched_synth=tuple(range(len(synth_centers))),
+                unmatched_real=tuple(range(len(real.gt_boxes))),
+                unmatched_synth=tuple(range(len(synth.gt_boxes))),
             )
             row.update(registration="skipped (empty side)", matched=0)
         else:
-            reg = register(synth_centers, real_centers, _registration_config(args, sub_seed))
+            cfg = RegistrationConfig(max_iterations=args.max_iterations, rng_seed=sub_seed)
+            reg, gate, pairing = align_pair(real.gt_boxes, synth.gt_boxes, cfg, args.gate)
             if reg.used_fallback:
                 print(
                     f"warning: pair ({real.image_id}, {synth.image_id}) has too few "
                     "points for an affine fit; fell back to centroid translation",
                     file=sys.stderr,
                 )
-            gate = args.gate if args.gate is not None else default_gate_distance(real.gt_boxes)
-            pairing = match_instances(reg.transform, synth_centers, real_centers, gate)
             row.update(
                 registration={
                     "transform": list(reg.transform.params()),
-                    "score": reg.score,
                     "iterations_used": reg.iterations_used,
                     "hypothesis_count": reg.hypothesis_count,
                     "used_fallback": reg.used_fallback,
@@ -106,9 +107,9 @@ def evaluate_dataset_pair(
             unmatched_synth=len(pairing.unmatched_synth),
         )
         per_pair.append(row)
-        reals.append(real)
-        synths.append(synth)
         pairings.append(pairing)
+    reals = [real for real, _ in pairs]
+    synths = [synth for _, synth in pairs]
     result = evaluate_pair(reals, synths, pairings, args.conf_threshold, dataset_pair_id)
     return result, per_pair
 
@@ -118,34 +119,17 @@ def _pipeline_provenance(args: argparse.Namespace) -> dict:
         "seed": args.seed,
         "conf_threshold": args.conf_threshold,
         "gate": "auto (half median GT diagonal)" if args.gate is None else args.gate,
-        "registration_config": {
-            "max_iterations": args.max_iterations,
-            "early_exit_score": args.early_exit,
-            "trim_fraction": args.trim,
-            "real_triples_per_iteration": args.real_triples,
-        },
+        "registration_config": {"max_iterations": args.max_iterations},
     }
-
-
-def _read_manifest(path: str) -> tuple[DatasetManifest, Path]:
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as e:
-        raise LoadError(f"cannot read manifest {p}: {e}") from e
-    try:
-        return DatasetManifest.from_json(text), p.parent
-    except IpdKitError as e:
-        raise LoadError(f"manifest {p}: {e}") from e
 
 
 def _load_pairs(
     real_manifest: str, synth_manifest: str
 ) -> tuple[list[tuple[ImageLabels, ImageLabels]], str]:
-    real_m, real_root = _read_manifest(real_manifest)
-    synth_m, synth_root = _read_manifest(synth_manifest)
-    real_labels, real_pairing = load_dataset(real_m, base_dir=real_root)
-    synth_labels, synth_pairing = load_dataset(synth_m, base_dir=synth_root)
+    real_m = read_manifest(real_manifest)
+    synth_m = read_manifest(synth_manifest)
+    real_labels, real_pairing = load_dataset(real_m, base_dir=Path(real_manifest).parent)
+    synth_labels, synth_pairing = load_dataset(synth_m, base_dir=Path(synth_manifest).parent)
     pairing = merge_pairings(real_pairing, synth_pairing)
     pairs = pair_datasets(real_labels, synth_labels, pairing)
     return pairs, f"{real_m.dataset_id}|{synth_m.dataset_id}"
@@ -233,25 +217,21 @@ def cmd_register(args: argparse.Namespace) -> int:
     synth_gt = [b for b in synth_boxes if b.confidence is None]
     if not real_gt or not synth_gt:
         raise InputValidationError("both label files must contain GT boxes")
-    real_centers = [bbox_center(b) for b in real_gt]
-    synth_centers = [bbox_center(b) for b in synth_gt]
 
     sub_seed = stable_subseed(args.seed, str(args.real), str(args.synth))
-    reg = register(synth_centers, real_centers, _registration_config(args, sub_seed))
+    cfg = RegistrationConfig(max_iterations=args.max_iterations, rng_seed=sub_seed)
+    reg, gate, pairing = align_pair(real_gt, synth_gt, cfg, args.gate)
     if reg.used_fallback:
         print(
             "warning: too few points for an affine fit; fell back to centroid translation",
             file=sys.stderr,
         )
-    gate = args.gate if args.gate is not None else default_gate_distance(real_gt)
-    pairing = match_instances(reg.transform, synth_centers, real_centers, gate)
 
     t = reg.transform
     print(
         f"transform: a11={t.a11:.6f} a12={t.a12:.6f} a21={t.a21:.6f} "
         f"a22={t.a22:.6f} tx={t.tx:.6f} ty={t.ty:.6f}"
     )
-    print(f"score: {reg.score:.6f}")
     print(
         f"iterations: {reg.iterations_used}  hypotheses: {reg.hypothesis_count}  "
         f"fallback: {'yes' if reg.used_fallback else 'no'}"
@@ -336,6 +316,10 @@ def _spec_from_dict(doc: dict, index: int) -> SceneSpec:
                 return DetectorProfile(**v)
             return DetectorProfile(*[float(x) for x in v])
 
+        def span(key: str) -> tuple[float, float]:
+            lo, hi = doc.get(key, getattr(SceneSpec, key))
+            return float(lo), float(hi)
+
         return SceneSpec(
             n_instances=int(doc["n_instances"]),
             frame=tuple(doc.get("frame", (1280, 960))),
@@ -346,6 +330,12 @@ def _spec_from_dict(doc: dict, index: int) -> SceneSpec:
             detector_profile_real=profile("detector_profile_real"),
             detector_profile_synth=profile("detector_profile_synth"),
             rng_seed=int(doc.get("rng_seed", 0)),
+            size_range=span("size_range"),
+            min_separation_factor=float(
+                doc.get("min_separation_factor", SceneSpec.min_separation_factor)
+            ),
+            center_region=span("center_region"),
+            confidence_range=span("confidence_range"),
         )
     except (KeyError, TypeError, ValueError, InputValidationError) as e:
         raise InputValidationError(f"scene spec #{index}: {e}") from e
@@ -394,19 +384,6 @@ def cmd_scenegen(args: argparse.Namespace) -> int:
 def _add_pipeline_flags(sp: argparse.ArgumentParser, default_format: str) -> None:
     sp.add_argument("--seed", type=int, default=0, help="master RNG seed")
     sp.add_argument("--max-iterations", type=int, default=2000, help="registration budget")
-    sp.add_argument("--trim", type=float, default=0.2, help="registration trim fraction")
-    sp.add_argument(
-        "--early-exit",
-        type=float,
-        default=None,
-        help="registration early-exit score (default: 0.001 x scene diagonal)",
-    )
-    sp.add_argument(
-        "--real-triples",
-        type=int,
-        default=None,
-        help="real triples sampled per iteration (default: auto from set size)",
-    )
     sp.add_argument(
         "--gate",
         type=float,

@@ -11,13 +11,6 @@ class InputValidationError(IpdKitError, ValueError):
     """An argument violates a documented precondition or invariant."""
 
 
-class DegenerateSampleError(IpdKitError):
-    """A 3-point sample is collinear or coincident; no affine fit exists.
-
-    Raised by the affine solver so hypothesis loops can discard the sample.
-    """
-
-
 class ParseError(IpdKitError):
     """A label file line could not be parsed."""
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateSampleError, InputValidationError
+from .errors import InputValidationError
 
 # Relative determinant threshold under which a 3-point sample counts as
 # collinear. Scaled by the squared extent of the source triple so the
@@ -153,43 +153,47 @@ def compose(outer: AffineTransform2D, inner: AffineTransform2D) -> AffineTransfo
     return AffineTransform2D(a11, a12, a21, a22, tx, ty)
 
 
-def triple_extent(points: Sequence[Point2]) -> float:
-    """Largest axis-aligned extent of a point set; 0 for coincident points."""
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
-    return max(max(xs) - min(xs), max(ys) - min(ys))
+def fit_affine_batch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact affine maps taking each source triple onto its destination
+    triple, by a Cramer solve of the 3-point system for a whole batch.
 
-
-def fit_affine_3pt(
-    src: Sequence[Point2], dst: Sequence[Point2]
-) -> AffineTransform2D:
-    """Exact affine transform mapping three source points onto three
-    destination points.
-
-    Solves the six-unknown linear system; the residual on the defining
-    pairs is zero up to floating point. Collinear or coincident source
-    points leave the system singular and raise DegenerateSampleError so
-    sampling loops can discard the draw.
+    src, dst: (H, 3, 2). Returns (params (H, 6) in from_params order,
+    valid (H,) bool). A row is invalid when its source triple is collinear
+    or coincident (|det| at most DEGENERACY_RTOL x squared extent) or the
+    fitted linear part is singular; invalid rows may hold NaN params.
     """
-    if len(src) != 3 or len(dst) != 3:
-        raise InputValidationError("fit_affine_3pt needs exactly 3 source and 3 destination points")
-    extent = triple_extent(src)
-    m = np.array([[p.x, p.y, 1.0] for p in src], dtype=np.float64)
-    det = float(np.linalg.det(m))
-    if abs(det) <= DEGENERACY_RTOL * extent * extent:
-        raise DegenerateSampleError(
-            f"source points are collinear or coincident (|det|={abs(det):.3e}, extent={extent:.3e})"
+    x0, y0 = src[:, 0, 0], src[:, 0, 1]
+    x1, y1 = src[:, 1, 0], src[:, 1, 1]
+    x2, y2 = src[:, 2, 0], src[:, 2, 1]
+    u0, v0 = dst[:, 0, 0], dst[:, 0, 1]
+    u1, v1 = dst[:, 1, 0], dst[:, 1, 1]
+    u2, v2 = dst[:, 2, 0], dst[:, 2, 1]
+
+    det = x0 * (y1 - y2) + x1 * (y2 - y0) + x2 * (y0 - y1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / det
+        c_a = (y1 - y2) * inv, (y2 - y0) * inv, (y0 - y1) * inv
+        c_b = (x2 - x1) * inv, (x0 - x2) * inv, (x1 - x0) * inv
+        c_t = (
+            (x1 * y2 - x2 * y1) * inv,
+            (x2 * y0 - x0 * y2) * inv,
+            (x0 * y1 - x1 * y0) * inv,
         )
-    rhs = np.array([[p.x, p.y] for p in dst], dtype=np.float64)
-    sol = np.linalg.solve(m, rhs)  # columns: x-row params, y-row params
-    return AffineTransform2D(
-        a11=float(sol[0, 0]),
-        a12=float(sol[1, 0]),
-        a21=float(sol[0, 1]),
-        a22=float(sol[1, 1]),
-        tx=float(sol[2, 0]),
-        ty=float(sol[2, 1]),
+        params = np.empty((src.shape[0], 6), dtype=np.float64)
+        params[:, 0] = u0 * c_a[0] + u1 * c_a[1] + u2 * c_a[2]
+        params[:, 1] = u0 * c_b[0] + u1 * c_b[1] + u2 * c_b[2]
+        params[:, 4] = u0 * c_t[0] + u1 * c_t[1] + u2 * c_t[2]
+        params[:, 2] = v0 * c_a[0] + v1 * c_a[1] + v2 * c_a[2]
+        params[:, 3] = v0 * c_b[0] + v1 * c_b[1] + v2 * c_b[2]
+        params[:, 5] = v0 * c_t[0] + v1 * c_t[1] + v2 * c_t[2]
+        det_a = params[:, 0] * params[:, 3] - params[:, 1] * params[:, 2]
+    extent = np.maximum(
+        src[:, :, 0].max(axis=1) - src[:, :, 0].min(axis=1),
+        src[:, :, 1].max(axis=1) - src[:, :, 1].min(axis=1),
     )
+    valid = np.abs(det) > DEGENERACY_RTOL * extent * extent
+    valid &= np.isfinite(det_a) & (np.abs(det_a) > 1e-9)
+    return params, valid
 
 
 def points_to_array(points: Sequence[Point2] | np.ndarray) -> np.ndarray:

@@ -288,6 +288,20 @@ def serialize_labels(boxes: Sequence[BBox], coordinate_mode: str, image_dims: tu
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def read_manifest(path: str | Path) -> DatasetManifest:
+    """Read and validate a manifest JSON file; any failure is a LoadError
+    naming the file."""
+    mpath = Path(path)
+    try:
+        text = mpath.read_text(encoding="utf-8")
+    except OSError as e:
+        raise LoadError(f"cannot read manifest {mpath}: {e}") from e
+    try:
+        return DatasetManifest.from_json(text)
+    except (ParseError, InputValidationError) as e:
+        raise LoadError(f"manifest {mpath}: {e}") from e
+
+
 def load_dataset(
     manifest: DatasetManifest | str | Path,
     base_dir: str | Path | None = None,
@@ -299,16 +313,8 @@ def load_dataset(
     (or base_dir).
     """
     if isinstance(manifest, (str, Path)):
-        mpath = Path(manifest)
-        try:
-            text = mpath.read_text(encoding="utf-8")
-        except OSError as e:
-            raise LoadError(f"cannot read manifest {mpath}: {e}") from e
-        try:
-            parsed = DatasetManifest.from_json(text)
-        except (ParseError, InputValidationError) as e:
-            raise LoadError(f"manifest {mpath}: {e}") from e
-        root = mpath.parent if base_dir is None else Path(base_dir)
+        parsed = read_manifest(manifest)
+        root = Path(manifest).parent if base_dir is None else Path(base_dir)
     else:
         parsed = manifest
         root = Path(base_dir) if base_dir is not None else Path.cwd()

@@ -3,14 +3,14 @@
 Each iteration draws one triple of synthetic centers and several triples
 of real centers, and fits the affine map for all 6 bijections of every
 triple pair. Hypotheses are funneled through a cheap subset prescore,
-exact scoring, and least-squares refinement; the winner is the refined
-candidate with the largest nearest-neighbor consensus (most distinct
-real points within a layout-derived radius), not the best trimmed score.
-A trimmed score prefers a wrong alignment over the true one as soon as
-the unmatchable fraction (dropout on either side) exceeds the trim, while
-consensus counts separate the two by an order of magnitude. Everything is
-driven by one seeded generator, so a run is a pure function of
-(points, config).
+exact consensus counting, and least-squares refinement (LO-RANSAC). One
+signal ranks them: the nearest-neighbor consensus, i.e. how many
+distinct real points lie within a layout-derived radius of the aligned
+synthetic points, with the mean inlier distance breaking ties. Unlike a
+mean distance, a consensus count does not let the unmatchable points
+(dropout on either side) drag the true alignment below a wrong one.
+Everything is driven by one seeded generator, so a run is a pure
+function of (points, config).
 """
 
 from __future__ import annotations
@@ -23,27 +23,24 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputValidationError
-from .geometry import (
-    DEGENERACY_RTOL,
-    AffineTransform2D,
-    Point2,
-    points_to_array,
-    transform_points,
-)
+from .geometry import AffineTransform2D, Point2, fit_affine_batch, points_to_array
 
 # Iterations are processed in fixed-size chunks; the random stream is
-# consumed row-per-iteration so results do not depend on the chunking.
+# consumed row-per-iteration, so the hypotheses drawn do not depend on
+# the chunking. The funnel below and the early-exit check work per chunk.
 _BATCH_ITERATIONS = 64
-# Candidates fully re-scored per chunk after the cheap subset prescore.
+# Candidates whose consensus is counted exactly per chunk, after the
+# cheap subset prescore.
 _FULL_SCORE_CANDIDATES = 48
-# Fully-scored candidates polished by least squares per chunk.
+# Candidates with the largest counts polished by least squares per chunk.
 _REFINE_CANDIDATES = 4
 # Subset size for the prescore. The subset is redrawn every iteration
 # from the points outside the source triple (no distance is zero by
-# construction), so one unlucky draw cannot poison the whole run; half
-# the subset counts, tolerating up to 4 points with no counterpart.
+# construction), so one unlucky draw cannot poison the whole run; the
+# closer half of the subset counts, so up to half its points may have no
+# counterpart. Smaller subsets than _SCREEN_MIN_POINTS are not screened.
 _SCREEN_POINTS = 8
-_SCREEN_KEEP = 4
+_SCREEN_MIN_POINTS = 4
 # Both radii are fractions of the real points' median nearest-neighbor
 # spacing. The capture radius decides which pairs the least-squares
 # refit sees: wide, because a raw 3-point fit through noisy points can
@@ -54,7 +51,8 @@ _SCREEN_KEEP = 4
 _CAPTURE_RADIUS_FRACTION = 0.35
 _JUDGE_RADIUS_FRACTION = 0.08
 # Early exit needs the tight consensus to cover this fraction of the
-# smaller point set; a 3-point hypothesis alone can never fake it.
+# smaller point set, at a mean inlier distance within half the tight
+# radius; a 3-point hypothesis alone can never fake it.
 _CONSENSUS_EXIT_FRACTION = 0.5
 
 _PERMS = np.array(list(itertools.permutations(range(3))), dtype=np.intp)  # (6, 3)
@@ -62,71 +60,23 @@ _PERMS = np.array(list(itertools.permutations(range(3))), dtype=np.intp)  # (6, 
 
 @dataclass(frozen=True)
 class RegistrationConfig:
-    """Knobs for register(); defaults favor reproducible batch runs.
-
-    early_exit_score None means "0.001 x scene diagonal", resolved per
-    call. real_triples_per_iteration None picks a count based on the
-    real-set size so that a 2000-iteration budget recovers the transform
-    with high probability even for scenes of ~50 instances.
-    """
+    """Knobs for register(): the iteration budget and the seed of the one
+    generator every draw comes from."""
 
     max_iterations: int = 2000
-    early_exit_score: float | None = None
     rng_seed: int = 0
-    min_points_for_affine: int = 3
-    trim_fraction: float = 0.2
-    real_triples_per_iteration: int | None = None
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise InputValidationError("max_iterations must be >= 1")
-        if not 0.0 <= self.trim_fraction <= 1.0:
-            raise InputValidationError("trim_fraction must be in [0, 1]")
-        if self.early_exit_score is not None and not (
-            math.isfinite(self.early_exit_score) and self.early_exit_score >= 0.0
-        ):
-            raise InputValidationError("early_exit_score must be finite and >= 0")
-        if self.real_triples_per_iteration is not None and self.real_triples_per_iteration < 1:
-            raise InputValidationError("real_triples_per_iteration must be >= 1")
 
 
 @dataclass(frozen=True)
 class RegistrationResult:
     transform: AffineTransform2D
-    score: float
     iterations_used: int
     hypothesis_count: int
     used_fallback: bool = False
-
-
-def registration_score(
-    t: AffineTransform2D,
-    synth_pts: Sequence[Point2] | np.ndarray,
-    real_pts: Sequence[Point2] | np.ndarray,
-    trim_fraction: float,
-) -> float:
-    """Trimmed mean nearest-neighbor distance after aligning the synthetic
-    points with `t`.
-
-    Every transformed synthetic point contributes its distance to the
-    closest real point; the mean is taken over the smallest
-    ceil((1 - trim_fraction) * k) distances, k = min(n_synth, n_real).
-    With trim 0 and equal cardinalities this is the plain mean
-    nearest-neighbor distance.
-    """
-    synth = points_to_array(synth_pts)
-    real = points_to_array(real_pts)
-    if len(synth) == 0 or len(real) == 0:
-        raise InputValidationError("registration_score requires non-empty point sets")
-    if not 0.0 <= trim_fraction <= 1.0:
-        raise InputValidationError("trim_fraction must be in [0, 1]")
-    moved = transform_points(t, synth)
-    d2 = (moved[:, None, 0] - real[None, :, 0]) ** 2 + (moved[:, None, 1] - real[None, :, 1]) ** 2
-    dists = np.sqrt(d2.min(axis=1))
-    k = min(len(synth), len(real))
-    keep = max(1, math.ceil((1.0 - trim_fraction) * k))
-    dists.sort()
-    return float(dists[:keep].mean())
 
 
 def fallback_translation(
@@ -143,13 +93,6 @@ def fallback_translation(
     return AffineTransform2D.translation(float(offset[0]), float(offset[1]))
 
 
-def scene_diagonal(synth: np.ndarray, real: np.ndarray) -> float:
-    """Diagonal of the bounding box of both point sets together."""
-    pts = np.vstack([synth, real])
-    spans = pts.max(axis=0) - pts.min(axis=0)
-    return float(np.hypot(spans[0], spans[1]))
-
-
 def _auto_real_triples(n_real: int) -> int:
     """Real triples drawn per iteration so the 2000-iteration default
     budget sees the true correspondence several times even for ~50-point
@@ -157,39 +100,6 @@ def _auto_real_triples(n_real: int) -> int:
     total = math.comb(n_real, 3)
     k = max(8, math.ceil(total / 60))
     return max(1, min(48, k, total))
-
-
-def _fit_affine_batch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cramer solve of the 3-point affine system for a batch.
-
-    src, dst: (H, 3, 2). Returns (params (H, 6), src_det (H,)). Rows with a
-    singular source triple get NaN params; callers mask on src_det.
-    """
-    x0, y0 = src[:, 0, 0], src[:, 0, 1]
-    x1, y1 = src[:, 1, 0], src[:, 1, 1]
-    x2, y2 = src[:, 2, 0], src[:, 2, 1]
-    u0, v0 = dst[:, 0, 0], dst[:, 0, 1]
-    u1, v1 = dst[:, 1, 0], dst[:, 1, 1]
-    u2, v2 = dst[:, 2, 0], dst[:, 2, 1]
-
-    det = x0 * (y1 - y2) + x1 * (y2 - y0) + x2 * (y0 - y1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / det
-        c_a = (y1 - y2) * inv, (y2 - y0) * inv, (y0 - y1) * inv
-        c_b = (x2 - x1) * inv, (x0 - x2) * inv, (x1 - x0) * inv
-        c_t = (
-            (x1 * y2 - x2 * y1) * inv,
-            (x2 * y0 - x0 * y2) * inv,
-            (x0 * y1 - x1 * y0) * inv,
-        )
-        params = np.empty((src.shape[0], 6), dtype=np.float64)
-        params[:, 0] = u0 * c_a[0] + u1 * c_a[1] + u2 * c_a[2]
-        params[:, 1] = u0 * c_b[0] + u1 * c_b[1] + u2 * c_b[2]
-        params[:, 4] = u0 * c_t[0] + u1 * c_t[1] + u2 * c_t[2]
-        params[:, 2] = v0 * c_a[0] + v1 * c_a[1] + v2 * c_a[2]
-        params[:, 3] = v0 * c_b[0] + v1 * c_b[1] + v2 * c_b[2]
-        params[:, 5] = v0 * c_t[0] + v1 * c_t[1] + v2 * c_t[2]
-    return params, det
 
 
 def _real_spacing(real: np.ndarray) -> float:
@@ -239,17 +149,16 @@ def _refine_params(
     params: np.ndarray,
     synth: np.ndarray,
     real: np.ndarray,
-    trim_fraction: float,
     capture_radius: float,
     judge_radius: float,
-) -> tuple[np.ndarray, float, tuple[int, float, int, float]]:
+) -> tuple[np.ndarray, tuple[int, float, int, float]]:
     """Deterministic least-squares polish of a promising hypothesis.
 
     A raw 3-point fit through noisy points extrapolates poorly far from
     the triple. Each round refits on the nearest-neighbor pairs within
     the capture radius; rounds are accepted when the consensus improves,
-    judged primarily at the tight radius. Returns (params, trimmed
-    score, consensus quality) of the best round.
+    judged primarily at the tight radius. Returns (params, consensus
+    quality) of the best round.
     """
 
     best_params = params
@@ -275,9 +184,7 @@ def _refine_params(
             current = candidate
         else:
             break
-    t = AffineTransform2D.from_params(best_params)
-    score = registration_score(t, synth, real, trim_fraction)
-    return best_params, score, best_quality
+    return best_params, best_quality
 
 
 def _screen_scores(
@@ -324,27 +231,22 @@ def _candidate_stats(
     params: np.ndarray,
     synth: np.ndarray,
     real: np.ndarray,
-    trim_fraction: float,
     radius: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact trimmed scores and consensus counts for a small block of
-    hypotheses at once. params: (R, 6) float64."""
+) -> np.ndarray:
+    """Exact consensus counts (distinct real points within `radius` of
+    their nearest aligned synthetic point) for a block of hypotheses at
+    once. params: (R, 6) float64."""
     moved_x = params[:, 0:1] * synth[None, :, 0] + params[:, 1:2] * synth[None, :, 1] + params[:, 4:5]
     moved_y = params[:, 2:3] * synth[None, :, 0] + params[:, 3:4] * synth[None, :, 1] + params[:, 5:6]
     d2 = (moved_x[:, :, None] - real[None, None, :, 0]) ** 2
     d2 += (moved_y[:, :, None] - real[None, None, :, 1]) ** 2
     nn_idx = d2.argmin(axis=2)
     nn_d = np.sqrt(np.take_along_axis(d2, nn_idx[:, :, None], axis=2)[:, :, 0])
-    k = min(synth.shape[0], real.shape[0])
-    keep = max(1, math.ceil((1.0 - trim_fraction) * k))
-    part = np.partition(nn_d, keep - 1, axis=1)
-    scores = part[:, :keep].mean(axis=1)
     # distinct real inliers per row: sort the masked indices and count jumps
     masked = np.where(nn_d <= radius, nn_idx, -1)
     masked.sort(axis=1)
     fresh = masked[:, 1:] != masked[:, :-1]
-    counts = (masked[:, :1] >= 0).astype(np.intp)[:, 0] + (fresh & (masked[:, 1:] >= 0)).sum(axis=1)
-    return scores, counts
+    return (masked[:, :1] >= 0).astype(np.intp)[:, 0] + (fresh & (masked[:, 1:] >= 0)).sum(axis=1)
 
 
 def register(
@@ -357,12 +259,12 @@ def register(
 
     Per iteration one synthetic triple and several real triples are drawn
     uniformly (seeded); all 6 bijections of each triple pair yield affine
-    hypotheses. Each chunk keeps the best prescored candidates, scores
-    them exactly, refines the most promising few, and the refined
-    candidate with the largest consensus (distinct real inliers, mean
-    inlier distance breaking ties, then draw order) wins. Stops early
-    once the winner's trimmed score is below the early-exit threshold or
-    its consensus covers half the smaller point set at that precision.
+    hypotheses. Each chunk keeps the best prescored candidates, counts
+    their consensus exactly, refines the most promising few, and the
+    refined candidate with the largest consensus (distinct real inliers,
+    mean inlier distance breaking ties, then draw order) wins. Stops
+    early once the winner's consensus covers half the smaller point set
+    within half the tight radius.
 
     Sets with fewer than 3 points on either side fall back to the
     centroid translation and flag the result.
@@ -377,43 +279,21 @@ def register(
         raise InputValidationError("register requires points on both sides")
 
     n, m = len(synth), len(real)
-    if n < cfg.min_points_for_affine or m < cfg.min_points_for_affine:
-        t = fallback_translation(synth, real)
-        score = registration_score(t, synth, real, cfg.trim_fraction)
-        return RegistrationResult(t, score, 0, 0, used_fallback=True)
+    if n < 3 or m < 3:
+        return RegistrationResult(fallback_translation(synth, real), 0, 0, used_fallback=True)
 
-    early_exit = (
-        cfg.early_exit_score
-        if cfg.early_exit_score is not None
-        else 1e-3 * scene_diagonal(synth, real)
-    )
-    k_real = (
-        cfg.real_triples_per_iteration
-        if cfg.real_triples_per_iteration is not None
-        else _auto_real_triples(m)
-    )
-
+    k_real = _auto_real_triples(m)
     rng = np.random.default_rng(cfg.rng_seed)
     q = min(_SCREEN_POINTS, n - 3)
-    screening = q >= _SCREEN_KEEP
+    screening = q >= _SCREEN_MIN_POINTS
     spacing = _real_spacing(real)
     capture_radius = _CAPTURE_RADIUS_FRACTION * spacing
     judge_radius = _JUDGE_RADIUS_FRACTION * spacing
     consensus_floor = max(4, math.ceil(_CONSENSUS_EXIT_FRACTION * min(n, m)))
-    # an auto threshold can undercut the noise floor on compact scenes;
-    # a consensus covering half the layout inside a small fraction of
-    # the point spacing is solved for matching purposes regardless.
-    # An explicit early_exit_score stays literal.
-    consensus_exit = (
-        early_exit
-        if cfg.early_exit_score is not None
-        else max(early_exit, 0.5 * judge_radius)
-    )
 
     width = n + k_real * m
     best_quality: tuple | None = None  # consensus quality + (gidx,)
     best_params: np.ndarray | None = None
-    best_score = math.inf
     hypothesis_count = 0
     iterations_used = 0
 
@@ -426,22 +306,12 @@ def register(
         real_triples = np.argsort(real_keys, axis=2)[:, :, :3]  # (b, K, 3)
 
         src = synth[synth_triples]  # (b, 3, 2)
-        extent = np.maximum(
-            src[:, :, 0].max(axis=1) - src[:, :, 0].min(axis=1),
-            src[:, :, 1].max(axis=1) - src[:, :, 1].min(axis=1),
-        )
         dst = real[real_triples]  # (b, K, 3, 2)
         dst_perm = dst[:, :, _PERMS, :]  # (b, K, 6, 3, 2)
 
         h = bsize * k_real * 6
         src_flat = np.broadcast_to(src[:, None, None, :, :], (bsize, k_real, 6, 3, 2)).reshape(h, 3, 2)
-        dst_flat = dst_perm.reshape(h, 3, 2)
-        params, src_det = _fit_affine_batch(src_flat, dst_flat)
-
-        extent_flat = np.repeat(extent, k_real * 6)
-        det_a = params[:, 0] * params[:, 3] - params[:, 1] * params[:, 2]
-        valid = np.abs(src_det) > DEGENERACY_RTOL * extent_flat * extent_flat
-        valid &= np.isfinite(det_a) & (np.abs(det_a) > 1e-9)
+        params, valid = fit_affine_batch(src_flat, dst_perm.reshape(h, 3, 2))
         valid_idx = np.flatnonzero(valid)
         hypothesis_count += int(valid_idx.size)
 
@@ -449,62 +319,45 @@ def register(
             if screening:
                 subset_pts = synth[synth_perm[:, n - q:]]  # (b, q, 2)
                 subset_flat = np.repeat(subset_pts, k_real * 6, axis=0)
-                screen = _screen_scores(
-                    params[valid_idx], subset_flat[valid_idx], real, _SCREEN_KEEP
-                )
+                screen = _screen_scores(params[valid_idx], subset_flat[valid_idx], real, q // 2)
                 order = np.lexsort((valid_idx, screen))
                 take = valid_idx[order[: min(_FULL_SCORE_CANDIDATES, order.size)]]
             else:
-                # too few points to screen honestly; score everything
+                # too few points to screen honestly; count everything
                 take = valid_idx
-            if take.size > 4096:
-                chunks = [
-                    _candidate_stats(
-                        params[take[i : i + 4096]], synth, real, cfg.trim_fraction, capture_radius
-                    )
+            counts = np.concatenate(
+                [
+                    _candidate_stats(params[take[i : i + 4096]], synth, real, capture_radius)
                     for i in range(0, take.size, 4096)
                 ]
-                scores = np.concatenate([c[0] for c in chunks])
-                counts = np.concatenate([c[1] for c in chunks])
-            else:
-                scores, counts = _candidate_stats(
-                    params[take], synth, real, cfg.trim_fraction, capture_radius
-                )
+            )
             base_gidx = iterations_used * k_real * 6
-            rank = np.lexsort((take, scores, -counts))
+            rank = np.lexsort((take, -counts))
             for local in rank[: min(_REFINE_CANDIDATES, rank.size)]:
                 gidx = base_gidx + int(take[local])
-                cand, cand_score, cand_consensus = _refine_params(
-                    params[int(take[local])],
-                    synth,
-                    real,
-                    cfg.trim_fraction,
-                    capture_radius,
-                    judge_radius,
+                cand, cand_consensus = _refine_params(
+                    params[int(take[local])], synth, real, capture_radius, judge_radius
                 )
                 quality = cand_consensus + (gidx,)
                 if best_quality is None or quality < best_quality:
                     best_quality = quality
                     best_params = cand
-                    best_score = cand_score
 
         iterations_used += bsize
-        if best_quality is not None:
-            solved = best_score <= early_exit or (
-                -best_quality[0] >= consensus_floor and best_quality[1] <= consensus_exit
-            )
-            if solved:
-                break
+        if (
+            best_quality is not None
+            and -best_quality[0] >= consensus_floor
+            and best_quality[1] <= 0.5 * judge_radius
+        ):
+            break
 
     if best_params is None:
         # every sampled triple was degenerate (e.g. collinear layouts)
         t = fallback_translation(synth, real)
-        score = registration_score(t, synth, real, cfg.trim_fraction)
-        return RegistrationResult(t, score, iterations_used, hypothesis_count, used_fallback=True)
+        return RegistrationResult(t, iterations_used, hypothesis_count, used_fallback=True)
 
     return RegistrationResult(
         AffineTransform2D.from_params(best_params),
-        best_score,
         iterations_used,
         hypothesis_count,
         used_fallback=False,

@@ -14,15 +14,13 @@ import numpy as np
 import pytest
 
 from ipdkit.cli import main as cli_main
-from ipdkit.errors import DegenerateSampleError
 from ipdkit.geometry import (
+    AffineTransform2D,
     BBox,
-    Point2,
-    apply_affine,
     bbox_center,
-    fit_affine_3pt,
+    fit_affine_batch,
     iou,
-    triple_extent,
+    transform_points,
 )
 from ipdkit.matching import (
     assignment_min_cost,
@@ -81,36 +79,27 @@ def test_affine_exact_fit(capsys):
     fitted = 0
     worst_rel = 0.0
     while fitted < 500:
-        src = [
-            Point2(float(rng.uniform(0.0, 1000.0)), float(rng.uniform(0.0, 1000.0)))
-            for _ in range(3)
-        ]
+        src = rng.uniform(0.0, 1000.0, size=(3, 2))
         t = random_affine(rng, (1000, 1000))
-        dst = [apply_affine(t, p) for p in src]
-        try:
-            fit = fit_affine_3pt(src, dst)
-        except DegenerateSampleError:
+        dst = transform_points(t, src)
+        params, valid = fit_affine_batch(src[None], dst[None])
+        if not valid[0]:
             continue
-        extent = triple_extent(dst)
-        residual = 0.0
-        for s, d in zip(src, dst):
-            mapped = apply_affine(fit, s)
-            residual = max(residual, math.hypot(mapped.x - d.x, mapped.y - d.y))
+        mapped = transform_points(AffineTransform2D.from_params(params[0]), src)
+        residual = float(np.hypot(*(mapped - dst).T).max())
+        extent = float((dst.max(axis=0) - dst.min(axis=0)).max())
         worst_rel = max(worst_rel, residual / extent)
         fitted += 1
 
-    rejected = 0
+    collinear = []
     for _ in range(100):
         p = np.array([rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)])
         d = np.array([rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)])
-        pts = [
-            Point2(float(p[0] + s * d[0]), float(p[1] + s * d[1]))
-            for s in (0.0, rng.uniform(0.5, 2.0), rng.uniform(3.0, 9.0))
-        ]
-        try:
-            fit_affine_3pt(pts, pts)
-        except DegenerateSampleError:
-            rejected += 1
+        collinear.append(
+            [p + s * d for s in (0.0, rng.uniform(0.5, 2.0), rng.uniform(3.0, 9.0))]
+        )
+    collinear = np.array(collinear)
+    rejected = int((~fit_affine_batch(collinear, collinear)[1]).sum())
     ok = worst_rel <= 1e-9 and rejected == 100
     _report(
         capsys,

@@ -4,11 +4,16 @@ Commands run in-process through main(argv) so exit codes and stdout can
 be asserted directly.
 """
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
-from ipdkit.cli import main, stable_subseed
+import ipdkit.cli as cli
+from ipdkit.cli import align_pair, main, stable_subseed
+from ipdkit.geometry import BBox
+from ipdkit.registration import RegistrationConfig
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
 
@@ -74,6 +79,46 @@ class TestScenegen:
         assert code == 0, err
         truth = json.loads((outdir / "truth.json").read_text())
         assert truth["oracle_ipd"] == pytest.approx(0.0, abs=1e-3)
+
+    def test_spec_file_separation_factor(self, tmp_path, capsys):
+        # 200 instances fit the frame at 2 x 12 px separation, not at the
+        # default 5 x 12 px
+        spec_path = tmp_path / "specs.json"
+        spec_path.write_text(
+            json.dumps([{"n_instances": 200, "min_separation_factor": 2, "rng_seed": 1}])
+        )
+        code, out, err = run_cli(
+            ["scenegen", "--out", str(tmp_path / "data"), "--spec-file", str(spec_path)], capsys
+        )
+        assert code == 0, err
+
+    def test_spec_file_size_and_region(self, tmp_path, capsys):
+        spec_path = tmp_path / "specs.json"
+        spec_path.write_text(
+            json.dumps(
+                [
+                    {
+                        "n_instances": 8,
+                        "size_range": [20, 24],
+                        "min_separation_factor": 2,
+                        "center_region": [0.4, 0.6],
+                    }
+                ]
+            )
+        )
+        outdir = tmp_path / "data"
+        code, out, err = run_cli(
+            ["scenegen", "--out", str(outdir), "--spec-file", str(spec_path)], capsys
+        )
+        assert code == 0, err
+        rows = [
+            [float(v) for v in line.split()[1:]]
+            for line in (outdir / "synth" / "scene0000_gt.txt").read_text().splitlines()
+        ]
+        assert len(rows) == 8
+        for cx, cy, w, h in rows:
+            assert 20 <= w <= 24 and 20 <= h <= 24
+            assert 0.4 * 1280 <= cx <= 0.6 * 1280 and 0.4 * 960 <= cy <= 0.6 * 960
 
     def test_bad_profile_is_exit_2(self, tmp_path, capsys):
         code, out, err = run_cli(
@@ -286,6 +331,60 @@ class TestRegister:
         code, out, err = run_cli(["register", str(real), str(synth)], capsys)
         assert code == 2
         assert f"{real}:2:" in err
+
+
+def test_align_pair_gate_defaults_to_half_median_diagonal():
+    real = [BBox(100.0 * i, 50.0 * (i % 2), 6.0, 8.0) for i in range(5)]
+    cfg = RegistrationConfig(rng_seed=0)
+    reg, gate, pairing = align_pair(real, real, cfg, None)
+    assert gate == pytest.approx(5.0)
+    assert [(r, s) for r, s, _ in pairing.pairs] == [(i, i) for i in range(5)]
+    assert align_pair(real, real, cfg, 2.5)[1] == 2.5
+
+
+def _bench_spans():
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_layer_tracer_contract(tmp_path, capsys, monkeypatch):
+    """The benchmark's layer trace wraps these names in the ipdkit.cli
+    namespace and reads the positional arguments of register (the config
+    at index 2) and match_instances (the point lists at 1 and 2)."""
+    names = _bench_spans().LAYER_OF
+    calls = {name: [] for name in names}
+    for name in names:
+
+        def wrapper(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            calls[_name].append(args)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapper)
+    outdir = _scenegen(tmp_path, capsys, "--transform", "random")
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(
+        [
+            "ipd",
+            str(outdir / "manifest_real.json"),
+            str(outdir / "manifest_synth.json"),
+            "--seed", "3",
+            "--max-iterations", "500",
+            "--out", str(report),
+        ],
+        capsys,
+    )
+    assert code == 0, err
+    assert [name for name in names if not calls[name]] == []
+    rows = json.loads(report.read_text())["provenance"]["pairs"]
+    assert [args[2].rng_seed for args in calls["register"]] == [r["sub_seed"] for r in rows]
+    assert all(args[2].max_iterations == 500 for args in calls["register"])
+    assert len(calls["match_instances"]) == len(rows)
+    for args, row in zip(calls["match_instances"], rows):
+        assert len(args[1]) == row["matched"] + row["unmatched_synth"]
+        assert len(args[2]) == row["matched"] + row["unmatched_real"]
 
 
 class TestStableSubseed:

@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 from ipdkit import (
     AffineTransform2D,
     BBox,
-    DegenerateSampleError,
     InputValidationError,
     Point2,
     apply_affine,
     compose,
-    fit_affine_3pt,
+    fit_affine_batch,
     iou,
 )
-from ipdkit.geometry import DEGENERACY_RTOL, points_to_array, transform_points, triple_extent
+from ipdkit.geometry import points_to_array, transform_points
 
 from helpers import grid_iou, overlapping_box_pair
 
@@ -108,34 +107,35 @@ def test_compose_matches_sequential_application():
 
 def test_fit_affine_3pt_recovers_known_transform():
     t = AffineTransform2D(1.2, -0.3, 0.4, 0.9, 10.0, -5.0)
-    src = [Point2(0, 0), Point2(7, 1), Point2(2, 9)]
-    dst = [apply_affine(t, p) for p in src]
-    got = fit_affine_3pt(src, dst)
-    assert np.allclose(got.params(), t.params(), atol=1e-12)
+    src = np.array([[0.0, 0.0], [7.0, 1.0], [2.0, 9.0]])
+    params, valid = fit_affine_batch(src[None], transform_points(t, src)[None])
+    assert valid[0]
+    assert np.allclose(params[0], t.params(), atol=1e-12)
 
 
 def test_fit_affine_3pt_rejects_collinear():
-    src = [Point2(0, 0), Point2(1, 1), Point2(2, 2)]
-    dst = [Point2(0, 0), Point2(1, 0), Point2(2, 0)]
-    with pytest.raises(DegenerateSampleError):
-        fit_affine_3pt(src, dst)
-    with pytest.raises(DegenerateSampleError):
-        fit_affine_3pt([Point2(5, 5)] * 3, dst)
+    src = np.array([[[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], [[5.0, 5.0]] * 3])
+    dst = np.array([[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]] * 2)
+    _, valid = fit_affine_batch(src, dst)
+    assert not valid.any()
 
 
-def test_fit_affine_3pt_wrong_arity():
-    with pytest.raises(InputValidationError):
-        fit_affine_3pt([Point2(0, 0)], [Point2(0, 0)])
+def test_fit_affine_batch_rejects_singular_maps():
+    # a sound source triple sent onto a line has no invertible fit
+    src = np.array([[[0.0, 0.0], [7.0, 1.0], [2.0, 9.0]]])
+    dst = np.array([[[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]])
+    _, valid = fit_affine_batch(src, dst)
+    assert not valid[0]
 
 
 def test_degeneracy_threshold_scales_with_extent():
-    # same shape at 1000x the scale must behave the same way
-    src_small = [Point2(0, 0), Point2(1e-3, 0), Point2(0, 1e-3)]
-    src_big = [Point2(0, 0), Point2(1.0, 0), Point2(0, 1.0)]
-    dst = [Point2(0, 0), Point2(1, 0), Point2(0, 1)]
-    fit_affine_3pt(src_small, dst)
-    fit_affine_3pt(src_big, dst)
-    assert triple_extent(src_small) == pytest.approx(1e-3)
+    # same shape at 1000x the scale must behave the same way, just as a
+    # collinear triple is rejected at any scale
+    shape = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    line = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]])
+    src = np.stack([shape * 1e-3, shape, line * 1e-3, line * 1e3])
+    _, valid = fit_affine_batch(src, np.stack([shape] * 4))
+    assert valid.tolist() == [True, True, False, False]
 
 
 def test_points_roundtrip_and_validation():

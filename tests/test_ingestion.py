@@ -18,6 +18,7 @@ from ipdkit.ingestion import (
     merge_pairings,
     pair_datasets,
     parse_label_text,
+    read_manifest,
     read_report,
     serialize_labels,
     write_ipd_report,
@@ -188,6 +189,14 @@ class TestLoadDataset:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(LoadError):
             load_dataset(tmp_path / "nope.json")
+
+    def test_malformed_manifest_names_the_file(self, tmp_path):
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps({"dataset_id": "d"}))
+        with pytest.raises(LoadError, match="manifest.json"):
+            read_manifest(mpath)
+        with pytest.raises(LoadError, match="manifest.json"):
+            load_dataset(mpath)
 
 
 def _labels(image_id):

@@ -6,15 +6,17 @@ import pytest
 import ipdkit.registration as reg
 from ipdkit import (
     AffineTransform2D,
+    DetectorProfile,
     InputValidationError,
-    Point2,
     RegistrationConfig,
-    apply_affine,
+    SceneSpec,
     fallback_translation,
-    fit_affine_3pt,
+    fit_affine_batch,
+    generate_scene_pair,
+    random_affine,
     register,
-    registration_score,
 )
+from ipdkit.cli import align_pair
 from ipdkit.geometry import transform_points
 
 
@@ -28,51 +30,19 @@ T_TRUE = AffineTransform2D(1.1, 0.25, -0.2, 0.9, 140.0, -60.0)
 def test_config_validation():
     with pytest.raises(InputValidationError):
         RegistrationConfig(max_iterations=0)
-    with pytest.raises(InputValidationError):
-        RegistrationConfig(trim_fraction=1.5)
-    with pytest.raises(InputValidationError):
-        RegistrationConfig(early_exit_score=-1.0)
-    with pytest.raises(InputValidationError):
-        RegistrationConfig(real_triples_per_iteration=0)
-
-
-def test_registration_score_plain_mean_when_untrimmed():
-    synth = np.array([[0.0, 0.0], [10.0, 0.0]])
-    real = np.array([[1.0, 0.0], [10.0, 2.0]])
-    # nearest neighbors: (0,0)->(1,0) dist 1; (10,0)->(10,2) dist 2
-    got = registration_score(AffineTransform2D.identity(), synth, real, 0.0)
-    assert got == pytest.approx(1.5)
-
-
-def test_registration_score_trims_largest_distances():
-    synth = np.array([[0.0, 0.0], [10.0, 0.0], [500.0, 500.0]])
-    real = np.array([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0]])
-    # trim 0.4 of k=3 keeps ceil(1.8)=2 smallest distances: 0 and 0
-    got = registration_score(AffineTransform2D.identity(), synth, real, 0.4)
-    assert got == 0.0
-
-
-def test_registration_score_rejects_empty_and_bad_trim():
-    pts = np.array([[0.0, 0.0]])
-    with pytest.raises(InputValidationError):
-        registration_score(AffineTransform2D.identity(), np.zeros((0, 2)), pts, 0.2)
-    with pytest.raises(InputValidationError):
-        registration_score(AffineTransform2D.identity(), pts, pts, -0.1)
 
 
 def test_batch_affine_solver_matches_exact_fit():
     rng = np.random.default_rng(2)
     src = rng.uniform(-100, 100, size=(200, 3, 2))
     dst = rng.uniform(-100, 100, size=(200, 3, 2))
-    params, det = reg._fit_affine_batch(src, dst)
+    params, valid = fit_affine_batch(src, dst)
+    assert valid.all()
     for i in range(len(src)):
-        s = [Point2(*p) for p in src[i]]
-        d = [Point2(*p) for p in dst[i]]
-        try:
-            want = fit_affine_3pt(s, d)
-        except Exception:
-            continue
-        assert np.allclose(params[i], want.params(), rtol=1e-9, atol=1e-9)
+        # solve [x y 1] @ [[a11 a21], [a12 a22], [tx ty]] = [u v] directly
+        sol = np.linalg.solve(np.column_stack([src[i], np.ones(3)]), dst[i])
+        want = (sol[0, 0], sol[1, 0], sol[0, 1], sol[1, 1], sol[2, 0], sol[2, 1])
+        assert np.allclose(params[i], want, rtol=1e-9, atol=1e-9)
 
 
 def test_register_recovers_exact_transform_on_clean_points():
@@ -81,7 +51,6 @@ def test_register_recovers_exact_transform_on_clean_points():
     real = transform_points(T_TRUE, synth)
     res = register(synth, real, RegistrationConfig(rng_seed=1))
     assert not res.used_fallback
-    assert res.score < 1e-6
     moved = transform_points(res.transform, synth)
     assert np.max(np.hypot(*(moved - real).T)) < 1e-6
 
@@ -109,23 +78,18 @@ def test_register_is_deterministic():
 
 
 def test_register_result_independent_of_chunk_size(monkeypatch):
+    # an unreachable consensus floor keeps the exit from firing, so both
+    # runs spend the whole budget and must agree on the winner
     rng = np.random.default_rng(12)
     synth = scatter(rng, 18)
     real = transform_points(T_TRUE, synth) + rng.normal(0, 0.4, (18, 2))
-    cfg = RegistrationConfig(rng_seed=5, max_iterations=200, early_exit_score=0.0)
+    monkeypatch.setattr(reg, "_CONSENSUS_EXIT_FRACTION", 2.0)
+    cfg = RegistrationConfig(rng_seed=5, max_iterations=200)
     baseline = register(synth, real, cfg)
+    assert baseline.iterations_used == cfg.max_iterations
     monkeypatch.setattr(reg, "_BATCH_ITERATIONS", 17)
     chunked = register(synth, real, cfg)
     assert chunked == baseline
-
-
-def test_register_explicit_zero_early_exit_uses_full_budget():
-    rng = np.random.default_rng(13)
-    synth = scatter(rng, 12)
-    real = transform_points(T_TRUE, synth)
-    cfg = RegistrationConfig(rng_seed=2, max_iterations=128, early_exit_score=0.0)
-    res = register(synth, real, cfg)
-    assert res.iterations_used == 128
 
 
 def test_register_early_exits_on_identical_sets():
@@ -133,7 +97,7 @@ def test_register_early_exits_on_identical_sets():
     pts = scatter(rng, 20)
     res = register(pts, pts, RegistrationConfig(rng_seed=0))
     assert res.iterations_used < 2000
-    assert res.score < 1e-6
+    assert np.allclose(res.transform.params(), AffineTransform2D.identity().params(), atol=1e-6)
 
 
 def test_register_small_sets_fall_back_to_translation():
@@ -194,16 +158,37 @@ def test_candidate_stats_agree_with_scalar_paths():
     synth = scatter(rng, 12, span=300.0)
     real = transform_points(T_TRUE, synth) + rng.normal(0, 1.0, (12, 2))
     params = np.array([T_TRUE.params(), AffineTransform2D.translation(500.0, 0.0).params()])
-    scores, counts = reg._candidate_stats(params, synth, real, 0.2, radius := 10.0)
+    counts = reg._candidate_stats(params, synth, real, radius := 10.0)
     for i in range(2):
-        t = AffineTransform2D.from_params(params[i])
-        assert scores[i] == pytest.approx(registration_score(t, synth, real, 0.2))
         nn_idx, nn_d = reg._nn_distances(params[i], synth, real)
         want = len(np.unique(nn_idx[nn_d <= radius]))
         assert counts[i] == want
 
 
-def test_scene_diagonal():
-    synth = np.array([[0.0, 0.0]])
-    real = np.array([[3.0, 4.0]])
-    assert reg.scene_diagonal(synth, real) == pytest.approx(5.0)
+def test_small_scenes_screen_half_their_subset():
+    # 7-10 instances leave screen subsets of 4-7 points; keeping a fixed 4
+    # of them ranked out true hypotheses with one unmatched subset point
+    # (30 of these 40 scenes recovered), keeping half of them recovers 37+
+    master = np.random.default_rng(123)
+    good = 0
+    for i in range(40):
+        n = int(master.integers(7, 11))
+        spec = SceneSpec(
+            n_instances=n,
+            transform=random_affine(master, (1280, 960)),
+            center_noise_sigma=0.5,
+            dropout_real=0.1,
+            dropout_synth=0.1,
+            detector_profile_real=DetectorProfile(0.9, 0.9),
+            detector_profile_synth=DetectorProfile(0.9, 0.9),
+            rng_seed=int(master.integers(0, 2**31)),
+        )
+        real, synth, corr, _ = generate_scene_pair(spec)
+        _, _, pairing = align_pair(
+            real.gt_boxes, synth.gt_boxes, RegistrationConfig(rng_seed=i), None
+        )
+        truth = set(corr)
+        found = {(r, s) for r, s, _ in pairing.pairs}
+        recall = len(found & truth) / len(truth) if truth else 1.0
+        good += recall >= 0.95
+    assert good >= 37
