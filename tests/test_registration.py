@@ -92,6 +92,19 @@ def test_register_result_independent_of_chunk_size(monkeypatch):
     assert chunked == baseline
 
 
+def test_register_explicit_zero_early_exit_uses_full_budget(monkeypatch):
+    # with the exit disabled (an unreachable consensus floor), even an exact
+    # transform that is found early does not stop the search
+    rng = np.random.default_rng(13)
+    synth = scatter(rng, 12)
+    real = transform_points(T_TRUE, synth)
+    monkeypatch.setattr(reg, "_CONSENSUS_EXIT_FRACTION", 2.0)
+    cfg = RegistrationConfig(rng_seed=2, max_iterations=128)
+    res = register(synth, real, cfg)
+    assert res.iterations_used == 128
+    assert not res.used_fallback
+
+
 def test_register_early_exits_on_identical_sets():
     rng = np.random.default_rng(14)
     pts = scatter(rng, 20)
