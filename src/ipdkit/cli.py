@@ -381,15 +381,24 @@ def cmd_scenegen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_pipeline_flags(sp: argparse.ArgumentParser, default_format: str) -> None:
+def _add_align_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    sp.add_argument("--max-iterations", type=int, default=2000, help="registration budget")
+    sp.add_argument(
+        "--max-iterations",
+        type=int,
+        default=RegistrationConfig.max_iterations,
+        help="registration budget, in synthetic bases tried",
+    )
     sp.add_argument(
         "--gate",
         type=float,
         default=None,
         help="matching gate distance in px (default: half the median GT diagonal)",
     )
+
+
+def _add_pipeline_flags(sp: argparse.ArgumentParser, default_format: str) -> None:
+    _add_align_flags(sp)
     sp.add_argument(
         "--conf-threshold",
         type=float,
@@ -428,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg.add_argument("--mode", choices=("pixel", "normalized"), default="pixel")
     p_reg.add_argument("--width", type=int, default=None)
     p_reg.add_argument("--height", type=int, default=None)
-    _add_pipeline_flags(p_reg, default_format="json")
+    _add_align_flags(p_reg)
     p_reg.set_defaults(func=cmd_register)
 
     p_gen = sub.add_parser("scenegen", help="generate paired test scenes with ground truth")

@@ -142,17 +142,6 @@ def apply_affine(t: AffineTransform2D, p: Point2) -> Point2:
     )
 
 
-def compose(outer: AffineTransform2D, inner: AffineTransform2D) -> AffineTransform2D:
-    """Transform equivalent to applying `inner` first, then `outer`."""
-    a11 = outer.a11 * inner.a11 + outer.a12 * inner.a21
-    a12 = outer.a11 * inner.a12 + outer.a12 * inner.a22
-    a21 = outer.a21 * inner.a11 + outer.a22 * inner.a21
-    a22 = outer.a21 * inner.a12 + outer.a22 * inner.a22
-    tx = outer.a11 * inner.tx + outer.a12 * inner.ty + outer.tx
-    ty = outer.a21 * inner.tx + outer.a22 * inner.ty + outer.ty
-    return AffineTransform2D(a11, a12, a21, a22, tx, ty)
-
-
 def fit_affine_batch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact affine maps taking each source triple onto its destination
     triple, by a Cramer solve of the 3-point system for a whole batch.

@@ -418,22 +418,6 @@ def ipd_result_to_dict(result: IpdResult) -> dict:
     }
 
 
-def ipd_result_from_dict(doc: Mapping) -> IpdResult:
-    try:
-        return IpdResult(
-            ipd=float(doc["ipd"]),
-            instance_count=int(doc["instance_count"]),
-            unmatched_real_total=int(doc["unmatched_real_total"]),
-            unmatched_synth_total=int(doc["unmatched_synth_total"]),
-            per_image_breakdown=tuple(
-                (str(r["image_id"]), float(r["ipd_contribution"]), int(r["pair_count"]))
-                for r in doc.get("per_image_breakdown", [])
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise InputValidationError(f"malformed IPD result document: {e}") from e
-
-
 def write_report(
     matrix: Sequence[Sequence[CrossValCell]],
     results: Mapping | None = None,
@@ -506,34 +490,6 @@ def _lookup_result(results: Mapping, train: str, pair: tuple[str, str]):
         if k_train == train and frozenset(k_pair) == frozenset(pair):
             return value
     return None
-
-
-def read_report(text: str) -> dict:
-    """Parse a JSON report back into its matrix plus raw document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(str(e), source="<report>", line_no=e.lineno) from e
-    try:
-        domains = list(doc["domains"])
-        columns = [tuple(p) for p in doc["columns"]]
-        by_key = {
-            (c["train"], tuple(c["pair"])): c for c in doc["cells"]
-        }
-        matrix = [
-            [
-                CrossValCell(
-                    train_domain=train,
-                    eval_pair=pair,
-                    ipd=by_key[(train, pair)]["ipd"],
-                )
-                for pair in columns
-            ]
-            for train in domains
-        ]
-    except (KeyError, TypeError, ValueError) as e:
-        raise InputValidationError(f"malformed report document: {e}") from e
-    return {"matrix": matrix, "document": doc}
 
 
 def write_ipd_report(

@@ -1,21 +1,27 @@
-"""Seeded RANSAC registration of 2D point sets via 3-point affine hypotheses.
+"""Seeded RANSAC registration of 2D point sets via local 3-point affine
+hypotheses.
 
-Each iteration draws one triple of synthetic centers and several triples
-of real centers, and fits the affine map for all 6 bijections of every
-triple pair. Hypotheses are funneled through a cheap subset prescore,
-exact consensus counting, and least-squares refinement (LO-RANSAC). One
-signal ranks them: the nearest-neighbor consensus, i.e. how many
-distinct real points lie within a layout-derived radius of the aligned
-synthetic points, with the mean inlier distance breaking ties. Unlike a
-mean distance, a consensus count does not let the unmatchable points
-(dropout on either side) drag the true alignment below a wrong one.
-Everything is driven by one seeded generator, so a run is a pure
+Each iteration draws one synthetic basis: a point and a pair of its
+nearest neighbours (NAPSAC-style local sampling, Myatt et al. 2002).
+Nearest-neighbour structure survives moderate affine maps, so the basis
+is fitted onto every real basis (each real point with each ordered pair
+of its nearest neighbours) at once; one of those is the true
+correspondence whenever the basis survived on the real side. Each
+hypothesis carries the synthetic point's wider neighbourhood over, and
+only the ones that land the most of it on the real point's neighbourhood
+are refined by least squares (LO-RANSAC) and judged. One signal ranks
+them: the nearest-neighbor consensus, i.e. how many distinct real points
+lie within a layout-derived radius of the aligned synthetic points, with
+the mean inlier distance breaking ties. Unlike a mean distance, a
+consensus count does not let the unmatchable points (dropout on either
+side) drag the true alignment below a wrong one. The search stops by the
+adaptive RANSAC bound (Fischler & Bolles 1981) on the best consensus so
+far. Everything is driven by one seeded generator, so a run is a pure
 function of (points, config).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -25,22 +31,16 @@ import numpy as np
 from .errors import InputValidationError
 from .geometry import AffineTransform2D, Point2, fit_affine_batch, points_to_array
 
-# Iterations are processed in fixed-size chunks; the random stream is
-# consumed row-per-iteration, so the hypotheses drawn do not depend on
-# the chunking. The funnel below and the early-exit check work per chunk.
-_BATCH_ITERATIONS = 64
-# Candidates whose consensus is counted exactly per chunk, after the
-# cheap subset prescore.
-_FULL_SCORE_CANDIDATES = 48
-# Candidates with the largest counts polished by least squares per chunk.
-_REFINE_CANDIDATES = 4
-# Subset size for the prescore. The subset is redrawn every iteration
-# from the points outside the source triple (no distance is zero by
-# construction), so one unlucky draw cannot poison the whole run; the
-# closer half of the subset counts, so up to half its points may have no
-# counterpart. Smaller subsets than _SCREEN_MIN_POINTS are not screened.
-_SCREEN_POINTS = 8
-_SCREEN_MIN_POINTS = 4
+# A synthetic basis pairs its point with two of the point's nearest
+# _SYNTH_BASIS_NEIGHBOURS; a real basis with two of its nearest
+# _REAL_BASIS_NEIGHBOURS. The real side reaches further, so a neighbour
+# that an affine map or a dropped instance pushed down the order is still
+# found.
+_SYNTH_BASIS_NEIGHBOURS = 4
+_REAL_BASIS_NEIGHBOURS = 6
+# Neighbourhood size on both sides for checking a hypothesis before it is
+# refined.
+_CHECK_NEIGHBOURS = 12
 # Both radii are fractions of the real points' median nearest-neighbor
 # spacing. The capture radius decides which pairs the least-squares
 # refit sees: wide, because a raw 3-point fit through noisy points can
@@ -50,12 +50,8 @@ _SCREEN_MIN_POINTS = 4
 # inliers as the true one.
 _CAPTURE_RADIUS_FRACTION = 0.35
 _JUDGE_RADIUS_FRACTION = 0.08
-# Early exit needs the tight consensus to cover this fraction of the
-# smaller point set, at a mean inlier distance within half the tight
-# radius; a 3-point hypothesis alone can never fake it.
-_CONSENSUS_EXIT_FRACTION = 0.5
-
-_PERMS = np.array(list(itertools.permutations(range(3))), dtype=np.intp)  # (6, 3)
+# Probability that the adaptive stop has seen an all-inlier sample.
+_STOP_CONFIDENCE = 0.99
 
 
 @dataclass(frozen=True)
@@ -63,7 +59,7 @@ class RegistrationConfig:
     """Knobs for register(): the iteration budget and the seed of the one
     generator every draw comes from."""
 
-    max_iterations: int = 2000
+    max_iterations: int = 200
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -93,21 +89,14 @@ def fallback_translation(
     return AffineTransform2D.translation(float(offset[0]), float(offset[1]))
 
 
-def _auto_real_triples(n_real: int) -> int:
-    """Real triples drawn per iteration so the 2000-iteration default
-    budget sees the true correspondence several times even for ~50-point
-    scenes with dropout on both sides."""
-    total = math.comb(n_real, 3)
-    k = max(8, math.ceil(total / 60))
-    return max(1, min(48, k, total))
-
-
-def _real_spacing(real: np.ndarray) -> float:
-    """Median distance from a real point to its nearest other real point;
-    the layout scale refinement radii derive from."""
-    d2 = (real[:, None, 0] - real[None, :, 0]) ** 2 + (real[:, None, 1] - real[None, :, 1]) ** 2
+def _neighbours(pts: np.ndarray, k: int) -> tuple[np.ndarray, float]:
+    """Indices of each point's k nearest other points, nearest first, and
+    the median nearest-neighbor distance (the layout scale)."""
+    d2 = (pts[:, None, 0] - pts[None, :, 0]) ** 2 + (pts[:, None, 1] - pts[None, :, 1]) ** 2
     np.fill_diagonal(d2, np.inf)
-    return float(np.median(np.sqrt(d2.min(axis=1))))
+    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    spacing = float(np.median(np.sqrt(d2[np.arange(len(pts)), order[:, 0]])))
+    return order, spacing
 
 
 def _nn_distances(params: np.ndarray, synth: np.ndarray, real: np.ndarray):
@@ -187,68 +176,6 @@ def _refine_params(
     return best_params, best_quality
 
 
-def _screen_scores(
-    params: np.ndarray, screen_pts: np.ndarray, real: np.ndarray, keep: int
-) -> np.ndarray:
-    """Cheap float32 prescore: mean of the `keep` smallest squared NN
-    distances of each hypothesis's own screen subset. Only used to rank
-    candidates inside a chunk.
-
-    params: (H, 6), screen_pts: (H, q, 2) - one subset per hypothesis,
-    disjoint from its source triple, so no distance is zero by
-    construction.
-    """
-    p = params.astype(np.float32)
-    sp = screen_pts.astype(np.float32)
-    r = real.astype(np.float32)
-    rt = np.ascontiguousarray(r.T)
-    rn = (r * r).sum(axis=1)
-    total, q, _ = sp.shape
-    k = min(keep, q)
-    out = np.empty(total, dtype=np.float32)
-    # squared distances via |a|^2 + |b|^2 - 2 a.b; one flat matmul per
-    # slab, slabs sized to keep the distance block cache-resident
-    slab = 4096
-    for i in range(0, total, slab):
-        ps = p[i : i + slab]
-        ss = sp[i : i + slab]
-        xs = ps[:, 0:1] * ss[:, :, 0] + ps[:, 1:2] * ss[:, :, 1] + ps[:, 4:5]
-        ys = ps[:, 2:3] * ss[:, :, 0] + ps[:, 3:4] * ss[:, :, 1] + ps[:, 5:6]
-        moved = np.empty((xs.size, 2), dtype=np.float32)
-        moved[:, 0] = xs.ravel()
-        moved[:, 1] = ys.ravel()
-        d2 = moved @ rt
-        d2 *= -2.0
-        d2 += (moved * moved).sum(axis=1)[:, None]
-        d2 += rn
-        dmin = d2.min(axis=1).reshape(-1, q)
-        part = np.partition(dmin, k - 1, axis=1)
-        out[i : i + slab] = part[:, :k].mean(axis=1)
-    return out
-
-
-def _candidate_stats(
-    params: np.ndarray,
-    synth: np.ndarray,
-    real: np.ndarray,
-    radius: float,
-) -> np.ndarray:
-    """Exact consensus counts (distinct real points within `radius` of
-    their nearest aligned synthetic point) for a block of hypotheses at
-    once. params: (R, 6) float64."""
-    moved_x = params[:, 0:1] * synth[None, :, 0] + params[:, 1:2] * synth[None, :, 1] + params[:, 4:5]
-    moved_y = params[:, 2:3] * synth[None, :, 0] + params[:, 3:4] * synth[None, :, 1] + params[:, 5:6]
-    d2 = (moved_x[:, :, None] - real[None, None, :, 0]) ** 2
-    d2 += (moved_y[:, :, None] - real[None, None, :, 1]) ** 2
-    nn_idx = d2.argmin(axis=2)
-    nn_d = np.sqrt(np.take_along_axis(d2, nn_idx[:, :, None], axis=2)[:, :, 0])
-    # distinct real inliers per row: sort the masked indices and count jumps
-    masked = np.where(nn_d <= radius, nn_idx, -1)
-    masked.sort(axis=1)
-    fresh = masked[:, 1:] != masked[:, :-1]
-    return (masked[:, :1] >= 0).astype(np.intp)[:, 0] + (fresh & (masked[:, 1:] >= 0)).sum(axis=1)
-
-
 def register(
     synth_pts: Sequence[Point2] | np.ndarray,
     real_pts: Sequence[Point2] | np.ndarray,
@@ -257,14 +184,16 @@ def register(
     """Estimate the affine map taking synthetic centers into real-image
     coordinates.
 
-    Per iteration one synthetic triple and several real triples are drawn
-    uniformly (seeded); all 6 bijections of each triple pair yield affine
-    hypotheses. Each chunk keeps the best prescored candidates, counts
-    their consensus exactly, refines the most promising few, and the
-    refined candidate with the largest consensus (distinct real inliers,
-    mean inlier distance breaking ties, then draw order) wins. Stops
-    early once the winner's consensus covers half the smaller point set
-    within half the tight radius.
+    Per iteration one synthetic basis (a seeded point and two of its
+    nearest neighbours) is fitted onto every real basis. A hypothesis is
+    checked by carrying the point's other near neighbours over: a check
+    point hits when it lands within the capture radius of one of the
+    real point's near neighbours. The hypotheses with the most hits, when
+    those are at least half the check points, are refined, and the one
+    with the largest consensus (distinct real inliers, mean inlier
+    distance breaking ties, then draw order) wins. The search stops once
+    the iterations reach log(1 - p) / log(1 - w^3), w being the winner's
+    tight consensus over the synthetic point count, or at once when w = 1.
 
     Sets with fewer than 3 points on either side fall back to the
     centroid translation and flag the result.
@@ -282,77 +211,67 @@ def register(
     if n < 3 or m < 3:
         return RegistrationResult(fallback_translation(synth, real), 0, 0, used_fallback=True)
 
-    k_real = _auto_real_triples(m)
-    rng = np.random.default_rng(cfg.rng_seed)
-    q = min(_SCREEN_POINTS, n - 3)
-    screening = q >= _SCREEN_MIN_POINTS
-    spacing = _real_spacing(real)
+    synth_nbrs, _ = _neighbours(synth, min(_CHECK_NEIGHBOURS, n - 1))
+    real_nbrs, spacing = _neighbours(real, min(_CHECK_NEIGHBOURS, m - 1))
     capture_radius = _CAPTURE_RADIUS_FRACTION * spacing
     judge_radius = _JUDGE_RADIUS_FRACTION * spacing
-    consensus_floor = max(4, math.ceil(_CONSENSUS_EXIT_FRACTION * min(n, m)))
 
-    width = n + k_real * m
-    best_quality: tuple | None = None  # consensus quality + (gidx,)
+    # every real basis: (point, ordered pair of its nearest neighbours)
+    k_real = min(_REAL_BASIS_NEIGHBOURS, m - 1)
+    first, second = np.nonzero(~np.eye(k_real, dtype=bool))
+    real_bases = np.column_stack(
+        [
+            np.repeat(np.arange(m), first.size),
+            real_nbrs[:, first].ravel(),
+            real_nbrs[:, second].ravel(),
+        ]
+    )
+    dst = real[real_bases]  # (hypotheses, 3, 2)
+    near_real = real[real_nbrs][real_bases[:, 0]]  # (hypotheses, K, 2)
+
+    rng = np.random.default_rng(cfg.rng_seed)
+    k_synth = min(_SYNTH_BASIS_NEIGHBOURS, n - 1)
+    best_quality: tuple | None = None  # consensus quality + (iteration, hypothesis)
     best_params: np.ndarray | None = None
     hypothesis_count = 0
     iterations_used = 0
 
     while iterations_used < cfg.max_iterations:
-        bsize = min(_BATCH_ITERATIONS, cfg.max_iterations - iterations_used)
-        keys = rng.random((bsize, width))
-        synth_perm = np.argsort(keys[:, :n], axis=1)
-        synth_triples = synth_perm[:, :3]  # (b, 3)
-        real_keys = keys[:, n:].reshape(bsize, k_real, m)
-        real_triples = np.argsort(real_keys, axis=2)[:, :, :3]  # (b, K, 3)
+        point = int(rng.integers(n))
+        pair = rng.choice(k_synth, size=2, replace=False)
+        basis = np.concatenate([[point], synth_nbrs[point, pair]])
+        check = synth[np.delete(synth_nbrs[point], pair)]  # (c, 2)
 
-        src = synth[synth_triples]  # (b, 3, 2)
-        dst = real[real_triples]  # (b, K, 3, 2)
-        dst_perm = dst[:, :, _PERMS, :]  # (b, K, 6, 3, 2)
+        params, valid = fit_affine_batch(np.broadcast_to(synth[basis], dst.shape), dst)
+        hypothesis_count += int(valid.sum())
 
-        h = bsize * k_real * 6
-        src_flat = np.broadcast_to(src[:, None, None, :, :], (bsize, k_real, 6, 3, 2)).reshape(h, 3, 2)
-        params, valid = fit_affine_batch(src_flat, dst_perm.reshape(h, 3, 2))
-        valid_idx = np.flatnonzero(valid)
-        hypothesis_count += int(valid_idx.size)
-
-        if valid_idx.size:
-            if screening:
-                subset_pts = synth[synth_perm[:, n - q:]]  # (b, q, 2)
-                subset_flat = np.repeat(subset_pts, k_real * 6, axis=0)
-                screen = _screen_scores(params[valid_idx], subset_flat[valid_idx], real, q // 2)
-                order = np.lexsort((valid_idx, screen))
-                take = valid_idx[order[: min(_FULL_SCORE_CANDIDATES, order.size)]]
-            else:
-                # too few points to screen honestly; count everything
-                take = valid_idx
-            counts = np.concatenate(
-                [
-                    _candidate_stats(params[take[i : i + 4096]], synth, real, capture_radius)
-                    for i in range(0, take.size, 4096)
-                ]
-            )
-            base_gidx = iterations_used * k_real * 6
-            rank = np.lexsort((take, -counts))
-            for local in rank[: min(_REFINE_CANDIDATES, rank.size)]:
-                gidx = base_gidx + int(take[local])
+        cx, cy = check[:, 0], check[:, 1]
+        moved_x = params[:, 0:1] * cx + params[:, 1:2] * cy + params[:, 4:5]
+        moved_y = params[:, 2:3] * cx + params[:, 3:4] * cy + params[:, 5:6]
+        d2 = (moved_x[:, :, None] - near_real[:, None, :, 0]) ** 2
+        d2 += (moved_y[:, :, None] - near_real[:, None, :, 1]) ** 2
+        hits = np.where(valid, (d2.min(axis=2) <= capture_radius**2).sum(axis=1), -1)
+        most = int(hits.max())
+        if 2 * most >= len(check):
+            for idx in np.flatnonzero(hits == most):
                 cand, cand_consensus = _refine_params(
-                    params[int(take[local])], synth, real, capture_radius, judge_radius
+                    params[idx], synth, real, capture_radius, judge_radius
                 )
-                quality = cand_consensus + (gidx,)
+                quality = cand_consensus + (iterations_used, int(idx))
                 if best_quality is None or quality < best_quality:
                     best_quality = quality
                     best_params = cand
 
-        iterations_used += bsize
-        if (
-            best_quality is not None
-            and -best_quality[0] >= consensus_floor
-            and best_quality[1] <= 0.5 * judge_radius
-        ):
-            break
+        iterations_used += 1
+        if best_quality is not None:
+            w = -best_quality[0] / n
+            needed = math.log(1.0 - _STOP_CONFIDENCE) / math.log1p(-(w**3)) if w < 1.0 else 0.0
+            if iterations_used >= needed:
+                break
 
     if best_params is None:
-        # every sampled triple was degenerate (e.g. collinear layouts)
+        # every sampled basis was degenerate (e.g. collinear layouts), or
+        # none carried half its check points onto a real neighbourhood
         t = fallback_translation(synth, real)
         return RegistrationResult(t, iterations_used, hypothesis_count, used_fallback=True)
 

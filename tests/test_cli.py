@@ -325,6 +325,13 @@ class TestRegister:
         assert code == 2
         assert "--width" in err
 
+    def test_report_flags_are_rejected(self, tmp_path, capsys):
+        real, synth = self._write_pair(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["register", str(real), str(synth), "--format", "json"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
     def test_label_parse_error_names_file_and_line(self, tmp_path, capsys):
         real, synth = self._write_pair(tmp_path)
         real.write_text("0 1 1 2 2\nbroken\n")

@@ -11,7 +11,6 @@ from ipdkit import (
     InputValidationError,
     Point2,
     apply_affine,
-    compose,
     fit_affine_batch,
     iou,
 )
@@ -91,18 +90,6 @@ def test_apply_affine_identity_and_translation():
     assert apply_affine(AffineTransform2D.identity(), p) == p
     q = apply_affine(AffineTransform2D.translation(1.0, 2.0), p)
     assert (q.x, q.y) == (4.0, 0.0)
-
-
-def test_compose_matches_sequential_application():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        t1 = AffineTransform2D.from_params(rng.uniform(-2, 2, 6))
-        t2 = AffineTransform2D.from_params(rng.uniform(-2, 2, 6))
-        p = Point2(*rng.uniform(-10, 10, 2))
-        via_compose = apply_affine(compose(t2, t1), p)
-        sequential = apply_affine(t2, apply_affine(t1, p))
-        assert via_compose.x == pytest.approx(sequential.x, abs=1e-9)
-        assert via_compose.y == pytest.approx(sequential.y, abs=1e-9)
 
 
 def test_fit_affine_3pt_recovers_known_transform():

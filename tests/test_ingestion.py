@@ -12,19 +12,17 @@ from ipdkit.ingestion import (
     DatasetManifest,
     ImageLabels,
     ManifestEntry,
-    ipd_result_from_dict,
     ipd_result_to_dict,
     load_dataset,
     merge_pairings,
     pair_datasets,
     parse_label_text,
     read_manifest,
-    read_report,
     serialize_labels,
     write_ipd_report,
     write_report,
 )
-from ipdkit.metric import IpdResult, cross_validation
+from ipdkit.metric import CrossValCell, IpdResult, cross_validation
 
 DIMS = (640, 480)
 
@@ -268,10 +266,14 @@ class TestWriteReport:
         assert float(rows[3][2]) == 0.4638
 
     def test_json_round_trips_matrix(self):
-        text = write_report(self.matrix, fmt="json", provenance={"seed": 7})
-        parsed = read_report(text)
-        assert parsed["matrix"] == self.matrix
-        assert parsed["document"]["provenance"] == {"seed": 7}
+        doc = json.loads(write_report(self.matrix, fmt="json", provenance={"seed": 7}))
+        ipds = {(c["train"], tuple(c["pair"])): c["ipd"] for c in doc["cells"]}
+        parsed = [
+            [CrossValCell(train, tuple(pair), ipds[(train, tuple(pair))]) for pair in doc["columns"]]
+            for train in doc["domains"]
+        ]
+        assert parsed == self.matrix
+        assert doc["provenance"] == {"seed": 7}
 
     def test_json_embeds_details_for_ipd_results(self):
         detailed = {
@@ -305,6 +307,19 @@ class TestWriteReport:
             write_report(bad)
 
 
+def _result_from_doc(doc: dict) -> IpdResult:
+    return IpdResult(
+        ipd=doc["ipd"],
+        instance_count=doc["instance_count"],
+        unmatched_real_total=doc["unmatched_real_total"],
+        unmatched_synth_total=doc["unmatched_synth_total"],
+        per_image_breakdown=tuple(
+            (r["image_id"], r["ipd_contribution"], r["pair_count"])
+            for r in doc["per_image_breakdown"]
+        ),
+    )
+
+
 class TestIpdReport:
     def setup_method(self):
         self.result = IpdResult(
@@ -316,12 +331,12 @@ class TestIpdReport:
         )
 
     def test_result_dict_round_trip(self):
-        assert ipd_result_from_dict(ipd_result_to_dict(self.result)) == self.result
+        assert _result_from_doc(ipd_result_to_dict(self.result)) == self.result
 
     def test_json_report_round_trip(self):
         text = write_ipd_report(self.result, provenance={"gate": 5.0})
         doc = json.loads(text)
-        assert ipd_result_from_dict(doc["result"]) == self.result
+        assert _result_from_doc(doc["result"]) == self.result
         assert doc["provenance"] == {"gate": 5.0}
 
     def test_markdown_totals_row(self):
