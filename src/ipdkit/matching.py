@@ -1,10 +1,12 @@
 """One-to-one pairing of registered instance centers.
 
 A cost matrix of Euclidean distances (real vs. transformed synthetic
-centers) is fed to the Hungarian solver; assignments farther apart than
-the gate distance are discarded rather than forced. Distances beyond the
-gate enter the solve saturated at the gate value, so hopeless rows and
-columns are interchangeable and can never pull a close pair apart.
+centers) is solved for the minimum-total-cost assignment by a
+shortest-augmenting-path solver (Jonker & Volgenant 1987; Crouse 2016);
+assignments farther apart than the gate distance are discarded rather
+than forced. Distances beyond the gate enter the solve saturated at the
+gate value, so hopeless rows and columns are interchangeable and can
+never pull a close pair apart.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InputValidationError
 from .geometry import AffineTransform2D, BBox, Point2, points_to_array, transform_points
@@ -57,17 +58,68 @@ class InstancePairing:
 def assignment_min_cost(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-total-cost assignment on a rectangular cost matrix.
 
-    Returns (row_indices, col_indices) of the min(n_rows, n_cols) chosen
-    cells, sorted by row. Among assignments of equal total cost the
-    solver's pick is returned; only the total is guaranteed optimal.
+    Returns integer arrays (row_indices, col_indices) of the
+    min(n_rows, n_cols) chosen cells, sorted by row; the total is
+    optimal. The solver (the rectangular shortest-augmenting-path
+    algorithm of Crouse 2016) works on the orientation with no more rows
+    than columns, transposing a tall matrix, and adds one row per
+    augmentation along a shortest path under dual potentials. Its tie
+    rule is deterministic: among columns at the same path length it
+    takes one not yet assigned, if any, else the lowest column index.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise InputValidationError("cost must be a 2D matrix")
     if cost.size and not np.all(np.isfinite(cost)):
         raise InputValidationError("cost entries must be finite")
-    rows, cols = linear_sum_assignment(cost)
-    return rows, cols
+    transpose = cost.shape[0] > cost.shape[1]
+    if transpose:
+        cost = cost.T
+    n_rows, n_cols = cost.shape
+    u = np.zeros(n_rows)
+    v = np.zeros(n_cols)
+    col4row = np.full(n_rows, -1)
+    row4col = np.full(n_cols, -1)
+    path = np.full(n_cols, -1)
+    for cur in range(n_rows):
+        # Dijkstra over columns from row `cur` on reduced costs, until it
+        # reaches an unassigned column (the sink)
+        shortest = np.full(n_cols, np.inf)
+        remaining = np.ones(n_cols, dtype=bool)
+        visited_rows = [cur]
+        i, min_val = cur, 0.0
+        while True:
+            reduced = min_val + cost[i] - u[i] - v
+            shorter = remaining & (reduced < shortest)
+            path[shorter] = i
+            shortest[shorter] = reduced[shorter]
+            candidates = np.where(remaining, shortest, np.inf)
+            min_val = candidates.min()
+            ties = np.flatnonzero(candidates == min_val)
+            free = ties[row4col[ties] < 0]
+            j = int(free[0] if free.size else ties[0])
+            remaining[j] = False
+            if row4col[j] < 0:
+                break
+            i = int(row4col[j])
+            visited_rows.append(i)
+        # dual update keeps every reduced cost non-negative
+        u[cur] += min_val
+        others = np.array(visited_rows[1:], dtype=np.intp)
+        u[others] += min_val - shortest[col4row[others]]
+        scanned = ~remaining
+        v[scanned] -= min_val - shortest[scanned]
+        # flip the augmenting path back to row `cur`
+        while True:
+            i = int(path[j])
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if transpose:
+        order = np.argsort(col4row)
+        return col4row[order], order
+    return np.arange(n_rows), col4row
 
 
 def default_gate_distance(boxes: Sequence[BBox]) -> float:
@@ -109,14 +161,30 @@ def match_instances(
     moved = transform_points(transform, synth)
     diff = real[:, None, :] - moved[None, :, :]
     cost = np.sqrt((diff**2).sum(axis=2))
-    solver_cost = cost if math.isinf(gate_distance) else np.minimum(cost, gate_distance)
-    rows, cols = assignment_min_cost(solver_cost)
+    # With capped costs every full assignment totals k * gate minus the
+    # weight (gate - d) of its within-gate cells, so the optimum is a
+    # maximum-weight matching on the within-gate graph and splits by its
+    # connected components. A cell alone in both its row and its column
+    # is a component by itself and is paired directly; rows and columns
+    # with no within-gate cell cannot pair at all. Only the rest is solved.
+    within = cost <= gate_distance
+    row_hits = within.sum(axis=1)
+    col_hits = within.sum(axis=0)
+    lone = within & (row_hits == 1)[:, None] & (col_hits == 1)[None, :]
+    lone_rows, lone_cols = np.nonzero(lone)
+    rest_rows = np.flatnonzero((row_hits > 0) & ~lone.any(axis=1))
+    rest_cols = np.flatnonzero((col_hits > 0) & ~lone.any(axis=0))
+    sub = np.minimum(cost[np.ix_(rest_rows, rest_cols)], gate_distance)
+    sub_rows, sub_cols = assignment_min_cost(sub)
+    rows = np.concatenate([lone_rows, rest_rows[sub_rows]])
+    cols = np.concatenate([lone_cols, rest_cols[sub_cols]])
 
     pairs: list[tuple[int, int, float]] = []
-    for r, s in zip(rows, cols):
+    for k in np.argsort(rows):
+        r, s = int(rows[k]), int(cols[k])
         d = float(cost[r, s])
         if d <= gate_distance:
-            pairs.append((int(r), int(s), d))
+            pairs.append((r, s, d))
 
     matched_real = {r for r, _, _ in pairs}
     matched_synth = {s for _, s, _ in pairs}

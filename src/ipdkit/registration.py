@@ -227,7 +227,11 @@ def register(
         ]
     )
     dst = real[real_bases]  # (hypotheses, 3, 2)
-    near_real = real[real_nbrs][real_bases[:, 0]]  # (hypotheses, K, 2)
+    # each hypothesis' real near neighbours, one (hypotheses, 1) column
+    # per neighbour
+    near = real_nbrs[real_bases[:, 0]].T  # (K, hypotheses)
+    near_x = real[near, 0][:, :, None]
+    near_y = real[near, 1][:, :, None]
 
     rng = np.random.default_rng(cfg.rng_seed)
     k_synth = min(_SYNTH_BASIS_NEIGHBOURS, n - 1)
@@ -248,9 +252,10 @@ def register(
         cx, cy = check[:, 0], check[:, 1]
         moved_x = params[:, 0:1] * cx + params[:, 1:2] * cy + params[:, 4:5]
         moved_y = params[:, 2:3] * cx + params[:, 3:4] * cy + params[:, 5:6]
-        d2 = (moved_x[:, :, None] - near_real[:, None, :, 0]) ** 2
-        d2 += (moved_y[:, :, None] - near_real[:, None, :, 1]) ** 2
-        hits = np.where(valid, (d2.min(axis=2) <= capture_radius**2).sum(axis=1), -1)
+        nearest = np.full(moved_x.shape, np.inf)
+        for nx, ny in zip(near_x, near_y):
+            np.minimum(nearest, (moved_x - nx) ** 2 + (moved_y - ny) ** 2, out=nearest)
+        hits = np.where(valid, (nearest <= capture_radius**2).sum(axis=1), -1)
         most = int(hits.max())
         if 2 * most >= len(check):
             for idx in np.flatnonzero(hits == most):

@@ -6,6 +6,9 @@ be asserted directly.
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -401,3 +404,17 @@ class TestStableSubseed:
         assert stable_subseed(2, "a", "b") != base
         assert stable_subseed(1, "x", "b") != base
         assert stable_subseed(1, "a", "x") != base
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency; the runtime must not import it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys, ipdkit.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

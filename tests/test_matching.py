@@ -1,5 +1,6 @@
 """Tests for one-to-one instance pairing."""
 
+import itertools
 import math
 
 import numpy as np
@@ -23,6 +24,18 @@ IDENTITY = AffineTransform2D(1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
 
 def _total(cost, rows, cols):
     return sum(float(cost[r, c]) for r, c in zip(rows, cols))
+
+
+def _brute_force_pairs(capped, gate):
+    """Within-gate cells of a minimum-total assignment of the capped cost
+    matrix, by enumerating every maximal assignment."""
+    n, m = capped.shape
+    if n <= m:
+        options = (list(zip(range(n), cols)) for cols in itertools.permutations(range(m), n))
+    else:
+        options = (list(zip(rows, range(m))) for rows in itertools.permutations(range(n), m))
+    best = min(options, key=lambda cells: sum(capped[r, c] for r, c in cells))
+    return {(r, c) for r, c in best if capped[r, c] < gate}
 
 
 class TestAssignmentMinCost:
@@ -56,6 +69,28 @@ class TestAssignmentMinCost:
     def test_empty_matrix(self):
         rows, cols = assignment_min_cost(np.zeros((0, 4)))
         assert len(rows) == 0 and len(cols) == 0
+
+    def test_matches_scipy_on_random_rectangular_matrices(self):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(20261018)
+        # every shape up to 12x12: both orientations, 1xm, nx1 and 0xm;
+        # every other round integer-valued costs with many ties
+        shapes = list(itertools.product(range(13), repeat=2))
+        for rep in range(12):
+            for n, m in shapes:
+                if rep % 2:
+                    cost = rng.uniform(0.0, 100.0, size=(n, m))
+                else:
+                    cost = rng.integers(0, 4, size=(n, m)).astype(float)
+                rows, cols = assignment_min_cost(cost)
+                ref_rows, ref_cols = scipy_optimize.linear_sum_assignment(cost)
+                assert rows.dtype.kind == "i" and cols.dtype.kind == "i"
+                assert len(rows) == len(cols) == min(n, m)
+                assert list(rows) == sorted(set(rows.tolist()))
+                assert len(set(cols.tolist())) == len(cols)
+                assert cost[rows, cols].sum() == pytest.approx(
+                    cost[ref_rows, ref_cols].sum(), rel=1e-12, abs=1e-12
+                )
 
 
 class TestInstancePairingValidation:
@@ -159,6 +194,49 @@ class TestMatchInstances:
         a = match_instances(IDENTITY, synth, real, gate_distance=20.0)
         b = match_instances(IDENTITY, synth, real, gate_distance=20.0)
         assert a == b
+
+    def test_chain_component_is_solved_not_picked_nearest_first(self):
+        # within the gate of 7: r0-s0 (3), s0-r1 (2), r1-s1 (5.5); r0-s1 is
+        # 10.5 apart. Taking the nearest cell r1-s0 first leaves one pair;
+        # the optimum pairs both.
+        real = [Point2(0.0, 0.0), Point2(5.0, 0.0)]
+        synth = [Point2(3.0, 0.0), Point2(10.5, 0.0)]
+        pairing = match_instances(IDENTITY, synth, real, gate_distance=7.0)
+        assert pairing.pairs == ((0, 0, 3.0), (1, 1, 5.5))
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        sizes=st.lists(
+            st.tuples(st.integers(1, 3), st.integers(1, 3)).filter(lambda t: sum(t) <= 4),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_component_split_keeps_the_optimum(self, seed, sizes):
+        # clusters far apart, each holding 2-4 points within about one gate
+        # of each other, so the within-gate graph has small components that
+        # the solver must resolve next to lone 1x1 pairs
+        gate = 10.0
+        rng = np.random.default_rng(seed)
+        real_parts, synth_parts = [], []
+        for k, (n_real, n_synth) in enumerate(sizes):
+            centre = np.array([100.0 * k, 0.0])
+            real_parts.append(centre + rng.uniform(0.0, 1.2 * gate, size=(n_real, 2)))
+            synth_parts.append(centre + rng.uniform(0.0, 1.2 * gate, size=(n_synth, 2)))
+        real = rng.permutation(np.concatenate(real_parts))
+        synth = rng.permutation(np.concatenate(synth_parts))
+
+        pairing = match_instances(IDENTITY, synth, real, gate_distance=gate)
+        cost = np.sqrt(((real[:, None, :] - synth[None, :, :]) ** 2).sum(axis=2))
+        capped = np.minimum(cost, gate)
+        k = min(len(real), len(synth))
+        total = sum(d for _, _, d in pairing.pairs) + (k - len(pairing.pairs)) * gate
+        rows, cols = assignment_min_cost(capped)
+        assert total == pytest.approx(capped[rows, cols].sum(), abs=1e-9)
+
+        if max(len(real), len(synth)) <= 7:
+            assert {(r, s) for r, s, _ in pairing.pairs} == _brute_force_pairs(capped, gate)
 
     @settings(deadline=None, max_examples=40)
     @given(
