@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InputValidationError, UndefinedApError
-from .geometry import BBox, iou
+from .geometry import BBox, iou_table
 
 
 @dataclass(frozen=True)
@@ -46,38 +46,32 @@ def _greedy_outcomes(
     if total_gt == 0:
         raise UndefinedApError("average precision is undefined without GT boxes")
 
-    flat: list[tuple[str, BBox]] = []
+    flat: list[tuple[str, int, float]] = []
     for image_id, boxes in pred_by_image.items():
-        for b in boxes:
+        for col, b in enumerate(boxes):
             if b.confidence is None:
                 raise InputValidationError(
                     f"prediction without confidence in image {image_id!r}"
                 )
-            flat.append((image_id, b))
+            flat.append((image_id, col, b.confidence))
     if not flat:
         return np.zeros(0, dtype=bool), np.zeros(0), total_gt
 
-    confs = np.array([b.confidence for _, b in flat])
+    confs = np.array([c for _, _, c in flat])
     order = np.argsort(-confs, kind="stable")
 
-    claimed: dict[str, np.ndarray] = {
-        image_id: np.zeros(len(boxes), dtype=bool) for image_id, boxes in gt_by_image.items()
+    # claimed GT rows are zeroed, which no threshold in (0, 1) accepts
+    tables = {
+        image_id: iou_table(gt_by_image.get(image_id, ()), boxes)
+        for image_id, boxes in pred_by_image.items()
     }
     tp = np.zeros(len(flat), dtype=bool)
     for rank, idx in enumerate(order):
-        image_id, pred = flat[idx]
-        gt_boxes = gt_by_image.get(image_id, ())
-        best_j = -1
-        best_iou = 0.0
-        for j, g in enumerate(gt_boxes):
-            if claimed[image_id][j]:
-                continue
-            v = iou(g, pred)
-            if v >= iou_threshold and v > best_iou:
-                best_iou = v
-                best_j = j
-        if best_j >= 0:
-            claimed[image_id][best_j] = True
+        image_id, col, _ = flat[idx]
+        ious = tables[image_id][:, col]
+        if ious.size and ious.max() >= iou_threshold:
+            # argmax takes the first maximum, so ties go to the lowest GT index
+            tables[image_id][ious.argmax()] = 0.0
             tp[rank] = True
     return tp, confs[order], total_gt
 

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputValidationError, IpdKitError, LoadError, NoInstancesError
-from .geometry import AffineTransform2D, BBox, bbox_center
+from .geometry import AffineTransform2D, BBox
 from .ingestion import (
     ImageLabels,
     load_dataset,
@@ -52,8 +52,8 @@ def align_pair(
     them inside the gate (None: half the median real GT diagonal).
     Returns the registration, the gate used and the pairing; both sides
     must be non-empty."""
-    real_centers = [bbox_center(b) for b in real_gt]
-    synth_centers = [bbox_center(b) for b in synth_gt]
+    real_centers = np.array([(b.cx, b.cy) for b in real_gt])
+    synth_centers = np.array([(b.cx, b.cy) for b in synth_gt])
     reg = register(synth_centers, real_centers, cfg)
     if gate is None:
         gate = default_gate_distance(real_gt)

@@ -131,6 +131,24 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
+def iou_table(gt: Sequence[BBox], pred: Sequence[BBox]) -> np.ndarray:
+    """IOU of every GT box (rows) against every predicted box (columns);
+    either side may be empty.
+
+    One broadcast over the boxes' cx, cy, w, h arrays that runs iou's
+    float operations in iou's order, so cell (i, j) equals
+    iou(gt[i], pred[j]) exactly.
+    """
+    g = np.array([(b.cx, b.cy, b.w, b.h) for b in gt], dtype=np.float64).reshape(-1, 1, 4)
+    p = np.array([(b.cx, b.cy, b.w, b.h) for b in pred], dtype=np.float64).reshape(1, -1, 4)
+    g_half, p_half = g[..., 2:] / 2.0, p[..., 2:] / 2.0
+    lo = np.maximum(g[..., :2] - g_half, p[..., :2] - p_half)
+    hi = np.minimum(g[..., :2] + g_half, p[..., :2] + p_half)
+    iw, ih = hi[..., 0] - lo[..., 0], hi[..., 1] - lo[..., 1]
+    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+    return inter / (g[..., 2] * g[..., 3] + p[..., 2] * p[..., 3] - inter)
+
+
 def bbox_center(b: BBox) -> Point2:
     return Point2(b.cx, b.cy)
 

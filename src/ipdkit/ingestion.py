@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -234,20 +233,6 @@ def parse_label_text(
         if coordinate_mode == "normalized":
             cx, w = cx * width, w * width
             cy, h = cy * height, h * height
-        if not all(math.isfinite(v) for v in (cx, cy, w, h)):
-            raise ParseError("coordinates must be finite", source=source, line_no=line_no)
-        if w <= 0 or h <= 0:
-            raise ParseError(
-                f"box width/height must be positive, got w={w}, h={h}",
-                source=source,
-                line_no=line_no,
-            )
-        if confidence is not None and not (0.0 <= confidence <= 1.0):
-            raise ParseError(
-                f"confidence must lie in [0, 1], got {confidence}",
-                source=source,
-                line_no=line_no,
-            )
         try:
             boxes.append(BBox(cx=cx, cy=cy, w=w, h=h, confidence=confidence, class_id=class_id))
         except InputValidationError as e:

@@ -2,50 +2,29 @@
 across paired real/synthetic images.
 
 A GT box's performance value is the best IOU any predicted box achieves
-against it. IPD is the mean absolute difference of these values over
-matched real/synth instance pairs. cross_validation arranges IPDs into
-the train-domain x domain-pair matrix used for dataset comparison.
+against it, i.e. its row maximum in the image's (GT x prediction) IOU
+array from geometry.iou_table. IPD is the mean absolute difference of
+these values over matched real/synth instance pairs. cross_validation
+arranges IPDs into the train-domain x domain-pair matrix used for
+dataset comparison.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import math
 
 import numpy as np
 
 from .errors import IncompleteResultsError, InputValidationError, NoInstancesError
-from .geometry import BBox, iou
+from .geometry import iou_table
 from .matching import InstancePairing
 
 if TYPE_CHECKING:
     from .ingestion import ImageLabels
-
-
-@dataclass(frozen=True, eq=False)
-class IouTable:
-    """IOU of every GT box (rows) against every predicted box (columns)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2:
-            raise InputValidationError("IouTable values must be 2D")
-        if v.size and (not np.all(np.isfinite(v)) or v.min() < 0.0 or v.max() > 1.0):
-            raise InputValidationError("IOU entries must lie in [0, 1]")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def gt_count(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def pred_count(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -121,27 +100,6 @@ class CrossValCell:
             raise InputValidationError("ipd must be finite and non-negative")
 
 
-def iou_table(gt: Sequence[BBox], pred: Sequence[BBox]) -> IouTable:
-    """Pairwise IOU table; either side may be empty."""
-    values = np.zeros((len(gt), len(pred)), dtype=np.float64)
-    for i, g in enumerate(gt):
-        for j, p in enumerate(pred):
-            values[i, j] = iou(g, p)
-    return IouTable(values)
-
-
-def performance_value(table: IouTable, gt_index: int) -> float:
-    """Best IOU achieved against GT row gt_index; 0 when nothing was
-    predicted at all."""
-    if not 0 <= gt_index < table.gt_count:
-        raise InputValidationError(
-            f"gt_index {gt_index} out of range for {table.gt_count} GT boxes"
-        )
-    if table.pred_count == 0:
-        return 0.0
-    return float(table.values[gt_index].max())
-
-
 def ipd(
     records: Sequence[PerfRecord],
     *,
@@ -173,10 +131,6 @@ def ipd(
     )
 
 
-def _surviving_predictions(boxes: Iterable[BBox], conf_threshold: float) -> list[BBox]:
-    return [b for b in boxes if b.confidence is not None and b.confidence >= conf_threshold]
-
-
 def evaluate_pair(
     real_labels: Sequence["ImageLabels"],
     synth_labels: Sequence["ImageLabels"],
@@ -188,8 +142,9 @@ def evaluate_pair(
 
     The three sequences are index-aligned: element i describes the same
     real/synth image pair. Predictions below conf_threshold are dropped
-    before the IOU tables are built. Records are accumulated image by
-    image, within an image by real instance index.
+    before each image's IOU table is built, and a GT box's performance
+    value is its row maximum (0 when no prediction is left). Records are
+    accumulated image by image, within an image by real instance index.
     """
     if not (len(real_labels) == len(synth_labels) == len(pairings)):
         raise InputValidationError(
@@ -203,10 +158,15 @@ def evaluate_pair(
     unmatched_real = 0
     unmatched_synth = 0
     for real, synth, pairing in zip(real_labels, synth_labels, pairings):
-        table_r = iou_table(real.gt_boxes, _surviving_predictions(real.pred_boxes, conf_threshold))
-        table_s = iou_table(synth.gt_boxes, _surviving_predictions(synth.pred_boxes, conf_threshold))
+        perf_real, perf_synth = (
+            iou_table(
+                labels.gt_boxes,
+                [b for b in labels.pred_boxes if b.confidence >= conf_threshold],
+            ).max(axis=1, initial=0.0)
+            for labels in (real, synth)
+        )
         for r_idx, s_idx, _ in sorted(pairing.pairs):
-            if r_idx >= table_r.gt_count or s_idx >= table_s.gt_count:
+            if r_idx >= len(perf_real) or s_idx >= len(perf_synth):
                 raise InputValidationError(
                     f"pairing for image {real.image_id!r} references instance "
                     f"({r_idx}, {s_idx}) beyond the labeled boxes"
@@ -217,8 +177,8 @@ def evaluate_pair(
                     image_id=real.image_id,
                     real_index=r_idx,
                     synth_index=s_idx,
-                    p_real=performance_value(table_r, r_idx),
-                    p_synth=performance_value(table_s, s_idx),
+                    p_real=float(perf_real[r_idx]),
+                    p_synth=float(perf_synth[s_idx]),
                 )
             )
         unmatched_real += len(pairing.unmatched_real)

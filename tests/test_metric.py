@@ -8,21 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipdkit.errors import IncompleteResultsError, InputValidationError, NoInstancesError
-from ipdkit.geometry import BBox
+from ipdkit.geometry import BBox, iou, iou_table
 from ipdkit.ingestion import ImageLabels
 from ipdkit.matching import InstancePairing
 from ipdkit.metric import (
     CrossValCell,
-    IouTable,
     IpdResult,
     PerfRecord,
     closest_domain,
     cross_validation,
     domain_pairs,
     evaluate_pair,
-    iou_table,
     ipd,
-    performance_value,
 )
 
 
@@ -37,45 +34,44 @@ def _record(p_real, p_synth, image_id="img", idx=0):
     )
 
 
+def _grid_boxes(rng, n):
+    # half-pixel centers and sides on a small grid: touching edges,
+    # nested boxes and exact duplicates all occur
+    cx, cy = rng.integers(0, 12, (2, n)) / 2.0
+    w, h = rng.integers(1, 8, (2, n)) / 2.0
+    return [BBox(*v, 0.5) for v in zip(cx, cy, w, h)]
+
+
+def _continuous_boxes(rng, n):
+    cx, cy = rng.uniform(0.0, 50.0, (2, n))
+    w, h = rng.uniform(0.5, 30.0, (2, n))
+    return [BBox(*v, 0.5) for v in zip(cx, cy, w, h)]
+
+
 class TestIouTable:
     def test_values_match_pairwise_iou(self):
         gt = [BBox(0.0, 0.0, 2.0, 2.0), BBox(5.0, 5.0, 2.0, 2.0)]
         pred = [BBox(0.0, 0.0, 2.0, 2.0, 0.9), BBox(1.0, 0.0, 2.0, 2.0, 0.8)]
         table = iou_table(gt, pred)
-        assert table.values.shape == (2, 2)
-        assert table.values[0, 0] == 1.0
-        assert table.values[0, 1] == pytest.approx(1.0 / 3.0)
-        assert table.values[1, 0] == 0.0
+        assert table.shape == (2, 2)
+        assert table[0, 0] == 1.0
+        assert table[0, 1] == pytest.approx(1.0 / 3.0)
+        assert table[1, 0] == 0.0
+
+        rng = np.random.default_rng(7)
+        for make in (_grid_boxes, _continuous_boxes):
+            for _ in range(20):
+                gt, pred = make(rng, rng.integers(1, 15)), make(rng, rng.integers(1, 15))
+                table = iou_table(gt, pred)
+                assert table.shape == (len(gt), len(pred))
+                for i, g in enumerate(gt):
+                    for j, p in enumerate(pred):
+                        assert table[i, j] == iou(g, p)
 
     def test_empty_sides(self):
-        assert iou_table([], []).values.shape == (0, 0)
-        assert iou_table([BBox(0, 0, 1, 1)], []).values.shape == (1, 0)
-        assert iou_table([], [BBox(0, 0, 1, 1, 0.5)]).values.shape == (0, 1)
-
-    def test_rejects_out_of_range_values(self):
-        with pytest.raises(InputValidationError):
-            IouTable(np.array([[1.5]]))
-        with pytest.raises(InputValidationError):
-            IouTable(np.array([[-0.1]]))
-        with pytest.raises(InputValidationError):
-            IouTable(np.zeros(3))
-
-
-class TestPerformanceValue:
-    def test_row_maximum(self):
-        table = IouTable(np.array([[0.2, 0.7, 0.4], [0.0, 0.1, 0.05]]))
-        assert performance_value(table, 0) == 0.7
-        assert performance_value(table, 1) == 0.1
-
-    def test_no_predictions_gives_zero(self):
-        table = IouTable(np.zeros((3, 0)))
-        assert performance_value(table, 1) == 0.0
-
-    def test_index_out_of_range(self):
-        table = IouTable(np.zeros((2, 2)))
-        for idx in (-1, 2):
-            with pytest.raises(InputValidationError):
-                performance_value(table, idx)
+        assert iou_table([], []).shape == (0, 0)
+        assert iou_table([BBox(0, 0, 1, 1)], []).shape == (1, 0)
+        assert iou_table([], [BBox(0, 0, 1, 1, 0.5)]).shape == (0, 1)
 
 
 class TestPerfRecord:
