@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InputValidationError, UndefinedApError
-from .geometry import BBox, iou_table
+from .geometry import BBox, boxes_to_array, iou_table
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def _greedy_outcomes(
 
     # claimed GT rows are zeroed, which no threshold in (0, 1) accepts
     tables = {
-        image_id: iou_table(gt_by_image.get(image_id, ()), boxes)
+        image_id: iou_table(boxes_to_array(gt_by_image.get(image_id, ())), boxes_to_array(boxes))
         for image_id, boxes in pred_by_image.items()
     }
     tp = np.zeros(len(flat), dtype=bool)

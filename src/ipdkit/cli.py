@@ -19,13 +19,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputValidationError, IpdKitError, LoadError, NoInstancesError
-from .geometry import AffineTransform2D, BBox
+from .geometry import AffineTransform2D
 from .ingestion import (
     ImageLabels,
     load_dataset,
     merge_pairings,
     pair_datasets,
-    parse_label_file,
+    read_label_arrays,
     read_manifest,
     write_ipd_report,
     write_report,
@@ -43,17 +43,17 @@ def stable_subseed(seed: int, real_id: str, synth_id: str) -> int:
 
 
 def align_pair(
-    real_gt: Sequence[BBox],
-    synth_gt: Sequence[BBox],
+    real_gt: np.ndarray,
+    synth_gt: np.ndarray,
     cfg: RegistrationConfig,
     gate: float | None,
 ) -> tuple[RegistrationResult, float, InstancePairing]:
     """Register the synthetic GT centers onto the real ones, then match
     them inside the gate (None: half the median real GT diagonal).
-    Returns the registration, the gate used and the pairing; both sides
-    must be non-empty."""
-    real_centers = np.array([(b.cx, b.cy) for b in real_gt])
-    synth_centers = np.array([(b.cx, b.cy) for b in synth_gt])
+    Takes (n, 4) cx, cy, w, h GT arrays; returns the registration, the
+    gate used and the pairing. Both sides must be non-empty."""
+    real_centers = real_gt[:, :2].copy()
+    synth_centers = synth_gt[:, :2].copy()
     reg = register(synth_centers, real_centers, cfg)
     if gate is None:
         gate = default_gate_distance(real_gt)
@@ -76,16 +76,16 @@ def evaluate_dataset_pair(
             "synth_image": synth.image_id,
             "sub_seed": sub_seed,
         }
-        if not real.gt_boxes or not synth.gt_boxes:
+        if len(real.gt) == 0 or len(synth.gt) == 0:
             pairing = InstancePairing(
                 pairs=(),
-                unmatched_real=tuple(range(len(real.gt_boxes))),
-                unmatched_synth=tuple(range(len(synth.gt_boxes))),
+                unmatched_real=tuple(range(len(real.gt))),
+                unmatched_synth=tuple(range(len(synth.gt))),
             )
             row.update(registration="skipped (empty side)", matched=0)
         else:
             cfg = RegistrationConfig(max_iterations=args.max_iterations, rng_seed=sub_seed)
-            reg, gate, pairing = align_pair(real.gt_boxes, synth.gt_boxes, cfg, args.gate)
+            reg, gate, pairing = align_pair(real.gt.xywh, synth.gt.xywh, cfg, args.gate)
             if reg.used_fallback:
                 print(
                     f"warning: pair ({real.image_id}, {synth.image_id}) has too few "
@@ -211,11 +211,12 @@ def cmd_register(args: argparse.Namespace) -> int:
     if args.mode == "normalized" and (args.width is None or args.height is None):
         raise InputValidationError("--width and --height are required in normalized mode")
     dims = (args.width or 1, args.height or 1)
-    real_boxes = parse_label_file(args.real, args.mode, dims)
-    synth_boxes = parse_label_file(args.synth, args.mode, dims)
-    real_gt = [b for b in real_boxes if b.confidence is None]
-    synth_gt = [b for b in synth_boxes if b.confidence is None]
-    if not real_gt or not synth_gt:
+    real_boxes = read_label_arrays(args.real, args.mode, dims)
+    synth_boxes = read_label_arrays(args.synth, args.mode, dims)
+    # GT rows are the ones without a confidence
+    real_gt = real_boxes.xywh[np.isnan(real_boxes.confidence)]
+    synth_gt = synth_boxes.xywh[np.isnan(synth_boxes.confidence)]
+    if len(real_gt) == 0 or len(synth_gt) == 0:
         raise InputValidationError("both label files must contain GT boxes")
 
     sub_seed = stable_subseed(args.seed, str(args.real), str(args.synth))

@@ -2,8 +2,9 @@
 
 Everything downstream (registration, matching, the performance metric)
 is built on these few types and pure functions. Boxes are stored as
-center/width/height in one consistent coordinate unit; callers that read
-normalized label files convert to pixels before constructing a BBox.
+center/width/height in one consistent coordinate unit, either one BBox
+at a time or as the rows of an (n, 4) cx, cy, w, h array, the form the
+pipeline's hot paths take.
 """
 
 from __future__ import annotations
@@ -131,22 +132,26 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
-def iou_table(gt: Sequence[BBox], pred: Sequence[BBox]) -> np.ndarray:
-    """IOU of every GT box (rows) against every predicted box (columns);
-    either side may be empty.
+def iou_table(gt: np.ndarray, pred: np.ndarray) -> np.ndarray:
+    """IOU of every GT box (rows) against every predicted box (columns),
+    from (n, 4) and (m, 4) cx, cy, w, h arrays; either may be empty.
 
-    One broadcast over the boxes' cx, cy, w, h arrays that runs iou's
-    float operations in iou's order, so cell (i, j) equals
-    iou(gt[i], pred[j]) exactly.
+    One broadcast that runs iou's float operations in iou's order, so
+    cell (i, j) equals iou on the BBoxes of row i and row j exactly.
     """
-    g = np.array([(b.cx, b.cy, b.w, b.h) for b in gt], dtype=np.float64).reshape(-1, 1, 4)
-    p = np.array([(b.cx, b.cy, b.w, b.h) for b in pred], dtype=np.float64).reshape(1, -1, 4)
+    g, p = gt[:, None, :], pred[None, :, :]
     g_half, p_half = g[..., 2:] / 2.0, p[..., 2:] / 2.0
     lo = np.maximum(g[..., :2] - g_half, p[..., :2] - p_half)
     hi = np.minimum(g[..., :2] + g_half, p[..., :2] + p_half)
     iw, ih = hi[..., 0] - lo[..., 0], hi[..., 1] - lo[..., 1]
     inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
     return inter / (g[..., 2] * g[..., 3] + p[..., 2] * p[..., 3] - inter)
+
+
+def boxes_to_array(boxes: Sequence[BBox]) -> np.ndarray:
+    """(n, 4) float64 cx, cy, w, h array of a BBox sequence, the form
+    iou_table, default_gate_distance and align_pair take."""
+    return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
 def bbox_center(b: BBox) -> Point2:

@@ -4,10 +4,21 @@ Label files are plain text, one box per line:
 
     class_id cx cy w h [confidence]
 
-Five fields mark a GT box, six a prediction. A manifest is one JSON
-document describing a dataset's images and the real<->synth pairing.
-Loading is atomic: the first bad line or missing file aborts the whole
-dataset with a located error.
+Five fields mark a GT box, six a prediction. parse_label_arrays is the one
+label parser. It reads a file into a BoxArrays: an (n, 4) float64
+cx, cy, w, h array in pixels, an (n,) confidence vector that is NaN on a
+GT line, and an (n,) int class-id vector. Numbers go through Python's int
+and float; the box rules (finite values, positive sides, a confidence in
+[0, 1]) are checked once per file as array masks, and an error names the
+first bad line in file order, in BBox's own words. ImageLabels holds an
+image's GT and prediction arrays and checks the image rules (which side
+carries confidences, the 10% frame overhang) the same way. The pipeline
+reads only these arrays; BBox objects are built from them on request, by
+parse_label_text, parse_label_file and ImageLabels.gt_boxes/pred_boxes.
+
+A manifest is one JSON document describing a dataset's images and the
+real<->synth pairing. Loading is atomic: the first bad line or missing
+file aborts the whole dataset with a located error.
 """
 
 from __future__ import annotations
@@ -15,60 +26,134 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     InputValidationError,
     LoadError,
     ParseError,
 )
-from .geometry import BBox
+from .geometry import BBox, boxes_to_array
 from .metric import CrossValCell, IpdResult
 
 _COORDINATE_MODES = ("normalized", "pixel")
 
 
+@dataclass(frozen=True, eq=False)
+class BoxArrays:
+    """The boxes of one label file, one row per box in file order.
+
+    xywh is (n, 4) float64 cx, cy, w, h; confidence is (n,) float64 with
+    NaN for "no confidence" (a GT box); class_id is (n,) int64. Every row
+    satisfies BBox's rules: parse_label_arrays and from_boxes build them.
+    Equality is exact, NaN-aware on confidence.
+    """
+
+    xywh: np.ndarray
+    confidence: np.ndarray
+    class_id: np.ndarray
+
+    @classmethod
+    def from_boxes(cls, boxes: Sequence[BBox]) -> "BoxArrays":
+        return cls(
+            boxes_to_array(boxes),
+            np.array(
+                [math.nan if b.confidence is None else b.confidence for b in boxes],
+                dtype=np.float64,
+            ),
+            np.array([b.class_id for b in boxes], dtype=np.int64),
+        )
+
+    def boxes(self) -> tuple[BBox, ...]:
+        return tuple(
+            BBox(cx, cy, w, h, None if math.isnan(c) else c, k)
+            for (cx, cy, w, h), c, k in zip(
+                self.xywh.tolist(), self.confidence.tolist(), self.class_id.tolist()
+            )
+        )
+
+    def __len__(self) -> int:
+        return len(self.xywh)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BoxArrays):
+            return NotImplemented
+        return (
+            np.array_equal(self.xywh, other.xywh)
+            and np.array_equal(self.confidence, other.confidence, equal_nan=True)
+            and np.array_equal(self.class_id, other.class_id)
+        )
+
+
 @dataclass(frozen=True)
 class ImageLabels:
-    """All labels of one image, in pixel units.
+    """All labels of one image, in pixel units: the GT and prediction
+    boxes as BoxArrays.
 
     Box centers may overhang the frame by 10% on each side; GT boxes must
-    not carry a confidence, predictions must.
+    not carry a confidence, predictions must. gt_boxes and pred_boxes are
+    the same boxes as BBox tuples, built the first time they are read.
     """
 
     image_id: str
     width_px: int
     height_px: int
-    gt_boxes: tuple[BBox, ...]
-    pred_boxes: tuple[BBox, ...]
+    gt: BoxArrays
+    pred: BoxArrays
 
     def __post_init__(self):
         if not self.image_id:
             raise InputValidationError("image_id must be non-empty")
         if self.width_px <= 0 or self.height_px <= 0:
             raise InputValidationError("image dimensions must be positive")
-        object.__setattr__(self, "gt_boxes", tuple(self.gt_boxes))
-        object.__setattr__(self, "pred_boxes", tuple(self.pred_boxes))
-        for b in self.gt_boxes:
-            if b.confidence is not None:
-                raise InputValidationError(
-                    f"GT box in image {self.image_id!r} carries a confidence"
-                )
-        for b in self.pred_boxes:
-            if b.confidence is None:
-                raise InputValidationError(
-                    f"prediction in image {self.image_id!r} lacks a confidence"
-                )
-        for b in self.gt_boxes + self.pred_boxes:
-            if not (-0.1 * self.width_px <= b.cx <= 1.1 * self.width_px) or not (
-                -0.1 * self.height_px <= b.cy <= 1.1 * self.height_px
-            ):
-                raise InputValidationError(
-                    f"box center ({b.cx}, {b.cy}) falls outside the expanded "
-                    f"frame of image {self.image_id!r}"
-                )
+        if not np.isnan(self.gt.confidence).all():
+            raise InputValidationError(
+                f"GT box in image {self.image_id!r} carries a confidence"
+            )
+        if np.isnan(self.pred.confidence).any():
+            raise InputValidationError(
+                f"prediction in image {self.image_id!r} lacks a confidence"
+            )
+        cx, cy = np.concatenate([self.gt.xywh[:, :2], self.pred.xywh[:, :2]]).T
+        inside = (-0.1 * self.width_px <= cx) & (cx <= 1.1 * self.width_px)
+        inside &= (-0.1 * self.height_px <= cy) & (cy <= 1.1 * self.height_px)
+        if not inside.all():
+            first = int(np.argmin(inside))
+            raise InputValidationError(
+                f"box center ({cx[first].tolist()}, {cy[first].tolist()}) falls outside "
+                f"the expanded frame of image {self.image_id!r}"
+            )
+
+    @classmethod
+    def from_boxes(
+        cls,
+        image_id: str,
+        width_px: int,
+        height_px: int,
+        gt_boxes: Sequence[BBox],
+        pred_boxes: Sequence[BBox],
+    ) -> "ImageLabels":
+        return cls(
+            image_id,
+            width_px,
+            height_px,
+            BoxArrays.from_boxes(gt_boxes),
+            BoxArrays.from_boxes(pred_boxes),
+        )
+
+    @cached_property
+    def gt_boxes(self) -> tuple[BBox, ...]:
+        return self.gt.boxes()
+
+    @cached_property
+    def pred_boxes(self) -> tuple[BBox, ...]:
+        return self.pred.boxes()
 
 
 @dataclass(frozen=True)
@@ -186,58 +271,119 @@ class DatasetManifest:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _require_mode(coordinate_mode: str) -> None:
+    if coordinate_mode not in _COORDINATE_MODES:
+        raise InputValidationError(
+            f"coordinate_mode must be one of {_COORDINATE_MODES}, got {coordinate_mode!r}"
+        )
+
+
+def parse_label_arrays(
+    text: str,
+    coordinate_mode: str,
+    image_dims: tuple[int, int],
+    source: str = "<string>",
+) -> BoxArrays:
+    """Parse label lines into pixel-unit box arrays.
+
+    Blank lines and `#` comments are skipped. In normalized mode cx/w are
+    scaled by the image width and cy/h by the height. A ParseError names
+    the first bad line in file order, whichever rule it breaks.
+    """
+    _require_mode(coordinate_mode)
+    width, height = image_dims
+    if width <= 0 or height <= 0:
+        raise InputValidationError("image_dims must be positive")
+
+    values: list[float] = []  # cx, cy, w, h, confidence per box (NaN: none given)
+    class_ids: list[int] = []
+    has_confidence: list[bool] = []
+    line_nos: list[int] = []
+    # a malformed line ends the scan; it is raised only if every box
+    # before it passes the box rules
+    malformed: ParseError | None = None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        n = len(fields)
+        if n not in (5, 6):
+            malformed = ParseError(
+                f"expected 5 or 6 fields, got {n}", source=source, line_no=line_no
+            )
+            break
+        try:
+            class_id = int(fields[0])
+        except ValueError:
+            malformed = ParseError(
+                f"class_id must be an integer, got {fields[0]!r}",
+                source=source,
+                line_no=line_no,
+            )
+            break
+        try:
+            row = list(map(float, fields[1:]))
+        except ValueError as e:
+            malformed = ParseError(f"non-numeric field: {e}", source=source, line_no=line_no)
+            break
+        if n == 5:
+            row.append(math.nan)
+        values += row
+        class_ids.append(class_id)
+        has_confidence.append(n == 6)
+        line_nos.append(line_no)
+
+    table = np.array(values, dtype=np.float64).reshape(-1, 5)
+    xywh, confidence = np.ascontiguousarray(table[:, :4]), table[:, 4].copy()
+    if coordinate_mode == "normalized":
+        with np.errstate(over="ignore"):  # an overflow to inf is rejected below
+            xywh *= np.array([width, height, width, height], dtype=np.float64)
+    given = np.array(has_confidence, dtype=bool)
+    bad = ~np.isfinite(xywh).all(axis=1) | (xywh[:, 2] <= 0.0) | (xywh[:, 3] <= 0.0)
+    bad |= given & ~((confidence >= 0.0) & (confidence <= 1.0))
+    try:
+        classes = np.array(class_ids, dtype=np.int64)
+    except OverflowError:
+        bad |= [not -(2**63) <= k < 2**63 for k in class_ids]
+    if bad.any():
+        i = int(np.argmax(bad))
+        cx, cy, w, h = xywh[i].tolist()
+        conf = confidence[i].tolist() if given[i] else None
+        # BBox words the error; a row it accepts was flagged for its class id
+        try:
+            BBox(cx, cy, w, h, conf, class_ids[i])
+        except InputValidationError as e:
+            raise ParseError(str(e), source=source, line_no=line_nos[i]) from None
+        raise ParseError(
+            f"class_id {class_ids[i]} does not fit in 64 bits", source=source, line_no=line_nos[i]
+        )
+    if malformed is not None:
+        raise malformed
+    return BoxArrays(xywh, confidence, classes)
+
+
 def parse_label_text(
     text: str,
     coordinate_mode: str,
     image_dims: tuple[int, int],
     source: str = "<string>",
 ) -> list[BBox]:
-    """Parse label lines into pixel-unit boxes.
+    """parse_label_arrays, as a list of BBoxes."""
+    return list(parse_label_arrays(text, coordinate_mode, image_dims, source).boxes())
 
-    Blank lines and `#` comments are skipped. In normalized mode cx/w are
-    scaled by the image width and cy/h by the height.
-    """
-    if coordinate_mode not in _COORDINATE_MODES:
-        raise InputValidationError(
-            f"coordinate_mode must be one of {_COORDINATE_MODES}, got {coordinate_mode!r}"
-        )
-    width, height = image_dims
-    if width <= 0 or height <= 0:
-        raise InputValidationError("image_dims must be positive")
 
-    boxes: list[BBox] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) not in (5, 6):
-            raise ParseError(
-                f"expected 5 or 6 fields, got {len(fields)}",
-                source=source,
-                line_no=line_no,
-            )
-        try:
-            class_id = int(fields[0])
-        except ValueError:
-            raise ParseError(
-                f"class_id must be an integer, got {fields[0]!r}",
-                source=source,
-                line_no=line_no,
-            ) from None
-        try:
-            cx, cy, w, h = (float(v) for v in fields[1:5])
-            confidence = float(fields[5]) if len(fields) == 6 else None
-        except ValueError as e:
-            raise ParseError(f"non-numeric field: {e}", source=source, line_no=line_no) from None
-        if coordinate_mode == "normalized":
-            cx, w = cx * width, w * width
-            cy, h = cy * height, h * height
-        try:
-            boxes.append(BBox(cx=cx, cy=cy, w=w, h=h, confidence=confidence, class_id=class_id))
-        except InputValidationError as e:
-            raise ParseError(str(e), source=source, line_no=line_no) from None
-    return boxes
+def read_label_arrays(
+    path: str | Path,
+    coordinate_mode: str,
+    image_dims: tuple[int, int],
+) -> BoxArrays:
+    """parse_label_arrays on a label file, located by its path."""
+    p = Path(path)
+    try:
+        text = p.read_text(encoding="utf-8")
+    except OSError as e:
+        raise LoadError(f"cannot read label file {p}: {e}") from e
+    return parse_label_arrays(text, coordinate_mode, image_dims, source=str(p))
 
 
 def parse_label_file(
@@ -245,20 +391,12 @@ def parse_label_file(
     coordinate_mode: str,
     image_dims: tuple[int, int],
 ) -> list[BBox]:
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as e:
-        raise LoadError(f"cannot read label file {p}: {e}") from e
-    return parse_label_text(text, coordinate_mode, image_dims, source=str(p))
+    return list(read_label_arrays(path, coordinate_mode, image_dims).boxes())
 
 
 def serialize_labels(boxes: Sequence[BBox], coordinate_mode: str, image_dims: tuple[int, int]) -> str:
     """Inverse of parse_label_text, used by the scene generator."""
-    if coordinate_mode not in _COORDINATE_MODES:
-        raise InputValidationError(
-            f"coordinate_mode must be one of {_COORDINATE_MODES}, got {coordinate_mode!r}"
-        )
+    _require_mode(coordinate_mode)
     width, height = image_dims
     lines = []
     for b in boxes:
@@ -308,15 +446,15 @@ def load_dataset(
     for entry in parsed.entries:
         dims = (entry.width_px, entry.height_px)
         try:
-            gt = parse_label_file(root / entry.gt_label_path, parsed.coordinate_mode, dims)
-            pred = parse_label_file(root / entry.pred_label_path, parsed.coordinate_mode, dims)
             labels.append(
                 ImageLabels(
                     image_id=entry.image_id,
                     width_px=entry.width_px,
                     height_px=entry.height_px,
-                    gt_boxes=tuple(gt),
-                    pred_boxes=tuple(pred),
+                    gt=read_label_arrays(root / entry.gt_label_path, parsed.coordinate_mode, dims),
+                    pred=read_label_arrays(
+                        root / entry.pred_label_path, parsed.coordinate_mode, dims
+                    ),
                 )
             )
         except (ParseError, LoadError, InputValidationError) as e:

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputValidationError
-from .geometry import AffineTransform2D, BBox, Point2, points_to_array, transform_points
+from .geometry import AffineTransform2D, Point2, points_to_array, transform_points
 
 
 def _is_partition(indices: list[int]) -> bool:
@@ -122,12 +122,14 @@ def assignment_min_cost(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(n_rows), col4row
 
 
-def default_gate_distance(boxes: Sequence[BBox]) -> float:
-    """Half the median box diagonal; a scale-aware cap on how far a pair's
-    centers may sit apart after registration."""
-    if not boxes:
+def default_gate_distance(boxes: np.ndarray) -> float:
+    """Half the median diagonal of an (n, 4) cx, cy, w, h box array; a
+    scale-aware cap on how far a pair's centers may sit apart after
+    registration."""
+    if len(boxes) == 0:
         raise InputValidationError("default_gate_distance requires at least one box")
-    diags = [math.hypot(b.w, b.h) for b in boxes]
+    # math.hypot per row: np.hypot rounds differently in the last bit
+    diags = [math.hypot(w, h) for w, h in boxes[:, 2:].tolist()]
     return 0.5 * float(np.median(diags))
 
 

@@ -160,8 +160,8 @@ def evaluate_pair(
     for real, synth, pairing in zip(real_labels, synth_labels, pairings):
         perf_real, perf_synth = (
             iou_table(
-                labels.gt_boxes,
-                [b for b in labels.pred_boxes if b.confidence >= conf_threshold],
+                labels.gt.xywh,
+                labels.pred.xywh[labels.pred.confidence >= conf_threshold],
             ).max(axis=1, initial=0.0)
             for labels in (real, synth)
         )

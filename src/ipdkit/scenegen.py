@@ -307,20 +307,8 @@ def generate_scene_pair(
         confidences[keep_synth],
     )
 
-    real = ImageLabels(
-        image_id=image_id,
-        width_px=spec.frame[0],
-        height_px=spec.frame[1],
-        gt_boxes=tuple(real_gt),
-        pred_boxes=tuple(real_preds),
-    )
-    synth = ImageLabels(
-        image_id=image_id,
-        width_px=spec.frame[0],
-        height_px=spec.frame[1],
-        gt_boxes=tuple(synth_gt),
-        pred_boxes=tuple(synth_preds),
-    )
+    real = ImageLabels.from_boxes(image_id, spec.frame[0], spec.frame[1], real_gt, real_preds)
+    synth = ImageLabels.from_boxes(image_id, spec.frame[0], spec.frame[1], synth_gt, synth_preds)
     return real, synth, correspondence, SceneIous(tuple(real_ious), tuple(synth_ious))
 
 

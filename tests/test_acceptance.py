@@ -134,7 +134,7 @@ def _run_pipeline(spec: SceneSpec, reg_seed: int):
     synth_centers = [bbox_center(b) for b in synth.gt_boxes]
     start = time.perf_counter()
     reg = register(synth_centers, real_centers, RegistrationConfig(rng_seed=reg_seed))
-    gate = default_gate_distance(real.gt_boxes)
+    gate = default_gate_distance(real.gt.xywh)
     pairing = match_instances(reg.transform, synth_centers, real_centers, gate)
     elapsed = time.perf_counter() - start
     return real, synth, corr, ious, pairing, elapsed

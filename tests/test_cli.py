@@ -15,7 +15,8 @@ import pytest
 
 import ipdkit.cli as cli
 from ipdkit.cli import align_pair, main, stable_subseed
-from ipdkit.geometry import BBox
+from ipdkit.geometry import BBox, boxes_to_array
+from ipdkit.ingestion import load_dataset
 from ipdkit.registration import RegistrationConfig
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
@@ -162,6 +163,29 @@ class TestIpd:
         assert doc["result"]["ipd"] == pytest.approx(truth["oracle_ipd"], abs=2e-3)
         assert doc["provenance"]["seed"] == 11
         assert len(doc["provenance"]["pairs"]) == 2
+
+    def test_empty_gt_file_skips_its_pair(self, tmp_path, capsys):
+        outdir = _scenegen(tmp_path, capsys)
+        (outdir / "real" / "scene0001_gt.txt").write_text("")
+        real_labels, _ = load_dataset(outdir / "manifest_real.json")
+        assert real_labels[1].gt.xywh.shape == (0, 4)
+        assert real_labels[1].gt_boxes == ()
+        synth_labels, _ = load_dataset(outdir / "manifest_synth.json")
+        report = tmp_path / "report.json"
+        code, out, err = run_cli(
+            [
+                "ipd",
+                str(outdir / "manifest_real.json"),
+                str(outdir / "manifest_synth.json"),
+                "--out", str(report),
+            ],
+            capsys,
+        )
+        assert code == 0, err
+        rows = json.loads(report.read_text())["provenance"]["pairs"]
+        assert rows[1]["registration"] == "skipped (empty side)"
+        assert (rows[1]["matched"], rows[1]["unmatched_real"]) == (0, 0)
+        assert rows[1]["unmatched_synth"] == len(synth_labels[1].gt)
 
     def test_reports_are_byte_identical_across_runs(self, tmp_path, capsys):
         outdir = _scenegen(tmp_path, capsys, "--transform", "random")
@@ -335,6 +359,20 @@ class TestRegister:
         assert exc.value.code == 2
         assert "--format" in capsys.readouterr().err
 
+    def test_predictions_in_a_mixed_file_take_no_part(self, tmp_path, capsys):
+        real, synth = self._write_pair(tmp_path, n=4)
+        code, gt_only, err = run_cli(["register", str(real), str(synth)], capsys)
+        assert code == 0, err
+        for path in (real, synth):
+            # prediction lines before, between and after the GT lines
+            mixed = ["0 600 40 10 10 0.9"]
+            for line in path.read_text().splitlines():
+                mixed += [line, "1 20 500 12 8 0.4"]
+            path.write_text("\n".join(mixed) + "\n")
+        code, out, err = run_cli(["register", str(real), str(synth)], capsys)
+        assert code == 0, err
+        assert out == gt_only
+
     def test_label_parse_error_names_file_and_line(self, tmp_path, capsys):
         real, synth = self._write_pair(tmp_path)
         real.write_text("0 1 1 2 2\nbroken\n")
@@ -344,7 +382,7 @@ class TestRegister:
 
 
 def test_align_pair_gate_defaults_to_half_median_diagonal():
-    real = [BBox(100.0 * i, 50.0 * (i % 2), 6.0, 8.0) for i in range(5)]
+    real = boxes_to_array([BBox(100.0 * i, 50.0 * (i % 2), 6.0, 8.0) for i in range(5)])
     cfg = RegistrationConfig(rng_seed=0)
     reg, gate, pairing = align_pair(real, real, cfg, None)
     assert gate == pytest.approx(5.0)
@@ -395,6 +433,26 @@ def test_layer_tracer_contract(tmp_path, capsys, monkeypatch):
     for args, row in zip(calls["match_instances"], rows):
         assert len(args[1]) == row["matched"] + row["unmatched_synth"]
         assert len(args[2]) == row["matched"] + row["unmatched_real"]
+
+
+def test_bench_counters_match_the_label_arrays(tmp_path, capsys, monkeypatch):
+    """The benchmark's counters read gt_boxes, pred_boxes and each
+    prediction's confidence after ipd returns; built lazily from the
+    label arrays, they must count what the arrays hold."""
+    spans = _bench_spans()
+    for name in spans.LAYER_OF:  # the Recorder's wrappers are undone at teardown
+        monkeypatch.setattr(cli, name, getattr(cli, name))
+    outdir = _scenegen(tmp_path, capsys, "--transform", "random")
+    manifests = [str(outdir / "manifest_real.json"), str(outdir / "manifest_synth.json")]
+    recorder = spans.Recorder(cli)
+    argv = ["ipd", *manifests, "--conf-threshold", "0.75", "--out", str(tmp_path / "r.json")]
+    assert recorder.run_main(argv) == 0
+    counts = recorder.counts()
+    labels = [lab for path in manifests for lab in load_dataset(path)[0]]
+    assert counts["ingestion.boxes"] == sum(len(lab.gt) + len(lab.pred) for lab in labels)
+    kept = [int((lab.pred.confidence >= 0.75).sum()) for lab in labels]
+    assert 0 < sum(kept) < sum(len(lab.pred) for lab in labels)
+    assert counts["metric.iou_cells"] == sum(len(lab.gt) * k for lab, k in zip(labels, kept))
 
 
 class TestStableSubseed:

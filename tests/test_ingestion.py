@@ -3,12 +3,16 @@
 import csv
 import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipdkit.errors import InputValidationError, LoadError, ParseError
 from ipdkit.geometry import BBox
 from ipdkit.ingestion import (
+    BoxArrays,
     DatasetManifest,
     ImageLabels,
     ManifestEntry,
@@ -16,6 +20,7 @@ from ipdkit.ingestion import (
     load_dataset,
     merge_pairings,
     pair_datasets,
+    parse_label_arrays,
     parse_label_text,
     read_manifest,
     serialize_labels,
@@ -71,6 +76,139 @@ class TestParseLabelText:
         with pytest.raises(InputValidationError):
             parse_label_text("", "spherical", DIMS)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a line the scan stops at, then a field-count error
+            ("0 1 1 2 2\n0 a 1 2 2\n0 1 1\n", "non-numeric field"),
+            # a box-rule error is found after the scan, and still wins
+            ("0 1 1 2 2\n0 1 1 0 2\n0 1 1\n", "box sides must be positive"),
+        ],
+    )
+    def test_earlier_bad_line_wins_over_a_field_count_error(self, text, message):
+        with pytest.raises(ParseError, match=message) as exc:
+            parse_label_text(text, "pixel", DIMS)
+        assert exc.value.line_no == 2
+
+    def test_six_field_nan_confidence_is_not_a_gt_box(self):
+        with pytest.raises(ParseError, match="confidence must be finite") as exc:
+            parse_label_arrays("0 1 1 2 2\n0 1 1 2 2 nan\n", "pixel", DIMS)
+        assert exc.value.line_no == 2
+
+    def test_class_id_beyond_64_bits_rejected(self):
+        with pytest.raises(ParseError, match="64 bits") as exc:
+            parse_label_arrays(f"0 1 1 2 2\n{2**63} 1 1 2 2\n", "pixel", DIMS)
+        assert exc.value.line_no == 2
+
+    def test_arrays_hold_pixel_units_and_nan_for_gt(self):
+        text = "3 0.5 0.5 0.1 0.2\n1 0.25 0.5 0.5 0.5 0.75\n"
+        arrays = parse_label_arrays(text, "normalized", DIMS)
+        assert arrays.xywh.tolist() == [[320.0, 240.0, 64.0, 96.0], [160.0, 240.0, 320.0, 240.0]]
+        assert math.isnan(arrays.confidence[0]) and arrays.confidence[1] == 0.75
+        assert arrays.class_id.tolist() == [3, 1]
+        assert parse_label_arrays("# only a comment\n", "pixel", DIMS).xywh.shape == (0, 4)
+
+
+def _reference_parse(text, mode, dims, source="<string>"):
+    """Per-line parser: every box line becomes a BBox, which checks its
+    own rules, so the first bad line raises."""
+    width, height = dims
+    boxes = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) not in (5, 6):
+            raise ParseError(
+                f"expected 5 or 6 fields, got {len(fields)}", source=source, line_no=line_no
+            )
+        try:
+            class_id = int(fields[0])
+        except ValueError:
+            raise ParseError(
+                f"class_id must be an integer, got {fields[0]!r}", source=source, line_no=line_no
+            ) from None
+        try:
+            cx, cy, w, h = (float(v) for v in fields[1:5])
+            confidence = float(fields[5]) if len(fields) == 6 else None
+        except ValueError as e:
+            raise ParseError(f"non-numeric field: {e}", source=source, line_no=line_no) from None
+        if mode == "normalized":
+            cx, w = cx * width, w * width
+            cy, h = cy * height, h * height
+        try:
+            boxes.append(BBox(cx, cy, w, h, confidence, class_id))
+        except InputValidationError as e:
+            raise ParseError(str(e), source=source, line_no=line_no) from None
+    return boxes
+
+
+# 1e308 overflows to inf in normalized mode
+_COORD = (
+    st.floats(-100.0, 800.0).map(repr)
+    | st.integers(-100, 800).map(str)
+    | st.sampled_from(["-0.0", "1e308"])
+)
+_SIDE = st.floats(1e-3, 500.0).map(repr) | st.integers(1, 500).map(str)
+_CONF = st.floats(0.0, 1.0).map(repr) | st.sampled_from(["0", "1", "1.0", "0.5"])
+_CLASS = st.integers(0, 9).map(str) | st.integers(-(2**63), 2**63 - 1).map(str)
+# a line that breaks one rule: the bad kinds of test_bad_lines_rejected,
+# a nan confidence and a float class id
+_BAD_FIELDS = {
+    "too_few": ["0", "1", "1", "2"],
+    "too_many": ["0", "1", "1", "2", "2", "0.5", "9"],
+    "class_not_int": ["x", "1", "1", "2", "2"],
+    "class_float": ["1.0", "1", "1", "2", "2"],
+    "non_numeric": ["0", "a", "1", "2", "2"],
+    "zero_width": ["0", "1", "1", "0", "2"],
+    "negative_height": ["0", "1", "1", "2", "-1"],
+    "confidence_range": ["0", "1", "1", "2", "2", "1.5"],
+    "non_finite": ["0", "nan", "1", "2", "2"],
+    "nan_confidence": ["0", "1", "1", "2", "2", "nan"],
+}
+
+
+@st.composite
+def _label_line(draw, allow_bad):
+    kinds = ["gt"] * 4 + ["pred"] * 4 + ["comment", "blank"] + ["bad"] * allow_bad
+    kind = draw(st.sampled_from(kinds))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "   ", "\t"]))
+    if kind == "comment":
+        return draw(st.sampled_from(["# header", "  # 0 1 1 2 2", "#"]))
+    if kind == "bad":
+        fields = _BAD_FIELDS[draw(st.sampled_from(sorted(_BAD_FIELDS)))]
+    else:
+        fields = [draw(_CLASS), draw(_COORD), draw(_COORD), draw(_SIDE), draw(_SIDE)]
+        if kind == "pred":
+            fields.append(draw(_CONF))
+    sep = draw(st.sampled_from([" ", "  ", "\t", " \t "]))
+    pad = draw(st.sampled_from(["", " ", "\t"]))
+    return pad + sep.join(fields) + draw(st.sampled_from(["", " ", "\t "]))
+
+
+@st.composite
+def _label_text(draw):
+    # texts without bad lines exercise the accepting path
+    lines = draw(st.lists(_label_line(draw(st.booleans())), max_size=12))
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+
+
+class TestArrayParserMatchesPerLineReference:
+    @settings(max_examples=400, deadline=None)
+    @given(text=_label_text(), mode=st.sampled_from(["pixel", "normalized"]))
+    def test_same_boxes_or_same_error(self, text, mode):
+        try:
+            expected = _reference_parse(text, mode, DIMS, source="f.txt")
+        except ParseError as e:
+            with pytest.raises(ParseError) as exc:
+                parse_label_arrays(text, mode, DIMS, source="f.txt")
+            assert (exc.value.line_no, str(exc.value)) == (e.line_no, str(e))
+            return
+        assert parse_label_text(text, mode, DIMS, source="f.txt") == expected
+        assert parse_label_arrays(text, mode, DIMS) == BoxArrays.from_boxes(expected)
+
 
 class TestSerializeLabels:
     @pytest.mark.parametrize("mode", ["pixel", "normalized"])
@@ -89,17 +227,45 @@ class TestSerializeLabels:
 class TestImageLabels:
     def test_gt_with_confidence_rejected(self):
         with pytest.raises(InputValidationError):
-            ImageLabels("img", 100, 100, (BBox(10, 10, 4, 4, 0.5),), ())
+            ImageLabels.from_boxes("img", 100, 100, (BBox(10, 10, 4, 4, 0.5),), ())
 
     def test_prediction_without_confidence_rejected(self):
         with pytest.raises(InputValidationError):
-            ImageLabels("img", 100, 100, (), (BBox(10, 10, 4, 4),))
+            ImageLabels.from_boxes("img", 100, 100, (), (BBox(10, 10, 4, 4),))
 
     def test_center_overhang_allowance(self):
         # centers may overhang the frame by 10% per side
-        ImageLabels("img", 100, 100, (BBox(-10.0, 110.0, 4, 4),), ())
+        ImageLabels.from_boxes("img", 100, 100, (BBox(-10.0, 110.0, 4, 4),), ())
         with pytest.raises(InputValidationError):
-            ImageLabels("img", 100, 100, (BBox(-10.1, 50.0, 4, 4),), ())
+            ImageLabels.from_boxes("img", 100, 100, (BBox(-10.1, 50.0, 4, 4),), ())
+
+    def test_overhang_error_names_the_first_offending_box(self):
+        gt = (BBox(50, 50, 4, 4), BBox(50, 111.5, 4, 4))
+        pred = (BBox(-20.25, 50, 4, 4, 0.5),)
+        with pytest.raises(InputValidationError, match=r"\(50\.0, 111\.5\)"):
+            ImageLabels.from_boxes("img", 100, 100, gt, pred)
+        with pytest.raises(InputValidationError, match=r"\(-20\.25, 50\.0\)"):
+            ImageLabels.from_boxes("img", 100, 100, gt[:1], pred)
+
+    def test_equality_is_exact(self):
+        gt = [BBox(10.0, 20.0, 4.0, 4.0)]
+        pred = [BBox(11.0, 20.0, 4.0, 4.0, 0.5)]
+        a = ImageLabels.from_boxes("img", 100, 100, gt, pred)
+        assert a == ImageLabels.from_boxes("img", 100, 100, list(gt), list(pred))
+        nudged = [BBox(math.nextafter(10.0, 11.0), 20.0, 4.0, 4.0)]
+        assert a != ImageLabels.from_boxes("img", 100, 100, nudged, pred)
+        relabeled = [BBox(10.0, 20.0, 4.0, 4.0, class_id=1)]
+        assert a != ImageLabels.from_boxes("img", 100, 100, relabeled, pred)
+        assert a != ImageLabels.from_boxes("img", 100, 100, gt, [BBox(11.0, 20.0, 4.0, 4.0, 0.25)])
+
+    def test_boxes_are_built_from_the_arrays(self):
+        gt = (BBox(10.0, 20.0, 4.0, 4.0, class_id=2),)
+        pred = (BBox(11.0, 20.0, 4.0, 4.0, 0.5), BBox(30.0, 30.0, 2.0, 6.0, 1.0))
+        labels = ImageLabels.from_boxes("img", 100, 100, gt, pred)
+        assert labels.gt_boxes == gt and labels.pred_boxes == pred
+        assert labels.gt_boxes is labels.gt_boxes
+        with pytest.raises(AttributeError):
+            labels.gt_boxes = ()
 
 
 def _manifest(**overrides):
@@ -198,7 +364,7 @@ class TestLoadDataset:
 
 
 def _labels(image_id):
-    return ImageLabels(image_id, 100, 100, (BBox(10, 10, 4, 4),), ())
+    return ImageLabels.from_boxes(image_id, 100, 100, (BBox(10, 10, 4, 4),), ())
 
 
 class TestPairing:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipdkit.errors import IncompleteResultsError, InputValidationError, NoInstancesError
-from ipdkit.geometry import BBox, iou, iou_table
+from ipdkit.geometry import BBox, boxes_to_array, iou, iou_table
 from ipdkit.ingestion import ImageLabels
 from ipdkit.matching import InstancePairing
 from ipdkit.metric import (
@@ -52,7 +52,7 @@ class TestIouTable:
     def test_values_match_pairwise_iou(self):
         gt = [BBox(0.0, 0.0, 2.0, 2.0), BBox(5.0, 5.0, 2.0, 2.0)]
         pred = [BBox(0.0, 0.0, 2.0, 2.0, 0.9), BBox(1.0, 0.0, 2.0, 2.0, 0.8)]
-        table = iou_table(gt, pred)
+        table = iou_table(boxes_to_array(gt), boxes_to_array(pred))
         assert table.shape == (2, 2)
         assert table[0, 0] == 1.0
         assert table[0, 1] == pytest.approx(1.0 / 3.0)
@@ -62,16 +62,17 @@ class TestIouTable:
         for make in (_grid_boxes, _continuous_boxes):
             for _ in range(20):
                 gt, pred = make(rng, rng.integers(1, 15)), make(rng, rng.integers(1, 15))
-                table = iou_table(gt, pred)
+                table = iou_table(boxes_to_array(gt), boxes_to_array(pred))
                 assert table.shape == (len(gt), len(pred))
                 for i, g in enumerate(gt):
                     for j, p in enumerate(pred):
                         assert table[i, j] == iou(g, p)
 
     def test_empty_sides(self):
-        assert iou_table([], []).shape == (0, 0)
-        assert iou_table([BBox(0, 0, 1, 1)], []).shape == (1, 0)
-        assert iou_table([], [BBox(0, 0, 1, 1, 0.5)]).shape == (0, 1)
+        empty, box = boxes_to_array([]), boxes_to_array([BBox(0, 0, 1, 1)])
+        assert iou_table(empty, empty).shape == (0, 0)
+        assert iou_table(box, empty).shape == (1, 0)
+        assert iou_table(empty, box).shape == (0, 1)
 
 
 class TestPerfRecord:
@@ -178,12 +179,12 @@ class TestIpdResultValidation:
 
 
 def _labels(image_id, gt, pred):
-    return ImageLabels(
+    return ImageLabels.from_boxes(
         image_id=image_id,
         width_px=100,
         height_px=100,
-        gt_boxes=tuple(gt),
-        pred_boxes=tuple(pred),
+        gt_boxes=gt,
+        pred_boxes=pred,
     )
 
 

@@ -17,7 +17,7 @@ from ipdkit import (
     register,
 )
 from ipdkit.cli import align_pair
-from ipdkit.geometry import transform_points
+from ipdkit.geometry import boxes_to_array, transform_points
 
 
 def scatter(rng, n, span=1000.0):
@@ -169,7 +169,7 @@ def _recalls(scenes):
     out = []
     for i, (real, synth, corr) in enumerate(scenes):
         _, _, pairing = align_pair(
-            real.gt_boxes, synth.gt_boxes, RegistrationConfig(rng_seed=i), None
+            real.gt.xywh, synth.gt.xywh, RegistrationConfig(rng_seed=i), None
         )
         truth = set(corr)
         found = {(r, s) for r, s, _ in pairing.pairs}
@@ -212,6 +212,6 @@ def test_pairing_invariant_under_affine_remap_of_synthetic_side():
         moved = transform_points(remap, np.array([(b.cx, b.cy) for b in synth.gt_boxes]))
         remapped = [BBox(x, y, b.w, b.h) for (x, y), b in zip(moved, synth.gt_boxes)]
         cfg = RegistrationConfig(rng_seed=i)
-        _, _, before = align_pair(real.gt_boxes, synth.gt_boxes, cfg, None)
-        _, _, after = align_pair(real.gt_boxes, remapped, cfg, None)
+        _, _, before = align_pair(real.gt.xywh, synth.gt.xywh, cfg, None)
+        _, _, after = align_pair(real.gt.xywh, boxes_to_array(remapped), cfg, None)
         assert [(r, s) for r, s, _ in after.pairs] == [(r, s) for r, s, _ in before.pairs], i

@@ -149,7 +149,7 @@ class TestGenerateScenePair:
         # achieves against a GT box is that box's own prediction
         real, synth, corr, ious = generate_scene_pair(_spec())
         for labels, realized in ((real, ious.real), (synth, ious.synth)):
-            row_max = iou_table(labels.gt_boxes, labels.pred_boxes).max(axis=1, initial=0.0)
+            row_max = iou_table(labels.gt.xywh, labels.pred.xywh).max(axis=1, initial=0.0)
             assert row_max.tolist() == list(realized)
 
     def test_identical_profiles_pin_the_gap_near_zero(self):
