@@ -10,6 +10,7 @@ on evaluation order.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -30,8 +31,13 @@ from .ingestion import (
     write_ipd_report,
     write_report,
 )
-from .matching import InstancePairing, default_gate_distance, match_instances
-from .metric import IpdResult, cross_validation, evaluate_pair
+from .matching import (
+    InstancePairing,
+    check_gate_distance,
+    default_gate_distance,
+    match_instances,
+)
+from .metric import IpdResult, check_conf_threshold, cross_validation, evaluate_pair
 from .registration import RegistrationConfig, RegistrationResult, register
 from .scenegen import DetectorProfile, SceneSpec, emit_dataset, random_affine
 
@@ -123,6 +129,32 @@ def _pipeline_provenance(args: argparse.Namespace) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _flag(name: str):
+    """Name the command-line flag in a validation error raised inside."""
+    try:
+        yield
+    except InputValidationError as e:
+        raise InputValidationError(f"{name}: {e}") from e
+
+
+def _check_align_flags(args: argparse.Namespace) -> None:
+    """Reject a bad --max-iterations or --gate before any file is read,
+    with the checks registration and matching would run on them."""
+    with _flag("--max-iterations"):
+        RegistrationConfig(max_iterations=args.max_iterations)
+    if args.gate is not None:
+        with _flag("--gate"):
+            check_gate_distance(args.gate)
+
+
+def _check_pipeline_flags(args: argparse.Namespace) -> None:
+    """_check_align_flags, then --conf-threshold."""
+    _check_align_flags(args)
+    with _flag("--conf-threshold"):
+        check_conf_threshold(args.conf_threshold)
+
+
 def _load_pairs(
     real_manifest: str, synth_manifest: str
 ) -> tuple[list[tuple[ImageLabels, ImageLabels]], str]:
@@ -143,6 +175,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_ipd(args: argparse.Namespace) -> int:
+    _check_pipeline_flags(args)
     pairs, dataset_pair_id = _load_pairs(args.real_manifest, args.synth_manifest)
     result, per_pair = evaluate_dataset_pair(pairs, args, dataset_pair_id)
     provenance = {
@@ -159,6 +192,7 @@ def cmd_ipd(args: argparse.Namespace) -> int:
 
 
 def cmd_crossval(args: argparse.Namespace) -> int:
+    _check_pipeline_flags(args)
     p = Path(args.cells)
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
@@ -208,6 +242,7 @@ def cmd_crossval(args: argparse.Namespace) -> int:
 
 
 def cmd_register(args: argparse.Namespace) -> int:
+    _check_align_flags(args)
     if args.mode == "normalized" and (args.width is None or args.height is None):
         raise InputValidationError("--width and --height are required in normalized mode")
     dims = (args.width or 1, args.height or 1)

@@ -169,17 +169,18 @@ def fit_affine_batch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.n
     """Exact affine maps taking each source triple onto its destination
     triple, by a Cramer solve of the 3-point system for a whole batch.
 
-    src, dst: (H, 3, 2). Returns (params (H, 6) in from_params order,
+    src, dst: (H, 3, 2); src may also be one (3, 2) triple, fitted onto
+    every destination triple. Returns (params (H, 6) in from_params order,
     valid (H,) bool). A row is invalid when its source triple is collinear
     or coincident (|det| at most DEGENERACY_RTOL x squared extent) or the
     fitted linear part is singular; invalid rows may hold NaN params.
     """
-    x0, y0 = src[:, 0, 0], src[:, 0, 1]
-    x1, y1 = src[:, 1, 0], src[:, 1, 1]
-    x2, y2 = src[:, 2, 0], src[:, 2, 1]
-    u0, v0 = dst[:, 0, 0], dst[:, 0, 1]
-    u1, v1 = dst[:, 1, 0], dst[:, 1, 1]
-    u2, v2 = dst[:, 2, 0], dst[:, 2, 1]
+    x0, y0 = src[..., 0, 0], src[..., 0, 1]
+    x1, y1 = src[..., 1, 0], src[..., 1, 1]
+    x2, y2 = src[..., 2, 0], src[..., 2, 1]
+    u0, v0 = dst[..., 0, 0], dst[..., 0, 1]
+    u1, v1 = dst[..., 1, 0], dst[..., 1, 1]
+    u2, v2 = dst[..., 2, 0], dst[..., 2, 1]
 
     det = x0 * (y1 - y2) + x1 * (y2 - y0) + x2 * (y0 - y1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -191,7 +192,7 @@ def fit_affine_batch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.n
             (x2 * y0 - x0 * y2) * inv,
             (x0 * y1 - x1 * y0) * inv,
         )
-        params = np.empty((src.shape[0], 6), dtype=np.float64)
+        params = np.empty((dst.shape[0], 6), dtype=np.float64)
         params[:, 0] = u0 * c_a[0] + u1 * c_a[1] + u2 * c_a[2]
         params[:, 1] = u0 * c_b[0] + u1 * c_b[1] + u2 * c_b[2]
         params[:, 4] = u0 * c_t[0] + u1 * c_t[1] + u2 * c_t[2]
@@ -200,8 +201,8 @@ def fit_affine_batch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.n
         params[:, 5] = v0 * c_t[0] + v1 * c_t[1] + v2 * c_t[2]
         det_a = params[:, 0] * params[:, 3] - params[:, 1] * params[:, 2]
     extent = np.maximum(
-        src[:, :, 0].max(axis=1) - src[:, :, 0].min(axis=1),
-        src[:, :, 1].max(axis=1) - src[:, :, 1].min(axis=1),
+        src[..., 0].max(axis=-1) - src[..., 0].min(axis=-1),
+        src[..., 1].max(axis=-1) - src[..., 1].min(axis=-1),
     )
     valid = np.abs(det) > DEGENERACY_RTOL * extent * extent
     valid &= np.isfinite(det_a) & (np.abs(det_a) > 1e-9)

@@ -7,10 +7,14 @@ Label files are plain text, one box per line:
 Five fields mark a GT box, six a prediction. parse_label_arrays is the one
 label parser. It reads a file into a BoxArrays: an (n, 4) float64
 cx, cy, w, h array in pixels, an (n,) confidence vector that is NaN on a
-GT line, and an (n,) int class-id vector. Numbers go through Python's int
-and float; the box rules (finite values, positive sides, a confidence in
-[0, 1]) are checked once per file as array masks, and an error names the
-first bad line in file order, in BBox's own words. ImageLabels holds an
+GT line, and an (n,) int class-id vector. A file whose lines all have one
+field count and no comment is read by numpy's C text reader; any file it
+refuses (comments, GT and prediction lines mixed, a number it does not
+parse, a malformed line) goes through a per-line scan with Python's int
+and float. Both accept the same language and give the same bits. The
+box rules (finite values, positive sides, a confidence in [0, 1]) are
+then checked once per file as array masks, and an error names the first
+bad line in file order, in BBox's own words. ImageLabels holds an
 image's GT and prediction arrays and checks the image rules (which side
 carries confidences, the 10% frame overhang) the same way. The pipeline
 reads only these arrays; BBox objects are built from them on request, by
@@ -25,8 +29,10 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -278,31 +284,65 @@ def _require_mode(coordinate_mode: str) -> None:
         )
 
 
-def parse_label_arrays(
-    text: str,
-    coordinate_mode: str,
-    image_dims: tuple[int, int],
-    source: str = "<string>",
-) -> BoxArrays:
-    """Parse label lines into pixel-unit box arrays.
+# The columns of a box line, read by numpy's C text reader: the class id,
+# then cx, cy, w, h and, on a prediction line, the confidence.
+_ROW_DTYPES = {
+    n: np.dtype([("class_id", np.int64), ("values", np.float64, (n - 1,))]) for n in (5, 6)
+}
 
-    Blank lines and `#` comments are skipped. In normalized mode cx/w are
-    scaled by the image width and cy/h by the height. A ParseError names
-    the first bad line in file order, whichever rule it breaks.
+# The columns of a label file, in file order: (n, 4) cx, cy, w, h as read;
+# (n,) confidence, NaN on a GT line; (n,) bool, the line gave a confidence;
+# the class ids, an int64 array or Python ints that may not fit one.
+_Columns = tuple[np.ndarray, np.ndarray, np.ndarray, "np.ndarray | list[int]"]
+
+
+def _read_uniform(lines: list[str]) -> _Columns | None:
+    """Read box lines that all have the field count of the first with
+    numpy's C text reader, or return None where the reader refuses.
+
+    The reader splits on the whitespace str.split splits on, parses each
+    float through PyOS_string_to_double as float() does, and takes only
+    ASCII [+-]digits as a class id (older numpy, which falls back to float
+    with a DeprecationWarning, is held to that), so every text it accepts
+    the scan accepts with the same bits. It refuses the rest: a `#`, mixed
+    field counts, an underscore or non-ASCII digit in a number, NUL, a
+    class id beyond int64, and every line the scan calls malformed. It is
+    not run without a box line, where it would warn of empty input.
     """
-    _require_mode(coordinate_mode)
-    width, height = image_dims
-    if width <= 0 or height <= 0:
-        raise InputValidationError("image_dims must be positive")
+    first = next((fields for raw in lines if (fields := raw.split())), None)
+    if first is None or len(first) not in _ROW_DTYPES:
+        return None
+    # a file whose last box line has another field count (GT and prediction
+    # lines in two blocks) is refused without a partial read
+    if len(next(fields for raw in reversed(lines) if (fields := raw.split()))) != len(first):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # numpy from 1.23 until that deprecation expired reads a class
+            # id such as 1.0 through float with only a DeprecationWarning;
+            # make that a refusal too
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(lines, dtype=_ROW_DTYPES[len(first)], comments=None, ndmin=1)
+    except (ValueError, DeprecationWarning):
+        return None
+    values = rows["values"]
+    given = len(first) == 6
+    confidence = values[:, 4].copy() if given else np.full(len(rows), math.nan)
+    return values[:, :4].copy(), confidence, np.full(len(rows), given), rows["class_id"].copy()
 
+
+def _scan(lines: list[str], source: str) -> tuple[_Columns, ParseError | None]:
+    """Read box lines one at a time through Python's int and float,
+    skipping blank lines and `#` comments.
+
+    A malformed line ends the scan and is returned as the error, to be
+    raised only if every box before it passes the box rules.
+    """
     values: list[float] = []  # cx, cy, w, h, confidence per box (NaN: none given)
     class_ids: list[int] = []
     has_confidence: list[bool] = []
-    line_nos: list[int] = []
-    # a malformed line ends the scan; it is raised only if every box
-    # before it passes the box rules
     malformed: ParseError | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(lines, start=1):
         fields = raw.split()
         if not fields or fields[0].startswith("#"):
             continue
@@ -331,31 +371,76 @@ def parse_label_arrays(
         values += row
         class_ids.append(class_id)
         has_confidence.append(n == 6)
-        line_nos.append(line_no)
 
     table = np.array(values, dtype=np.float64).reshape(-1, 5)
-    xywh, confidence = np.ascontiguousarray(table[:, :4]), table[:, 4].copy()
+    columns = (
+        np.ascontiguousarray(table[:, :4]),
+        table[:, 4].copy(),
+        np.array(has_confidence, dtype=bool),
+        class_ids,
+    )
+    return columns, malformed
+
+
+def _box_line_no(lines: list[str], i: int) -> int:
+    """Line number of the i-th box line (from 0), blank and comment lines
+    skipped as the scan skips them."""
+    box_line_nos = (
+        line_no
+        for line_no, raw in enumerate(lines, start=1)
+        if (fields := raw.split()) and not fields[0].startswith("#")
+    )
+    return next(itertools.islice(box_line_nos, i, None))
+
+
+def parse_label_arrays(
+    text: str,
+    coordinate_mode: str,
+    image_dims: tuple[int, int],
+    source: str = "<string>",
+) -> BoxArrays:
+    """Parse label lines into pixel-unit box arrays.
+
+    Blank lines and `#` comments are skipped. In normalized mode cx/w are
+    scaled by the image width and cy/h by the height. A ParseError names
+    the first bad line in file order, whichever rule it breaks.
+    """
+    _require_mode(coordinate_mode)
+    width, height = image_dims
+    if width <= 0 or height <= 0:
+        raise InputValidationError("image_dims must be positive")
+
+    # the reader gets the scan's lines: a file object would not break
+    # lines at \x85 or \u2028
+    lines = text.splitlines()
+    malformed: ParseError | None = None
+    # the reader refuses every file holding a `#`; spare it the attempt
+    columns = None if "#" in text else _read_uniform(lines)
+    if columns is None:
+        columns, malformed = _scan(lines, source)
+    xywh, confidence, given, class_ids = columns
+
     if coordinate_mode == "normalized":
         with np.errstate(over="ignore"):  # an overflow to inf is rejected below
             xywh *= np.array([width, height, width, height], dtype=np.float64)
-    given = np.array(has_confidence, dtype=bool)
     bad = ~np.isfinite(xywh).all(axis=1) | (xywh[:, 2] <= 0.0) | (xywh[:, 3] <= 0.0)
     bad |= given & ~((confidence >= 0.0) & (confidence <= 1.0))
     try:
-        classes = np.array(class_ids, dtype=np.int64)
+        classes = np.asarray(class_ids, dtype=np.int64)
     except OverflowError:
         bad |= [not -(2**63) <= k < 2**63 for k in class_ids]
     if bad.any():
         i = int(np.argmax(bad))
+        line_no = _box_line_no(lines, i)
         cx, cy, w, h = xywh[i].tolist()
         conf = confidence[i].tolist() if given[i] else None
         # BBox words the error; a row it accepts was flagged for its class id
         try:
             BBox(cx, cy, w, h, conf, class_ids[i])
         except InputValidationError as e:
-            raise ParseError(str(e), source=source, line_no=line_nos[i]) from None
+            raise ParseError(str(e), source=source, line_no=line_no) from None
         raise ParseError(
-            f"class_id {class_ids[i]} does not fit in 64 bits", source=source, line_no=line_nos[i]
+            f"class_id {class_ids[i]} does not fit in 64 bits", source=source, line_no=line_no
         )
     if malformed is not None:
         raise malformed

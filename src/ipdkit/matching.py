@@ -25,6 +25,12 @@ def _is_partition(indices: list[int]) -> bool:
     return sorted(indices) == list(range(len(indices)))
 
 
+def check_gate_distance(gate_distance: float) -> None:
+    """Raise unless the gate is a positive distance (NaN is not)."""
+    if not gate_distance > 0.0:
+        raise InputValidationError("gate_distance must be positive")
+
+
 @dataclass(frozen=True)
 class InstancePairing:
     """Matched (real_index, synth_index, distance) triples plus the
@@ -40,8 +46,7 @@ class InstancePairing:
     gate_distance: float = math.inf
 
     def __post_init__(self):
-        if not self.gate_distance > 0.0:
-            raise InputValidationError("gate_distance must be positive")
+        check_gate_distance(self.gate_distance)
         for _, _, d in self.pairs:
             if not 0.0 <= d <= self.gate_distance:
                 raise InputValidationError(
@@ -148,8 +153,7 @@ def match_instances(
     up a within-gate pair (which the raw-distance optimum may do when one
     side has leftover instances).
     """
-    if not (gate_distance > 0.0) or math.isnan(gate_distance):
-        raise InputValidationError("gate_distance must be positive")
+    check_gate_distance(gate_distance)
     synth = points_to_array(synth_centers)
     real = points_to_array(real_centers)
     if len(synth) == 0 or len(real) == 0:

@@ -131,6 +131,12 @@ def ipd(
     )
 
 
+def check_conf_threshold(conf_threshold: float) -> None:
+    """Raise unless the confidence threshold lies in [0, 1]."""
+    if not (math.isfinite(conf_threshold) and 0.0 <= conf_threshold <= 1.0):
+        raise InputValidationError("conf_threshold must lie in [0, 1]")
+
+
 def evaluate_pair(
     real_labels: Sequence["ImageLabels"],
     synth_labels: Sequence["ImageLabels"],
@@ -151,8 +157,7 @@ def evaluate_pair(
             "real_labels, synth_labels and pairings must have equal lengths "
             f"(got {len(real_labels)}, {len(synth_labels)}, {len(pairings)})"
         )
-    if not (math.isfinite(conf_threshold) and 0.0 <= conf_threshold <= 1.0):
-        raise InputValidationError("conf_threshold must lie in [0, 1]")
+    check_conf_threshold(conf_threshold)
 
     records: list[PerfRecord] = []
     unmatched_real = 0

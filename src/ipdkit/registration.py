@@ -109,13 +109,12 @@ def _nn_distances(params: np.ndarray, synth: np.ndarray, real: np.ndarray):
 
 
 def _consensus(
-    params: np.ndarray,
-    synth: np.ndarray,
-    real: np.ndarray,
+    nn_idx: np.ndarray,
+    nn_d: np.ndarray,
     capture_radius: float,
     judge_radius: float,
 ) -> tuple[int, float, int, float]:
-    """Tight and loose consensus of one hypothesis from a single
+    """Tight and loose consensus of one hypothesis from its
     nearest-neighbor pass: (-judge count, judge mean, -capture count,
     capture mean), ready for lexicographic comparison (smaller is
     better).
@@ -124,11 +123,10 @@ def _consensus(
     near-collapse map (everything lands on one real point) from faking a
     large consensus.
     """
-    nn_idx, nn_d = _nn_distances(params, synth, real)
     out = []
     for radius in (judge_radius, capture_radius):
         mask = nn_d <= radius
-        count = int(np.unique(nn_idx[mask]).size)
+        count = np.count_nonzero(np.bincount(nn_idx[mask]))
         mean = float(nn_d[mask].mean()) if count else math.inf
         out.extend((-count, mean))
     return tuple(out)
@@ -151,10 +149,9 @@ def _refine_params(
     """
 
     best_params = params
-    best_quality = _consensus(params, synth, real, capture_radius, judge_radius)
-    current = params
+    nn_idx, nn_d = _nn_distances(params, synth, real)
+    best_quality = _consensus(nn_idx, nn_d, capture_radius, judge_radius)
     for _ in range(5):
-        nn_idx, nn_d = _nn_distances(current, synth, real)
         inliers = np.flatnonzero(nn_d <= capture_radius)
         if inliers.size < 3:
             break
@@ -167,10 +164,11 @@ def _refine_params(
         candidate = np.array(
             [sol[0, 0], sol[1, 0], sol[0, 1], sol[1, 1], sol[2, 0], sol[2, 1]]
         )
-        cand_quality = _consensus(candidate, synth, real, capture_radius, judge_radius)
+        # the next round refits on the pass that judged this candidate
+        nn_idx, nn_d = _nn_distances(candidate, synth, real)
+        cand_quality = _consensus(nn_idx, nn_d, capture_radius, judge_radius)
         if cand_quality < best_quality:
             best_params, best_quality = candidate, cand_quality
-            current = candidate
         else:
             break
     return best_params, best_quality
@@ -246,7 +244,7 @@ def register(
         basis = np.concatenate([[point], synth_nbrs[point, pair]])
         check = synth[np.delete(synth_nbrs[point], pair)]  # (c, 2)
 
-        params, valid = fit_affine_batch(np.broadcast_to(synth[basis], dst.shape), dst)
+        params, valid = fit_affine_batch(synth[basis], dst)
         hypothesis_count += int(valid.sum())
 
         cx, cy = check[:, 0], check[:, 1]

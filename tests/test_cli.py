@@ -381,6 +381,23 @@ class TestRegister:
         assert f"{real}:2:" in err
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (command, flag, value)
+        for command in ("ipd", "crossval", "register")
+        for flag, value in (("--conf-threshold", "1.5"), ("--gate", "-1"), ("--max-iterations", "0"))
+        if command != "register" or flag != "--conf-threshold"
+    ],
+)
+def test_bad_flag_is_exit_2_before_any_file_is_read(tmp_path, capsys, command, flag, value):
+    missing = [str(tmp_path / "nope_real.json"), str(tmp_path / "nope_synth.json")]
+    inputs = missing[:1] if command == "crossval" else missing
+    code, out, err = run_cli([command, *inputs, flag, value], capsys)
+    assert code == 2
+    assert flag in err and "nope_" not in err
+
+
 def test_align_pair_gate_defaults_to_half_median_diagonal():
     real = boxes_to_array([BBox(100.0 * i, 50.0 * (i % 2), 6.0, 8.0) for i in range(5)])
     cfg = RegistrationConfig(rng_seed=0)

@@ -115,6 +115,25 @@ def test_fit_affine_batch_rejects_singular_maps():
     assert not valid[0]
 
 
+_COORDS = st.floats(-1e4, 1e4, allow_subnormal=False) | st.sampled_from([0.0, 1.0, 2.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    src=st.lists(_COORDS, min_size=6, max_size=6),
+    dst=st.lists(st.lists(_COORDS, min_size=6, max_size=6), min_size=1, max_size=8),
+)
+def test_one_source_triple_fits_like_the_repeated_triple(src, dst):
+    # the sampled 0, 1 and 2 make collinear, coincident and singular
+    # triples common on both sides
+    one = np.array(src).reshape(3, 2)
+    dst = np.array(dst).reshape(-1, 3, 2)
+    params, valid = fit_affine_batch(one, dst)
+    want_params, want_valid = fit_affine_batch(np.broadcast_to(one, dst.shape), dst)
+    assert params.tobytes() == want_params.tobytes()
+    assert valid.shape == want_valid.shape and (valid == want_valid).all()
+
+
 def test_degeneracy_threshold_scales_with_extent():
     # same shape at 1000x the scale must behave the same way, just as a
     # collinear triple is rejected at any scale

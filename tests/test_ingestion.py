@@ -4,7 +4,9 @@ import csv
 import io
 import json
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from ipdkit.ingestion import (
     DatasetManifest,
     ImageLabels,
     ManifestEntry,
+    _read_uniform,
     ipd_result_to_dict,
     load_dataset,
     merge_pairings,
@@ -208,6 +211,130 @@ class TestArrayParserMatchesPerLineReference:
             return
         assert parse_label_text(text, mode, DIMS, source="f.txt") == expected
         assert parse_label_arrays(text, mode, DIMS) == BoxArrays.from_boxes(expected)
+
+
+def _reference_with_int64_class_ids(text, mode):
+    """_reference_parse plus the parser's rule that a class id fits in
+    int64: the first line breaking it fails, unless that line or an
+    earlier one breaks another rule."""
+    lines = text.splitlines(keepends=True)
+    for line_no, raw in enumerate(lines, start=1):
+        fields = raw.split()
+        try:
+            class_id = int(fields[0]) if fields else 0
+        except ValueError:
+            continue
+        if not -(2**63) <= class_id < 2**63:
+            _reference_parse("".join(lines[:line_no]), mode, DIMS, source="f.txt")
+            raise ParseError(
+                f"class_id {class_id} does not fit in 64 bits", source="f.txt", line_no=line_no
+            )
+    return _reference_parse(text, mode, DIMS, source="f.txt")
+
+
+def _assert_matches_reference(text, mode):
+    try:
+        expected = _reference_with_int64_class_ids(text, mode)
+    except ParseError as e:
+        with pytest.raises(ParseError) as exc:
+            parse_label_arrays(text, mode, DIMS, source="f.txt")
+        assert (exc.value.line_no, str(exc.value)) == (e.line_no, str(e))
+        return
+    arrays = parse_label_arrays(text, mode, DIMS, source="f.txt")
+    assert arrays == BoxArrays.from_boxes(expected)
+    # bit for bit, -0.0 included
+    assert arrays.xywh.tobytes() == BoxArrays.from_boxes(expected).xywh.tobytes()
+
+
+# tokens that Python's int and float and numpy's text reader treat alike
+# (+1, 007, 1e400, -0.0, inf, nan) or differently (the reader refuses an
+# underscore, non-ASCII digits and class ids beyond int64)
+_ODD_TOKENS = [
+    "+1", "007", "1_0", "١", "１", "1e400", "-0.0", "inf", "nan", str(2**63), str(-(2**63) - 1)
+]
+
+
+@st.composite
+def _uniform_label_text(draw):
+    # one field count per text, no comments: the texts numpy's reader takes
+    n_fields = draw(st.sampled_from([5, 6]))
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        fields = [draw(_CLASS), draw(_COORD), draw(_COORD), draw(_SIDE), draw(_SIDE)]
+        if n_fields == 6:
+            fields.append(draw(_CONF))
+        if draw(st.integers(0, 3)) == 0:
+            fields[draw(st.integers(0, n_fields - 1))] = draw(st.sampled_from(_ODD_TOKENS))
+        lines.append(draw(st.sampled_from([" ", "\t", "\xa0", "　", " \t"])).join(fields))
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+
+
+class TestNumpyReaderMatchesPerLineReference:
+    @settings(max_examples=400, deadline=None)
+    @given(text=_uniform_label_text(), mode=st.sampled_from(["pixel", "normalized"]))
+    def test_uniform_texts(self, text, mode):
+        _assert_matches_reference(text, mode)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # one 6-field row to a file object, two lines to splitlines
+            "0 1 1 2 2 0.5\n0 1 1\x852 3 0.5\n",
+            "0 1 1 2 2\n0 1\x00 1 2 2\n",
+            "0 1 1 2 2\n0\x00 1 1 2 2\n",
+            "0 1 1 2 2\n# a comment after the first box line\n0 3 3 2 2\n",
+            "1_0 1 1 2 2\n١ 1 1 2 2\n",
+            "1.0 1 1 2 2\n",
+            "-0.0 1 1 2 2\n",
+        ],
+    )
+    def test_texts_the_reader_refuses(self, text):
+        _assert_matches_reference(text, "pixel")
+
+    def test_a_class_id_read_through_float_with_a_warning_is_refused(self, monkeypatch):
+        # numpy 1.23 on reads "1.5" into an int64 field through float, and
+        # only warns; the scan must then judge the file
+        loadtxt = np.loadtxt
+
+        def loadtxt_that_warns(lines, dtype, **kwargs):
+            warnings.warn("Parsing an integer via a float is deprecated", DeprecationWarning)
+            return loadtxt(["1 1 1 2 2"], dtype=dtype, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt_that_warns)
+        with pytest.raises(ParseError, match="class_id must be an integer"):
+            parse_label_arrays("1.5 1 1 2 2\n", "pixel", DIMS)
+
+    @pytest.mark.parametrize("text", ["", "\n  \n\t\n", "# only\n  # comments\n"])
+    def test_no_box_lines_is_empty_without_a_warning(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            arrays = parse_label_arrays(text, "pixel", DIMS)
+        assert arrays.xywh.shape == (0, 4) and len(arrays.class_id) == 0
+
+    @pytest.mark.parametrize(
+        "text, reader",
+        [
+            ("0 1 1 2 2\n1 3 3 2 2\n", True),
+            ("0 1 1 2 2 0.5\n1 3 3 2 2 0.25\n", True),
+            ("# scan\n0 1 1 2 2\n", False),
+            ("0 1 1 2 2\n1 3 3 2 2 0.25\n", False),
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["pixel", "normalized"])
+    def test_both_paths_return_contiguous_typed_arrays(self, text, reader, mode):
+        assert (_read_uniform(text.splitlines()) is not None) == reader
+        arrays = parse_label_arrays(text, mode, DIMS)
+        for values, dtype in (
+            (arrays.xywh, np.float64),
+            (arrays.confidence, np.float64),
+            (arrays.class_id, np.int64),
+        ):
+            assert values.dtype == dtype and values.flags.c_contiguous
+            if reader:  # no view into the reader's record buffer
+                assert values.base is None
 
 
 class TestSerializeLabels:
