@@ -4,7 +4,8 @@ Everything downstream (registration, matching, the performance metric)
 is built on these few types and pure functions. Boxes are stored as
 center/width/height in one consistent coordinate unit, either one BBox
 at a time or as the rows of an (n, 4) cx, cy, w, h array, the form the
-pipeline's hot paths take.
+pipeline's hot paths take. Points are always (n, 2) float64 arrays, and
+apply_params is the one implementation of the affine map p -> Ap + t.
 """
 
 from __future__ import annotations
@@ -28,18 +29,6 @@ def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(v):
         raise InputValidationError(f"{name} must be finite, got {value!r}")
     return v
-
-
-@dataclass(frozen=True)
-class Point2:
-    """A 2D point in image coordinates."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", _require_finite("x", self.x))
-        object.__setattr__(self, "y", _require_finite("y", self.y))
 
 
 @dataclass(frozen=True)
@@ -93,10 +82,6 @@ class AffineTransform2D:
     def __post_init__(self):
         for name in ("a11", "a12", "a21", "a22", "tx", "ty"):
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-
-    @property
-    def det(self) -> float:
-        return self.a11 * self.a22 - self.a12 * self.a21
 
     @classmethod
     def identity(cls) -> "AffineTransform2D":
@@ -154,17 +139,6 @@ def boxes_to_array(boxes: Sequence[BBox]) -> np.ndarray:
     return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
-def bbox_center(b: BBox) -> Point2:
-    return Point2(b.cx, b.cy)
-
-
-def apply_affine(t: AffineTransform2D, p: Point2) -> Point2:
-    return Point2(
-        t.a11 * p.x + t.a12 * p.y + t.tx,
-        t.a21 * p.x + t.a22 * p.y + t.ty,
-    )
-
-
 def fit_affine_batch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact affine maps taking each source triple onto its destination
     triple, by a Cramer solve of the 3-point system for a whole batch.
@@ -173,7 +147,8 @@ def fit_affine_batch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.n
     every destination triple. Returns (params (H, 6) in from_params order,
     valid (H,) bool). A row is invalid when its source triple is collinear
     or coincident (|det| at most DEGENERACY_RTOL x squared extent) or the
-    fitted linear part is singular; invalid rows may hold NaN params.
+    fitted linear part is singular; invalid rows may hold NaN or inf
+    params (a near-degenerate triple overflows, and fails the same test).
     """
     x0, y0 = src[..., 0, 0], src[..., 0, 1]
     x1, y1 = src[..., 1, 0], src[..., 1, 1]
@@ -183,7 +158,7 @@ def fit_affine_batch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.n
     u2, v2 = dst[..., 2, 0], dst[..., 2, 1]
 
     det = x0 * (y1 - y2) + x1 * (y2 - y0) + x2 * (y0 - y1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv = 1.0 / det
         c_a = (y1 - y2) * inv, (y2 - y0) * inv, (y0 - y1) * inv
         c_b = (x2 - x1) * inv, (x0 - x2) * inv, (x1 - x0) * inv
@@ -209,12 +184,10 @@ def fit_affine_batch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.n
     return params, valid
 
 
-def points_to_array(points: Sequence[Point2] | np.ndarray) -> np.ndarray:
-    """(n, 2) float64 array from Point2 sequences or array-likes."""
-    if isinstance(points, np.ndarray):
-        arr = np.asarray(points, dtype=np.float64)
-    else:
-        arr = np.array([(p.x, p.y) for p in points], dtype=np.float64)
+def points_to_array(points: np.ndarray) -> np.ndarray:
+    """Check an (n, 2) point array and return it as float64; an empty
+    array of any shape becomes (0, 2)."""
+    arr = np.asarray(points, dtype=np.float64)
     if arr.size == 0:
         return arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -224,7 +197,19 @@ def points_to_array(points: Sequence[Point2] | np.ndarray) -> np.ndarray:
     return arr
 
 
+def apply_params(params: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Moved x and y of an (n, 2) point array under one affine map, a (6,)
+    row in from_params order, or under each row of an (H, 6) batch.
+
+    Returns two (n,) or (H, n) arrays. Each coordinate is computed
+    elementwise as a11*x + a12*y + tx (a21*x + a22*y + ty), in that
+    order, so every caller gets the same bits for the same map.
+    """
+    a11, a12, a21, a22, tx, ty = np.asarray(params, dtype=np.float64).T[..., None]
+    x, y = pts[:, 0], pts[:, 1]
+    return a11 * x + a12 * y + tx, a21 * x + a22 * y + ty
+
+
 def transform_points(t: AffineTransform2D, pts: np.ndarray) -> np.ndarray:
     """Apply an affine transform to an (n, 2) array."""
-    a = np.array([[t.a11, t.a12], [t.a21, t.a22]], dtype=np.float64)
-    return pts @ a.T + np.array([t.tx, t.ty], dtype=np.float64)
+    return np.column_stack(apply_params(t.params(), pts))

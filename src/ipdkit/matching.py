@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import InputValidationError
-from .geometry import AffineTransform2D, Point2, points_to_array, transform_points
+from .geometry import AffineTransform2D, points_to_array, transform_points
 
 
 def _is_partition(indices: list[int]) -> bool:
@@ -140,8 +139,8 @@ def default_gate_distance(boxes: np.ndarray) -> float:
 
 def match_instances(
     transform: AffineTransform2D,
-    synth_centers: Sequence[Point2] | np.ndarray,
-    real_centers: Sequence[Point2] | np.ndarray,
+    synth_centers: np.ndarray,
+    real_centers: np.ndarray,
     gate_distance: float = math.inf,
 ) -> InstancePairing:
     """Pair real instances with transformed synthetic instances.

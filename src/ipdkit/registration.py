@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import InputValidationError
-from .geometry import AffineTransform2D, Point2, fit_affine_batch, points_to_array
+from .geometry import AffineTransform2D, apply_params, fit_affine_batch, points_to_array
 
 # A synthetic basis pairs its point with two of the point's nearest
 # _SYNTH_BASIS_NEIGHBOURS; a real basis with two of its nearest
@@ -75,10 +74,7 @@ class RegistrationResult:
     used_fallback: bool = False
 
 
-def fallback_translation(
-    synth_pts: Sequence[Point2] | np.ndarray,
-    real_pts: Sequence[Point2] | np.ndarray,
-) -> AffineTransform2D:
+def fallback_translation(synth_pts: np.ndarray, real_pts: np.ndarray) -> AffineTransform2D:
     """Pure translation aligning the two centroids; used when a set is too
     small for affine hypotheses."""
     synth = points_to_array(synth_pts)
@@ -100,8 +96,7 @@ def _neighbours(pts: np.ndarray, k: int) -> tuple[np.ndarray, float]:
 
 
 def _nn_distances(params: np.ndarray, synth: np.ndarray, real: np.ndarray):
-    moved_x = params[0] * synth[:, 0] + params[1] * synth[:, 1] + params[4]
-    moved_y = params[2] * synth[:, 0] + params[3] * synth[:, 1] + params[5]
+    moved_x, moved_y = apply_params(params, synth)
     d2 = (moved_x[:, None] - real[None, :, 0]) ** 2 + (moved_y[:, None] - real[None, :, 1]) ** 2
     nn_idx = d2.argmin(axis=1)
     nn_d = np.sqrt(d2[np.arange(len(synth)), nn_idx])
@@ -175,8 +170,8 @@ def _refine_params(
 
 
 def register(
-    synth_pts: Sequence[Point2] | np.ndarray,
-    real_pts: Sequence[Point2] | np.ndarray,
+    synth_pts: np.ndarray,
+    real_pts: np.ndarray,
     cfg: RegistrationConfig | None = None,
 ) -> RegistrationResult:
     """Estimate the affine map taking synthetic centers into real-image
@@ -247,9 +242,7 @@ def register(
         params, valid = fit_affine_batch(synth[basis], dst)
         hypothesis_count += int(valid.sum())
 
-        cx, cy = check[:, 0], check[:, 1]
-        moved_x = params[:, 0:1] * cx + params[:, 1:2] * cy + params[:, 4:5]
-        moved_y = params[:, 2:3] * cx + params[:, 3:4] * cy + params[:, 5:6]
+        moved_x, moved_y = apply_params(params, check)
         nearest = np.full(moved_x.shape, np.inf)
         for nx, ny in zip(near_x, near_y):
             np.minimum(nearest, (moved_x - nx) ** 2 + (moved_y - ny) ** 2, out=nearest)

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputValidationError
-from .geometry import AffineTransform2D, BBox, Point2, apply_affine, iou
+from .geometry import AffineTransform2D, BBox, iou, transform_points
 from .ingestion import DatasetManifest, ImageLabels, ManifestEntry, serialize_labels
 
 _IOU_TOL = 1e-4  # internal bisection tolerance, tighter than the 1e-3 contract
@@ -255,6 +255,7 @@ def generate_scene_pair(
     rng = np.random.default_rng(spec.rng_seed)
     n = spec.n_instances
     centers = _place_centers(spec, rng)
+    moved = transform_points(spec.transform, centers)
     sizes = rng.uniform(spec.size_range[0], spec.size_range[1], size=(n, 2))
     noise = rng.normal(0.0, spec.center_noise_sigma, size=(n, 2)) if n else np.zeros((0, 2))
     u_drop_real = rng.random(n)
@@ -278,12 +279,11 @@ def generate_scene_pair(
             keep_synth.append(i)
             synth_gt.append(BBox(float(centers[i, 0]), float(centers[i, 1]), w, h))
         if u_drop_real[i] >= spec.dropout_real:
-            moved = apply_affine(spec.transform, Point2(float(centers[i, 0]), float(centers[i, 1])))
             hull_w, hull_h = _hull_dims(spec.transform, w, h)
             real_pos[i] = len(real_gt)
             keep_real.append(i)
             real_gt.append(
-                BBox(moved.x + float(noise[i, 0]), moved.y + float(noise[i, 1]), hull_w, hull_h)
+                BBox(float(moved[i, 0] + noise[i, 0]), float(moved[i, 1] + noise[i, 1]), hull_w, hull_h)
             )
 
     correspondence = tuple(

@@ -17,7 +17,6 @@ from ipdkit.cli import main as cli_main
 from ipdkit.geometry import (
     AffineTransform2D,
     BBox,
-    bbox_center,
     fit_affine_batch,
     iou,
     transform_points,
@@ -130,8 +129,8 @@ def _recovery_scene(master: np.random.Generator, index: int):
 
 def _run_pipeline(spec: SceneSpec, reg_seed: int):
     real, synth, corr, ious = generate_scene_pair(spec)
-    real_centers = [bbox_center(b) for b in real.gt_boxes]
-    synth_centers = [bbox_center(b) for b in synth.gt_boxes]
+    real_centers = real.gt.xywh[:, :2]
+    synth_centers = synth.gt.xywh[:, :2]
     start = time.perf_counter()
     reg = register(synth_centers, real_centers, RegistrationConfig(rng_seed=reg_seed))
     gate = default_gate_distance(real.gt.xywh)

@@ -2,19 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ipdkit import (
     AffineTransform2D,
     BBox,
     InputValidationError,
-    Point2,
-    apply_affine,
     fit_affine_batch,
     iou,
 )
-from ipdkit.geometry import points_to_array, transform_points
+from ipdkit.geometry import apply_params, points_to_array, transform_points
 
 from helpers import grid_iou, overlapping_box_pair
 
@@ -85,11 +83,12 @@ def test_iou_matches_grid_oracle():
         assert iou(a, b) == pytest.approx(grid_iou(a, b), abs=5e-3)
 
 
-def test_apply_affine_identity_and_translation():
-    p = Point2(3.0, -2.0)
-    assert apply_affine(AffineTransform2D.identity(), p) == p
-    q = apply_affine(AffineTransform2D.translation(1.0, 2.0), p)
-    assert (q.x, q.y) == (4.0, 0.0)
+def test_transform_points_identity_and_translation():
+    p = np.array([[3.0, -2.0]])
+    assert transform_points(AffineTransform2D.identity(), p).tolist() == [[3.0, -2.0]]
+    q = transform_points(AffineTransform2D.translation(1.0, 2.0), p)
+    assert q.tolist() == [[4.0, 0.0]]
+    assert transform_points(AffineTransform2D.identity(), np.empty((0, 2))).shape == (0, 2)
 
 
 def test_fit_affine_3pt_recovers_known_transform():
@@ -123,6 +122,8 @@ _COORDS = st.floats(-1e4, 1e4, allow_subnormal=False) | st.sampled_from([0.0, 1.
     src=st.lists(_COORDS, min_size=6, max_size=6),
     dst=st.lists(st.lists(_COORDS, min_size=6, max_size=6), min_size=1, max_size=8),
 )
+# a near-degenerate source triple whose fit overflows: invalid, and silent
+@example(src=[1.0, 1.0, 9.039768412805586e-203, 0.0, 0.0, 0.0], dst=[[0.0, 0.0, 0.0, 0.0, 1.0, 1.0]])
 def test_one_source_triple_fits_like_the_repeated_triple(src, dst):
     # the sampled 0, 1 and 2 make collinear, coincident and singular
     # triples common on both sides
@@ -145,21 +146,43 @@ def test_degeneracy_threshold_scales_with_extent():
 
 
 def test_points_roundtrip_and_validation():
-    pts = [Point2(1, 2), Point2(3, 4)]
-    arr = points_to_array(pts)
-    assert arr.shape == (2, 2)
+    arr = points_to_array(np.array([[1, 2], [3, 4]]))
+    assert arr.shape == (2, 2) and arr.dtype == np.float64
     assert points_to_array(np.zeros((0, 2))).shape == (0, 2)
-    with pytest.raises(InputValidationError):
-        points_to_array(np.array([[1.0, 2.0, 3.0]]))
+    assert points_to_array(np.zeros(0)).shape == (0, 2)
+    for bad in ([[1.0, 2.0, 3.0]], [1.0, 2.0], [[[1.0, 2.0]]]):
+        with pytest.raises(InputValidationError, match="shape"):
+            points_to_array(np.array(bad))
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputValidationError, match="finite"):
+            points_to_array(np.array([[0.0, 1.0], [value, 2.0]]))
 
 
-def test_transform_points_matches_apply_affine():
-    t = AffineTransform2D(0.5, 1.5, -2.0, 0.25, 3.0, 4.0)
-    pts = np.array([[1.0, 2.0], [-3.0, 0.5]])
-    moved = transform_points(t, pts)
-    for row, p in zip(moved, pts):
-        q = apply_affine(t, Point2(*p))
-        assert row[0] == pytest.approx(q.x) and row[1] == pytest.approx(q.y)
+_FINITE = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    params=st.lists(_FINITE, min_size=6, max_size=6),
+    pts=st.lists(st.tuples(_FINITE, _FINITE), min_size=1, max_size=20),
+)
+def test_transform_points_equals_per_point_reference(params, pts):
+    t = AffineTransform2D.from_params(params)
+    moved = transform_points(t, np.array(pts))
+    want = [[t.a11 * x + t.a12 * y + t.tx, t.a21 * x + t.a22 * y + t.ty] for x, y in pts]
+    # bit for bit, signed zeros included
+    assert moved.tobytes() == np.array(want).tobytes()
+
+
+def test_apply_params_batch_rows_equal_single_maps():
+    rng = np.random.default_rng(4)
+    params = rng.normal(0.0, 3.0, (5, 6))
+    pts = rng.uniform(-100.0, 100.0, (7, 2))
+    xs, ys = apply_params(params, pts)
+    assert xs.shape == ys.shape == (5, 7)
+    for row, x, y in zip(params, xs, ys):
+        moved = transform_points(AffineTransform2D.from_params(row), pts)
+        assert x.tobytes() == moved[:, 0].tobytes() and y.tobytes() == moved[:, 1].tobytes()
 
 
 coord = st.floats(min_value=-100, max_value=100, allow_nan=False)

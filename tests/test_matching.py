@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipdkit.errors import InputValidationError
-from ipdkit.geometry import AffineTransform2D, BBox, Point2, boxes_to_array
+from ipdkit.geometry import AffineTransform2D, BBox, boxes_to_array
 from ipdkit.matching import (
     InstancePairing,
     assignment_min_cost,
@@ -122,7 +122,7 @@ class TestInstancePairingValidation:
 
 class TestMatchInstances:
     def test_identity_perfect_overlap(self):
-        pts = [Point2(0.0, 0.0), Point2(10.0, 0.0), Point2(0.0, 10.0)]
+        pts = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
         pairing = match_instances(IDENTITY, pts, pts)
         assert {(r, s) for r, s, _ in pairing.pairs} == {(0, 0), (1, 1), (2, 2)}
         assert all(d == 0.0 for _, _, d in pairing.pairs)
@@ -158,8 +158,8 @@ class TestMatchInstances:
             assert all(d <= gate for _, _, d in pairing.pairs)
 
     def test_gate_excludes_far_pairs(self):
-        synth = [Point2(0.0, 0.0), Point2(100.0, 0.0)]
-        real = [Point2(1.0, 0.0), Point2(300.0, 0.0)]
+        synth = np.array([[0.0, 0.0], [100.0, 0.0]])
+        real = np.array([[1.0, 0.0], [300.0, 0.0]])
         pairing = match_instances(IDENTITY, synth, real, gate_distance=10.0)
         assert pairing.pairs == ((0, 0, 1.0),)
         assert pairing.unmatched_real == (1,)
@@ -168,21 +168,32 @@ class TestMatchInstances:
     def test_outlier_cannot_break_a_close_pair(self):
         # With raw distances the solver can trade away a sub-gate pair to
         # shorten a hopeless row; the gate cap must prevent that.
-        synth = [Point2(0.0, 0.0), Point2(5.0, 0.0)]
-        real = [Point2(0.5, 0.0), Point2(222.0, 0.0)]
+        synth = np.array([[0.0, 0.0], [5.0, 0.0]])
+        real = np.array([[0.5, 0.0], [222.0, 0.0]])
         pairing = match_instances(IDENTITY, synth, real, gate_distance=4.0)
         assert (0, 0, 0.5) in pairing.pairs
         assert pairing.unmatched_real == (1,)
 
     def test_empty_sides(self):
-        pts = [Point2(1.0, 2.0)]
-        a = match_instances(IDENTITY, [], pts)
+        pts = np.array([[1.0, 2.0]])
+        none = np.empty((0, 2))
+        a = match_instances(IDENTITY, none, pts)
         assert a.pairs == () and a.unmatched_real == (0,) and a.unmatched_synth == ()
-        b = match_instances(IDENTITY, pts, [])
+        b = match_instances(IDENTITY, pts, none)
         assert b.pairs == () and b.unmatched_real == () and b.unmatched_synth == (0,)
+        c = match_instances(IDENTITY, none, none)
+        assert c.pairs == () and c.unmatched_real == () and c.unmatched_synth == ()
+
+    def test_rejects_bad_points(self):
+        pts = np.array([[0.0, 0.0], [1.0, 1.0]])
+        for bad in (np.array([[0.0, math.nan]]), np.array([[math.inf, 0.0]]), np.zeros((2, 3))):
+            with pytest.raises(InputValidationError):
+                match_instances(IDENTITY, bad, pts)
+            with pytest.raises(InputValidationError):
+                match_instances(IDENTITY, pts, bad)
 
     def test_rejects_bad_gate(self):
-        pts = [Point2(0.0, 0.0)]
+        pts = np.array([[0.0, 0.0]])
         for gate in (0.0, -1.0, math.nan):
             with pytest.raises(InputValidationError):
                 match_instances(IDENTITY, pts, pts, gate_distance=gate)
@@ -199,8 +210,8 @@ class TestMatchInstances:
         # within the gate of 7: r0-s0 (3), s0-r1 (2), r1-s1 (5.5); r0-s1 is
         # 10.5 apart. Taking the nearest cell r1-s0 first leaves one pair;
         # the optimum pairs both.
-        real = [Point2(0.0, 0.0), Point2(5.0, 0.0)]
-        synth = [Point2(3.0, 0.0), Point2(10.5, 0.0)]
+        real = np.array([[0.0, 0.0], [5.0, 0.0]])
+        synth = np.array([[3.0, 0.0], [10.5, 0.0]])
         pairing = match_instances(IDENTITY, synth, real, gate_distance=7.0)
         assert pairing.pairs == ((0, 0, 3.0), (1, 1, 5.5))
 
