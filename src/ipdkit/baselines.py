@@ -1,22 +1,24 @@
 """Single-class average precision, the aggregate metric IPD is contrasted
 with.
 
-Predictions are ranked by confidence across all images; each one greedily
-claims the highest-IOU still-unclaimed GT box of its image (subject to
-the IOU threshold). AP integrates the monotone envelope of the resulting
-precision-recall curve.
+The input is one ImageLabels per image. Predictions are ranked by
+confidence across all images; each one greedily claims the highest-IOU
+still-unclaimed GT box of its own image (subject to the IOU threshold).
+AP integrates the monotone envelope of the resulting precision-recall
+curve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InputValidationError, UndefinedApError
-from .geometry import BBox, boxes_to_array, iou_table
+from .geometry import iou_table
+from .ingestion import ImageLabels
 
 
 @dataclass(frozen=True)
@@ -36,55 +38,42 @@ class PrCurvePoint:
 
 
 def _greedy_outcomes(
-    gt_by_image: Mapping[str, Sequence[BBox]],
-    pred_by_image: Mapping[str, Sequence[BBox]],
-    iou_threshold: float,
+    labels: Sequence[ImageLabels], iou_threshold: float
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Returns (tp flags, confidences) in global rank order plus the GT
     total."""
-    total_gt = sum(len(boxes) for boxes in gt_by_image.values())
+    total_gt = sum(len(image.gt) for image in labels)
     if total_gt == 0:
         raise UndefinedApError("average precision is undefined without GT boxes")
-
-    flat: list[tuple[str, int, float]] = []
-    for image_id, boxes in pred_by_image.items():
-        for col, b in enumerate(boxes):
-            if b.confidence is None:
-                raise InputValidationError(
-                    f"prediction without confidence in image {image_id!r}"
-                )
-            flat.append((image_id, col, b.confidence))
-    if not flat:
+    counts = [len(image.pred) for image in labels]
+    if sum(counts) == 0:
         return np.zeros(0, dtype=bool), np.zeros(0), total_gt
 
-    confs = np.array([c for _, _, c in flat])
+    # every prediction in image order, then file order; the stable sort
+    # keeps that order among equal confidences
+    confs = np.concatenate([image.pred.confidence for image in labels])
+    image_of = np.repeat(np.arange(len(labels)), counts).tolist()
+    col_of = np.concatenate([np.arange(k) for k in counts]).tolist()
     order = np.argsort(-confs, kind="stable")
 
     # claimed GT rows are zeroed, which no threshold in (0, 1) accepts
-    tables = {
-        image_id: iou_table(boxes_to_array(gt_by_image.get(image_id, ())), boxes_to_array(boxes))
-        for image_id, boxes in pred_by_image.items()
-    }
-    tp = np.zeros(len(flat), dtype=bool)
-    for rank, idx in enumerate(order):
-        image_id, col, _ = flat[idx]
-        ious = tables[image_id][:, col]
+    tables = [iou_table(image.gt.xywh, image.pred.xywh) for image in labels]
+    tp = np.zeros(len(confs), dtype=bool)
+    for rank, idx in enumerate(order.tolist()):
+        table = tables[image_of[idx]]
+        ious = table[:, col_of[idx]]
         if ious.size and ious.max() >= iou_threshold:
             # argmax takes the first maximum, so ties go to the lowest GT index
-            tables[image_id][ious.argmax()] = 0.0
+            table[ious.argmax()] = 0.0
             tp[rank] = True
     return tp, confs[order], total_gt
 
 
-def pr_curve(
-    gt_by_image: Mapping[str, Sequence[BBox]],
-    pred_by_image: Mapping[str, Sequence[BBox]],
-    iou_threshold: float = 0.5,
-) -> list[PrCurvePoint]:
+def pr_curve(labels: Sequence[ImageLabels], iou_threshold: float = 0.5) -> list[PrCurvePoint]:
     """One point per prediction, in descending-confidence order."""
     if not 0.0 < iou_threshold < 1.0:
         raise InputValidationError("iou_threshold must lie in (0, 1)")
-    tp, confs, total_gt = _greedy_outcomes(gt_by_image, pred_by_image, iou_threshold)
+    tp, confs, total_gt = _greedy_outcomes(labels, iou_threshold)
     if tp.size == 0:
         return []
     cum_tp = np.cumsum(tp)
@@ -99,15 +88,11 @@ def pr_curve(
     ]
 
 
-def average_precision(
-    gt_by_image: Mapping[str, Sequence[BBox]],
-    pred_by_image: Mapping[str, Sequence[BBox]],
-    iou_threshold: float = 0.5,
-) -> float:
+def average_precision(labels: Sequence[ImageLabels], iou_threshold: float = 0.5) -> float:
     """Area under the monotone-envelope precision-recall curve."""
     if not 0.0 < iou_threshold < 1.0:
         raise InputValidationError("iou_threshold must lie in (0, 1)")
-    tp, _, total_gt = _greedy_outcomes(gt_by_image, pred_by_image, iou_threshold)
+    tp, _, total_gt = _greedy_outcomes(labels, iou_threshold)
     if tp.size == 0:
         return 0.0
     cum_tp = np.cumsum(tp)

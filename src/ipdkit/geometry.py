@@ -2,10 +2,12 @@
 
 Everything downstream (registration, matching, the performance metric)
 is built on these few types and pure functions. Boxes are stored as
-center/width/height in one consistent coordinate unit, either one BBox
-at a time or as the rows of an (n, 4) cx, cy, w, h array, the form the
-pipeline's hot paths take. Points are always (n, 2) float64 arrays, and
-apply_params is the one implementation of the affine map p -> Ap + t.
+center/width/height in one consistent coordinate unit, as the rows of an
+(n, 4) cx, cy, w, h array; iou_rows is the one IOU kernel on them. BBox
+and the scalar iou, one box at a time, are the reference the tests check
+the kernel against and the form the benchmark's dataset builder takes.
+Points are always (n, 2) float64 arrays, and apply_params is the one
+implementation of the affine map p -> Ap + t.
 """
 
 from __future__ import annotations
@@ -104,7 +106,9 @@ def iou(a: BBox, b: BBox) -> float:
     """Intersection over union of two axis-aligned boxes, in [0, 1].
 
     Boxes that only touch along an edge or corner have zero intersection
-    area and therefore IOU 0.
+    area and therefore IOU 0. The result is clamped to 1: the corners
+    cx -/+ w/2 can round so that the intersection exceeds the union by an
+    ulp when the boxes are identical.
     """
     ax1, ay1, ax2, ay2 = a.corners()
     bx1, by1, bx2, by2 = b.corners()
@@ -114,29 +118,28 @@ def iou(a: BBox, b: BBox) -> float:
         return 0.0
     inter = iw * ih
     union = a.area + b.area - inter
-    return inter / union
+    return min(inter / union, 1.0)
+
+
+def iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IOU of the cx, cy, w, h rows of two broadcastable (..., 4) arrays,
+    elementwise.
+
+    Runs iou's float operations in iou's order, clamp included, so each
+    value equals iou on the BBoxes of the two rows exactly.
+    """
+    a_half, b_half = a[..., 2:] / 2.0, b[..., 2:] / 2.0
+    lo = np.maximum(a[..., :2] - a_half, b[..., :2] - b_half)
+    hi = np.minimum(a[..., :2] + a_half, b[..., :2] + b_half)
+    iw, ih = hi[..., 0] - lo[..., 0], hi[..., 1] - lo[..., 1]
+    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+    return np.minimum(inter / (a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter), 1.0)
 
 
 def iou_table(gt: np.ndarray, pred: np.ndarray) -> np.ndarray:
     """IOU of every GT box (rows) against every predicted box (columns),
-    from (n, 4) and (m, 4) cx, cy, w, h arrays; either may be empty.
-
-    One broadcast that runs iou's float operations in iou's order, so
-    cell (i, j) equals iou on the BBoxes of row i and row j exactly.
-    """
-    g, p = gt[:, None, :], pred[None, :, :]
-    g_half, p_half = g[..., 2:] / 2.0, p[..., 2:] / 2.0
-    lo = np.maximum(g[..., :2] - g_half, p[..., :2] - p_half)
-    hi = np.minimum(g[..., :2] + g_half, p[..., :2] + p_half)
-    iw, ih = hi[..., 0] - lo[..., 0], hi[..., 1] - lo[..., 1]
-    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
-    return inter / (g[..., 2] * g[..., 3] + p[..., 2] * p[..., 3] - inter)
-
-
-def boxes_to_array(boxes: Sequence[BBox]) -> np.ndarray:
-    """(n, 4) float64 cx, cy, w, h array of a BBox sequence, the form
-    iou_table, default_gate_distance and align_pair take."""
-    return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
+    from (n, 4) and (m, 4) cx, cy, w, h arrays; either may be empty."""
+    return iou_rows(gt[:, None, :], pred[None, :, :])
 
 
 def fit_affine_batch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

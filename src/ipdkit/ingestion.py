@@ -16,9 +16,11 @@ box rules (finite values, positive sides, a confidence in [0, 1]) are
 then checked once per file as array masks, and an error names the first
 bad line in file order, in BBox's own words. ImageLabels holds an
 image's GT and prediction arrays and checks the image rules (which side
-carries confidences, the 10% frame overhang) the same way. The pipeline
-reads only these arrays; BBox objects are built from them on request, by
-parse_label_text, parse_label_file and ImageLabels.gt_boxes/pred_boxes.
+carries confidences, the 10% frame overhang) the same way. The pipeline,
+the scene generator and the AP baseline use only these arrays. BBox
+tuples are built from them only for callers that ask for them, such as
+the benchmark's dataset builder: parse_label_file, BoxArrays.boxes and
+ImageLabels.gt_boxes/pred_boxes. serialize_labels writes either form.
 
 A manifest is one JSON document describing a dataset's images and the
 real<->synth pairing. Loading is atomic: the first bad line or missing
@@ -45,10 +47,17 @@ from .errors import (
     LoadError,
     ParseError,
 )
-from .geometry import BBox, boxes_to_array
+from .geometry import BBox
 from .metric import CrossValCell, IpdResult
 
 _COORDINATE_MODES = ("normalized", "pixel")
+
+
+def _require_mode(coordinate_mode: str) -> None:
+    if coordinate_mode not in _COORDINATE_MODES:
+        raise InputValidationError(
+            f"coordinate_mode must be one of {_COORDINATE_MODES}, got {coordinate_mode!r}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,24 +66,14 @@ class BoxArrays:
 
     xywh is (n, 4) float64 cx, cy, w, h; confidence is (n,) float64 with
     NaN for "no confidence" (a GT box); class_id is (n,) int64. Every row
-    satisfies BBox's rules: parse_label_arrays and from_boxes build them.
-    Equality is exact, NaN-aware on confidence.
+    satisfies BBox's rules, which parse_label_arrays checks and the scene
+    generator's SceneSpec guarantees. Equality is exact, NaN-aware on
+    confidence.
     """
 
     xywh: np.ndarray
     confidence: np.ndarray
     class_id: np.ndarray
-
-    @classmethod
-    def from_boxes(cls, boxes: Sequence[BBox]) -> "BoxArrays":
-        return cls(
-            boxes_to_array(boxes),
-            np.array(
-                [math.nan if b.confidence is None else b.confidence for b in boxes],
-                dtype=np.float64,
-            ),
-            np.array([b.class_id for b in boxes], dtype=np.int64),
-        )
 
     def boxes(self) -> tuple[BBox, ...]:
         return tuple(
@@ -136,23 +135,6 @@ class ImageLabels:
                 f"the expanded frame of image {self.image_id!r}"
             )
 
-    @classmethod
-    def from_boxes(
-        cls,
-        image_id: str,
-        width_px: int,
-        height_px: int,
-        gt_boxes: Sequence[BBox],
-        pred_boxes: Sequence[BBox],
-    ) -> "ImageLabels":
-        return cls(
-            image_id,
-            width_px,
-            height_px,
-            BoxArrays.from_boxes(gt_boxes),
-            BoxArrays.from_boxes(pred_boxes),
-        )
-
     @cached_property
     def gt_boxes(self) -> tuple[BBox, ...]:
         return self.gt.boxes()
@@ -197,11 +179,7 @@ class DatasetManifest:
     def __post_init__(self):
         if not self.dataset_id:
             raise InputValidationError("dataset_id must be non-empty")
-        if self.coordinate_mode not in _COORDINATE_MODES:
-            raise InputValidationError(
-                f"coordinate_mode must be one of {_COORDINATE_MODES}, "
-                f"got {self.coordinate_mode!r}"
-            )
+        _require_mode(self.coordinate_mode)
         object.__setattr__(self, "entries", tuple(self.entries))
         object.__setattr__(
             self, "pairing", tuple((str(a), str(b)) for a, b in self.pairing)
@@ -275,13 +253,6 @@ class DatasetManifest:
             "pairing": [list(p) for p in self.pairing],
         }
         return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def _require_mode(coordinate_mode: str) -> None:
-    if coordinate_mode not in _COORDINATE_MODES:
-        raise InputValidationError(
-            f"coordinate_mode must be one of {_COORDINATE_MODES}, got {coordinate_mode!r}"
-        )
 
 
 # The columns of a box line, read by numpy's C text reader: the class id,
@@ -447,16 +418,6 @@ def parse_label_arrays(
     return BoxArrays(xywh, confidence, classes)
 
 
-def parse_label_text(
-    text: str,
-    coordinate_mode: str,
-    image_dims: tuple[int, int],
-    source: str = "<string>",
-) -> list[BBox]:
-    """parse_label_arrays, as a list of BBoxes."""
-    return list(parse_label_arrays(text, coordinate_mode, image_dims, source).boxes())
-
-
 def read_label_arrays(
     path: str | Path,
     coordinate_mode: str,
@@ -479,19 +440,28 @@ def parse_label_file(
     return list(read_label_arrays(path, coordinate_mode, image_dims).boxes())
 
 
-def serialize_labels(boxes: Sequence[BBox], coordinate_mode: str, image_dims: tuple[int, int]) -> str:
-    """Inverse of parse_label_text, used by the scene generator."""
+def serialize_labels(
+    boxes: BoxArrays | Sequence[BBox], coordinate_mode: str, image_dims: tuple[int, int]
+) -> str:
+    """Label-file text of a BoxArrays (or of a sequence of BBoxes), one
+    line per box: the inverse of parse_label_arrays, exact in pixel mode."""
     _require_mode(coordinate_mode)
     width, height = image_dims
+    if isinstance(boxes, BoxArrays):
+        rows = zip(boxes.class_id.tolist(), boxes.xywh.tolist(), boxes.confidence.tolist())
+    else:
+        rows = (
+            (b.class_id, (b.cx, b.cy, b.w, b.h), math.nan if b.confidence is None else b.confidence)
+            for b in boxes
+        )
     lines = []
-    for b in boxes:
-        cx, cy, w, h = b.cx, b.cy, b.w, b.h
+    for class_id, (cx, cy, w, h), confidence in rows:
         if coordinate_mode == "normalized":
             cx, w = cx / width, w / width
             cy, h = cy / height, h / height
-        parts = [str(b.class_id), repr(cx), repr(cy), repr(w), repr(h)]
-        if b.confidence is not None:
-            parts.append(repr(b.confidence))
+        parts = [str(class_id), repr(cx), repr(cy), repr(w), repr(h)]
+        if not math.isnan(confidence):
+            parts.append(repr(confidence))
         lines.append(" ".join(parts))
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -23,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputValidationError
-from .geometry import AffineTransform2D, BBox, iou, transform_points
-from .ingestion import DatasetManifest, ImageLabels, ManifestEntry, serialize_labels
+from .geometry import AffineTransform2D, BBox, iou_rows, transform_points
+from .ingestion import BoxArrays, DatasetManifest, ImageLabels, ManifestEntry, serialize_labels
 
 _IOU_TOL = 1e-4  # internal bisection tolerance, tighter than the 1e-3 contract
 _PLACEMENT_ATTEMPT_FACTOR = 400
@@ -45,7 +45,7 @@ class DetectorProfile:
         if not (0.0 <= self.miss_rate < 1.0):
             raise InputValidationError("miss_rate must lie in [0, 1)")
 
-    def target(self, quantile: float) -> float:
+    def target(self, quantile: float | np.ndarray) -> float | np.ndarray:
         return self.low + quantile * (self.high - self.low)
 
 
@@ -85,8 +85,17 @@ class SceneSpec:
             v = getattr(self, name)
             if not (0.0 <= v < 1.0):
                 raise InputValidationError(f"{name} must lie in [0, 1)")
-        if not (0.0 < self.size_range[0] <= self.size_range[1]):
-            raise InputValidationError("size_range must satisfy 0 < low <= high")
+        if not (0.0 < self.size_range[0] <= self.size_range[1] < math.inf):
+            raise InputValidationError("size_range must be finite and satisfy 0 < low <= high")
+        t = self.transform
+        # each side of a real GT box is its hull under the linear part,
+        # |a| * w + |b| * h for a row (a, b), smallest at w = h = low
+        for a, b in ((t.a11, t.a12), (t.a21, t.a22)):
+            smallest, largest = (abs(a) * s + abs(b) * s for s in self.size_range)
+            if not (smallest > 0.0 and math.isfinite(largest)):
+                raise InputValidationError(
+                    f"transform row ({a}, {b}) gives boxes a side that is not positive and finite"
+                )
         if self.min_separation_factor < 0.0:
             raise InputValidationError("min_separation_factor must be >= 0")
         lo, hi = self.center_region
@@ -100,42 +109,45 @@ class SceneSpec:
 @dataclass(frozen=True)
 class SceneIous:
     """Realized best-possible IOU per GT box (0.0 where the simulated
-    detector missed), aligned with each side's gt_boxes order."""
+    detector missed), aligned with the rows of each side's GT arrays."""
 
     real: tuple[float, ...]
     synth: tuple[float, ...]
 
 
-def offset_box(box: BBox, direction: tuple[float, float], distance: float) -> BBox:
-    dx, dy = direction
-    norm = math.hypot(dx, dy)
-    if norm == 0.0:
-        raise InputValidationError("direction must be non-zero")
-    return BBox(
-        cx=box.cx + distance * dx / norm,
-        cy=box.cy + distance * dy / norm,
-        w=box.w,
-        h=box.h,
-        confidence=box.confidence,
-        class_id=box.class_id,
-    )
+def _shift_to_target_iou(
+    gt: np.ndarray, dx: np.ndarray, dy: np.ndarray, norm: np.ndarray, target: np.ndarray
+) -> np.ndarray:
+    """Copies of the (k, 4) boxes gt, each moved along its direction
+    (dx, dy) / norm until its IOU with the original is within _IOU_TOL of
+    its target; a row whose target is 1.0 stays in place.
 
-
-def _bisect_offset(gt: BBox, direction: tuple[float, float], target_iou: float) -> float:
-    """Offset distance along `direction` at which the shifted copy of gt
-    reaches target_iou. IOU is 1 at distance 0, strictly decreasing, and
-    0 by w + h, so bisection always lands."""
-    lo, hi = 0.0, gt.w + gt.h
+    Bisects every row at once. IOU is 1 at distance 0, strictly
+    decreasing, and 0 by w + h, so each row lands, and it stops at the
+    iteration where a bisection of that row alone would stop.
+    """
+    stay = target == 1.0
+    lo, hi = np.zeros(len(gt)), gt[:, 2] + gt[:, 3]
+    dist = np.zeros(len(gt))
+    done = stay.copy()
+    moved = gt.copy()
     for _ in range(80):
+        if done.all():
+            break
         mid = 0.5 * (lo + hi)
-        v = iou(gt, offset_box(gt, direction, mid))
-        if abs(v - target_iou) <= _IOU_TOL:
-            return mid
-        if v > target_iou:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        moved[:, 0] = gt[:, 0] + mid * dx / norm
+        moved[:, 1] = gt[:, 1] + mid * dy / norm
+        v = iou_rows(gt, moved)
+        hit = ~done & (np.abs(v - target) <= _IOU_TOL)
+        dist[hit] = mid[hit]
+        done |= hit
+        above = v > target
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    dist[~done] = 0.5 * (lo + hi)[~done]
+    moved[:, 0] = gt[:, 0] + dist * dx / norm
+    moved[:, 1] = gt[:, 1] + dist * dy / norm
+    moved[stay] = gt[stay]
+    return moved
 
 
 def perturb_box_to_target_iou(
@@ -154,8 +166,15 @@ def perturb_box_to_target_iou(
     if direction is None:
         angle = rng.uniform(0.0, 2.0 * math.pi)
         direction = (math.cos(angle), math.sin(angle))
-    d = _bisect_offset(gt, direction, target_iou)
-    return offset_box(gt, direction, d)
+    dx, dy = direction
+    norm = math.hypot(dx, dy)
+    if norm == 0.0:
+        raise InputValidationError("direction must be non-zero")
+    row = np.array([[gt.cx, gt.cy, gt.w, gt.h]])
+    cx, cy, _, _ = _shift_to_target_iou(
+        row, np.array([dx]), np.array([dy]), np.array([norm]), np.array([target_iou])
+    )[0].tolist()
+    return BBox(cx, cy, gt.w, gt.h, gt.confidence, gt.class_id)
 
 
 def random_affine(
@@ -205,40 +224,31 @@ def _place_centers(spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
     return np.array(centers, dtype=np.float64).reshape(spec.n_instances, 2)
 
 
-def _hull_dims(t: AffineTransform2D, w: float, h: float) -> tuple[float, float]:
-    """Axis-aligned extent of a w x h box pushed through the linear part
-    of t (how a consistent labeler would re-box the instance)."""
-    return (
-        abs(t.a11) * w + abs(t.a12) * h,
-        abs(t.a21) * w + abs(t.a22) * h,
-    )
-
-
 def _simulate_detector(
-    gt_boxes: Sequence[BBox],
+    gt: np.ndarray,
     profile: DetectorProfile,
     u_miss: np.ndarray,
     u_target: np.ndarray,
     angles: np.ndarray,
     confidences: np.ndarray,
-) -> tuple[list[BBox], list[float]]:
-    preds: list[BBox] = []
-    ious: list[float] = []
-    for i, gt in enumerate(gt_boxes):
-        if u_miss[i] < profile.miss_rate:
-            ious.append(0.0)
-            continue
-        target = profile.target(float(u_target[i]))
-        direction = (math.cos(angles[i]), math.sin(angles[i]))
-        base = BBox(gt.cx, gt.cy, gt.w, gt.h, confidence=float(confidences[i]), class_id=gt.class_id)
-        if target == 1.0:
-            pred = base
-        else:
-            d = _bisect_offset(gt, direction, target)
-            pred = offset_box(base, direction, d)
-        preds.append(pred)
-        ious.append(iou(gt, pred))
-    return preds, ious
+) -> tuple[BoxArrays, np.ndarray]:
+    """One prediction per GT row the detector does not miss, at a target
+    IOU drawn from profile; returns the predictions and each GT row's
+    realized IOU (0.0 where missed)."""
+    hit = u_miss >= profile.miss_rate
+    # math's cos, sin and hypot, element by element: numpy's may round
+    # differently, and the predictions' bytes are pinned
+    dx = np.array([math.cos(a) for a in angles[hit].tolist()])
+    dy = np.array([math.sin(a) for a in angles[hit].tolist()])
+    norm = np.array([math.hypot(x, y) for x, y in zip(dx.tolist(), dy.tolist())])
+    pred = _shift_to_target_iou(gt[hit], dx, dy, norm, profile.target(u_target[hit]))
+    ious = np.zeros(len(gt))
+    ious[hit] = iou_rows(gt[hit], pred)
+    return BoxArrays(pred, confidences[hit], np.zeros(len(pred), dtype=np.int64)), ious
+
+
+def _gt_arrays(xywh: np.ndarray) -> BoxArrays:
+    return BoxArrays(xywh, np.full(len(xywh), math.nan), np.zeros(len(xywh), dtype=np.int64))
 
 
 def generate_scene_pair(
@@ -249,7 +259,7 @@ def generate_scene_pair(
 
     Returns (real, synth, correspondence, ious): correspondence holds
     (real_index, synth_index) for every instance visible on both sides,
-    indices into the respective gt_boxes; ious holds each side's realized
+    indices into the respective GT arrays; ious holds each side's realized
     per-instance detection IOUs.
     """
     rng = np.random.default_rng(spec.rng_seed)
@@ -258,39 +268,31 @@ def generate_scene_pair(
     moved = transform_points(spec.transform, centers)
     sizes = rng.uniform(spec.size_range[0], spec.size_range[1], size=(n, 2))
     noise = rng.normal(0.0, spec.center_noise_sigma, size=(n, 2)) if n else np.zeros((0, 2))
-    u_drop_real = rng.random(n)
-    u_drop_synth = rng.random(n)
+    keep_real = rng.random(n) >= spec.dropout_real
+    keep_synth = rng.random(n) >= spec.dropout_synth
     u_miss = rng.random(n)
     u_target = rng.random(n)
     angles_real = rng.uniform(0.0, 2.0 * math.pi, size=n)
     angles_synth = rng.uniform(0.0, 2.0 * math.pi, size=n)
     confidences = rng.uniform(spec.confidence_range[0], spec.confidence_range[1], size=n)
 
-    real_gt: list[BBox] = []
-    synth_gt: list[BBox] = []
-    real_pos: dict[int, int] = {}
-    synth_pos: dict[int, int] = {}
-    keep_real: list[int] = []
-    keep_synth: list[int] = []
-    for i in range(n):
-        w, h = float(sizes[i, 0]), float(sizes[i, 1])
-        if u_drop_synth[i] >= spec.dropout_synth:
-            synth_pos[i] = len(synth_gt)
-            keep_synth.append(i)
-            synth_gt.append(BBox(float(centers[i, 0]), float(centers[i, 1]), w, h))
-        if u_drop_real[i] >= spec.dropout_real:
-            hull_w, hull_h = _hull_dims(spec.transform, w, h)
-            real_pos[i] = len(real_gt)
-            keep_real.append(i)
-            real_gt.append(
-                BBox(float(moved[i, 0] + noise[i, 0]), float(moved[i, 1] + noise[i, 1]), hull_w, hull_h)
-            )
+    t = spec.transform
+    # the axis-aligned hull of each box pushed through the linear part of
+    # the transform: how a consistent labeler would re-box the instance
+    hull_w = abs(t.a11) * sizes[:, 0] + abs(t.a12) * sizes[:, 1]
+    hull_h = abs(t.a21) * sizes[:, 0] + abs(t.a22) * sizes[:, 1]
+    real_gt = np.column_stack([moved + noise, hull_w, hull_h])[keep_real]
+    synth_gt = np.column_stack([centers, sizes])[keep_synth]
 
+    both = keep_real & keep_synth
     correspondence = tuple(
-        (real_pos[i], synth_pos[i]) for i in range(n) if i in real_pos and i in synth_pos
+        zip(
+            (np.cumsum(keep_real) - 1)[both].tolist(),
+            (np.cumsum(keep_synth) - 1)[both].tolist(),
+        )
     )
 
-    real_preds, real_ious = _simulate_detector(
+    real_pred, real_ious = _simulate_detector(
         real_gt,
         spec.detector_profile_real,
         u_miss[keep_real],
@@ -298,7 +300,7 @@ def generate_scene_pair(
         angles_real[keep_real],
         confidences[keep_real],
     )
-    synth_preds, synth_ious = _simulate_detector(
+    synth_pred, synth_ious = _simulate_detector(
         synth_gt,
         spec.detector_profile_synth,
         u_miss[keep_synth],
@@ -307,9 +309,11 @@ def generate_scene_pair(
         confidences[keep_synth],
     )
 
-    real = ImageLabels.from_boxes(image_id, spec.frame[0], spec.frame[1], real_gt, real_preds)
-    synth = ImageLabels.from_boxes(image_id, spec.frame[0], spec.frame[1], synth_gt, synth_preds)
-    return real, synth, correspondence, SceneIous(tuple(real_ious), tuple(synth_ious))
+    w, h = spec.frame
+    real = ImageLabels(image_id, w, h, _gt_arrays(real_gt), real_pred)
+    synth = ImageLabels(image_id, w, h, _gt_arrays(synth_gt), synth_pred)
+    ious = SceneIous(tuple(real_ious.tolist()), tuple(synth_ious.tolist()))
+    return real, synth, correspondence, ious
 
 
 def oracle_ipd(
@@ -364,10 +368,10 @@ def emit_dataset(
             gt_rel = f"{side}/{image_id}_gt.txt"
             pred_rel = f"{side}/{image_id}_pred.txt"
             (out / gt_rel).write_text(
-                serialize_labels(labels.gt_boxes, coordinate_mode, dims), encoding="utf-8"
+                serialize_labels(labels.gt, coordinate_mode, dims), encoding="utf-8"
             )
             (out / pred_rel).write_text(
-                serialize_labels(labels.pred_boxes, coordinate_mode, dims), encoding="utf-8"
+                serialize_labels(labels.pred, coordinate_mode, dims), encoding="utf-8"
             )
         entries_real.append(
             ManifestEntry(image_id, f"real/{image_id}_gt.txt", f"real/{image_id}_pred.txt", *dims)

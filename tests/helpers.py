@@ -9,10 +9,11 @@ this file first.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
-from ipdkit import BBox
+from ipdkit import BBox, BoxArrays, ImageLabels, iou
 
 
 def grid_iou(a: BBox, b: BBox, cells: int = 1000) -> float:
@@ -90,3 +91,45 @@ def overlapping_box_pair(rng: np.random.Generator) -> tuple[BBox, BBox]:
         h=a.h * float(rng.uniform(0.3, 2.5)),
     )
     return a, b
+
+
+def bisect_shift(gt: BBox, direction: tuple[float, float], target: float) -> BBox:
+    """A copy of gt moved along direction until the scalar iou with gt is
+    within 1e-4 of target, by bisection one box at a time; target 1.0
+    leaves it in place. Each step offsets the center by d * dx / norm."""
+    dx, dy = direction
+    norm = math.hypot(dx, dy)
+
+    def shifted(d: float) -> BBox:
+        return BBox(gt.cx + d * dx / norm, gt.cy + d * dy / norm, gt.w, gt.h)
+
+    if target == 1.0:
+        return gt
+    lo, hi = 0.0, gt.w + gt.h
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        v = iou(gt, shifted(mid))
+        if abs(v - target) <= 1e-4:
+            return shifted(mid)
+        if v > target:
+            lo = mid
+        else:
+            hi = mid
+    return shifted(0.5 * (lo + hi))
+
+
+def box_arrays(rows) -> BoxArrays:
+    """BoxArrays of BBoxes or of (cx, cy, w, h[, confidence[, class_id]])
+    rows, each checked by BBox's rules; no confidence (or None) marks a GT
+    box."""
+    boxes = [row if isinstance(row, BBox) else BBox(*row) for row in rows]
+    return BoxArrays(
+        np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4),
+        np.array([math.nan if b.confidence is None else b.confidence for b in boxes]),
+        np.array([b.class_id for b in boxes], dtype=np.int64),
+    )
+
+
+def image_labels(image_id, gt, pred=(), frame=(1000, 1000)) -> ImageLabels:
+    """ImageLabels of one image from box_arrays rows."""
+    return ImageLabels(image_id, frame[0], frame[1], box_arrays(gt), box_arrays(pred))

@@ -16,7 +16,6 @@ import pytest
 from ipdkit.cli import main as cli_main
 from ipdkit.geometry import (
     AffineTransform2D,
-    BBox,
     fit_affine_batch,
     iou,
     transform_points,
@@ -44,7 +43,7 @@ from ipdkit.scenegen import (
     random_affine,
 )
 
-from helpers import brute_force_assignment, grid_iou, overlapping_box_pair
+from helpers import brute_force_assignment, grid_iou, image_labels, overlapping_box_pair
 
 MASTER_SEED = 20260814
 GOLDEN_TABLE = Path(__file__).parent / "data" / "table1_golden.md"
@@ -307,18 +306,18 @@ def test_table1_golden(capsys):
 
 def test_ap_sanity(capsys):
     def box(cx, cy, conf=None):
-        return BBox(cx, cy, 4.0, 4.0, conf)
+        return (cx, cy, 4.0, 4.0, conf)
 
     gt = {"a": [box(10, 10), box(60, 60)], "b": [box(30, 30)]}
     perfect = {
         "a": [box(10, 10, 0.9), box(60, 60, 0.8)],
         "b": [box(30, 30, 0.7)],
     }
-    ap_perfect = average_precision(gt, perfect)
-    ap_empty = average_precision(gt, {})
-    traced_gt = {"a": [box(10, 10), box(60, 60)]}
-    traced_pred = {"a": [box(200, 200, 0.9), box(10, 10, 0.5)]}
-    ap_traced = average_precision(traced_gt, traced_pred)
+    ap_perfect = average_precision([image_labels(i, gt[i], perfect[i]) for i in gt])
+    ap_empty = average_precision([image_labels(i, gt[i]) for i in gt])
+    traced_gt = [box(10, 10), box(60, 60)]
+    traced_pred = [box(200, 200, 0.9), box(10, 10, 0.5)]
+    ap_traced = average_precision([image_labels("a", traced_gt, traced_pred)])
     ok = ap_perfect == 1.0 and ap_empty == 0.0 and ap_traced == 0.25
     _report(
         capsys,

@@ -4,6 +4,7 @@ Commands run in-process through main(argv) so exit codes and stdout can
 be asserted directly.
 """
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -15,9 +16,11 @@ import pytest
 
 import ipdkit.cli as cli
 from ipdkit.cli import align_pair, main, stable_subseed
-from ipdkit.geometry import BBox, boxes_to_array
 from ipdkit.ingestion import load_dataset
 from ipdkit.registration import RegistrationConfig
+from ipdkit.scenegen import emit_dataset
+
+from helpers import box_arrays
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
 
@@ -132,14 +135,24 @@ class TestScenegen:
         assert code == 2
         assert "profile" in err
 
-    def test_bad_spec_file_is_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"n_instances": -4}, "n_instances"),
+            # a numpy OverflowError, exit 1, before size_range had to be finite
+            ({"n_instances": 1, "size_range": [1, "inf"]}, "size_range"),
+            # a zero-width real GT box, refused only when loaded, before
+            ({"n_instances": 1, "transform": [0, 0, 0, 1, 0, 0]}, "transform row"),
+        ],
+    )
+    def test_bad_spec_file_is_exit_2(self, tmp_path, capsys, spec, message):
         p = tmp_path / "specs.json"
-        p.write_text(json.dumps([{"n_instances": -4}]))
+        p.write_text(json.dumps([spec]))
         code, out, err = run_cli(
             ["scenegen", "--out", str(tmp_path / "x"), "--spec-file", str(p)], capsys
         )
         assert code == 2
-        assert "spec #0" in err
+        assert "spec #0" in err and message in err
 
 
 class TestIpd:
@@ -249,6 +262,31 @@ class TestIpd:
             ["ipd", str(tmp_path / "nope.json"), str(tmp_path / "nope2.json")], capsys
         )
         assert code == 2
+
+    def test_perfect_predictions_on_both_sides_give_ipd_0(self, tmp_path, capsys):
+        # the first box's corners round so that its IOU with itself came
+        # out at 1.000000000000004, which the performance record refused
+        gt = ["0 32.0 40.0 1.8114590411706715 1.0", "0 10 10 4 4", "0 70 20 5 3", "0 50 80 6 6"]
+        for side in ("real", "synth"):
+            (tmp_path / f"{side}_gt.txt").write_text("\n".join(gt) + "\n")
+            (tmp_path / f"{side}_pred.txt").write_text("".join(f"{g} 0.9\n" for g in gt))
+            entry = {
+                "image_id": "img",
+                "gt_label_path": f"{side}_gt.txt",
+                "pred_label_path": f"{side}_pred.txt",
+                "width_px": 100,
+                "height_px": 100,
+            }
+            doc = {"dataset_id": side, "coordinate_mode": "pixel", "entries": [entry]}
+            doc["pairing"] = [["img", "img"]]
+            (tmp_path / f"manifest_{side}.json").write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            ["ipd", str(tmp_path / "manifest_real.json"), str(tmp_path / "manifest_synth.json")],
+            capsys,
+        )
+        assert code == 0, err
+        assert out.startswith("IPD 0.000000\n")
+        assert json.loads(out[out.index("{"):])["result"]["ipd"] == 0.0
 
 
 CELLS = {
@@ -399,7 +437,7 @@ def test_bad_flag_is_exit_2_before_any_file_is_read(tmp_path, capsys, command, f
 
 
 def test_align_pair_gate_defaults_to_half_median_diagonal():
-    real = boxes_to_array([BBox(100.0 * i, 50.0 * (i % 2), 6.0, 8.0) for i in range(5)])
+    real = box_arrays([(100.0 * i, 50.0 * (i % 2), 6.0, 8.0) for i in range(5)]).xywh
     cfg = RegistrationConfig(rng_seed=0)
     reg, gate, pairing = align_pair(real, real, cfg, None)
     assert gate == pytest.approx(5.0)
@@ -407,10 +445,11 @@ def test_align_pair_gate_defaults_to_half_median_diagonal():
     assert align_pair(real, real, cfg, 2.5)[1] == 2.5
 
 
-def _bench_spans():
-    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
-    module = importlib.util.module_from_spec(spec)
+def _bench_module(name):
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    # registered first: a dataclass looks its module up while being built
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
@@ -419,7 +458,7 @@ def test_layer_tracer_contract(tmp_path, capsys, monkeypatch):
     """The benchmark's layer trace wraps these names in the ipdkit.cli
     namespace and reads the positional arguments of register (the config
     at index 2) and match_instances (the point lists at 1 and 2)."""
-    names = _bench_spans().LAYER_OF
+    names = _bench_module("spans").LAYER_OF
     calls = {name: [] for name in names}
     for name in names:
 
@@ -456,7 +495,7 @@ def test_bench_counters_match_the_label_arrays(tmp_path, capsys, monkeypatch):
     """The benchmark's counters read gt_boxes, pred_boxes and each
     prediction's confidence after ipd returns; built lazily from the
     label arrays, they must count what the arrays hold."""
-    spans = _bench_spans()
+    spans = _bench_module("spans")
     for name in spans.LAYER_OF:  # the Recorder's wrappers are undone at teardown
         monkeypatch.setattr(cli, name, getattr(cli, name))
     outdir = _scenegen(tmp_path, capsys, "--transform", "random")
@@ -470,6 +509,27 @@ def test_bench_counters_match_the_label_arrays(tmp_path, capsys, monkeypatch):
     kept = [int((lab.pred.confidence >= 0.75).sum()) for lab in labels]
     assert 0 < sum(kept) < sum(len(lab.pred) for lab in labels)
     assert counts["metric.iou_cells"] == sum(len(lab.gt) * k for lab, k in zip(labels, kept))
+
+
+# SHA-256 of every file the benchmark's dataset builder leaves after it
+# redraws the detections of two of its "mid" scenes and adds clutter. The
+# builder goes through perturb_box_to_target_iou, parse_label_file,
+# serialize_labels and iou, so this pins what the benchmark measures
+# against a one-ulp drift in any of them, or a broken import.
+BENCH_DIGESTS = Path(__file__).parent / "data" / "bench_workloads_sha256.json"
+
+
+def test_bench_dataset_builder_files_are_pinned(tmp_path):
+    workloads = _bench_module("workloads")
+    emit_dataset(tmp_path, workloads.scene_specs("mid")[:2])
+    workloads._redraw_detections(tmp_path, 7)
+    workloads._add_clutter(tmp_path, 7)
+    got = {
+        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.rglob("*"))
+        if p.is_file()
+    }
+    assert got == json.loads(BENCH_DIGESTS.read_text(encoding="utf-8"))
 
 
 class TestStableSubseed:

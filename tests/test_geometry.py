@@ -11,6 +11,7 @@ from ipdkit import (
     InputValidationError,
     fit_affine_batch,
     iou,
+    iou_table,
 )
 from ipdkit.geometry import apply_params, points_to_array, transform_points
 
@@ -191,11 +192,14 @@ side = st.floats(min_value=0.1, max_value=80, allow_nan=False)
 
 @settings(max_examples=200, deadline=None)
 @given(coord, coord, side, side, coord, coord, side, side)
+# corners that round so that the intersection exceeds the union
+@example(32.0, 0.0, 1.8114590411706715, 1.0, 32.0, 0.0, 1.8114590411706715, 1.0)
 def test_iou_bounds_property(cx1, cy1, w1, h1, cx2, cy2, w2, h2):
     a = BBox(cx1, cy1, w1, h1)
     b = BBox(cx2, cy2, w2, h2)
     v = iou(a, b)
     assert 0.0 <= v <= 1.0
+    assert iou_table(np.array([[cx1, cy1, w1, h1]]), np.array([[cx2, cy2, w2, h2]]))[0, 0] == v
     assert iou(b, a) == v
     # intersection can never exceed the smaller area's share of the union
     assert v <= min(a.area, b.area) / max(a.area, b.area) + 1e-12

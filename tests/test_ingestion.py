@@ -14,9 +14,7 @@ from hypothesis import strategies as st
 from ipdkit.errors import InputValidationError, LoadError, ParseError
 from ipdkit.geometry import BBox
 from ipdkit.ingestion import (
-    BoxArrays,
     DatasetManifest,
-    ImageLabels,
     ManifestEntry,
     _read_uniform,
     ipd_result_to_dict,
@@ -24,7 +22,7 @@ from ipdkit.ingestion import (
     merge_pairings,
     pair_datasets,
     parse_label_arrays,
-    parse_label_text,
+    parse_label_file,
     read_manifest,
     serialize_labels,
     write_ipd_report,
@@ -32,29 +30,30 @@ from ipdkit.ingestion import (
 )
 from ipdkit.metric import CrossValCell, IpdResult, cross_validation
 
+from helpers import box_arrays, image_labels
+
 DIMS = (640, 480)
 
 
-class TestParseLabelText:
+class TestParseLabelArrays:
     def test_pixel_mode(self):
         text = "0 100 200 40 30\n2 10.5 20.5 5 5 0.75\n"
-        boxes = parse_label_text(text, "pixel", DIMS)
-        assert boxes == [
-            BBox(100.0, 200.0, 40.0, 30.0, None, 0),
-            BBox(10.5, 20.5, 5.0, 5.0, 0.75, 2),
-        ]
+        arrays = parse_label_arrays(text, "pixel", DIMS)
+        assert arrays == box_arrays(
+            [(100.0, 200.0, 40.0, 30.0, None, 0), (10.5, 20.5, 5.0, 5.0, 0.75, 2)]
+        )
 
     def test_normalized_mode_scales_each_axis(self):
-        boxes = parse_label_text("0 0.5 0.5 0.1 0.1\n", "normalized", DIMS)
-        assert boxes == [BBox(320.0, 240.0, 64.0, 48.0)]
+        arrays = parse_label_arrays("0 0.5 0.5 0.1 0.1\n", "normalized", DIMS)
+        assert arrays == box_arrays([(320.0, 240.0, 64.0, 48.0)])
 
     def test_blank_lines_and_comments_skipped(self):
         text = "\n# header\n0 1 1 2 2\n   \n# trailing\n"
-        assert len(parse_label_text(text, "pixel", DIMS)) == 1
+        assert len(parse_label_arrays(text, "pixel", DIMS)) == 1
 
     def test_error_names_source_and_line(self):
         with pytest.raises(ParseError) as exc:
-            parse_label_text("0 1 1 2 2\n0 1 1\n", "pixel", DIMS, source="labels/х.txt")
+            parse_label_arrays("0 1 1 2 2\n0 1 1\n", "pixel", DIMS, source="labels/х.txt")
         assert "labels/х.txt:2:" in str(exc.value)
         assert exc.value.line_no == 2
 
@@ -73,11 +72,11 @@ class TestParseLabelText:
     )
     def test_bad_lines_rejected(self, line):
         with pytest.raises(ParseError):
-            parse_label_text(line + "\n", "pixel", DIMS)
+            parse_label_arrays(line + "\n", "pixel", DIMS)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(InputValidationError):
-            parse_label_text("", "spherical", DIMS)
+            parse_label_arrays("", "spherical", DIMS)
 
     @pytest.mark.parametrize(
         "text, message",
@@ -90,7 +89,7 @@ class TestParseLabelText:
     )
     def test_earlier_bad_line_wins_over_a_field_count_error(self, text, message):
         with pytest.raises(ParseError, match=message) as exc:
-            parse_label_text(text, "pixel", DIMS)
+            parse_label_arrays(text, "pixel", DIMS)
         assert exc.value.line_no == 2
 
     def test_six_field_nan_confidence_is_not_a_gt_box(self):
@@ -209,8 +208,7 @@ class TestArrayParserMatchesPerLineReference:
                 parse_label_arrays(text, mode, DIMS, source="f.txt")
             assert (exc.value.line_no, str(exc.value)) == (e.line_no, str(e))
             return
-        assert parse_label_text(text, mode, DIMS, source="f.txt") == expected
-        assert parse_label_arrays(text, mode, DIMS) == BoxArrays.from_boxes(expected)
+        assert parse_label_arrays(text, mode, DIMS, source="f.txt") == box_arrays(expected)
 
 
 def _reference_with_int64_class_ids(text, mode):
@@ -241,9 +239,9 @@ def _assert_matches_reference(text, mode):
         assert (exc.value.line_no, str(exc.value)) == (e.line_no, str(e))
         return
     arrays = parse_label_arrays(text, mode, DIMS, source="f.txt")
-    assert arrays == BoxArrays.from_boxes(expected)
+    assert arrays == box_arrays(expected)
     # bit for bit, -0.0 included
-    assert arrays.xywh.tobytes() == BoxArrays.from_boxes(expected).xywh.tobytes()
+    assert arrays.xywh.tobytes() == box_arrays(expected).xywh.tobytes()
 
 
 # tokens that Python's int and float and numpy's text reader treat alike
@@ -339,13 +337,16 @@ class TestNumpyReaderMatchesPerLineReference:
 
 class TestSerializeLabels:
     @pytest.mark.parametrize("mode", ["pixel", "normalized"])
-    def test_round_trip_is_exact(self, mode):
+    def test_round_trip_is_exact(self, mode, tmp_path):
         boxes = [
             BBox(100.25, 200.5, 40.125, 30.0, None, 0),
             BBox(10.5, 20.5, 5.0, 5.0, 0.7512345, 3),
         ]
-        text = serialize_labels(boxes, mode, DIMS)
-        assert parse_label_text(text, mode, DIMS) == boxes
+        text = serialize_labels(box_arrays(boxes), mode, DIMS)
+        assert serialize_labels(boxes, mode, DIMS) == text
+        assert parse_label_arrays(text, mode, DIMS) == box_arrays(boxes)
+        (tmp_path / "labels.txt").write_text(text)
+        assert parse_label_file(tmp_path / "labels.txt", mode, DIMS) == boxes
 
     def test_empty_input_gives_empty_text(self):
         assert serialize_labels([], "pixel", DIMS) == ""
@@ -354,41 +355,41 @@ class TestSerializeLabels:
 class TestImageLabels:
     def test_gt_with_confidence_rejected(self):
         with pytest.raises(InputValidationError):
-            ImageLabels.from_boxes("img", 100, 100, (BBox(10, 10, 4, 4, 0.5),), ())
+            image_labels("img", (BBox(10, 10, 4, 4, 0.5),), (), frame=(100, 100))
 
     def test_prediction_without_confidence_rejected(self):
         with pytest.raises(InputValidationError):
-            ImageLabels.from_boxes("img", 100, 100, (), (BBox(10, 10, 4, 4),))
+            image_labels("img", (), (BBox(10, 10, 4, 4),), frame=(100, 100))
 
     def test_center_overhang_allowance(self):
         # centers may overhang the frame by 10% per side
-        ImageLabels.from_boxes("img", 100, 100, (BBox(-10.0, 110.0, 4, 4),), ())
+        image_labels("img", (BBox(-10.0, 110.0, 4, 4),), (), frame=(100, 100))
         with pytest.raises(InputValidationError):
-            ImageLabels.from_boxes("img", 100, 100, (BBox(-10.1, 50.0, 4, 4),), ())
+            image_labels("img", (BBox(-10.1, 50.0, 4, 4),), (), frame=(100, 100))
 
     def test_overhang_error_names_the_first_offending_box(self):
         gt = (BBox(50, 50, 4, 4), BBox(50, 111.5, 4, 4))
         pred = (BBox(-20.25, 50, 4, 4, 0.5),)
         with pytest.raises(InputValidationError, match=r"\(50\.0, 111\.5\)"):
-            ImageLabels.from_boxes("img", 100, 100, gt, pred)
+            image_labels("img", gt, pred, frame=(100, 100))
         with pytest.raises(InputValidationError, match=r"\(-20\.25, 50\.0\)"):
-            ImageLabels.from_boxes("img", 100, 100, gt[:1], pred)
+            image_labels("img", gt[:1], pred, frame=(100, 100))
 
     def test_equality_is_exact(self):
         gt = [BBox(10.0, 20.0, 4.0, 4.0)]
         pred = [BBox(11.0, 20.0, 4.0, 4.0, 0.5)]
-        a = ImageLabels.from_boxes("img", 100, 100, gt, pred)
-        assert a == ImageLabels.from_boxes("img", 100, 100, list(gt), list(pred))
+        a = image_labels("img", gt, pred, frame=(100, 100))
+        assert a == image_labels("img", list(gt), list(pred), frame=(100, 100))
         nudged = [BBox(math.nextafter(10.0, 11.0), 20.0, 4.0, 4.0)]
-        assert a != ImageLabels.from_boxes("img", 100, 100, nudged, pred)
+        assert a != image_labels("img", nudged, pred, frame=(100, 100))
         relabeled = [BBox(10.0, 20.0, 4.0, 4.0, class_id=1)]
-        assert a != ImageLabels.from_boxes("img", 100, 100, relabeled, pred)
-        assert a != ImageLabels.from_boxes("img", 100, 100, gt, [BBox(11.0, 20.0, 4.0, 4.0, 0.25)])
+        assert a != image_labels("img", relabeled, pred, frame=(100, 100))
+        assert a != image_labels("img", gt, [BBox(11.0, 20.0, 4.0, 4.0, 0.25)], frame=(100, 100))
 
     def test_boxes_are_built_from_the_arrays(self):
         gt = (BBox(10.0, 20.0, 4.0, 4.0, class_id=2),)
         pred = (BBox(11.0, 20.0, 4.0, 4.0, 0.5), BBox(30.0, 30.0, 2.0, 6.0, 1.0))
-        labels = ImageLabels.from_boxes("img", 100, 100, gt, pred)
+        labels = image_labels("img", gt, pred, frame=(100, 100))
         assert labels.gt_boxes == gt and labels.pred_boxes == pred
         assert labels.gt_boxes is labels.gt_boxes
         with pytest.raises(AttributeError):
@@ -491,7 +492,7 @@ class TestLoadDataset:
 
 
 def _labels(image_id):
-    return ImageLabels.from_boxes(image_id, 100, 100, (BBox(10, 10, 4, 4),), ())
+    return image_labels(image_id, [(10, 10, 4, 4)], frame=(100, 100))
 
 
 class TestPairing:

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipdkit.errors import IncompleteResultsError, InputValidationError, NoInstancesError
-from ipdkit.geometry import BBox, boxes_to_array, iou, iou_table
-from ipdkit.ingestion import ImageLabels
+from ipdkit.geometry import BBox, iou, iou_table
 from ipdkit.matching import InstancePairing
 from ipdkit.metric import (
     CrossValCell,
@@ -21,6 +20,8 @@ from ipdkit.metric import (
     evaluate_pair,
     ipd,
 )
+
+from helpers import box_arrays, image_labels
 
 
 def _record(p_real, p_synth, image_id="img", idx=0):
@@ -52,7 +53,7 @@ class TestIouTable:
     def test_values_match_pairwise_iou(self):
         gt = [BBox(0.0, 0.0, 2.0, 2.0), BBox(5.0, 5.0, 2.0, 2.0)]
         pred = [BBox(0.0, 0.0, 2.0, 2.0, 0.9), BBox(1.0, 0.0, 2.0, 2.0, 0.8)]
-        table = iou_table(boxes_to_array(gt), boxes_to_array(pred))
+        table = iou_table(box_arrays(gt).xywh, box_arrays(pred).xywh)
         assert table.shape == (2, 2)
         assert table[0, 0] == 1.0
         assert table[0, 1] == pytest.approx(1.0 / 3.0)
@@ -62,14 +63,14 @@ class TestIouTable:
         for make in (_grid_boxes, _continuous_boxes):
             for _ in range(20):
                 gt, pred = make(rng, rng.integers(1, 15)), make(rng, rng.integers(1, 15))
-                table = iou_table(boxes_to_array(gt), boxes_to_array(pred))
+                table = iou_table(box_arrays(gt).xywh, box_arrays(pred).xywh)
                 assert table.shape == (len(gt), len(pred))
                 for i, g in enumerate(gt):
                     for j, p in enumerate(pred):
                         assert table[i, j] == iou(g, p)
 
     def test_empty_sides(self):
-        empty, box = boxes_to_array([]), boxes_to_array([BBox(0, 0, 1, 1)])
+        empty, box = box_arrays([]).xywh, box_arrays([(0, 0, 1, 1)]).xywh
         assert iou_table(empty, empty).shape == (0, 0)
         assert iou_table(box, empty).shape == (1, 0)
         assert iou_table(empty, box).shape == (0, 1)
@@ -179,13 +180,7 @@ class TestIpdResultValidation:
 
 
 def _labels(image_id, gt, pred):
-    return ImageLabels.from_boxes(
-        image_id=image_id,
-        width_px=100,
-        height_px=100,
-        gt_boxes=gt,
-        pred_boxes=pred,
-    )
+    return image_labels(image_id, gt, pred, frame=(100, 100))
 
 
 class TestEvaluatePair:

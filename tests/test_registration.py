@@ -5,7 +5,6 @@ import pytest
 
 from ipdkit import (
     AffineTransform2D,
-    BBox,
     DetectorProfile,
     InputValidationError,
     RegistrationConfig,
@@ -17,7 +16,7 @@ from ipdkit import (
     register,
 )
 from ipdkit.cli import align_pair
-from ipdkit.geometry import boxes_to_array, transform_points
+from ipdkit.geometry import transform_points
 
 
 def scatter(rng, n, span=1000.0):
@@ -209,9 +208,9 @@ def test_pairing_invariant_under_affine_remap_of_synthetic_side():
     remaps = np.random.default_rng(78)
     for i, (real, synth, _) in enumerate(_scenes(77, 50, (20, 51), 0.2)):
         remap = random_affine(remaps, (1280, 960))
-        moved = transform_points(remap, np.array([(b.cx, b.cy) for b in synth.gt_boxes]))
-        remapped = [BBox(x, y, b.w, b.h) for (x, y), b in zip(moved, synth.gt_boxes)]
+        remapped = synth.gt.xywh.copy()
+        remapped[:, :2] = transform_points(remap, synth.gt.xywh[:, :2])
         cfg = RegistrationConfig(rng_seed=i)
         _, _, before = align_pair(real.gt.xywh, synth.gt.xywh, cfg, None)
-        _, _, after = align_pair(real.gt.xywh, boxes_to_array(remapped), cfg, None)
+        _, _, after = align_pair(real.gt.xywh, remapped, cfg, None)
         assert [(r, s) for r, s, _ in after.pairs] == [(r, s) for r, s, _ in before.pairs], i

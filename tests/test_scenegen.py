@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,9 @@ from ipdkit.scenegen import (
     perturb_box_to_target_iou,
     pooled_oracle_ipd,
     random_affine,
+    _shift_to_target_iou,
 )
-from helpers import random_box
+from helpers import bisect_shift, random_box
 
 
 class TestDetectorProfile:
@@ -52,6 +54,25 @@ class TestSceneSpecValidation:
         with pytest.raises(InputValidationError):
             SceneSpec(n_instances=1, center_region=(0.5, 0.4))
 
+    @pytest.mark.parametrize("size_range", [(1.0, math.inf), (math.inf, math.inf), (1.0, math.nan)])
+    def test_rejects_a_non_finite_size_range(self, size_range):
+        with pytest.raises(InputValidationError, match="size_range"):
+            SceneSpec(n_instances=1, size_range=size_range)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            (0.0, 0.0, 0.0, 1.0, 0.0, 0.0),  # an all-zero row: zero-width boxes
+            (1.0, 0.0, -0.0, 0.0, 0.0, 0.0),
+            (1e308, 0.0, 0.0, 1.0, 0.0, 0.0),  # sides that overflow to inf
+        ],
+    )
+    def test_rejects_a_transform_that_breaks_the_box_rules(self, params):
+        with pytest.raises(InputValidationError, match="transform row"):
+            SceneSpec(n_instances=1, transform=AffineTransform2D.from_params(params))
+        # a shear with one zero entry per row keeps every side positive
+        SceneSpec(n_instances=1, transform=AffineTransform2D(0.0, 1.0, 1.0, 0.0, 0.0, 0.0))
+
 
 class TestPerturbBoxToTargetIou:
     def test_hits_target_within_contract(self):
@@ -74,6 +95,26 @@ class TestPerturbBoxToTargetIou:
         moved = perturb_box_to_target_iou(gt, 0.5, rng, direction=(1.0, 0.0))
         assert moved.cx > gt.cx
         assert moved.cy == gt.cy
+
+    def test_batch_bisection_equals_the_scalar_reference(self):
+        # every row stops at the iteration a bisection of that box alone
+        # stops at, so the batch lands on the same bits
+        rng = np.random.default_rng(12)
+        boxes = [random_box(rng) for _ in range(300)]
+        angles = rng.uniform(0.0, 2.0 * math.pi, 300).tolist()
+        dx = np.array([math.cos(a) for a in angles])
+        dy = np.array([math.sin(a) for a in angles])
+        norm = np.array([math.hypot(x, y) for x, y in zip(dx.tolist(), dy.tolist())])
+        target = rng.uniform(0.05, 1.0, 300)
+        target[::7] = 1.0
+        target[1::7] = 1.0 - rng.uniform(0.0, 2e-4, len(target[1::7]))
+        gt = np.array([[b.cx, b.cy, b.w, b.h] for b in boxes])
+        got = _shift_to_target_iou(gt, dx, dy, norm, target)
+        want = [
+            bisect_shift(b, (x, y), t)
+            for b, x, y, t in zip(boxes, dx.tolist(), dy.tolist(), target.tolist())
+        ]
+        assert got.tobytes() == np.array([[b.cx, b.cy, b.w, b.h] for b in want]).tobytes()
 
     def test_rejects_bad_targets(self):
         rng = np.random.default_rng(3)
