@@ -2,7 +2,10 @@
 tables, inspect registration on one pair, and generate test scenes.
 
 Exit codes: 0 success, 2 bad input (parse/validation/load), 3 zero
-matched instance pairs. All randomness flows from --seed; per image pair
+matched instance pairs. A bad flag value is an argparse usage error:
+exit 2, with the flag named on stderr, before any file is read. Each
+flag's type= converts its text and runs the library's own check on the
+value. All randomness flows from --seed; per image pair
 a sub-seed is derived by hashing the image ids, so results do not depend
 on evaluation order.
 """
@@ -10,7 +13,8 @@ on evaluation order.
 from __future__ import annotations
 
 import argparse
-import contextlib
+import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -129,32 +133,6 @@ def _pipeline_provenance(args: argparse.Namespace) -> dict:
     }
 
 
-@contextlib.contextmanager
-def _flag(name: str):
-    """Name the command-line flag in a validation error raised inside."""
-    try:
-        yield
-    except InputValidationError as e:
-        raise InputValidationError(f"{name}: {e}") from e
-
-
-def _check_align_flags(args: argparse.Namespace) -> None:
-    """Reject a bad --max-iterations or --gate before any file is read,
-    with the checks registration and matching would run on them."""
-    with _flag("--max-iterations"):
-        RegistrationConfig(max_iterations=args.max_iterations)
-    if args.gate is not None:
-        with _flag("--gate"):
-            check_gate_distance(args.gate)
-
-
-def _check_pipeline_flags(args: argparse.Namespace) -> None:
-    """_check_align_flags, then --conf-threshold."""
-    _check_align_flags(args)
-    with _flag("--conf-threshold"):
-        check_conf_threshold(args.conf_threshold)
-
-
 def _load_pairs(
     real_manifest: str, synth_manifest: str
 ) -> tuple[list[tuple[ImageLabels, ImageLabels]], str]:
@@ -175,7 +153,6 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_ipd(args: argparse.Namespace) -> int:
-    _check_pipeline_flags(args)
     pairs, dataset_pair_id = _load_pairs(args.real_manifest, args.synth_manifest)
     result, per_pair = evaluate_dataset_pair(pairs, args, dataset_pair_id)
     provenance = {
@@ -192,7 +169,6 @@ def cmd_ipd(args: argparse.Namespace) -> int:
 
 
 def cmd_crossval(args: argparse.Namespace) -> int:
-    _check_pipeline_flags(args)
     p = Path(args.cells)
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
@@ -214,10 +190,11 @@ def cmd_crossval(args: argparse.Namespace) -> int:
             pair = tuple(str(d) for d in cell["pair"])
             if len(pair) != 2:
                 raise ValueError("pair must have exactly 2 domains")
+            ipd = float(cell["ipd"]) if "ipd" in cell else None
         except (KeyError, TypeError, ValueError) as e:
             raise InputValidationError(f"cell #{idx}: {e}") from e
-        if "ipd" in cell:
-            results[(train, pair)] = float(cell["ipd"])
+        if ipd is not None:
+            results[(train, pair)] = ipd
         elif "real_manifest" in cell and "synth_manifest" in cell:
             pairs, pair_id = _load_pairs(cell["real_manifest"], cell["synth_manifest"])
             result, per_pair = evaluate_dataset_pair(pairs, args, pair_id)
@@ -237,12 +214,11 @@ def cmd_crossval(args: argparse.Namespace) -> int:
         **_pipeline_provenance(args),
         "computed_cells": computed,
     }
-    _emit(write_report(matrix, results, fmt=args.format, provenance=provenance), args.out)
+    _emit(write_report(matrix, fmt=args.format, provenance=provenance), args.out)
     return 0
 
 
 def cmd_register(args: argparse.Namespace) -> int:
-    _check_align_flags(args)
     if args.mode == "normalized" and (args.width is None or args.height is None):
         raise InputValidationError("--width and --height are required in normalized mode")
     dims = (args.width or 1, args.height or 1)
@@ -281,63 +257,16 @@ def cmd_register(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_span(text: str) -> tuple[int, int]:
-    parts = text.split(":")
-    try:
-        if len(parts) == 1:
-            v = int(parts[0])
-            return v, v
-        if len(parts) == 2:
-            lo, hi = int(parts[0]), int(parts[1])
-            if lo > hi:
-                raise ValueError("low > high")
-            return lo, hi
-    except ValueError as e:
-        raise InputValidationError(f"bad instance span {text!r}: {e}") from e
-    raise InputValidationError(f"bad instance span {text!r}")
-
-
-def _parse_profile(text: str) -> DetectorProfile:
-    parts = text.split(":")
-    try:
-        if len(parts) == 1:
-            v = float(parts[0])
-            return DetectorProfile(v, v)
-        if len(parts) == 2:
-            return DetectorProfile(float(parts[0]), float(parts[1]))
-        if len(parts) == 3:
-            return DetectorProfile(float(parts[0]), float(parts[1]), float(parts[2]))
-    except (ValueError, InputValidationError) as e:
-        raise InputValidationError(f"bad detector profile {text!r}: {e}") from e
-    raise InputValidationError(f"bad detector profile {text!r}")
-
-
-def _parse_frame(text: str) -> tuple[int, int]:
-    try:
-        w, h = text.lower().split("x")
-        return int(w), int(h)
-    except ValueError as e:
-        raise InputValidationError(f"bad frame {text!r} (expected WIDTHxHEIGHT)") from e
-
-
-def _parse_transform(
-    text: str, frame: tuple[int, int], rng: np.random.Generator
-) -> AffineTransform2D:
-    if text == "identity":
-        return AffineTransform2D.identity()
-    if text == "random":
-        return random_affine(rng, frame)
-    try:
-        params = [float(v) for v in text.split(",")]
-        return AffineTransform2D.from_params(params)
-    except (ValueError, InputValidationError) as e:
-        raise InputValidationError(
-            f"bad transform {text!r} (expected 'identity', 'random' or 6 comma-separated values)"
-        ) from e
+_SPEC_KEYS = frozenset(f.name for f in dataclasses.fields(SceneSpec))
 
 
 def _spec_from_dict(doc: dict, index: int) -> SceneSpec:
     try:
+        if not isinstance(doc, dict):
+            raise TypeError("a scene spec must be a JSON object")
+        unknown = [key for key in doc if key not in _SPEC_KEYS]
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r}")
         transform = doc.get("transform", "identity")
         if isinstance(transform, str):
             if transform != "identity":
@@ -390,23 +319,22 @@ def cmd_scenegen(args: argparse.Namespace) -> int:
             raise InputValidationError("spec file must hold a JSON list of scene specs")
         specs = [_spec_from_dict(d, i) for i, d in enumerate(docs)]
     else:
-        frame = _parse_frame(args.frame)
-        span = _parse_span(args.instances)
+        low, high = args.instances
         master = np.random.default_rng(args.seed)
         specs = []
         for _ in range(args.scenes):
-            n = int(master.integers(span[0], span[1] + 1))
-            t = _parse_transform(args.transform, frame, master)
+            n = int(master.integers(low, high + 1))
+            t = random_affine(master, args.frame) if args.transform == "random" else args.transform
             specs.append(
                 SceneSpec(
                     n_instances=n,
-                    frame=frame,
+                    frame=args.frame,
                     transform=t,
                     center_noise_sigma=args.sigma,
                     dropout_real=args.dropout_real,
                     dropout_synth=args.dropout_synth,
-                    detector_profile_real=_parse_profile(args.profile_real),
-                    detector_profile_synth=_parse_profile(args.profile_synth),
+                    detector_profile_real=args.profile_real,
+                    detector_profile_synth=args.profile_synth,
                     rng_seed=int(master.integers(0, 2**63)),
                 )
             )
@@ -417,17 +345,68 @@ def cmd_scenegen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _flag_type(convert, check=None):
+    """An argparse type=: convert the flag's text, then run check, the
+    library's own validation, on the value. A ValueError from either (an
+    InputValidationError is one) becomes a usage error, exit 2, that
+    names the flag and its text."""
+
+    def flag_type(text: str):
+        try:
+            value = convert(text)
+            if check is not None:
+                check(value)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(f"bad value {text!r}: {e}") from e
+        return value
+
+    return flag_type
+
+
+def _instance_span(text: str) -> tuple[int, int]:
+    bounds = [int(v) for v in text.split(":")]
+    if len(bounds) == 1:
+        return bounds[0], bounds[0]
+    if len(bounds) != 2 or bounds[0] > bounds[1]:
+        raise ValueError("expected COUNT or LOW:HIGH with LOW <= HIGH")
+    return bounds[0], bounds[1]
+
+
+def _profile(text: str) -> DetectorProfile:
+    values = [float(v) for v in text.split(":")]
+    if len(values) > 3:
+        raise ValueError("expected LOW[:HIGH[:MISS_RATE]]")
+    return DetectorProfile(*values) if len(values) > 1 else DetectorProfile(values[0], values[0])
+
+
+def _frame(text: str) -> tuple[int, int]:
+    w, sep, h = text.lower().partition("x")
+    if not sep:
+        raise ValueError("expected WIDTHxHEIGHT")
+    return int(w), int(h)
+
+
+def _transform(text: str) -> AffineTransform2D | str:
+    """'random' stays as it is: cmd_scenegen draws each scene's map from
+    the master RNG."""
+    if text == "random":
+        return text
+    if text == "identity":
+        return AffineTransform2D.identity()
+    return AffineTransform2D.from_params(text.split(","))
+
+
 def _add_align_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", type=int, default=0, help="master RNG seed")
     sp.add_argument(
         "--max-iterations",
-        type=int,
+        type=_flag_type(int, lambda n: RegistrationConfig(max_iterations=n)),
         default=RegistrationConfig.max_iterations,
         help="registration budget, in synthetic bases tried",
     )
     sp.add_argument(
         "--gate",
-        type=float,
+        type=_flag_type(float, check_gate_distance),
         default=None,
         help="matching gate distance in px (default: half the median GT diagonal)",
     )
@@ -437,7 +416,7 @@ def _add_pipeline_flags(sp: argparse.ArgumentParser, default_format: str) -> Non
     _add_align_flags(sp)
     sp.add_argument(
         "--conf-threshold",
-        type=float,
+        type=_flag_type(float, check_conf_threshold),
         default=0.25,
         help="drop predictions below this confidence",
     )
@@ -479,16 +458,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("scenegen", help="generate paired test scenes with ground truth")
     p_gen.add_argument("--out", required=True, help="output directory")
     p_gen.add_argument("--scenes", type=int, default=1)
-    p_gen.add_argument("--instances", default="30", help="count or low:high span")
+    p_gen.add_argument(
+        "--instances", type=_flag_type(_instance_span), default="30", help="count or low:high span"
+    )
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--sigma", type=float, default=0.0, help="center noise sigma (px)")
     p_gen.add_argument("--dropout-real", type=float, default=0.0)
     p_gen.add_argument("--dropout-synth", type=float, default=0.0)
-    p_gen.add_argument("--profile-real", default="0.9", help="low[:high[:miss_rate]]")
-    p_gen.add_argument("--profile-synth", default="0.9", help="low[:high[:miss_rate]]")
-    p_gen.add_argument("--frame", default="1280x960")
+    for flag in ("--profile-real", "--profile-synth"):
+        p_gen.add_argument(
+            flag, type=_flag_type(_profile), default="0.9", help="low[:high[:miss_rate]]"
+        )
+    p_gen.add_argument("--frame", type=_flag_type(_frame), default="1280x960")
     p_gen.add_argument(
         "--transform",
+        type=_flag_type(_transform),
         default="identity",
         help="'identity', 'random', or 6 comma-separated affine params",
     )

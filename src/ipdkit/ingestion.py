@@ -598,7 +598,6 @@ def ipd_result_to_dict(result: IpdResult) -> dict:
 
 def write_report(
     matrix: Sequence[Sequence[CrossValCell]],
-    results: Mapping | None = None,
     fmt: str = "markdown",
     provenance: Mapping | None = None,
 ) -> str:
@@ -646,10 +645,8 @@ def write_report(
                     "pair": list(cell.eval_pair),
                     "ipd": cell.ipd,
                 }
-                if results is not None:
-                    detail = _lookup_result(results, cell.train_domain, cell.eval_pair)
-                    if isinstance(detail, IpdResult):
-                        entry["detail"] = ipd_result_to_dict(detail)
+                if cell.result is not None:
+                    entry["detail"] = ipd_result_to_dict(cell.result)
                 cells.append(entry)
         doc = {
             "domains": [row[0].train_domain for row in matrix],
@@ -660,14 +657,6 @@ def write_report(
         return json.dumps(doc, indent=2, sort_keys=True)
 
     raise InputValidationError(f"unknown report format {fmt!r}")
-
-
-def _lookup_result(results: Mapping, train: str, pair: tuple[str, str]):
-    for key, value in results.items():
-        k_train, k_pair = key
-        if k_train == train and frozenset(k_pair) == frozenset(pair):
-            return value
-    return None
 
 
 def write_ipd_report(

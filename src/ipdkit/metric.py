@@ -12,7 +12,7 @@ dataset comparison.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import math
@@ -80,11 +80,14 @@ class IpdResult:
 @dataclass(frozen=True)
 class CrossValCell:
     """One cell of the cross-validation matrix; ipd is None exactly when
-    the evaluated pair does not involve the training domain."""
+    the evaluated pair does not involve the training domain. result is
+    the IpdResult the value came from, if any; it takes no part in
+    equality."""
 
     train_domain: str
     eval_pair: tuple[str, str]
     ipd: float | None
+    result: IpdResult | None = field(default=None, compare=False)
 
     def __post_init__(self):
         involved = self.train_domain in self.eval_pair
@@ -204,16 +207,22 @@ def domain_pairs(domains: Sequence[str]) -> list[tuple[str, str]]:
 
 def _normalize_results(
     results: Mapping,
-) -> dict[tuple[str, frozenset], float]:
-    normalized: dict[tuple[str, frozenset], float] = {}
+) -> dict[tuple[str, frozenset], tuple[float, IpdResult | None]]:
+    """Map (train, unordered pair) to its ipd and to the IpdResult of the
+    first entry listed for it, if that entry was one."""
+    normalized: dict[tuple[str, frozenset], tuple[float, IpdResult | None]] = {}
     for (train, pair), value in results.items():
         key = (train, frozenset(pair))
         v = value.ipd if isinstance(value, IpdResult) else float(value)
-        if key in normalized and normalized[key] != v:
-            raise InputValidationError(
-                f"conflicting results for train={train!r}, pair={tuple(pair)!r}"
-            )
-        normalized[key] = v
+        if key in normalized:
+            first_v, first_result = normalized[key]
+            if first_v != v:
+                raise InputValidationError(
+                    f"conflicting results for train={train!r}, pair={tuple(pair)!r}"
+                )
+        else:
+            first_result = value if isinstance(value, IpdResult) else None
+        normalized[key] = (v, first_result)
     return normalized
 
 
@@ -225,7 +234,8 @@ def cross_validation(
 
     results maps (train_domain, (domain_a, domain_b)) to an IpdResult or a
     bare ipd value; pair order inside keys does not matter. Every cell
-    whose pair involves the training domain must be present.
+    whose pair involves the training domain must be present. A cell keeps
+    the IpdResult of the first entry listed for it, if that was one.
     """
     if len(domains) < 2:
         raise InputValidationError("cross_validation requires at least 2 domains")
@@ -247,11 +257,9 @@ def cross_validation(
     matrix: list[list[CrossValCell]] = []
     for train in domains:
         row = [
-            CrossValCell(
-                train_domain=train,
-                eval_pair=pair,
-                ipd=normalized[(train, frozenset(pair))] if train in pair else None,
-            )
+            CrossValCell(train, pair, *normalized[(train, frozenset(pair))])
+            if train in pair
+            else CrossValCell(train, pair, None)
             for pair in pairs
         ]
         matrix.append(row)

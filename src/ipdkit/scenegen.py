@@ -28,6 +28,8 @@ from .ingestion import BoxArrays, DatasetManifest, ImageLabels, ManifestEntry, s
 
 _IOU_TOL = 1e-4  # internal bisection tolerance, tighter than the 1e-3 contract
 _PLACEMENT_ATTEMPT_FACTOR = 400
+RANDOM_AFFINE_SCALE_RANGE = (0.7, 1.3)  # singular values of random_affine's linear part
+RANDOM_AFFINE_MAX_TRANSLATION_FRAC = 0.05  # of the frame size, per axis
 
 
 @dataclass(frozen=True)
@@ -177,18 +179,13 @@ def perturb_box_to_target_iou(
     return BBox(cx, cy, gt.w, gt.h, gt.confidence, gt.class_id)
 
 
-def random_affine(
-    rng: np.random.Generator,
-    frame: tuple[int, int],
-    scale_range: tuple[float, float] = (0.7, 1.3),
-    max_translation_frac: float = 0.05,
-) -> AffineTransform2D:
+def random_affine(rng: np.random.Generator, frame: tuple[int, int]) -> AffineTransform2D:
     """Well-conditioned random map: rotation/anisotropic-scale/rotation
     about the frame center plus a small translation. Condition number is
-    bounded by scale_range[1] / scale_range[0]."""
+    bounded by the ratio of RANDOM_AFFINE_SCALE_RANGE's ends."""
     theta = rng.uniform(0.0, 2.0 * math.pi)
     phi = rng.uniform(0.0, 2.0 * math.pi)
-    s1, s2 = rng.uniform(scale_range[0], scale_range[1], size=2)
+    s1, s2 = rng.uniform(*RANDOM_AFFINE_SCALE_RANGE, size=2)
     ct, st = math.cos(theta), math.sin(theta)
     cp, sp = math.cos(phi), math.sin(phi)
     # R(theta) @ diag(s1, s2) @ R(phi)
@@ -197,8 +194,9 @@ def random_affine(
     a21 = st * s1 * cp + ct * s2 * sp
     a22 = -st * s1 * sp + ct * s2 * cp
     cx, cy = frame[0] / 2.0, frame[1] / 2.0
-    tx = cx - (a11 * cx + a12 * cy) + rng.uniform(-1.0, 1.0) * max_translation_frac * frame[0]
-    ty = cy - (a21 * cx + a22 * cy) + rng.uniform(-1.0, 1.0) * max_translation_frac * frame[1]
+    shift = RANDOM_AFFINE_MAX_TRANSLATION_FRAC
+    tx = cx - (a11 * cx + a12 * cy) + rng.uniform(-1.0, 1.0) * shift * frame[0]
+    ty = cy - (a21 * cx + a22 * cy) + rng.uniform(-1.0, 1.0) * shift * frame[1]
     return AffineTransform2D(a11, a12, a21, a22, tx, ty)
 
 
@@ -322,10 +320,7 @@ def oracle_ipd(
 ) -> float | None:
     """Mean absolute per-instance gap over the true correspondence; None
     for an empty correspondence."""
-    if not correspondence:
-        return None
-    diffs = [abs(ious.real[r] - ious.synth[s]) for r, s in correspondence]
-    return float(np.mean(diffs))
+    return pooled_oracle_ipd([(correspondence, ious)])
 
 
 def pooled_oracle_ipd(
@@ -352,11 +347,10 @@ def emit_dataset(
     the three JSON paths.
     """
     out = Path(outdir)
-    (out / "real").mkdir(parents=True, exist_ok=True)
-    (out / "synth").mkdir(parents=True, exist_ok=True)
+    entries: dict[str, list[ManifestEntry]] = {"real": [], "synth": []}
+    for side in entries:
+        (out / side).mkdir(parents=True, exist_ok=True)
 
-    entries_real: list[ManifestEntry] = []
-    entries_synth: list[ManifestEntry] = []
     pairing: list[tuple[str, str]] = []
     truth_scenes = []
     pooled: list[tuple[tuple[tuple[int, int], ...], SceneIous]] = []
@@ -373,12 +367,7 @@ def emit_dataset(
             (out / pred_rel).write_text(
                 serialize_labels(labels.pred, coordinate_mode, dims), encoding="utf-8"
             )
-        entries_real.append(
-            ManifestEntry(image_id, f"real/{image_id}_gt.txt", f"real/{image_id}_pred.txt", *dims)
-        )
-        entries_synth.append(
-            ManifestEntry(image_id, f"synth/{image_id}_gt.txt", f"synth/{image_id}_pred.txt", *dims)
-        )
+            entries[side].append(ManifestEntry(image_id, gt_rel, pred_rel, *dims))
         pairing.append((image_id, image_id))
         pooled.append((correspondence, ious))
         truth_scenes.append(
@@ -392,23 +381,15 @@ def emit_dataset(
             }
         )
 
-    manifest_real = DatasetManifest(
-        dataset_id="real",
-        coordinate_mode=coordinate_mode,
-        entries=tuple(entries_real),
-        pairing=tuple(pairing),
-    )
-    manifest_synth = DatasetManifest(
-        dataset_id="synth",
-        coordinate_mode=coordinate_mode,
-        entries=tuple(entries_synth),
-        pairing=tuple(pairing),
-    )
-    real_path = out / "manifest_real.json"
-    synth_path = out / "manifest_synth.json"
+    for side, side_entries in entries.items():
+        manifest = DatasetManifest(
+            dataset_id=side,
+            coordinate_mode=coordinate_mode,
+            entries=tuple(side_entries),
+            pairing=tuple(pairing),
+        )
+        (out / f"manifest_{side}.json").write_text(manifest.to_json(), encoding="utf-8")
     truth_path = out / "truth.json"
-    real_path.write_text(manifest_real.to_json(), encoding="utf-8")
-    synth_path.write_text(manifest_synth.to_json(), encoding="utf-8")
     truth_path.write_text(
         json.dumps(
             {"scenes": truth_scenes, "oracle_ipd": pooled_oracle_ipd(pooled)},
@@ -417,4 +398,4 @@ def emit_dataset(
         ),
         encoding="utf-8",
     )
-    return real_path, synth_path, truth_path
+    return out / "manifest_real.json", out / "manifest_synth.json", truth_path

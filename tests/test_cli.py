@@ -12,10 +12,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ipdkit.cli as cli
 from ipdkit.cli import align_pair, main, stable_subseed
+from ipdkit.geometry import AffineTransform2D, transform_points
 from ipdkit.ingestion import load_dataset
 from ipdkit.registration import RegistrationConfig
 from ipdkit.scenegen import emit_dataset
@@ -127,13 +129,72 @@ class TestScenegen:
             assert 20 <= w <= 24 and 20 <= h <= 24
             assert 0.4 * 1280 <= cx <= 0.6 * 1280 and 0.4 * 960 <= cy <= 0.6 * 960
 
-    def test_bad_profile_is_exit_2(self, tmp_path, capsys):
-        code, out, err = run_cli(
-            ["scenegen", "--out", str(tmp_path / "x"), "--profile-real", "0.9:oops"],
-            capsys,
+    def test_spec_file_profile_as_a_dict(self, tmp_path, capsys):
+        spec_path = tmp_path / "specs.json"
+        spec_path.write_text(
+            json.dumps(
+                [
+                    {
+                        "n_instances": 10,
+                        "detector_profile_real": {"low": 0.5, "high": 0.5},
+                        "detector_profile_synth": {"low": 0.9, "high": 0.9, "miss_rate": 0.0},
+                        "rng_seed": 4,
+                    }
+                ]
+            )
         )
-        assert code == 2
+        outdir = tmp_path / "data"
+        code, out, err = run_cli(
+            ["scenegen", "--out", str(outdir), "--spec-file", str(spec_path)], capsys
+        )
+        assert code == 0, err
+        truth = json.loads((outdir / "truth.json").read_text())
+        assert truth["oracle_ipd"] == pytest.approx(0.4, abs=2e-3)
+
+    def test_explicit_transform_carries_the_synthetic_centers(self, tmp_path, capsys):
+        params = (1.1, 0.2, -0.15, 0.95, 30.0, -20.0)
+        outdir = _scenegen(
+            tmp_path, capsys, "--transform", ",".join(map(str, params)), "--sigma", "0"
+        )
+        truth = json.loads((outdir / "truth.json").read_text())
+        for scene in truth["scenes"]:
+            real, synth = (
+                np.loadtxt(outdir / side / f"{scene['image_id']}_gt.txt", ndmin=2)[:, 1:3]
+                for side in ("real", "synth")
+            )
+            r, s = np.array(scene["correspondence"]).T
+            moved = transform_points(AffineTransform2D.from_params(params), synth[s])
+            assert np.array_equal(real[r], moved)
+
+    def test_bad_profile_is_exit_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scenegen", "--out", str(tmp_path / "x"), "--profile-real", "0.9:oops"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
         assert "profile" in err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--instances", "9:3"),
+            ("--instances", "1:2:3"),
+            ("--profile-synth", "0.9:0.5"),
+            ("--profile-real", "0.5:0.6:0.1:0"),
+            ("--frame", "640"),
+            ("--transform", "1,0,0,1"),
+            ("--transform", "spin"),
+        ],
+    )
+    def test_bad_flag_is_a_usage_error_before_any_file_is_written(
+        self, tmp_path, capsys, flag, value
+    ):
+        outdir = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            main(["scenegen", "--out", str(outdir), flag, value])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"argument {flag}: bad value {value!r}" in err
+        assert not outdir.exists()
 
     @pytest.mark.parametrize(
         "spec, message",
@@ -143,6 +204,11 @@ class TestScenegen:
             ({"n_instances": 1, "size_range": [1, "inf"]}, "size_range"),
             # a zero-width real GT box, refused only when loaded, before
             ({"n_instances": 1, "transform": [0, 0, 0, 1, 0, 0]}, "transform row"),
+            # silently ignored, so all 6 GT lines were written, before
+            ({"n_instances": 6, "dropout_rael": 0.5, "rng_seed": 2}, "unknown key 'dropout_rael'"),
+            ({"n_instances": 1, "transform": "random"}, "must be 'identity'"),
+            # an AttributeError traceback, exit 1, before
+            (5, "JSON object"),
         ],
     )
     def test_bad_spec_file_is_exit_2(self, tmp_path, capsys, spec, message):
@@ -153,6 +219,24 @@ class TestScenegen:
         )
         assert code == 2
         assert "spec #0" in err and message in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "cannot read spec file"),
+            ("[{", "spec file"),
+            ('{"n_instances": 1}', "JSON list of scene specs"),
+        ],
+    )
+    def test_unusable_spec_file_is_exit_2(self, tmp_path, capsys, text, message):
+        p = tmp_path / "specs.json"
+        if text is not None:
+            p.write_text(text)
+        code, out, err = run_cli(
+            ["scenegen", "--out", str(tmp_path / "x"), "--spec-file", str(p)], capsys
+        )
+        assert code == 2
+        assert message in err
 
 
 class TestIpd:
@@ -344,6 +428,29 @@ class TestCrossval:
         assert "detail" in computed[0]
         assert len(doc["provenance"]["computed_cells"]) == 1
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (None, "cannot read cells file"),
+            ("{", "cells file"),
+            ({"domains": ["a", "b"]}, "must define 'domains' and 'cells'"),
+            ({"domains": ["a", "b"], "cells": [{"train": "a", "pair": ["a"], "ipd": 0.1}]},
+             "cell #0: pair must have exactly 2 domains"),
+            ({"domains": ["a", "b"], "cells": [{"train": "a", "pair": ["a", "b"]}]},
+             "cell #0 needs either an 'ipd' value or manifest paths"),
+            # a ValueError traceback, exit 1, before
+            ({"domains": ["a", "b"], "cells": [{"train": "a", "pair": ["a", "b"], "ipd": "x"}]},
+             "cell #0"),
+        ],
+    )
+    def test_bad_cells_file_is_exit_2(self, tmp_path, capsys, doc, message):
+        cells_path = tmp_path / "cells.json"
+        if doc is not None:
+            cells_path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        code, out, err = run_cli(["crossval", str(cells_path)], capsys)
+        assert code == 2
+        assert message in err
+
     def test_missing_cell_is_exit_2(self, tmp_path, capsys):
         partial = {"domains": CELLS["domains"], "cells": CELLS["cells"][:-1]}
         cells_path = tmp_path / "cells.json"
@@ -390,6 +497,13 @@ class TestRegister:
         assert code == 2
         assert "--width" in err
 
+    def test_files_without_gt_lines_are_exit_2(self, tmp_path, capsys):
+        real, synth = self._write_pair(tmp_path)
+        real.write_text("0 100 100 10 10 0.9\n")
+        code, out, err = run_cli(["register", str(real), str(synth)], capsys)
+        assert code == 2
+        assert "must contain GT boxes" in err
+
     def test_report_flags_are_rejected(self, tmp_path, capsys):
         real, synth = self._write_pair(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -431,8 +545,10 @@ class TestRegister:
 def test_bad_flag_is_exit_2_before_any_file_is_read(tmp_path, capsys, command, flag, value):
     missing = [str(tmp_path / "nope_real.json"), str(tmp_path / "nope_synth.json")]
     inputs = missing[:1] if command == "crossval" else missing
-    code, out, err = run_cli([command, *inputs, flag, value], capsys)
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs, flag, value])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
     assert flag in err and "nope_" not in err
 
 

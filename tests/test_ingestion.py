@@ -581,7 +581,7 @@ class TestWriteReport:
             for key, v in RESULTS.items()
         }
         matrix = cross_validation(DOMAINS, detailed)
-        doc = json.loads(write_report(matrix, results=detailed, fmt="json"))
+        doc = json.loads(write_report(matrix, fmt="json"))
         with_detail = [c for c in doc["cells"] if "detail" in c]
         assert len(with_detail) == 6
         assert with_detail[0]["detail"]["instance_count"] == 4

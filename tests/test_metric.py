@@ -296,6 +296,21 @@ class TestCrossValidation:
         }
         assert cross_validation(DOMAINS, results) == cross_validation(DOMAINS, TABLE_RESULTS)
 
+    def test_a_cell_keeps_the_result_of_the_first_entry_listed_for_it(self):
+        key, flipped = ("Real", ("Real", "Principled")), ("Real", ("Principled", "Real"))
+        detailed = IpdResult(
+            ipd=TABLE_RESULTS[key],
+            instance_count=1,
+            unmatched_real_total=0,
+            unmatched_synth_total=0,
+        )
+        rest = {k: v for k, v in TABLE_RESULTS.items() if k != key}
+        first = cross_validation(DOMAINS, {key: detailed, flipped: TABLE_RESULTS[key], **rest})
+        later = cross_validation(DOMAINS, {flipped: TABLE_RESULTS[key], key: detailed, **rest})
+        assert first[0][2].result is detailed
+        assert later[0][2].result is None
+        assert first == later == cross_validation(DOMAINS, TABLE_RESULTS)
+
     def test_missing_cell_raises(self):
         partial = dict(TABLE_RESULTS)
         del partial[("Hapke", ("Real", "Hapke"))]

@@ -12,6 +12,8 @@ from ipdkit.errors import InputValidationError
 from ipdkit.geometry import AffineTransform2D, iou, iou_table, transform_points
 from ipdkit.ingestion import load_dataset, merge_pairings, pair_datasets
 from ipdkit.scenegen import (
+    RANDOM_AFFINE_MAX_TRANSLATION_FRAC,
+    RANDOM_AFFINE_SCALE_RANGE,
     DetectorProfile,
     SceneIous,
     SceneSpec,
@@ -128,19 +130,21 @@ class TestRandomAffine:
     def test_singular_values_respect_scale_range(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            t = random_affine(rng, (1280, 960), scale_range=(0.7, 1.3))
+            t = random_affine(rng, (1280, 960))
             linear = np.array([[t.a11, t.a12], [t.a21, t.a22]])
             s = np.linalg.svd(linear, compute_uv=False)
-            assert 0.7 - 1e-9 <= s.min() and s.max() <= 1.3 + 1e-9
+            low, high = RANDOM_AFFINE_SCALE_RANGE
+            assert low - 1e-9 <= s.min() and s.max() <= high + 1e-9
 
     def test_frame_center_stays_near_center(self):
         rng = np.random.default_rng(6)
         frame = (1000, 800)
         for _ in range(20):
-            t = random_affine(rng, frame, max_translation_frac=0.05)
+            t = random_affine(rng, frame)
             (x, y), = transform_points(t, np.array([[500.0, 400.0]]))
-            assert abs(x - 500.0) <= 0.05 * frame[0] + 1e-9
-            assert abs(y - 400.0) <= 0.05 * frame[1] + 1e-9
+            shift = RANDOM_AFFINE_MAX_TRANSLATION_FRAC
+            assert abs(x - 500.0) <= shift * frame[0] + 1e-9
+            assert abs(y - 400.0) <= shift * frame[1] + 1e-9
 
 
 def _spec(**overrides):
