@@ -13,25 +13,22 @@ on evaluation order.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import functools
 import hashlib
-import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from .errors import InputValidationError, IpdKitError, LoadError, NoInstancesError
+from .errors import InputValidationError, IpdKitError, NoInstancesError
 from .geometry import AffineTransform2D
 from .ingestion import (
     ImageLabels,
     load_dataset,
     merge_pairings,
     pair_datasets,
+    read_json,
     read_label_arrays,
-    read_manifest,
     write_ipd_report,
     write_report,
 )
@@ -136,11 +133,9 @@ def _pipeline_provenance(args: argparse.Namespace) -> dict:
 def _load_pairs(
     real_manifest: str, synth_manifest: str
 ) -> tuple[list[tuple[ImageLabels, ImageLabels]], str]:
-    real_m = read_manifest(real_manifest)
-    synth_m = read_manifest(synth_manifest)
-    real_labels, real_pairing = load_dataset(real_m, base_dir=Path(real_manifest).parent)
-    synth_labels, synth_pairing = load_dataset(synth_m, base_dir=Path(synth_manifest).parent)
-    pairing = merge_pairings(real_pairing, synth_pairing)
+    real_labels, real_m = load_dataset(real_manifest)
+    synth_labels, synth_m = load_dataset(synth_manifest)
+    pairing = merge_pairings(real_m.pairing, synth_m.pairing)
     pairs = pair_datasets(real_labels, synth_labels, pairing)
     return pairs, f"{real_m.dataset_id}|{synth_m.dataset_id}"
 
@@ -169,13 +164,7 @@ def cmd_ipd(args: argparse.Namespace) -> int:
 
 
 def cmd_crossval(args: argparse.Namespace) -> int:
-    p = Path(args.cells)
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except OSError as e:
-        raise LoadError(f"cannot read cells file {p}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise LoadError(f"cells file {p}: {e}") from e
+    doc = read_json(args.cells, "cells file")
     try:
         domains = [str(d) for d in doc["domains"]]
         cell_docs = list(doc["cells"])
@@ -257,66 +246,57 @@ def cmd_register(args: argparse.Namespace) -> int:
     return 0
 
 
-_SPEC_KEYS = frozenset(f.name for f in dataclasses.fields(SceneSpec))
+def _spec_transform(value) -> AffineTransform2D:
+    if isinstance(value, str):
+        if value != "identity":
+            raise ValueError("transform string must be 'identity' in spec files")
+        return AffineTransform2D.identity()
+    return AffineTransform2D.from_params([float(v) for v in value])
+
+
+def _spec_profile(value) -> DetectorProfile:
+    if isinstance(value, dict):
+        return DetectorProfile(**value)
+    return DetectorProfile(*[float(x) for x in value])
+
+
+def _spec_span(value) -> tuple[float, float]:
+    lo, hi = value
+    return float(lo), float(hi)
+
+
+# each SceneSpec field a spec file may give, converted from JSON by its
+# annotated type; a field left out takes SceneSpec's default
+_SPEC_CONVERT = {
+    key: {
+        int: int,
+        float: float,
+        tuple[int, int]: tuple,
+        tuple[float, float]: _spec_span,
+        AffineTransform2D: _spec_transform,
+        DetectorProfile: _spec_profile,
+    }[annotation]
+    for key, annotation in get_type_hints(SceneSpec).items()
+}
 
 
 def _spec_from_dict(doc: dict, index: int) -> SceneSpec:
     try:
         if not isinstance(doc, dict):
             raise TypeError("a scene spec must be a JSON object")
-        unknown = [key for key in doc if key not in _SPEC_KEYS]
+        unknown = [key for key in doc if key not in _SPEC_CONVERT]
         if unknown:
             raise ValueError(f"unknown key {unknown[0]!r}")
-        transform = doc.get("transform", "identity")
-        if isinstance(transform, str):
-            if transform != "identity":
-                raise ValueError("transform string must be 'identity' in spec files")
-            t = AffineTransform2D.identity()
-        else:
-            t = AffineTransform2D.from_params([float(v) for v in transform])
-
-        def profile(key: str) -> DetectorProfile:
-            v = doc.get(key, [0.9, 0.9])
-            if isinstance(v, dict):
-                return DetectorProfile(**v)
-            return DetectorProfile(*[float(x) for x in v])
-
-        def span(key: str) -> tuple[float, float]:
-            lo, hi = doc.get(key, getattr(SceneSpec, key))
-            return float(lo), float(hi)
-
-        return SceneSpec(
-            n_instances=int(doc["n_instances"]),
-            frame=tuple(doc.get("frame", (1280, 960))),
-            transform=t,
-            center_noise_sigma=float(doc.get("center_noise_sigma", 0.0)),
-            dropout_real=float(doc.get("dropout_real", 0.0)),
-            dropout_synth=float(doc.get("dropout_synth", 0.0)),
-            detector_profile_real=profile("detector_profile_real"),
-            detector_profile_synth=profile("detector_profile_synth"),
-            rng_seed=int(doc.get("rng_seed", 0)),
-            size_range=span("size_range"),
-            min_separation_factor=float(
-                doc.get("min_separation_factor", SceneSpec.min_separation_factor)
-            ),
-            center_region=span("center_region"),
-            confidence_range=span("confidence_range"),
-        )
-    except (KeyError, TypeError, ValueError, InputValidationError) as e:
+        return SceneSpec(**{key: _SPEC_CONVERT[key](value) for key, value in doc.items()})
+    except (TypeError, ValueError) as e:
         raise InputValidationError(f"scene spec #{index}: {e}") from e
 
 
 def cmd_scenegen(args: argparse.Namespace) -> int:
     if args.spec_file is not None:
-        p = Path(args.spec_file)
-        try:
-            docs = json.loads(p.read_text(encoding="utf-8"))
-        except OSError as e:
-            raise LoadError(f"cannot read spec file {p}: {e}") from e
-        except json.JSONDecodeError as e:
-            raise LoadError(f"spec file {p}: {e}") from e
-        if not isinstance(docs, list):
-            raise InputValidationError("spec file must hold a JSON list of scene specs")
+        docs = read_json(args.spec_file, "spec file")
+        if not isinstance(docs, list) or not docs:
+            raise InputValidationError("spec file must hold a non-empty JSON list of scene specs")
         specs = [_spec_from_dict(d, i) for i, d in enumerate(docs)]
     else:
         low, high = args.instances
@@ -361,6 +341,11 @@ def _flag_type(convert, check=None):
         return value
 
     return flag_type
+
+
+def _check_scene_count(n: int) -> None:
+    if n < 1:
+        raise ValueError("scene count must be at least 1")
 
 
 def _instance_span(text: str) -> tuple[int, int]:
@@ -457,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("scenegen", help="generate paired test scenes with ground truth")
     p_gen.add_argument("--out", required=True, help="output directory")
-    p_gen.add_argument("--scenes", type=int, default=1)
+    p_gen.add_argument("--scenes", type=_flag_type(int, _check_scene_count), default=1)
     p_gen.add_argument(
         "--instances", type=_flag_type(_instance_span), default="30", help="count or low:high span"
     )

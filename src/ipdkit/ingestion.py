@@ -22,9 +22,14 @@ tuples are built from them only for callers that ask for them, such as
 the benchmark's dataset builder: parse_label_file, BoxArrays.boxes and
 ImageLabels.gt_boxes/pred_boxes. serialize_labels writes either form.
 
-A manifest is one JSON document describing a dataset's images and the
-real<->synth pairing. Loading is atomic: the first bad line or missing
-file aborts the whole dataset with a located error.
+A manifest is one JSON document describing a dataset's images and,
+optionally, the real<->synth pairing. read_json reads every JSON input
+file: manifests here, the cells and scene-spec files in the CLI.
+load_dataset(path) reads a manifest and loads every image it lists, with
+label paths taken relative to the manifest's directory. Loading is
+atomic: the first bad line or missing file aborts the whole dataset with
+a located error. merge_pairings reconciles the two manifests' pairings,
+and pair_datasets checks the result once, against both loaded datasets.
 """
 
 from __future__ import annotations
@@ -35,10 +40,10 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
 
@@ -161,20 +166,22 @@ class ManifestEntry:
             )
 
 
+# each ManifestEntry field and the type its JSON value is converted to
+_ENTRY_TYPES = get_type_hints(ManifestEntry)
+
+
 @dataclass(frozen=True)
 class DatasetManifest:
     """One dataset: its images plus (optionally) the real<->synth pairing.
 
-    A manifest declares one side of a pair, so only one pairing column can
-    be checked against its own entries; the check requires that at least
-    one column resolves completely. The other column is validated against
-    the partner dataset in pair_datasets.
+    A manifest declares one side of a pair, so the pairing is checked in
+    pair_datasets, against both loaded datasets.
     """
 
     dataset_id: str
     coordinate_mode: str
     entries: tuple[ManifestEntry, ...]
-    pairing: tuple[tuple[str, str], ...] = field(default_factory=tuple)
+    pairing: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
         if not self.dataset_id:
@@ -188,71 +195,28 @@ class DatasetManifest:
         if len(set(ids)) != len(ids):
             dup = next(i for i in ids if ids.count(i) > 1)
             raise InputValidationError(f"duplicate image_id {dup!r} in manifest entries")
-        if self.pairing:
-            real_ids = [a for a, _ in self.pairing]
-            synth_ids = [b for _, b in self.pairing]
-            for side, col in (("real", real_ids), ("synth", synth_ids)):
-                if len(set(col)) != len(col):
-                    dup = next(i for i in col if col.count(i) > 1)
-                    raise InputValidationError(
-                        f"image_id {dup!r} appears twice on the {side} side of the pairing"
-                    )
-            declared = set(ids)
-            missing_real = [i for i in real_ids if i not in declared]
-            missing_synth = [i for i in synth_ids if i not in declared]
-            if missing_real and missing_synth:
-                # neither column resolves locally; report the closer one
-                col = missing_real if len(missing_real) <= len(missing_synth) else missing_synth
-                raise InputValidationError(
-                    f"pairing references unknown image_id {col[0]!r}"
-                )
 
     @classmethod
-    def from_json(cls, text: str) -> "DatasetManifest":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ParseError(str(e), source="<manifest>", line_no=e.lineno) from e
+    def from_dict(cls, doc: object) -> "DatasetManifest":
+        """Build a manifest from its decoded JSON document."""
         if not isinstance(doc, dict):
             raise InputValidationError("manifest JSON must be an object")
         try:
             entries = tuple(
-                ManifestEntry(
-                    image_id=str(e["image_id"]),
-                    gt_label_path=str(e["gt_label_path"]),
-                    pred_label_path=str(e["pred_label_path"]),
-                    width_px=int(e["width_px"]),
-                    height_px=int(e["height_px"]),
-                )
+                ManifestEntry(**{key: convert(e[key]) for key, convert in _ENTRY_TYPES.items()})
                 for e in doc.get("entries", [])
             )
-            pairing = tuple((str(a), str(b)) for a, b in doc.get("pairing", []))
             return cls(
                 dataset_id=str(doc["dataset_id"]),
                 coordinate_mode=str(doc["coordinate_mode"]),
                 entries=entries,
-                pairing=pairing,
+                pairing=doc.get("pairing", ()),
             )
         except (KeyError, TypeError, ValueError) as e:
             raise InputValidationError(f"malformed manifest: {e}") from e
 
     def to_json(self) -> str:
-        doc = {
-            "dataset_id": self.dataset_id,
-            "coordinate_mode": self.coordinate_mode,
-            "entries": [
-                {
-                    "image_id": e.image_id,
-                    "gt_label_path": e.gt_label_path,
-                    "pred_label_path": e.pred_label_path,
-                    "width_px": e.width_px,
-                    "height_px": e.height_px,
-                }
-                for e in self.entries
-            ],
-            "pairing": [list(p) for p in self.pairing],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 # The columns of a box line, read by numpy's C text reader: the class id,
@@ -427,7 +391,7 @@ def read_label_arrays(
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise LoadError(f"cannot read label file {p}: {e}") from e
     return parse_label_arrays(text, coordinate_mode, image_dims, source=str(p))
 
@@ -466,39 +430,40 @@ def serialize_labels(
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def read_json(path: str | Path, what: str) -> object:
+    """Read a JSON file and decode it. A failure to do either is a
+    LoadError naming `what` and the path."""
+    p = Path(path)
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise LoadError(f"cannot read {what} {p}: {e}") from e
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise LoadError(f"{what} {p}: {e}") from e
+
+
 def read_manifest(path: str | Path) -> DatasetManifest:
     """Read and validate a manifest JSON file; any failure is a LoadError
     naming the file."""
-    mpath = Path(path)
+    doc = read_json(path, "manifest")
     try:
-        text = mpath.read_text(encoding="utf-8")
-    except OSError as e:
-        raise LoadError(f"cannot read manifest {mpath}: {e}") from e
-    try:
-        return DatasetManifest.from_json(text)
-    except (ParseError, InputValidationError) as e:
-        raise LoadError(f"manifest {mpath}: {e}") from e
+        return DatasetManifest.from_dict(doc)
+    except InputValidationError as e:
+        raise LoadError(f"manifest {Path(path)}: {e}") from e
 
 
-def load_dataset(
-    manifest: DatasetManifest | str | Path,
-    base_dir: str | Path | None = None,
-) -> tuple[list[ImageLabels], tuple[tuple[str, str], ...]]:
-    """Load and validate every image of a dataset, atomically.
+def load_dataset(path: str | Path) -> tuple[list[ImageLabels], DatasetManifest]:
+    """Read a manifest and load every image of its dataset, atomically.
 
-    `manifest` may be a parsed DatasetManifest or a path to its JSON file;
-    relative label paths are resolved against the manifest's directory
-    (or base_dir).
+    Relative label paths are resolved against the manifest's directory.
+    Returns the labels in entry order and the manifest.
     """
-    if isinstance(manifest, (str, Path)):
-        parsed = read_manifest(manifest)
-        root = Path(manifest).parent if base_dir is None else Path(base_dir)
-    else:
-        parsed = manifest
-        root = Path(base_dir) if base_dir is not None else Path.cwd()
-
+    manifest = read_manifest(path)
+    root = Path(path).parent
     labels: list[ImageLabels] = []
-    for entry in parsed.entries:
+    for entry in manifest.entries:
         dims = (entry.width_px, entry.height_px)
         try:
             labels.append(
@@ -506,15 +471,17 @@ def load_dataset(
                     image_id=entry.image_id,
                     width_px=entry.width_px,
                     height_px=entry.height_px,
-                    gt=read_label_arrays(root / entry.gt_label_path, parsed.coordinate_mode, dims),
+                    gt=read_label_arrays(
+                        root / entry.gt_label_path, manifest.coordinate_mode, dims
+                    ),
                     pred=read_label_arrays(
-                        root / entry.pred_label_path, parsed.coordinate_mode, dims
+                        root / entry.pred_label_path, manifest.coordinate_mode, dims
                     ),
                 )
             )
         except (ParseError, LoadError, InputValidationError) as e:
             raise LoadError(f"entry {entry.image_id!r}: {e}") from e
-    return labels, parsed.pairing
+    return labels, manifest
 
 
 def merge_pairings(
@@ -522,11 +489,12 @@ def merge_pairings(
     synth_pairing: Sequence[tuple[str, str]],
 ) -> tuple[tuple[str, str], ...]:
     """Combine the pairing tables of the two manifests; when both declare
-    one they must agree (as sets)."""
+    one they must hold the same pairs, in any order. A pair repeated in
+    one table only is a disagreement: pair_datasets sees one table."""
     a = tuple(tuple(p) for p in real_pairing)
     b = tuple(tuple(p) for p in synth_pairing)
     if a and b:
-        if set(a) != set(b):
+        if sorted(a) != sorted(b):
             raise LoadError("the two manifests declare conflicting pairings")
         return a
     if a or b:

@@ -20,7 +20,7 @@ from ipdkit.cli import align_pair, main, stable_subseed
 from ipdkit.geometry import AffineTransform2D, transform_points
 from ipdkit.ingestion import load_dataset
 from ipdkit.registration import RegistrationConfig
-from ipdkit.scenegen import emit_dataset
+from ipdkit.scenegen import SceneSpec, emit_dataset
 
 from helpers import box_arrays
 
@@ -88,6 +88,20 @@ class TestScenegen:
         assert code == 0, err
         truth = json.loads((outdir / "truth.json").read_text())
         assert truth["oracle_ipd"] == pytest.approx(0.0, abs=1e-3)
+
+    def test_spec_keys_left_out_take_scenespec_defaults(self, tmp_path, capsys):
+        spec_path = tmp_path / "specs.json"
+        spec_path.write_text(json.dumps([{"n_instances": 9, "rng_seed": 4}]))
+        outdir = tmp_path / "data"
+        code, out, err = run_cli(
+            ["scenegen", "--out", str(outdir), "--spec-file", str(spec_path)], capsys
+        )
+        assert code == 0, err
+        emit_dataset(tmp_path / "direct", [SceneSpec(9, rng_seed=4)])
+        files = sorted(p.relative_to(outdir) for p in outdir.rglob("*") if p.is_file())
+        assert len(files) == 7
+        for f in files:
+            assert (outdir / f).read_bytes() == (tmp_path / "direct" / f).read_bytes()
 
     def test_spec_file_separation_factor(self, tmp_path, capsys):
         # 200 instances fit the frame at 2 x 12 px separation, not at the
@@ -183,6 +197,9 @@ class TestScenegen:
             ("--frame", "640"),
             ("--transform", "1,0,0,1"),
             ("--transform", "spin"),
+            # exit 0 and two manifests without entries, before
+            ("--scenes", "0"),
+            ("--scenes", "-3"),
         ],
     )
     def test_bad_flag_is_a_usage_error_before_any_file_is_written(
@@ -226,6 +243,8 @@ class TestScenegen:
             (None, "cannot read spec file"),
             ("[{", "spec file"),
             ('{"n_instances": 1}', "JSON list of scene specs"),
+            # exit 0 and two manifests without entries, before
+            ("[]", "non-empty JSON list of scene specs"),
         ],
     )
     def test_unusable_spec_file_is_exit_2(self, tmp_path, capsys, text, message):
@@ -326,6 +345,50 @@ class TestIpd:
         code, out, err = run_cli(["ipd", str(mpath), str(spath)], capsys)
         assert code == 2
         assert "scene9999" in err
+
+    @pytest.mark.parametrize(
+        "real_pairing, synth_pairing, message",
+        [
+            (
+                [["scene0000", "scene0000"], ["scene0000", "scene0001"]],
+                [],
+                "real image 'scene0000' paired twice",
+            ),
+            ([["ghost", "also_ghost"]], [], "unknown real image 'ghost'"),
+            # a pair repeated in the synth manifest only
+            (
+                [["scene0000", "scene0000"], ["scene0001", "scene0001"]],
+                [
+                    ["scene0000", "scene0000"],
+                    ["scene0001", "scene0001"],
+                    ["scene0000", "scene0000"],
+                ],
+                "conflicting pairings",
+            ),
+        ],
+    )
+    def test_bad_pairing_is_exit_2(self, tmp_path, capsys, real_pairing, synth_pairing, message):
+        outdir = _scenegen(tmp_path, capsys)
+        paths = []
+        for side, pairing in (("real", real_pairing), ("synth", synth_pairing)):
+            path = outdir / f"manifest_{side}.json"
+            doc = json.loads(path.read_text())
+            doc["pairing"] = pairing
+            path.write_text(json.dumps(doc))
+            paths.append(str(path))
+        code, out, err = run_cli(["ipd", *paths], capsys)
+        assert code == 2
+        assert message in err
+
+    @pytest.mark.parametrize("name", ["manifest_real.json", "real/scene0001_gt.txt"])
+    def test_file_that_is_not_utf8_is_exit_2(self, tmp_path, capsys, name):
+        # a UnicodeDecodeError traceback, exit 1, before
+        outdir = _scenegen(tmp_path, capsys)
+        (outdir / name).write_bytes(b"\xff\n")
+        manifests = [str(outdir / "manifest_real.json"), str(outdir / "manifest_synth.json")]
+        code, out, err = run_cli(["ipd", *manifests], capsys)
+        assert code == 2
+        assert "cannot read" in err and name.split("/")[-1] in err
 
     def test_zero_matched_pairs_is_exit_3(self, tmp_path, capsys):
         outdir = _scenegen(tmp_path, capsys, "--sigma", "4.0")
@@ -625,6 +688,27 @@ def test_bench_counters_match_the_label_arrays(tmp_path, capsys, monkeypatch):
     kept = [int((lab.pred.confidence >= 0.75).sum()) for lab in labels]
     assert 0 < sum(kept) < sum(len(lab.pred) for lab in labels)
     assert counts["metric.iou_cells"] == sum(len(lab.gt) * k for lab, k in zip(labels, kept))
+
+
+def test_bench_trace_records_every_layer(tmp_path, monkeypatch):
+    """bench/run.py --trace 1 wraps the LAYER_OF names in ipdkit.cli and
+    counts from what load_dataset (labels first) and match_instances
+    return; the CLI's loading path must keep that trace whole."""
+    spans = _bench_module("spans")
+    assert [name for name in spans.LAYER_OF if not callable(getattr(cli, name, None))] == []
+    for name in spans.LAYER_OF:  # the Recorder's wrappers are undone at teardown
+        monkeypatch.setattr(cli, name, getattr(cli, name))
+    specs = [SceneSpec(12, rng_seed=seed) for seed in (1, 2)]
+    real, synth, _ = emit_dataset(tmp_path / "data", specs)
+    recorder = spans.Recorder(cli)
+    argv = ["ipd", str(real), str(synth), "--out", str(tmp_path / "report.json")]
+    assert recorder.run_main(argv) == 0
+    counts = recorder.counts()
+    assert counts["ingestion.boxes"] > 0 and counts["matching.pairs"] > 0
+    recorder.write(str(tmp_path / "spans.jsonl"), {})
+    summary = json.loads((tmp_path / "spans.jsonl").read_text().splitlines()[-1])["summary"]
+    assert summary["nested"]
+    assert sorted(summary["busy"]) == ["ingestion", "matching", "metric", "registration"]
 
 
 # SHA-256 of every file the benchmark's dataset builder leaves after it

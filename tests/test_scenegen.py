@@ -245,9 +245,9 @@ class TestEmitDataset:
         specs = [_spec(rng_seed=7), _spec(rng_seed=8, n_instances=12)]
         real_path, synth_path, truth_path = emit_dataset(tmp_path, specs)
 
-        real_labels, real_pairing = load_dataset(real_path)
-        synth_labels, synth_pairing = load_dataset(synth_path)
-        pairing = merge_pairings(real_pairing, synth_pairing)
+        real_labels, real_manifest = load_dataset(real_path)
+        synth_labels, synth_manifest = load_dataset(synth_path)
+        pairing = merge_pairings(real_manifest.pairing, synth_manifest.pairing)
         pairs = pair_datasets(real_labels, synth_labels, pairing)
         assert len(pairs) == 2
 
