@@ -204,12 +204,16 @@ def apply_params(params: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.nd
     """Moved x and y of an (n, 2) point array under one affine map, a (6,)
     row in from_params order, or under each row of an (H, 6) batch.
 
-    Returns two (n,) or (H, n) arrays. Each coordinate is computed
-    elementwise as a11*x + a12*y + tx (a21*x + a22*y + ty), in that
-    order, so every caller gets the same bits for the same map.
+    Returns two (n,) arrays, or two (n, H) arrays for a batch, one column
+    per map. Each coordinate is computed elementwise as a11*x + a12*y + tx
+    (a21*x + a22*y + ty), in that order, so every caller gets the same
+    bits for the same map.
     """
-    a11, a12, a21, a22, tx, ty = np.asarray(params, dtype=np.float64).T[..., None]
+    params = np.asarray(params, dtype=np.float64)
+    a11, a12, a21, a22, tx, ty = params.T
     x, y = pts[:, 0], pts[:, 1]
+    if params.ndim == 2:
+        x, y = x[:, None], y[:, None]
     return a11 * x + a12 * y + tx, a21 * x + a22 * y + ty
 
 

@@ -160,13 +160,25 @@ class ManifestEntry:
     def __post_init__(self):
         if not self.image_id:
             raise InputValidationError("manifest entry needs an image_id")
+        for name in ("width_px", "height_px"):
+            value = getattr(self, name)
+            # a JSON true is an int to Python, and int() floors 1280.9
+            whole = isinstance(value, (int, np.integer)) or (
+                isinstance(value, float) and value.is_integer()
+            )
+            if isinstance(value, bool) or not whole:
+                raise InputValidationError(
+                    f"entry {self.image_id!r}: {name} must be a whole number, got {value!r}"
+                )
+            object.__setattr__(self, name, int(value))
         if self.width_px <= 0 or self.height_px <= 0:
             raise InputValidationError(
                 f"entry {self.image_id!r}: image dimensions must be positive"
             )
 
 
-# each ManifestEntry field and the type its JSON value is converted to
+# each ManifestEntry field and its type; the str fields are converted from
+# their JSON values, and ManifestEntry checks the dimensions as read
 _ENTRY_TYPES = get_type_hints(ManifestEntry)
 
 
@@ -203,7 +215,9 @@ class DatasetManifest:
             raise InputValidationError("manifest JSON must be an object")
         try:
             entries = tuple(
-                ManifestEntry(**{key: convert(e[key]) for key, convert in _ENTRY_TYPES.items()})
+                ManifestEntry(
+                    **{k: str(e[k]) if kind is str else e[k] for k, kind in _ENTRY_TYPES.items()}
+                )
                 for e in doc.get("entries", [])
             )
             return cls(

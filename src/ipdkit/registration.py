@@ -9,10 +9,15 @@ of its nearest neighbours) at once; one of those is the true
 correspondence whenever the basis survived on the real side. Each
 hypothesis carries the synthetic point's wider neighbourhood over, and
 only the ones that land the most of it on the real point's neighbourhood
-are refined by least squares (LO-RANSAC) and judged. One signal ranks
-them: the nearest-neighbor consensus, i.e. how many distinct real points
-lie within a layout-derived radius of the aligned synthetic points, with
-the mean inlier distance breaking ties. Unlike a mean distance, a
+are refined by least squares (LO-RANSAC) and judged. That count is
+staged, an exact bail-out (after Capel 2005 and Matas & Chum's T(d,d)
+pre-test): every hypothesis is scored on just enough check points that
+one hitting none of them cannot reach the refine gate, and only those
+that can still reach the gate and tie the best go on to the rest, so the
+refined set is the one a full count gives. One signal ranks them: the
+nearest-neighbor consensus, i.e. how many distinct real points lie
+within a layout-derived radius of the aligned synthetic points, with the
+mean inlier distance breaking ties. Unlike a mean distance, a
 consensus count does not let the unmatchable points (dropout on either
 side) drag the true alignment below a wrong one. The search stops by the
 adaptive RANSAC bound (Fischler & Bolles 1981) on the best consensus so
@@ -87,10 +92,19 @@ def fallback_translation(synth_pts: np.ndarray, real_pts: np.ndarray) -> AffineT
 
 def _neighbours(pts: np.ndarray, k: int) -> tuple[np.ndarray, float]:
     """Indices of each point's k nearest other points, nearest first, and
-    the median nearest-neighbor distance (the layout scale)."""
+    the median nearest-neighbor distance (the layout scale).
+
+    Equal distances are ordered by index, as a stable argsort of the full
+    row would order them; only the entries up to each row's k-th distance
+    are sorted.
+    """
     d2 = (pts[:, None, 0] - pts[None, :, 0]) ** 2 + (pts[:, None, 1] - pts[None, :, 1]) ** 2
     np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1, None]
+    rows, cols = np.nonzero(d2 <= kth)  # row-major, so index order in a row
+    by_distance = np.lexsort((d2[rows, cols], rows))
+    starts = np.searchsorted(rows, np.arange(len(pts)))
+    order = cols[by_distance][starts[:, None] + np.arange(k)]
     spacing = float(np.median(np.sqrt(d2[np.arange(len(pts)), order[:, 0]])))
     return order, spacing
 
@@ -122,7 +136,8 @@ def _consensus(
     for radius in (judge_radius, capture_radius):
         mask = nn_d <= radius
         count = np.count_nonzero(np.bincount(nn_idx[mask]))
-        mean = float(nn_d[mask].mean()) if count else math.inf
+        inside = nn_d[mask]
+        mean = float(inside.sum() / inside.size) if count else math.inf
         out.extend((-count, mean))
     return tuple(out)
 
@@ -167,6 +182,76 @@ def _refine_params(
         else:
             break
     return best_params, best_quality
+
+
+def _least_hits(n_check: int) -> int:
+    """The refine gate: the fewest of n_check check points a hypothesis
+    must carry onto the real neighbourhood, half of them rounded up, to be
+    refined."""
+    return (n_check + 1) // 2
+
+
+class _CheckTest:
+    """Counts, per hypothesis, the check points that land within the
+    capture radius of one of its real point's near neighbours, and picks
+    the hypotheses to refine: those tying at the most hits, when that is
+    at least _least_hits of the check points.
+
+    The count is staged, and exact. Stage A scores the first
+    n_check - need + 1 check points of every hypothesis, so one that hits
+    none of them cannot reach the gate. The floor is the gate or the best
+    stage-A count, whichever is higher; a hypothesis whose stage-A count
+    plus its unscored check points falls short of it can neither reach the
+    gate nor tie the winner, and is dropped. Stage B scores the remaining
+    check points of the survivors only. Coordinates are laid out
+    hypothesis-minor: moved check points (rows, hypotheses), near
+    neighbours (K, hypotheses).
+    """
+
+    def __init__(
+        self, near_x: np.ndarray, near_y: np.ndarray, capture_radius: float, n_check: int
+    ):
+        self.near_x, self.near_y = near_x, near_y  # (K, hypotheses)
+        self.radius2 = capture_radius**2
+        self.need = _least_hits(n_check)
+        # with no check points the gate is 0 hits, and stage A scores none
+        self.head = min(n_check, n_check - self.need + 1)
+        # squared distance to the nearest neighbour so far, d^2 and dy^2
+        self.buffers = np.empty((3, self.head, near_x.shape[1]))
+
+    def _hits(self, moved_x, moved_y, near_x, near_y, buffers) -> np.ndarray:
+        """Per column, how many of the moved points (rows, columns) lie
+        within the capture radius of one of the column's near neighbours
+        (K, columns); buffers are three (rows, columns) scratch arrays."""
+        nearest, d2, dy2 = buffers
+        nearest.fill(np.inf)
+        for nx, ny in zip(near_x, near_y):
+            np.square(np.subtract(moved_x, nx, out=d2), out=d2)
+            np.square(np.subtract(moved_y, ny, out=dy2), out=dy2)
+            d2 += dy2
+            np.minimum(nearest, d2, out=nearest)
+        return np.count_nonzero(nearest <= self.radius2, axis=0)
+
+    def refine_set(self, params: np.ndarray, valid: np.ndarray, check: np.ndarray) -> np.ndarray:
+        """Ascending indices of the hypotheses (params (H, 6), valid (H,))
+        to refine, given the check points (c, 2): the same set, in the
+        same order, as a full count of every check point gives."""
+        head, tail = check[: self.head], check[self.head :]
+        # invalid rows may hold NaN or inf params; they score -1
+        with np.errstate(invalid="ignore", over="ignore"):
+            hits = self._hits(*apply_params(params, head), self.near_x, self.near_y, self.buffers)
+        hits = np.where(valid, hits, -1)
+        floor = max(self.need, int(hits.max()))
+        alive = np.flatnonzero(hits + len(tail) >= floor)
+        if alive.size == 0:
+            return alive
+        hits = hits[alive]
+        if len(tail):
+            buffers = np.empty((3, len(tail), alive.size))
+            near_x, near_y = self.near_x[:, alive], self.near_y[:, alive]
+            hits += self._hits(*apply_params(params[alive], tail), near_x, near_y, buffers)
+        most = hits.max()
+        return alive[hits == most] if most >= self.need else alive[:0]
 
 
 def register(
@@ -219,15 +304,19 @@ def register(
             real_nbrs[:, second].ravel(),
         ]
     )
-    dst = real[real_bases]  # (hypotheses, 3, 2)
-    # each hypothesis' real near neighbours, one (hypotheses, 1) column
-    # per neighbour
-    near = real_nbrs[real_bases[:, 0]].T  # (K, hypotheses)
-    near_x = real[near, 0][:, :, None]
-    near_y = real[near, 1][:, :, None]
+    # (hypotheses, 3, 2), stored so that each of the six coordinate
+    # columns fit_affine_batch reads is contiguous
+    dst = np.ascontiguousarray(real[real_bases].transpose(1, 2, 0)).transpose(2, 0, 1)
+    # each hypothesis' real near neighbours, (K, hypotheses)
+    near = real_nbrs[real_bases[:, 0]].T
+    check_test = _CheckTest(real[near, 0], real[near, 1], capture_radius, synth_nbrs.shape[1] - 2)
 
     rng = np.random.default_rng(cfg.rng_seed)
     k_synth = min(_SYNTH_BASIS_NEIGHBOURS, n - 1)
+    # per ordered pair (a, b) of basis columns of synth_nbrs, a mask of the
+    # other columns, which hold the check points
+    columns, basis_columns = np.arange(synth_nbrs.shape[1]), np.arange(k_synth)
+    is_check = (columns != basis_columns[:, None, None]) & (columns != basis_columns[:, None])
     best_quality: tuple | None = None  # consensus quality + (iteration, hypothesis)
     best_params: np.ndarray | None = None
     hypothesis_count = 0
@@ -235,28 +324,21 @@ def register(
 
     while iterations_used < cfg.max_iterations:
         point = int(rng.integers(n))
-        pair = rng.choice(k_synth, size=2, replace=False)
-        basis = np.concatenate([[point], synth_nbrs[point, pair]])
-        check = synth[np.delete(synth_nbrs[point], pair)]  # (c, 2)
+        a, b = rng.choice(k_synth, size=2, replace=False)
+        nbrs = synth_nbrs[point]
+        check = synth[nbrs[is_check[a, b]]]  # (c, 2)
 
-        params, valid = fit_affine_batch(synth[basis], dst)
+        params, valid = fit_affine_batch(synth[[point, nbrs[a], nbrs[b]]], dst)
         hypothesis_count += int(valid.sum())
 
-        moved_x, moved_y = apply_params(params, check)
-        nearest = np.full(moved_x.shape, np.inf)
-        for nx, ny in zip(near_x, near_y):
-            np.minimum(nearest, (moved_x - nx) ** 2 + (moved_y - ny) ** 2, out=nearest)
-        hits = np.where(valid, (nearest <= capture_radius**2).sum(axis=1), -1)
-        most = int(hits.max())
-        if 2 * most >= len(check):
-            for idx in np.flatnonzero(hits == most):
-                cand, cand_consensus = _refine_params(
-                    params[idx], synth, real, capture_radius, judge_radius
-                )
-                quality = cand_consensus + (iterations_used, int(idx))
-                if best_quality is None or quality < best_quality:
-                    best_quality = quality
-                    best_params = cand
+        for idx in check_test.refine_set(params, valid, check):
+            cand, cand_consensus = _refine_params(
+                params[idx], synth, real, capture_radius, judge_radius
+            )
+            quality = cand_consensus + (iterations_used, int(idx))
+            if best_quality is None or quality < best_quality:
+                best_quality = quality
+                best_params = cand
 
         iterations_used += 1
         if best_quality is not None:

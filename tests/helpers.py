@@ -133,3 +133,22 @@ def box_arrays(rows) -> BoxArrays:
 def image_labels(image_id, gt, pred=(), frame=(1000, 1000)) -> ImageLabels:
     """ImageLabels of one image from box_arrays rows."""
     return ImageLabels(image_id, frame[0], frame[1], box_arrays(gt), box_arrays(pred))
+
+
+def check_hits(params, valid, check, near_x, near_y, capture_radius) -> np.ndarray:
+    """Per hypothesis, how many check points its map carries within
+    capture_radius of one of its near neighbours; -1 for an invalid fit.
+
+    The full count register's hypothesis test made before it was staged:
+    params (H, 6) in from_params order, valid (H,), check (c, 2), near_x
+    and near_y (K, H); every check point of every hypothesis, laid out
+    (H, c).
+    """
+    a11, a12, a21, a22, tx, ty = np.asarray(params, dtype=np.float64).T[..., None]
+    x, y = check[:, 0], check[:, 1]
+    nearest = np.full((len(valid), len(check)), np.inf)
+    with np.errstate(invalid="ignore", over="ignore"):
+        moved_x, moved_y = a11 * x + a12 * y + tx, a21 * x + a22 * y + ty
+        for nx, ny in zip(near_x[:, :, None], near_y[:, :, None]):
+            np.minimum(nearest, (moved_x - nx) ** 2 + (moved_y - ny) ** 2, out=nearest)
+    return np.where(valid, (nearest <= capture_radius**2).sum(axis=1), -1)

@@ -380,6 +380,22 @@ class TestIpd:
         assert code == 2
         assert message in err
 
+    @pytest.mark.parametrize(
+        "field, value", [("width_px", 1280.9), ("height_px", True), ("width_px", "1280")]
+    )
+    def test_image_size_that_is_not_a_whole_number_is_exit_2(
+        self, tmp_path, capsys, field, value
+    ):
+        # int() read 1280.9 as 1280 and true as 1, without a word
+        outdir = _scenegen(tmp_path, capsys)
+        path = outdir / "manifest_real.json"
+        doc = json.loads(path.read_text())
+        doc["entries"][1][field] = value
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["ipd", str(path), str(outdir / "manifest_synth.json")], capsys)
+        assert code == 2
+        assert "'scene0001'" in err and field in err and "whole number" in err
+
     @pytest.mark.parametrize("name", ["manifest_real.json", "real/scene0001_gt.txt"])
     def test_file_that_is_not_utf8_is_exit_2(self, tmp_path, capsys, name):
         # a UnicodeDecodeError traceback, exit 1, before

@@ -180,8 +180,8 @@ def test_apply_params_batch_rows_equal_single_maps():
     params = rng.normal(0.0, 3.0, (5, 6))
     pts = rng.uniform(-100.0, 100.0, (7, 2))
     xs, ys = apply_params(params, pts)
-    assert xs.shape == ys.shape == (5, 7)
-    for row, x, y in zip(params, xs, ys):
+    assert xs.shape == ys.shape == (7, 5)
+    for row, x, y in zip(params, xs.T, ys.T):
         moved = transform_points(AffineTransform2D.from_params(row), pts)
         assert x.tobytes() == moved[:, 0].tobytes() and y.tobytes() == moved[:, 1].tobytes()
 

@@ -1,7 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipdkit import (
     AffineTransform2D,
@@ -17,6 +21,9 @@ from ipdkit import (
 )
 from ipdkit.cli import align_pair
 from ipdkit.geometry import transform_points
+from ipdkit.registration import _CheckTest, _neighbours
+
+from helpers import check_hits
 
 
 def scatter(rng, n, span=1000.0):
@@ -135,6 +142,54 @@ def test_register_rejects_empty_sides():
         register(pts, np.zeros((0, 2)))
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    n_check=st.integers(0, 10),
+    n_hyp=st.integers(1, 40),
+    k=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_staged_check_count_refines_what_the_full_count_refines(n_check, n_hyp, k, seed):
+    rng = np.random.default_rng(seed)
+    # small integer coordinates, so hits are common and counts tie at the
+    # most
+    params = rng.integers(-1, 2, size=(n_hyp, 6)).astype(float)
+    params[:, 4:] = rng.integers(0, 5, size=(n_hyp, 2))
+    check = rng.integers(0, 5, size=(n_check, 2)).astype(float)
+    near_x, near_y = rng.integers(0, 5, size=(2, k, n_hyp)).astype(float)
+    radius = float(rng.choice([0.5, 1.0, 1.5]))
+    valid = rng.random(n_hyp) < 0.85
+    # degenerate fits hold NaN or inf params and are never valid
+    bad = np.flatnonzero(rng.random(n_hyp) < 0.2)
+    params[bad, rng.integers(0, 6, bad.size)] = rng.choice([np.nan, np.inf, -np.inf], bad.size)
+    valid[bad] = False
+
+    hits = check_hits(params, valid, check, near_x, near_y, radius)
+    most = hits.max()
+    want = np.flatnonzero(hits == most) if 2 * most >= n_check else []
+    got = _CheckTest(near_x, near_y, radius, n_check).refine_set(params, valid, check)
+    assert got.tolist() == list(want)
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        np.stack(np.meshgrid(np.arange(20.0), np.arange(20.0)), axis=-1).reshape(-1, 2) * 40.0,
+        np.random.default_rng(3).integers(0, 4, size=(40, 2)).astype(float),
+        np.repeat(np.random.default_rng(5).uniform(0.0, 100.0, size=(9, 2)), 3, axis=0),
+    ],
+    ids=["lattice", "duplicates", "triplicates"],
+)
+def test_neighbours_equal_the_stable_argsort(pts):
+    d2 = (pts[:, None, 0] - pts[None, :, 0]) ** 2 + (pts[:, None, 1] - pts[None, :, 1]) ** 2
+    np.fill_diagonal(d2, np.inf)
+    order = np.argsort(d2, axis=1, kind="stable")
+    for k in (1, 2, 6, 12, len(pts) - 1):
+        got, spacing = _neighbours(pts, k)
+        assert got.tolist() == order[:, :k].tolist(), k
+        assert spacing == float(np.median(np.sqrt(d2[np.arange(len(pts)), order[:, 0]])))
+
+
 def test_fallback_translation_aligns_centroids():
     synth = np.array([[0.0, 0.0], [2.0, 2.0]])
     real = np.array([[10.0, 5.0], [12.0, 7.0]])
@@ -214,3 +269,100 @@ def test_pairing_invariant_under_affine_remap_of_synthetic_side():
         _, _, before = align_pair(real.gt.xywh, synth.gt.xywh, cfg, None)
         _, _, after = align_pair(real.gt.xywh, remapped, cfg, None)
         assert [(r, s) for r, s, _ in after.pairs] == [(r, s) for r, s, _ in before.pairs], i
+
+
+# register's outputs on _pin_cases(): float.hex of the transform params,
+# iterations_used, hypothesis_count and used_fallback, recorded before the
+# staged hypothesis test replaced the full count. Any change to how the
+# search scores, orders or stops its hypotheses shows here as a moved bit.
+# `PYTHONPATH=src python tests/test_registration.py` rewrites the file.
+REGISTER_PINS = Path(__file__).parent / "data" / "register_pins.json"
+
+
+def _pin_cases():
+    """name -> (family, synth, real, cfg)."""
+    cases = {}
+    rng = np.random.default_rng(2718)
+    # integer clouds on a coarse grid: duplicate points and tied neighbour
+    # distances on both sides; every third real side is unrelated
+    for i in range(36):
+        n = int(rng.integers(3, 41))
+        synth = rng.integers(0, 9, size=(n, 2)).astype(float) * 10.0
+        if i % 3 == 2:
+            real = rng.integers(0, 9, size=(int(rng.integers(3, 41)), 2)).astype(float) * 10.0
+        else:
+            keep = rng.random(n) >= 0.15 * (i % 3)
+            keep[:3] = True
+            real = np.round(transform_points(T_TRUE, synth[keep]))
+            real = real[rng.permutation(len(real))]
+        cfg = RegistrationConfig(max_iterations=60, rng_seed=i)
+        cases[f"cloud{i:02d}"] = ("random", synth, real, cfg)
+    # collinear and near-collinear layouts on either side
+    line = np.column_stack([np.arange(8.0), 2.0 * np.arange(8.0)]) * 15.0
+    spread = rng.uniform(0.0, 200.0, size=(8, 2))
+    bent = line + np.column_stack([np.zeros(8), 1e-7 * rng.standard_normal(8)])
+    for name, synth, real in (
+        ("synth", line, spread),
+        ("real", spread, line),
+        ("both", line, transform_points(T_TRUE, line)),
+        ("near", bent, transform_points(T_TRUE, bent)),
+    ):
+        cfg = RegistrationConfig(max_iterations=40)
+        cases[f"collinear_{name}"] = ("collinear", synth, real, cfg)
+    # 3 to 6 points a side, so 0 to 3 check points
+    for n in range(3, 7):
+        for m in (3, 6):
+            synth = rng.uniform(0.0, 100.0, size=(n, 2))
+            if m <= n:
+                real = transform_points(T_TRUE, synth)[:m]
+            else:
+                real = rng.uniform(0.0, 100.0, size=(m, 2))
+            cfg = RegistrationConfig(max_iterations=30, rng_seed=n)
+            cases[f"small_{n}x{m}"] = ("small", synth, real, cfg)
+    # generated scenes of 20 to 250 instances at 0 to 50% dropout
+    layouts = ((20, 0.0), (35, 0.5), (60, 0.25), (120, 0.1), (180, 0.5), (250, 0.2))
+    for i, (n, dropout) in enumerate(layouts):
+        spec = SceneSpec(
+            n_instances=n,
+            transform=random_affine(rng, (1280, 960)),
+            center_noise_sigma=0.5,
+            dropout_real=dropout,
+            dropout_synth=dropout,
+            rng_seed=int(rng.integers(0, 2**31)),
+            min_separation_factor=2.0,
+            center_region=(0.2, 0.8),
+        )
+        real, synth = generate_scene_pair(spec)[:2]
+        cfg = RegistrationConfig(rng_seed=i)
+        cases[f"scene_{n}_{round(dropout * 100)}"] = (
+            "scene", synth.gt.xywh[:, :2], real.gt.xywh[:, :2], cfg
+        )
+    # the 20x20 lattice and its exact image, which register gets wrong
+    grid = np.stack(np.meshgrid(np.arange(20.0), np.arange(20.0)), axis=-1).reshape(-1, 2)
+    grid *= 40.0
+    cases["lattice"] = ("lattice", grid, transform_points(T_TRUE, grid), RegistrationConfig())
+    return cases
+
+
+def _pin(synth, real, cfg):
+    res = register(synth, real, cfg)
+    return {
+        "params": [p.hex() for p in res.transform.params()],
+        "iterations_used": res.iterations_used,
+        "hypothesis_count": res.hypothesis_count,
+        "used_fallback": res.used_fallback,
+    }
+
+
+@pytest.mark.parametrize("family", ["random", "collinear", "small", "scene", "lattice"])
+def test_register_outputs_are_pinned(family):
+    pins = json.loads(REGISTER_PINS.read_text(encoding="utf-8"))
+    cases = {k: v for k, v in _pin_cases().items() if v[0] == family}
+    assert cases
+    moved = [name for name, (_, s, r, cfg) in cases.items() if _pin(s, r, cfg) != pins[name]]
+    assert not moved, moved
+
+
+if __name__ == "__main__":
+    pins = {name: _pin(s, r, cfg) for name, (_, s, r, cfg) in _pin_cases().items()}
+    REGISTER_PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n", encoding="utf-8")
