@@ -15,8 +15,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, get_type_hints
+from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .errors import InputValidationError, IpdKitError, NoInstancesError
 from .geometry import AffineTransform2D
 from .ingestion import (
     ImageLabels,
+    from_json,
     load_dataset,
     merge_pairings,
     pair_datasets,
@@ -163,40 +165,50 @@ def cmd_ipd(args: argparse.Namespace) -> int:
     return 0
 
 
+@dataclass(frozen=True)
+class _Cell:
+    """A cells-file cell: a precomputed ipd, or the two manifests to evaluate."""
+
+    train: str
+    pair: tuple[str, str]
+    ipd: float | None = None
+    real_manifest: str | None = None
+    synth_manifest: str | None = None
+
+
+@dataclass(frozen=True)
+class _CellsFile:
+    domains: tuple[str, ...]
+    cells: tuple[_Cell, ...]
+
+    def __post_init__(self):
+        for idx, cell in enumerate(self.cells):
+            manifests = (cell.real_manifest, cell.synth_manifest)
+            if manifests.count(None) != (0 if cell.ipd is None else 2):
+                raise InputValidationError(
+                    f"cell #{idx} needs either an 'ipd' value or manifest paths, not both"
+                )
+
+
 def cmd_crossval(args: argparse.Namespace) -> int:
     doc = read_json(args.cells, "cells file")
-    try:
-        domains = [str(d) for d in doc["domains"]]
-        cell_docs = list(doc["cells"])
-    except (KeyError, TypeError) as e:
-        raise InputValidationError(f"cells file must define 'domains' and 'cells': {e}") from e
-
+    cells_file = from_json(_CellsFile, doc, f"cells file {args.cells}")
+    # the matrix's layout rules, checked before any manifest is evaluated
+    cross_validation(cells_file.domains, {(c.train, c.pair): 0.0 for c in cells_file.cells})
     results: dict[tuple[str, tuple[str, str]], object] = {}
     computed: list[dict] = []
-    for idx, cell in enumerate(cell_docs):
-        try:
-            train = str(cell["train"])
-            pair = tuple(str(d) for d in cell["pair"])
-            if len(pair) != 2:
-                raise ValueError("pair must have exactly 2 domains")
-            ipd = float(cell["ipd"]) if "ipd" in cell else None
-        except (KeyError, TypeError, ValueError) as e:
-            raise InputValidationError(f"cell #{idx}: {e}") from e
-        if ipd is not None:
-            results[(train, pair)] = ipd
-        elif "real_manifest" in cell and "synth_manifest" in cell:
-            pairs, pair_id = _load_pairs(cell["real_manifest"], cell["synth_manifest"])
-            result, per_pair = evaluate_dataset_pair(pairs, args, pair_id)
-            results[(train, pair)] = result
+    for cell in cells_file.cells:
+        train, pair = cell.train, cell.pair
+        if cell.ipd is not None:
+            results[(train, pair)] = cell.ipd
+        else:
+            pairs, pair_id = _load_pairs(cell.real_manifest, cell.synth_manifest)
+            results[(train, pair)], per_pair = evaluate_dataset_pair(pairs, args, pair_id)
             computed.append(
                 {"train": train, "pair": list(pair), "dataset_pair_id": pair_id, "pairs": per_pair}
             )
-        else:
-            raise InputValidationError(
-                f"cell #{idx} needs either an 'ipd' value or manifest paths"
-            )
 
-    matrix = cross_validation(domains, results)
+    matrix = cross_validation(cells_file.domains, results)
     provenance = {
         "command": "crossval",
         "cells_file": args.cells,
@@ -210,7 +222,7 @@ def cmd_crossval(args: argparse.Namespace) -> int:
 def cmd_register(args: argparse.Namespace) -> int:
     if args.mode == "normalized" and (args.width is None or args.height is None):
         raise InputValidationError("--width and --height are required in normalized mode")
-    dims = (args.width or 1, args.height or 1)
+    dims = (args.width, args.height) if args.mode == "normalized" else (1, 1)  # pixel mode: unused
     real_boxes = read_label_arrays(args.real, args.mode, dims)
     synth_boxes = read_label_arrays(args.synth, args.mode, dims)
     # GT rows are the ones without a confidence
@@ -246,58 +258,12 @@ def cmd_register(args: argparse.Namespace) -> int:
     return 0
 
 
-def _spec_transform(value) -> AffineTransform2D:
-    if isinstance(value, str):
-        if value != "identity":
-            raise ValueError("transform string must be 'identity' in spec files")
-        return AffineTransform2D.identity()
-    return AffineTransform2D.from_params([float(v) for v in value])
-
-
-def _spec_profile(value) -> DetectorProfile:
-    if isinstance(value, dict):
-        return DetectorProfile(**value)
-    return DetectorProfile(*[float(x) for x in value])
-
-
-def _spec_span(value) -> tuple[float, float]:
-    lo, hi = value
-    return float(lo), float(hi)
-
-
-# each SceneSpec field a spec file may give, converted from JSON by its
-# annotated type; a field left out takes SceneSpec's default
-_SPEC_CONVERT = {
-    key: {
-        int: int,
-        float: float,
-        tuple[int, int]: tuple,
-        tuple[float, float]: _spec_span,
-        AffineTransform2D: _spec_transform,
-        DetectorProfile: _spec_profile,
-    }[annotation]
-    for key, annotation in get_type_hints(SceneSpec).items()
-}
-
-
-def _spec_from_dict(doc: dict, index: int) -> SceneSpec:
-    try:
-        if not isinstance(doc, dict):
-            raise TypeError("a scene spec must be a JSON object")
-        unknown = [key for key in doc if key not in _SPEC_CONVERT]
-        if unknown:
-            raise ValueError(f"unknown key {unknown[0]!r}")
-        return SceneSpec(**{key: _SPEC_CONVERT[key](value) for key, value in doc.items()})
-    except (TypeError, ValueError) as e:
-        raise InputValidationError(f"scene spec #{index}: {e}") from e
-
-
 def cmd_scenegen(args: argparse.Namespace) -> int:
     if args.spec_file is not None:
         docs = read_json(args.spec_file, "spec file")
         if not isinstance(docs, list) or not docs:
             raise InputValidationError("spec file must hold a non-empty JSON list of scene specs")
-        specs = [_spec_from_dict(d, i) for i, d in enumerate(docs)]
+        specs = [from_json(SceneSpec, d, f"scene spec #{i}") for i, d in enumerate(docs)]
     else:
         low, high = args.instances
         master = np.random.default_rng(args.seed)
@@ -343,9 +309,9 @@ def _flag_type(convert, check=None):
     return flag_type
 
 
-def _check_scene_count(n: int) -> None:
+def _check_at_least_one(n: int) -> None:
     if n < 1:
-        raise ValueError("scene count must be at least 1")
+        raise ValueError("must be at least 1")
 
 
 def _instance_span(text: str) -> tuple[int, int]:
@@ -435,14 +401,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg.add_argument("real", help="real label file (GT lines)")
     p_reg.add_argument("synth", help="synthetic label file (GT lines)")
     p_reg.add_argument("--mode", choices=("pixel", "normalized"), default="pixel")
-    p_reg.add_argument("--width", type=int, default=None)
-    p_reg.add_argument("--height", type=int, default=None)
+    for flag in ("--width", "--height"):
+        p_reg.add_argument(flag, type=_flag_type(int, _check_at_least_one), default=None)
     _add_align_flags(p_reg)
     p_reg.set_defaults(func=cmd_register)
 
     p_gen = sub.add_parser("scenegen", help="generate paired test scenes with ground truth")
     p_gen.add_argument("--out", required=True, help="output directory")
-    p_gen.add_argument("--scenes", type=_flag_type(int, _check_scene_count), default=1)
+    p_gen.add_argument("--scenes", type=_flag_type(int, _check_at_least_one), default=1)
     p_gen.add_argument(
         "--instances", type=_flag_type(_instance_span), default="30", help="count or low:high span"
     )

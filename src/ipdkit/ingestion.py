@@ -24,7 +24,13 @@ ImageLabels.gt_boxes/pred_boxes. serialize_labels writes either form.
 
 A manifest is one JSON document describing a dataset's images and,
 optionally, the real<->synth pairing. read_json reads every JSON input
-file: manifests here, the cells and scene-spec files in the CLI.
+file, and from_json decodes each into a frozen dataclass (DatasetManifest
+here, SceneSpec and the cells file in the CLI) by one rule on its field
+types: a str takes a string, an int a whole number (1280.0 is 1280), a
+float any number, and neither a boolean; tuple[T, ...] and tuple[T, U] an
+array of that length, T | None null or a T, and a dataclass an object of
+its fields or an array of them in order. An unknown key or a missing
+required field is refused. Errors name a field path: entries[1].width_px.
 load_dataset(path) reads a manifest and loads every image it lists, with
 label paths taken relative to the manifest's directory. Loading is
 atomic: the first bad line or missing file aborts the whole dataset with
@@ -40,10 +46,11 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass
-from functools import cached_property
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from functools import cache, cached_property
 from pathlib import Path
-from typing import Mapping, Sequence, get_type_hints
+from types import UnionType
+from typing import Mapping, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -160,26 +167,10 @@ class ManifestEntry:
     def __post_init__(self):
         if not self.image_id:
             raise InputValidationError("manifest entry needs an image_id")
-        for name in ("width_px", "height_px"):
-            value = getattr(self, name)
-            # a JSON true is an int to Python, and int() floors 1280.9
-            whole = isinstance(value, (int, np.integer)) or (
-                isinstance(value, float) and value.is_integer()
-            )
-            if isinstance(value, bool) or not whole:
-                raise InputValidationError(
-                    f"entry {self.image_id!r}: {name} must be a whole number, got {value!r}"
-                )
-            object.__setattr__(self, name, int(value))
         if self.width_px <= 0 or self.height_px <= 0:
             raise InputValidationError(
                 f"entry {self.image_id!r}: image dimensions must be positive"
             )
-
-
-# each ManifestEntry field and its type; the str fields are converted from
-# their JSON values, and ManifestEntry checks the dimensions as read
-_ENTRY_TYPES = get_type_hints(ManifestEntry)
 
 
 @dataclass(frozen=True)
@@ -199,35 +190,10 @@ class DatasetManifest:
         if not self.dataset_id:
             raise InputValidationError("dataset_id must be non-empty")
         _require_mode(self.coordinate_mode)
-        object.__setattr__(self, "entries", tuple(self.entries))
-        object.__setattr__(
-            self, "pairing", tuple((str(a), str(b)) for a, b in self.pairing)
-        )
         ids = [e.image_id for e in self.entries]
         if len(set(ids)) != len(ids):
             dup = next(i for i in ids if ids.count(i) > 1)
             raise InputValidationError(f"duplicate image_id {dup!r} in manifest entries")
-
-    @classmethod
-    def from_dict(cls, doc: object) -> "DatasetManifest":
-        """Build a manifest from its decoded JSON document."""
-        if not isinstance(doc, dict):
-            raise InputValidationError("manifest JSON must be an object")
-        try:
-            entries = tuple(
-                ManifestEntry(
-                    **{k: str(e[k]) if kind is str else e[k] for k, kind in _ENTRY_TYPES.items()}
-                )
-                for e in doc.get("entries", [])
-            )
-            return cls(
-                dataset_id=str(doc["dataset_id"]),
-                coordinate_mode=str(doc["coordinate_mode"]),
-                entries=entries,
-                pairing=doc.get("pairing", ()),
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise InputValidationError(f"malformed manifest: {e}") from e
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -458,14 +424,78 @@ def read_json(path: str | Path, what: str) -> object:
         raise LoadError(f"{what} {p}: {e}") from e
 
 
-def read_manifest(path: str | Path) -> DatasetManifest:
-    """Read and validate a manifest JSON file; any failure is a LoadError
-    naming the file."""
-    doc = read_json(path, "manifest")
+@cache
+def _json_fields(cls: type) -> dict[str, tuple[object, bool]]:
+    """Each field of a dataclass: its type, and whether it lacks a default."""
+    hints = get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default is f.default_factory is MISSING) for f in fields(cls)}
+
+
+def _refusal(path: str, message: str) -> InputValidationError:
+    return InputValidationError(f"{path}: {message}" if path else message)
+
+
+def _decode(kind: object, value: object, path: str) -> object:
+    """from_json's typing rule, applied to one value at a field path."""
+    if kind is str:
+        if isinstance(value, str):
+            return value
+        expected = "a string"
+    elif kind is int or kind is float:
+        # type(), not isinstance: a JSON true is an int to isinstance
+        if type(value) is float and (kind is float or value.is_integer()) or type(value) is int:
+            try:
+                return kind(value)
+            except OverflowError:  # an integer literal past float's range
+                pass
+        expected = "a whole number" if kind is int else "a number"
+    elif is_dataclass(kind):
+        spec = _json_fields(kind)
+        if isinstance(value, list) and len(value) <= len(spec):
+            value = dict(zip(spec, value))
+        if not isinstance(value, dict):
+            name = kind.__name__
+            raise _refusal(path, f"expected a JSON object or array of {name} fields, got {value!r}")
+        unknown = [k for k in value if k not in spec]
+        missing = [k for k, (_, required) in spec.items() if required and k not in value]
+        if unknown or missing:
+            problem = f"unknown key {unknown[0]!r}" if unknown else f"missing field {missing[0]!r}"
+            raise _refusal(path, problem)
+        kwargs = {k: _decode(spec[k][0], v, f"{path}.{k}" if path else k) for k, v in value.items()}
+        try:
+            return kind(**kwargs)
+        except ValueError as e:
+            raise _refusal(path, str(e)) from e
+    elif get_origin(kind) in (Union, UnionType):  # T | None, in that order
+        return None if value is None else _decode(get_args(kind)[0], value, path)
+    elif get_origin(kind) is tuple:
+        args = get_args(kind)
+        variadic = args[-1] is Ellipsis
+        if isinstance(value, list) and (variadic or len(value) == len(args)):
+            items = zip(args[:1] * len(value) if variadic else args, value)
+            return tuple(_decode(k, v, f"{path}[{i}]") for i, (k, v) in enumerate(items))
+        expected = "an array" if variadic else f"an array of {len(args)}"
+    else:
+        raise TypeError(f"from_json cannot decode a field of type {kind!r}")
+    raise _refusal(path, f"expected {expected}, got {value!r}")
+
+
+def from_json(cls: type, doc: object, where: str):
+    """Build the frozen dataclass cls from a decoded JSON document by the
+    typing rule in the module docstring. Every refusal, the class's own
+    included, is an InputValidationError prefixed `where: field path: `."""
     try:
-        return DatasetManifest.from_dict(doc)
+        return _decode(cls, doc, "")
     except InputValidationError as e:
-        raise LoadError(f"manifest {Path(path)}: {e}") from e
+        raise InputValidationError(f"{where}: {e}") from e
+
+
+def read_manifest(path: str | Path) -> DatasetManifest:
+    """Read and decode a manifest file; any failure is a LoadError naming it."""
+    try:
+        return from_json(DatasetManifest, read_json(path, "manifest"), f"manifest {Path(path)}")
+    except InputValidationError as e:
+        raise LoadError(str(e)) from e
 
 
 def load_dataset(path: str | Path) -> tuple[list[ImageLabels], DatasetManifest]:
@@ -505,15 +535,12 @@ def merge_pairings(
     """Combine the pairing tables of the two manifests; when both declare
     one they must hold the same pairs, in any order. A pair repeated in
     one table only is a disagreement: pair_datasets sees one table."""
-    a = tuple(tuple(p) for p in real_pairing)
-    b = tuple(tuple(p) for p in synth_pairing)
-    if a and b:
-        if sorted(a) != sorted(b):
-            raise LoadError("the two manifests declare conflicting pairings")
-        return a
-    if a or b:
-        return a or b
-    raise LoadError("neither manifest declares a real<->synth pairing")
+    a, b = tuple(real_pairing), tuple(synth_pairing)
+    if a and b and sorted(a) != sorted(b):
+        raise LoadError("the two manifests declare conflicting pairings")
+    if not (a or b):
+        raise LoadError("neither manifest declares a real<->synth pairing")
+    return a or b
 
 
 def pair_datasets(

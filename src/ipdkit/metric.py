@@ -234,22 +234,25 @@ def cross_validation(
 
     results maps (train_domain, (domain_a, domain_b)) to an IpdResult or a
     bare ipd value; pair order inside keys does not matter. Every cell
-    whose pair involves the training domain must be present. A cell keeps
-    the IpdResult of the first entry listed for it, if that was one.
+    whose pair involves the training domain must be present, and every
+    result must land in such a cell. A cell keeps the IpdResult of the
+    first entry listed for it, if that was one.
     """
     if len(domains) < 2:
         raise InputValidationError("cross_validation requires at least 2 domains")
     if len(set(domains)) != len(domains):
         raise InputValidationError("domain names must be unique")
     pairs = domain_pairs(domains)
+    filled = [(train, pair) for train in domains for pair in pairs if train in pair]
+    keys = {(train, frozenset(pair)) for train, pair in filled}
+    for train, pair in results:
+        if len(pair) != 2 or (train, frozenset(pair)) not in keys:
+            raise InputValidationError(
+                f"result train={train!r} pair={tuple(pair)!r} fills no cell of the matrix"
+            )
     normalized = _normalize_results(results)
 
-    missing = [
-        (train, pair)
-        for train in domains
-        for pair in pairs
-        if train in pair and (train, frozenset(pair)) not in normalized
-    ]
+    missing = [(t, p) for t, p in filled if (t, frozenset(p)) not in normalized]
     if missing:
         desc = ", ".join(f"train={t!r} pair={p!r}" for t, p in missing)
         raise IncompleteResultsError(f"missing cross-validation cells: {desc}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -79,6 +80,8 @@ class SceneSpec:
     def __post_init__(self):
         if self.n_instances < 0:
             raise InputValidationError("n_instances must be >= 0")
+        # a numpy integer becomes an int, which the manifests can hold
+        object.__setattr__(self, "frame", tuple(map(operator.index, self.frame)))
         if self.frame[0] <= 0 or self.frame[1] <= 0:
             raise InputValidationError("frame dimensions must be positive")
         if not (math.isfinite(self.center_noise_sigma) and self.center_noise_sigma >= 0.0):

@@ -223,7 +223,7 @@ class TestScenegen:
             ({"n_instances": 1, "transform": [0, 0, 0, 1, 0, 0]}, "transform row"),
             # silently ignored, so all 6 GT lines were written, before
             ({"n_instances": 6, "dropout_rael": 0.5, "rng_seed": 2}, "unknown key 'dropout_rael'"),
-            ({"n_instances": 1, "transform": "random"}, "must be 'identity'"),
+            ({"n_instances": 1, "transform": "random"}, "transform: expected a JSON object"),
             # an AttributeError traceback, exit 1, before
             (5, "JSON object"),
         ],
@@ -394,7 +394,7 @@ class TestIpd:
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(["ipd", str(path), str(outdir / "manifest_synth.json")], capsys)
         assert code == 2
-        assert "'scene0001'" in err and field in err and "whole number" in err
+        assert f"entries[1].{field}: expected a whole number" in err
 
     @pytest.mark.parametrize("name", ["manifest_real.json", "real/scene0001_gt.txt"])
     def test_file_that_is_not_utf8_is_exit_2(self, tmp_path, capsys, name):
@@ -512,14 +512,30 @@ class TestCrossval:
         [
             (None, "cannot read cells file"),
             ("{", "cells file"),
-            ({"domains": ["a", "b"]}, "must define 'domains' and 'cells'"),
+            ({"domains": ["a", "b"]}, "missing field 'cells'"),
             ({"domains": ["a", "b"], "cells": [{"train": "a", "pair": ["a"], "ipd": 0.1}]},
-             "cell #0: pair must have exactly 2 domains"),
+             "cells[0].pair: expected an array of 2"),
             ({"domains": ["a", "b"], "cells": [{"train": "a", "pair": ["a", "b"]}]},
              "cell #0 needs either an 'ipd' value or manifest paths"),
             # a ValueError traceback, exit 1, before
             ({"domains": ["a", "b"], "cells": [{"train": "a", "pair": ["a", "b"], "ipd": "x"}]},
-             "cell #0"),
+             "cells[0].ipd"),
+            # the ipd was taken and the manifests never read, before
+            ({"domains": ["a", "b"], "cells": [{"train": "a", "pair": ["a", "b"], "ipd": 0.1,
+                                               "real_manifest": "r.json",
+                                               "synth_manifest": "s.json"}]},
+             "cell #0 needs either an 'ipd' value or manifest paths, not both"),
+            # evaluated, then dropped from the matrix, before; refused now
+            # before its manifests (which do not exist) are read
+            ({"domains": ["a", "b"], "cells": [{"train": "q", "pair": ["a", "b"],
+                                               "real_manifest": "nope_r.json",
+                                               "synth_manifest": "nope_s.json"}]},
+             "result train='q' pair=('a', 'b') fills no cell"),
+            ({"domains": ["a", "b"], "cells": [{"train": "a", "pair": ["a", "a"], "ipd": 0.1}]},
+             "result train='a' pair=('a', 'a') fills no cell"),
+            ({"domains": ["a", "b", "c"],
+              "cells": [{"train": "c", "pair": ["a", "b"], "ipd": 0.01}]},
+             "result train='c' pair=('a', 'b') fills no cell"),
         ],
     )
     def test_bad_cells_file_is_exit_2(self, tmp_path, capsys, doc, message):
@@ -619,7 +635,9 @@ class TestRegister:
         for command in ("ipd", "crossval", "register")
         for flag, value in (("--conf-threshold", "1.5"), ("--gate", "-1"), ("--max-iterations", "0"))
         if command != "register" or flag != "--conf-threshold"
-    ],
+    ]
+    # read as 1, so normalized coordinates were taken for pixels, before
+    + [("register", "--width", "0"), ("register", "--height", "-480")],
 )
 def test_bad_flag_is_exit_2_before_any_file_is_read(tmp_path, capsys, command, flag, value):
     missing = [str(tmp_path / "nope_real.json"), str(tmp_path / "nope_synth.json")]
@@ -629,6 +647,63 @@ def test_bad_flag_is_exit_2_before_any_file_is_read(tmp_path, capsys, command, f
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert flag in err and "nope_" not in err
+
+
+# one wrong-typed value per case, put at keys inside a valid document of
+# the input; each was coerced into another value or refused without its
+# field path, before
+WRONG_TYPED = [
+    ("manifest", ["entries", 0, "image_id"], None, "entries[0].image_id"),
+    ("manifest", ["entries", 0, "gt_label_path"], False, "entries[0].gt_label_path"),
+    ("manifest", ["entries", 1, "pred_label_path"], ["a"], "entries[1].pred_label_path"),
+    ("manifest", ["entries", 1, "width_px"], 2.7, "entries[1].width_px"),
+    ("manifest", ["entries", 0, "height_px"], True, "entries[0].height_px"),
+    ("manifest", ["entries", 0, "width_px"], "5", "entries[0].width_px"),
+    ("manifest", ["pairing"], ["ab"], "pairing[0]"),
+    ("spec", [0, "n_instances"], 2.7, "n_instances"),
+    ("spec", [0, "rng_seed"], True, "rng_seed"),
+    ("spec", [0, "n_instances"], "5", "n_instances"),
+    ("spec", [0, "frame"], [640.5, 480], "frame[0]"),
+    ("spec", [0, "detector_profile_real"], [None, 0.8], "detector_profile_real.low"),
+    ("cells", ["cells", 0, "train"], None, "cells[0].train"),
+    ("cells", ["cells", 0, "ipd"], "0.25", "cells[0].ipd"),
+    ("cells", ["cells", 1, "ipd"], True, "cells[1].ipd"),
+    ("cells", ["cells", 0, "pair"], "RS", "cells[0].pair"),
+    ("cells", ["domains"], "RS", "domains"),
+]
+
+
+@pytest.mark.parametrize("kind, keys, value, path", WRONG_TYPED)
+def test_wrong_typed_json_value_is_exit_2_naming_its_field(
+    tmp_path, capsys, kind, keys, value, path
+):
+    if kind == "manifest":
+        outdir = _scenegen(tmp_path, capsys)
+        target = outdir / "manifest_real.json"
+        doc = json.loads(target.read_text())
+        argv = ["ipd", str(target), str(outdir / "manifest_synth.json")]
+    elif kind == "spec":
+        target = tmp_path / "specs.json"
+        doc = [{"n_instances": 3, "frame": [640, 480], "rng_seed": 1}]
+        argv = ["scenegen", "--out", str(tmp_path / "x"), "--spec-file", str(target)]
+    else:
+        target = tmp_path / "cells.json"
+        doc = {
+            "domains": ["R", "S"],
+            "cells": [
+                {"train": "R", "pair": ["R", "S"], "ipd": 0.25},
+                {"train": "S", "pair": ["R", "S"], "ipd": 0.5},
+            ],
+        }
+        argv = ["crossval", str(target)]
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    target.write_text(json.dumps(doc))
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert f"{path}: expected" in err
 
 
 def test_align_pair_gate_defaults_to_half_median_diagonal():

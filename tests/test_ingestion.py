@@ -5,18 +5,20 @@ import io
 import json
 import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ipdkit.errors import InputValidationError, LoadError, ParseError
-from ipdkit.geometry import BBox
+from ipdkit.geometry import AffineTransform2D, BBox
 from ipdkit.ingestion import (
     DatasetManifest,
     ManifestEntry,
     _read_uniform,
+    from_json,
     ipd_result_to_dict,
     load_dataset,
     merge_pairings,
@@ -29,6 +31,7 @@ from ipdkit.ingestion import (
     write_report,
 )
 from ipdkit.metric import CrossValCell, IpdResult, cross_validation
+from ipdkit.scenegen import DetectorProfile, SceneSpec
 
 from helpers import box_arrays, image_labels
 
@@ -417,8 +420,8 @@ def _manifest(**overrides):
 
 class TestDatasetManifest:
     def test_json_round_trip(self):
-        m = DatasetManifest.from_dict(_manifest())
-        assert DatasetManifest.from_dict(json.loads(m.to_json())) == m
+        m = from_json(DatasetManifest, _manifest(), "manifest")
+        assert from_json(DatasetManifest, json.loads(m.to_json()), "manifest") == m
         assert m.dataset_id == "real"
         assert m.pairing == (("img0", "s_img0"),)
 
@@ -426,7 +429,7 @@ class TestDatasetManifest:
         doc = _manifest()
         doc["entries"] = doc["entries"] * 2
         with pytest.raises(InputValidationError, match="img0"):
-            DatasetManifest.from_dict(doc)
+            from_json(DatasetManifest, doc, "manifest")
 
     def test_invalid_json_reported_with_line(self, tmp_path):
         mpath = tmp_path / "manifest.json"
@@ -436,7 +439,101 @@ class TestDatasetManifest:
 
     def test_missing_keys_rejected(self):
         with pytest.raises(InputValidationError):
-            DatasetManifest.from_dict({"dataset_id": "x"})
+            from_json(DatasetManifest, {"dataset_id": "x"}, "manifest")
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            # ignored, and a manifest without entries read as empty, before
+            (_manifest(entires=[]), "unknown key 'entires'"),
+            ({k: v for k, v in _manifest().items() if k != "entries"}, "missing field 'entries'"),
+            (_manifest(entries=[{"image_id": "a"}]), "entries[0]: missing field 'gt_label_path'"),
+        ],
+    )
+    def test_unknown_and_missing_keys_are_named(self, doc, message):
+        with pytest.raises(InputValidationError) as exc:
+            from_json(DatasetManifest, doc, "manifest m.json")
+        assert str(exc.value) == f"manifest m.json: {message}"
+
+
+_ids = st.text(min_size=1, max_size=8)
+
+
+@st.composite
+def _span(draw, low, high, strict=False):
+    a, b = sorted(draw(st.floats(low, high)) for _ in range(2))
+    assume(a < b or not strict)
+    return a, b
+
+
+@st.composite
+def _profiles(draw):
+    low, high = draw(_span(0.0, 1.0))
+    assume(low > 0.0)
+    return DetectorProfile(low, high, draw(st.floats(0.0, 1.0, exclude_max=True)))
+
+
+_scene_specs = st.builds(
+    SceneSpec,
+    n_instances=st.integers(0, 10**6),
+    frame=st.tuples(st.integers(1, 10**5), st.integers(1, 10**5)),
+    transform=st.builds(
+        AffineTransform2D,
+        st.floats(0.1, 10.0),
+        st.floats(-10.0, 10.0),
+        st.floats(-10.0, 10.0),
+        st.floats(0.1, 10.0),
+        st.floats(-1e6, 1e6),
+        st.floats(-1e6, 1e6),
+    ),
+    center_noise_sigma=st.floats(0.0, 100.0),
+    dropout_real=st.floats(0.0, 1.0, exclude_max=True),
+    dropout_synth=st.floats(0.0, 1.0, exclude_max=True),
+    detector_profile_real=_profiles(),
+    detector_profile_synth=_profiles(),
+    rng_seed=st.integers(0, 2**64),
+    size_range=_span(1e-3, 1e3),
+    min_separation_factor=st.floats(0.0, 100.0),
+    center_region=_span(0.0, 1.0, strict=True),
+    confidence_range=_span(0.0, 1.0),
+)
+
+_sizes = st.integers(1, 10**5)
+_entries = st.builds(ManifestEntry, _ids, st.text(), st.text(), _sizes, _sizes)
+_manifests = st.builds(
+    DatasetManifest,
+    _ids,
+    st.sampled_from(["normalized", "pixel"]),
+    st.lists(_entries, max_size=5, unique_by=lambda e: e.image_id).map(tuple),
+    st.lists(st.tuples(_ids, _ids), max_size=5).map(tuple),
+)
+
+
+class TestFromJson:
+    @settings(max_examples=50, deadline=None)
+    @given(st.one_of(_scene_specs, _manifests))
+    def test_a_valid_value_comes_back_equal_through_json(self, value):
+        doc = json.loads(json.dumps(asdict(value)))
+        assert from_json(type(value), doc, "doc") == value
+
+    def test_a_dataclass_may_be_an_array_of_its_fields(self):
+        doc = {"n_instances": 2, "transform": [1, 0, 0, 1, 5, -5], "detector_profile_real": [0.8]}
+        with pytest.raises(InputValidationError, match="profile_real: missing field 'high'"):
+            from_json(SceneSpec, doc, "spec")
+        doc["detector_profile_real"].append(0.9)
+        spec = from_json(SceneSpec, doc, "spec")
+        assert spec.transform == AffineTransform2D.translation(5.0, -5.0)
+        assert spec.detector_profile_real == DetectorProfile(0.8, 0.9)
+        doc["transform"].append(1)
+        with pytest.raises(InputValidationError, match="transform: expected a JSON object"):
+            from_json(SceneSpec, doc, "spec")
+
+    def test_a_whole_float_is_an_int_and_an_int_a_float(self):
+        entry = {"image_id": "a", "gt_label_path": "g", "pred_label_path": "p"}
+        m = from_json(ManifestEntry, {**entry, "width_px": 1280.0, "height_px": 960}, "e")
+        assert (m.width_px, type(m.width_px)) == (1280, int)
+        spec = from_json(SceneSpec, {"n_instances": 1, "center_noise_sigma": 2}, "s")
+        assert (spec.center_noise_sigma, type(spec.center_noise_sigma)) == (2.0, float)
 
 
 class TestLoadDataset:

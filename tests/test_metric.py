@@ -329,6 +329,21 @@ class TestCrossValidation:
         with pytest.raises(InputValidationError):
             cross_validation(["a", "a"], {})
 
+    @pytest.mark.parametrize(
+        "key",
+        [
+            # each was dropped from the matrix without a word, before
+            ("Q", ("Real", "Hapke")),
+            ("Real", ("Real", "Q")),
+            ("Real", ("Real", "Real")),
+            ("Hapke", ("Real", "Principled")),
+        ],
+    )
+    def test_result_that_fills_no_cell_raises(self, key):
+        with pytest.raises(InputValidationError) as exc:
+            cross_validation(DOMAINS, {**TABLE_RESULTS, key: 0.01})
+        assert f"result train={key[0]!r} pair={key[1]!r} fills no cell" in str(exc.value)
+
     def test_cell_validation(self):
         with pytest.raises(InputValidationError):
             CrossValCell("Real", ("Real", "Hapke"), None)

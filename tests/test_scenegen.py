@@ -256,6 +256,12 @@ class TestEmitDataset:
             assert pairs[i][0] == gen_real
             assert pairs[i][1] == gen_synth
 
+    def test_a_numpy_integer_frame_writes_json_manifests(self, tmp_path):
+        spec = _spec(frame=(np.int64(1280), np.int64(960)))
+        assert type(spec.frame[0]) is int
+        real_path, _, _ = emit_dataset(tmp_path, [spec])
+        assert json.loads(real_path.read_text())["entries"][0]["width_px"] == 1280
+
     def test_truth_sidecar_is_consistent(self, tmp_path):
         specs = [_spec(rng_seed=7), _spec(rng_seed=8)]
         _, _, truth_path = emit_dataset(tmp_path, specs)
