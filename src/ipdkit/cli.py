@@ -42,7 +42,7 @@ from .matching import (
 )
 from .metric import IpdResult, check_conf_threshold, cross_validation, evaluate_pair
 from .registration import RegistrationConfig, RegistrationResult, register
-from .scenegen import DetectorProfile, SceneSpec, emit_dataset, random_affine
+from .scenegen import DetectorProfile, SceneSpec, check_rng_seed, emit_dataset, random_affine
 
 
 def stable_subseed(seed: int, real_id: str, synth_id: str) -> int:
@@ -52,21 +52,36 @@ def stable_subseed(seed: int, real_id: str, synth_id: str) -> int:
 
 
 def align_pair(
+    real_id: str,
+    synth_id: str,
     real_gt: np.ndarray,
     synth_gt: np.ndarray,
-    cfg: RegistrationConfig,
+    seed: int,
+    max_iterations: int,
     gate: float | None,
-) -> tuple[RegistrationResult, float, InstancePairing]:
-    """Register the synthetic GT centers onto the real ones, then match
-    them inside the gate (None: half the median real GT diagonal).
-    Takes (n, 4) cx, cy, w, h GT arrays; returns the registration, the
-    gate used and the pairing. Both sides must be non-empty."""
+) -> tuple[int, RegistrationResult | None, InstancePairing]:
+    """Register one image pair's synthetic GT centers onto the real ones,
+    then match them inside the gate (None: half the median real GT
+    diagonal). Takes (n, 4) cx, cy, w, h GT arrays; returns the pair's
+    sub-seed, the registration (None when a side is empty, which leaves
+    every instance unmatched) and the pairing, which holds the gate."""
+    sub_seed = stable_subseed(seed, real_id, synth_id)
+    if len(real_gt) == 0 or len(synth_gt) == 0:
+        unmatched = tuple(range(len(real_gt))), tuple(range(len(synth_gt)))
+        return sub_seed, None, InstancePairing((), *unmatched)
     real_centers = real_gt[:, :2].copy()
     synth_centers = synth_gt[:, :2].copy()
+    cfg = RegistrationConfig(max_iterations=max_iterations, rng_seed=sub_seed)
     reg = register(synth_centers, real_centers, cfg)
+    if reg.used_fallback:
+        print(
+            f"warning: pair ({real_id}, {synth_id}) has too few points for an affine fit; "
+            "fell back to centroid translation",
+            file=sys.stderr,
+        )
     if gate is None:
         gate = default_gate_distance(real_gt)
-    return reg, gate, match_instances(reg.transform, synth_centers, real_centers, gate)
+    return sub_seed, reg, match_instances(reg.transform, synth_centers, real_centers, gate)
 
 
 def evaluate_dataset_pair(
@@ -79,39 +94,25 @@ def evaluate_dataset_pair(
     pairings: list[InstancePairing] = []
     per_pair: list[dict] = []
     for real, synth in pairs:
-        sub_seed = stable_subseed(args.seed, real.image_id, synth.image_id)
+        sub_seed, reg, pairing = align_pair(
+            real.image_id, synth.image_id, real.gt.xywh, synth.gt.xywh,
+            args.seed, args.max_iterations, args.gate,
+        )
         row: dict = {
-            "real_image": real.image_id,
-            "synth_image": synth.image_id,
-            "sub_seed": sub_seed,
+            "real_image": real.image_id, "synth_image": synth.image_id, "sub_seed": sub_seed
         }
-        if len(real.gt) == 0 or len(synth.gt) == 0:
-            pairing = InstancePairing(
-                pairs=(),
-                unmatched_real=tuple(range(len(real.gt))),
-                unmatched_synth=tuple(range(len(synth.gt))),
-            )
-            row.update(registration="skipped (empty side)", matched=0)
+        if reg is None:
+            row["registration"] = "skipped (empty side)"
         else:
-            cfg = RegistrationConfig(max_iterations=args.max_iterations, rng_seed=sub_seed)
-            reg, gate, pairing = align_pair(real.gt.xywh, synth.gt.xywh, cfg, args.gate)
-            if reg.used_fallback:
-                print(
-                    f"warning: pair ({real.image_id}, {synth.image_id}) has too few "
-                    "points for an affine fit; fell back to centroid translation",
-                    file=sys.stderr,
-                )
-            row.update(
-                registration={
-                    "transform": list(reg.transform.params()),
-                    "iterations_used": reg.iterations_used,
-                    "hypothesis_count": reg.hypothesis_count,
-                    "used_fallback": reg.used_fallback,
-                },
-                gate_distance=gate,
-                matched=len(pairing.pairs),
-            )
+            row["registration"] = {
+                "transform": list(reg.transform.params()),
+                "iterations_used": reg.iterations_used,
+                "hypothesis_count": reg.hypothesis_count,
+                "used_fallback": reg.used_fallback,
+            }
+            row["gate_distance"] = pairing.gate_distance
         row.update(
+            matched=len(pairing.pairs),
             unmatched_real=len(pairing.unmatched_real),
             unmatched_synth=len(pairing.unmatched_synth),
         )
@@ -231,14 +232,10 @@ def cmd_register(args: argparse.Namespace) -> int:
     if len(real_gt) == 0 or len(synth_gt) == 0:
         raise InputValidationError("both label files must contain GT boxes")
 
-    sub_seed = stable_subseed(args.seed, str(args.real), str(args.synth))
-    cfg = RegistrationConfig(max_iterations=args.max_iterations, rng_seed=sub_seed)
-    reg, gate, pairing = align_pair(real_gt, synth_gt, cfg, args.gate)
-    if reg.used_fallback:
-        print(
-            "warning: too few points for an affine fit; fell back to centroid translation",
-            file=sys.stderr,
-        )
+    _, reg, pairing = align_pair(
+        str(args.real), str(args.synth), real_gt, synth_gt,
+        args.seed, args.max_iterations, args.gate,
+    )
 
     t = reg.transform
     print(
@@ -249,7 +246,7 @@ def cmd_register(args: argparse.Namespace) -> int:
         f"iterations: {reg.iterations_used}  hypotheses: {reg.hypothesis_count}  "
         f"fallback: {'yes' if reg.used_fallback else 'no'}"
     )
-    print(f"gate: {gate:.6f}")
+    print(f"gate: {pairing.gate_distance:.6f}")
     print("pairs (real_idx synth_idx distance):")
     for r, s, d in pairing.pairs:
         print(f"  {r} {s} {d:.6f}")
@@ -412,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument(
         "--instances", type=_flag_type(_instance_span), default="30", help="count or low:high span"
     )
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_flag_type(int, check_rng_seed), default=0)
     p_gen.add_argument("--sigma", type=float, default=0.0, help="center noise sigma (px)")
     p_gen.add_argument("--dropout-real", type=float, default=0.0)
     p_gen.add_argument("--dropout-synth", type=float, default=0.0)

@@ -220,3 +220,13 @@ def apply_params(params: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.nd
 def transform_points(t: AffineTransform2D, pts: np.ndarray) -> np.ndarray:
     """Apply an affine transform to an (n, 2) array."""
     return np.column_stack(apply_params(t.params(), pts))
+
+
+def median(values: Sequence[float] | np.ndarray) -> float:
+    """Median of a non-empty sequence of finite floats: the middle value,
+    or the two middle values added and then halved. That is np.median's
+    arithmetic, bit for bit, without the numpy.ma import its first call
+    costs."""
+    s = np.sort(np.asarray(values, dtype=np.float64))
+    mid = len(s) // 2
+    return float(s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputValidationError
-from .geometry import AffineTransform2D, points_to_array, transform_points
+from .geometry import AffineTransform2D, median, points_to_array, transform_points
 
 
 def _is_partition(indices: list[int]) -> bool:
@@ -134,7 +134,7 @@ def default_gate_distance(boxes: np.ndarray) -> float:
         raise InputValidationError("default_gate_distance requires at least one box")
     # math.hypot per row: np.hypot rounds differently in the last bit
     diags = [math.hypot(w, h) for w, h in boxes[:, 2:].tolist()]
-    return 0.5 * float(np.median(diags))
+    return 0.5 * median(diags)
 
 
 def match_instances(

@@ -3,19 +3,21 @@ across paired real/synthetic images.
 
 A GT box's performance value is the best IOU any predicted box achieves
 against it, i.e. its row maximum in the image's (GT x prediction) IOU
-array from geometry.iou_table. IPD is the mean absolute difference of
-these values over matched real/synth instance pairs. cross_validation
-arranges IPDs into the train-domain x domain-pair matrix used for
-dataset comparison.
+array from geometry.iou_table. evaluate_pair keeps one PerfRecord per
+matched real/synth instance pair, and its IpdResult holds those records:
+IPD is the mean absolute difference of their performance values, and the
+per-image breakdown splits that mean by image. cross_validation arranges
+IPDs into the train-domain x domain-pair matrix used for dataset
+comparison.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
-
-import math
 
 import numpy as np
 
@@ -49,32 +51,45 @@ class PerfRecord:
 
 @dataclass(frozen=True)
 class IpdResult:
-    """Aggregate IPD plus the per-image contributions it decomposes into.
+    """The matched records of one evaluation and the instances left
+    unmatched on each side. No records raise: zero matched pairs means the
+    registration/matching produced nothing to compare, not a gap of 0.
 
-    per_image_breakdown rows are (image_id, mean |p_real - p_synth| within
-    that image, matched pair count); ipd is their pair-count-weighted mean.
+    ipd is the mean |p_real - p_synth| over the records, summed left to
+    right in record order. Each per_image_breakdown row is (image_id, that
+    image's mean, its record count), images in the order their first
+    record appears.
     """
 
-    ipd: float
-    instance_count: int
-    unmatched_real_total: int
-    unmatched_synth_total: int
-    per_image_breakdown: tuple[tuple[str, float, int], ...] = ()
+    records: tuple[PerfRecord, ...]
+    unmatched_real_total: int = 0
+    unmatched_synth_total: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.ipd) and 0.0 <= self.ipd <= 1.0):
-            raise InputValidationError("ipd must lie in [0, 1]")
-        if self.instance_count < 0 or self.unmatched_real_total < 0 or self.unmatched_synth_total < 0:
+        if not self.records:
+            raise NoInstancesError("no matched instance pairs to aggregate")
+        if self.unmatched_real_total < 0 or self.unmatched_synth_total < 0:
             raise InputValidationError("counts must be non-negative")
-        if self.per_image_breakdown:
-            counts = [c for _, _, c in self.per_image_breakdown]
-            if any(c <= 0 for c in counts):
-                raise InputValidationError("breakdown pair counts must be positive")
-            if sum(counts) != self.instance_count:
-                raise InputValidationError("breakdown counts must sum to instance_count")
-            weighted = sum(v * c for _, v, c in self.per_image_breakdown) / self.instance_count
-            if abs(weighted - self.ipd) > 1e-9:
-                raise InputValidationError("breakdown does not average to ipd")
+
+    @property
+    def instance_count(self) -> int:
+        return len(self.records)
+
+    @property
+    def ipd(self) -> float:
+        total = 0.0
+        for rec in self.records:
+            total += abs(rec.p_real - rec.p_synth)
+        return total / len(self.records)
+
+    @property
+    def per_image_breakdown(self) -> tuple[tuple[str, float, int], ...]:
+        by_image: dict[str, list[float]] = {}
+        for rec in self.records:
+            by_image.setdefault(rec.image_id, []).append(abs(rec.p_real - rec.p_synth))
+        return tuple(
+            (image_id, float(np.mean(diffs)), len(diffs)) for image_id, diffs in by_image.items()
+        )
 
 
 @dataclass(frozen=True)
@@ -101,37 +116,6 @@ class CrossValCell:
             )
         if self.ipd is not None and not (math.isfinite(self.ipd) and self.ipd >= 0.0):
             raise InputValidationError("ipd must be finite and non-negative")
-
-
-def ipd(
-    records: Sequence[PerfRecord],
-    *,
-    unmatched_real_total: int = 0,
-    unmatched_synth_total: int = 0,
-) -> IpdResult:
-    """Mean absolute difference of performance values over all records.
-
-    Empty input raises: zero matched pairs means the upstream
-    registration/matching produced nothing to compare, not a gap of 0.
-    """
-    if not records:
-        raise NoInstancesError("no matched instance pairs to aggregate")
-    by_image: dict[str, list[float]] = {}
-    total = 0.0
-    for rec in records:
-        diff = abs(rec.p_real - rec.p_synth)
-        total += diff
-        by_image.setdefault(rec.image_id, []).append(diff)
-    breakdown = tuple(
-        (image_id, float(np.mean(diffs)), len(diffs)) for image_id, diffs in by_image.items()
-    )
-    return IpdResult(
-        ipd=total / len(records),
-        instance_count=len(records),
-        unmatched_real_total=unmatched_real_total,
-        unmatched_synth_total=unmatched_synth_total,
-        per_image_breakdown=breakdown,
-    )
 
 
 def check_conf_threshold(conf_threshold: float) -> None:
@@ -163,8 +147,6 @@ def evaluate_pair(
     check_conf_threshold(conf_threshold)
 
     records: list[PerfRecord] = []
-    unmatched_real = 0
-    unmatched_synth = 0
     for real, synth, pairing in zip(real_labels, synth_labels, pairings):
         perf_real, perf_synth = (
             iou_table(
@@ -179,22 +161,12 @@ def evaluate_pair(
                     f"pairing for image {real.image_id!r} references instance "
                     f"({r_idx}, {s_idx}) beyond the labeled boxes"
                 )
-            records.append(
-                PerfRecord(
-                    dataset_pair_id=dataset_pair_id,
-                    image_id=real.image_id,
-                    real_index=r_idx,
-                    synth_index=s_idx,
-                    p_real=float(perf_real[r_idx]),
-                    p_synth=float(perf_synth[s_idx]),
-                )
-            )
-        unmatched_real += len(pairing.unmatched_real)
-        unmatched_synth += len(pairing.unmatched_synth)
-    return ipd(
-        records,
-        unmatched_real_total=unmatched_real,
-        unmatched_synth_total=unmatched_synth,
+            values = float(perf_real[r_idx]), float(perf_synth[s_idx])
+            records.append(PerfRecord(dataset_pair_id, real.image_id, r_idx, s_idx, *values))
+    return IpdResult(
+        tuple(records),
+        sum(len(pairing.unmatched_real) for pairing in pairings),
+        sum(len(pairing.unmatched_synth) for pairing in pairings),
     )
 
 
@@ -213,7 +185,15 @@ def _normalize_results(
     normalized: dict[tuple[str, frozenset], tuple[float, IpdResult | None]] = {}
     for (train, pair), value in results.items():
         key = (train, frozenset(pair))
-        v = value.ipd if isinstance(value, IpdResult) else float(value)
+        if isinstance(value, IpdResult):
+            v = value.ipd
+        elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+            v = float(value)
+        else:
+            raise InputValidationError(
+                f"result train={train!r} pair={tuple(pair)!r} is {value!r}, "
+                "not an IpdResult or a real number"
+            )
         if key in normalized:
             first_v, first_result = normalized[key]
             if first_v != v:
@@ -233,10 +213,10 @@ def cross_validation(
     """Build the matrix of per-training-domain IPDs.
 
     results maps (train_domain, (domain_a, domain_b)) to an IpdResult or a
-    bare ipd value; pair order inside keys does not matter. Every cell
-    whose pair involves the training domain must be present, and every
-    result must land in such a cell. A cell keeps the IpdResult of the
-    first entry listed for it, if that was one.
+    bare ipd, a real number that is not a bool; pair order inside keys
+    does not matter. Every cell whose pair involves the training domain
+    must be present, and every result must land in such a cell. A cell
+    keeps the IpdResult of the first entry listed for it, if that was one.
     """
     if len(domains) < 2:
         raise InputValidationError("cross_validation requires at least 2 domains")

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputValidationError
-from .geometry import AffineTransform2D, apply_params, fit_affine_batch, points_to_array
+from .geometry import AffineTransform2D, apply_params, fit_affine_batch, median, points_to_array
 
 # A synthetic basis pairs its point with two of the point's nearest
 # _SYNTH_BASIS_NEIGHBOURS; a real basis with two of its nearest
@@ -105,7 +105,7 @@ def _neighbours(pts: np.ndarray, k: int) -> tuple[np.ndarray, float]:
     by_distance = np.lexsort((d2[rows, cols], rows))
     starts = np.searchsorted(rows, np.arange(len(pts)))
     order = cols[by_distance][starts[:, None] + np.arange(k)]
-    spacing = float(np.median(np.sqrt(d2[np.arange(len(pts)), order[:, 0]])))
+    spacing = median(np.sqrt(d2[np.arange(len(pts)), order[:, 0]]))
     return order, spacing
 
 

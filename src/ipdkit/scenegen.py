@@ -52,6 +52,12 @@ class DetectorProfile:
         return self.low + quantile * (self.high - self.low)
 
 
+def check_rng_seed(seed: int) -> None:
+    """Raise unless the seed is one np.random.default_rng takes."""
+    if seed < 0:
+        raise InputValidationError("rng_seed must be >= 0")
+
+
 @dataclass(frozen=True)
 class SceneSpec:
     """Everything needed to generate one real/synth scene pair.
@@ -80,6 +86,7 @@ class SceneSpec:
     def __post_init__(self):
         if self.n_instances < 0:
             raise InputValidationError("n_instances must be >= 0")
+        check_rng_seed(self.rng_seed)
         # a numpy integer becomes an int, which the manifests can hold
         object.__setattr__(self, "frame", tuple(map(operator.index, self.frame)))
         if self.frame[0] <= 0 or self.frame[1] <= 0:

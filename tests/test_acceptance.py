@@ -26,11 +26,11 @@ from ipdkit.matching import (
     match_instances,
 )
 from ipdkit.metric import (
+    IpdResult,
     PerfRecord,
     closest_domain,
     cross_validation,
     evaluate_pair,
-    ipd,
 )
 from ipdkit.baselines import average_precision
 from ipdkit.ingestion import write_report
@@ -255,16 +255,18 @@ def test_ipd_algebra(capsys):
         p_synth = rng.uniform(0.0, 1.0, size=n)
         images = [f"img{int(v)}" for v in rng.integers(0, 5, size=n)]
 
-        def records(a, b):
-            return [
-                PerfRecord("pair", images[i], i, i, float(a[i]), float(b[i]))
-                for i in range(n)
-            ]
+        def result(a, b):
+            return IpdResult(
+                tuple(
+                    PerfRecord("pair", images[i], i, i, float(a[i]), float(b[i]))
+                    for i in range(n)
+                )
+            )
 
-        forward = ipd(records(p_real, p_synth))
+        forward = result(p_real, p_synth)
         ok = ok and 0.0 <= forward.ipd <= 1.0
-        ok = ok and ipd(records(p_real, p_real)).ipd == 0.0
-        ok = ok and ipd(records(p_synth, p_real)).ipd == forward.ipd
+        ok = ok and result(p_real, p_real).ipd == 0.0
+        ok = ok and result(p_synth, p_real).ipd == forward.ipd
         weighted = math.fsum(v * c for _, v, c in forward.per_image_breakdown)
         worst_decomp = max(
             worst_decomp, abs(weighted / forward.instance_count - forward.ipd)

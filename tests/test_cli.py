@@ -19,8 +19,7 @@ import ipdkit.cli as cli
 from ipdkit.cli import align_pair, main, stable_subseed
 from ipdkit.geometry import AffineTransform2D, transform_points
 from ipdkit.ingestion import load_dataset
-from ipdkit.registration import RegistrationConfig
-from ipdkit.scenegen import SceneSpec, emit_dataset
+from ipdkit.scenegen import DetectorProfile, SceneSpec, emit_dataset, random_affine
 
 from helpers import box_arrays
 
@@ -180,6 +179,21 @@ class TestScenegen:
             moved = transform_points(AffineTransform2D.from_params(params), synth[s])
             assert np.array_equal(real[r], moved)
 
+    def test_negative_seed_is_exit_2_and_writes_nothing(self, tmp_path, capsys):
+        spec_path = tmp_path / "specs.json"
+        spec_path.write_text(json.dumps([{"n_instances": 3, "rng_seed": -1}]))
+        out_dir = tmp_path / "d"
+        code, out, err = run_cli(
+            ["scenegen", "--out", str(out_dir), "--spec-file", str(spec_path)], capsys
+        )
+        assert code == 2
+        assert "rng_seed must be >= 0" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["scenegen", "--out", str(out_dir), "--seed", "-5"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_bad_profile_is_exit_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["scenegen", "--out", str(tmp_path / "x"), "--profile-real", "0.9:oops"])
@@ -302,6 +316,20 @@ class TestIpd:
         assert rows[1]["registration"] == "skipped (empty side)"
         assert (rows[1]["matched"], rows[1]["unmatched_real"]) == (0, 0)
         assert rows[1]["unmatched_synth"] == len(synth_labels[1].gt)
+
+    def test_two_gt_pair_falls_back_with_a_warning_naming_it(self, tmp_path, capsys):
+        specs = [SceneSpec(12, rng_seed=1), SceneSpec(2, rng_seed=2)]
+        real, synth, _ = emit_dataset(tmp_path / "data", specs)
+        report = tmp_path / "report.json"
+        code, out, err = run_cli(["ipd", str(real), str(synth), "--out", str(report)], capsys)
+        assert code == 0, err
+        assert err == (
+            "warning: pair (scene0001, scene0001) has too few points for an affine fit; "
+            "fell back to centroid translation\n"
+        )
+        rows = json.loads(report.read_text())["provenance"]["pairs"]
+        assert [row["registration"]["used_fallback"] for row in rows] == [False, True]
+        assert rows[1]["matched"] == 2
 
     def test_reports_are_byte_identical_across_runs(self, tmp_path, capsys):
         outdir = _scenegen(tmp_path, capsys, "--transform", "random")
@@ -582,7 +610,10 @@ class TestRegister:
         code, out, err = run_cli(["register", str(real), str(synth)], capsys)
         assert code == 0
         assert "fallback: yes" in out
-        assert "centroid translation" in err
+        assert err == (
+            f"warning: pair ({real}, {synth}) has too few points for an affine fit; "
+            "fell back to centroid translation\n"
+        )
 
     def test_normalized_mode_requires_dims(self, tmp_path, capsys):
         real, synth = self._write_pair(tmp_path)
@@ -707,12 +738,20 @@ def test_wrong_typed_json_value_is_exit_2_naming_its_field(
 
 
 def test_align_pair_gate_defaults_to_half_median_diagonal():
-    real = box_arrays([(100.0 * i, 50.0 * (i % 2), 6.0, 8.0) for i in range(5)]).xywh
-    cfg = RegistrationConfig(rng_seed=0)
-    reg, gate, pairing = align_pair(real, real, cfg, None)
-    assert gate == pytest.approx(5.0)
+    centers = [(0.0, 0.0), (100.0, 50.0), (230.0, 10.0), (310.0, 90.0), (420.0, 30.0)]
+    real = box_arrays([(x, y, 6.0, 8.0) for x, y in centers]).xywh
+    sub_seed, reg, pairing = align_pair("a", "b", real, real, 0, 200, None)
+    assert sub_seed == stable_subseed(0, "a", "b")
+    assert pairing.gate_distance == pytest.approx(5.0)
     assert [(r, s) for r, s, _ in pairing.pairs] == [(i, i) for i in range(5)]
-    assert align_pair(real, real, cfg, 2.5)[1] == 2.5
+    assert align_pair("a", "b", real, real, 0, 200, 2.5)[2].gate_distance == 2.5
+
+
+def test_align_pair_leaves_an_empty_side_unregistered():
+    real = box_arrays([(10.0, 10.0, 6.0, 8.0), (40.0, 10.0, 6.0, 8.0)]).xywh
+    sub_seed, reg, pairing = align_pair("a", "b", real, real[:0], 3, 200, None)
+    assert (sub_seed, reg) == (stable_subseed(3, "a", "b"), None)
+    assert (pairing.pairs, pairing.unmatched_real, pairing.unmatched_synth) == ((), (0, 1), ())
 
 
 def _bench_module(name):
@@ -823,6 +862,59 @@ def test_bench_dataset_builder_files_are_pinned(tmp_path):
     assert got == json.loads(BENCH_DIGESTS.read_text(encoding="utf-8"))
 
 
+# SHA-256 of the CLI's stdout on one seeded dataset: the ipd report in
+# every format, a crossval json report with a computed cell, and register
+# on a full pair and on a two-GT pair that falls back.
+CLI_DIGESTS = Path(__file__).parent / "data" / "cli_outputs_sha256.json"
+
+
+def _cli_outputs(tmp_path, capsys, monkeypatch) -> dict[str, str]:
+    rng = np.random.default_rng(16)
+    common = dict(
+        center_noise_sigma=0.5,
+        dropout_real=0.1,
+        dropout_synth=0.1,
+        detector_profile_synth=DetectorProfile(0.5, 0.9, 0.1),
+    )
+    specs = [
+        SceneSpec(14, transform=random_affine(rng, (1280, 960)), rng_seed=1, **common),
+        SceneSpec(20, transform=random_affine(rng, (1280, 960)), rng_seed=2, **common),
+        SceneSpec(2, rng_seed=3),  # too few points: the registration falls back
+        SceneSpec(0, rng_seed=4),  # an empty side: the pair is skipped
+    ]
+    emit_dataset(tmp_path, specs)
+    # the reports echo the manifest paths, so they are given relative
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cells.json").write_text(
+        json.dumps(
+            {
+                "domains": ["R", "S"],
+                "cells": [
+                    {"train": "R", "pair": ["R", "S"], "real_manifest": "manifest_real.json",
+                     "synth_manifest": "manifest_synth.json"},
+                    {"train": "S", "pair": ["R", "S"], "ipd": 0.31},
+                ],
+            }
+        )
+    )
+    manifests = ["manifest_real.json", "manifest_synth.json"]
+    runs = {f"ipd.{f}": ["ipd", *manifests, "--format", f] for f in ("json", "csv", "markdown")}
+    runs["crossval.json"] = ["crossval", "cells.json", "--format", "json"]
+    for scene in ("scene0000", "scene0002"):
+        runs[f"register.{scene}"] = ["register", f"real/{scene}_gt.txt", f"synth/{scene}_gt.txt"]
+    digests = {}
+    for name, argv in runs.items():
+        code, out, err = run_cli([*argv, "--seed", "7"], capsys)
+        assert code == 0, err
+        digests[name] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    return digests
+
+
+def test_cli_outputs_are_pinned(tmp_path, capsys, monkeypatch):
+    got = _cli_outputs(tmp_path, capsys, monkeypatch)
+    assert got == json.loads(CLI_DIGESTS.read_text(encoding="utf-8"))
+
+
 class TestStableSubseed:
     def test_depends_on_every_component(self):
         base = stable_subseed(1, "a", "b")
@@ -830,6 +922,24 @@ class TestStableSubseed:
         assert stable_subseed(2, "a", "b") != base
         assert stable_subseed(1, "x", "b") != base
         assert stable_subseed(1, "a", "x") != base
+
+
+def test_ipd_run_loads_no_numpy_ma(tmp_path):
+    # np.median imports numpy.ma on its first call, a start-up cost of
+    # every ipd run; geometry.median takes its place
+    real, synth, _ = emit_dataset(tmp_path, [SceneSpec(12, rng_seed=1)])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["ipd", str(real), str(synth), "--out", str(tmp_path / "r.json")]
+    probe = (
+        "import sys, ipdkit.cli; "
+        f"code = ipdkit.cli.main({argv!r}); "
+        "print(code, 'numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines()[-1] == "0 False"
 
 
 def test_import_loads_no_scipy():

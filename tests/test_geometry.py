@@ -13,7 +13,7 @@ from ipdkit import (
     iou,
     iou_table,
 )
-from ipdkit.geometry import apply_params, points_to_array, transform_points
+from ipdkit.geometry import apply_params, median, points_to_array, transform_points
 
 from helpers import grid_iou, overlapping_box_pair
 
@@ -203,3 +203,18 @@ def test_iou_bounds_property(cx1, cy1, w1, h1, cx2, cy2, w2, h2):
     assert iou(b, a) == v
     # intersection can never exceed the smaller area's share of the union
     assert v <= min(a.area, b.area) / max(a.area, b.area) + 1e-12
+
+
+def test_median_is_bit_equal_to_numpy():
+    rng = np.random.default_rng(16)
+    for n in range(1, 60):
+        for draw in (
+            rng.uniform(0.0, 1.0, n),
+            rng.lognormal(0.0, 4.0, n),
+            rng.integers(0, 4, n) / 3.0,  # ties
+            np.full(n, 0.1),
+        ):
+            assert median(draw) == float(np.median(draw))
+            assert median(list(draw)) == float(np.median(draw))
+    # halved after adding: the two middle values are not averaged as a / 2 + b / 2
+    assert median([5e-324, 5e-324]) == 5e-324

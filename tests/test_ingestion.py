@@ -30,7 +30,7 @@ from ipdkit.ingestion import (
     write_ipd_report,
     write_report,
 )
-from ipdkit.metric import CrossValCell, IpdResult, cross_validation
+from ipdkit.metric import CrossValCell, IpdResult, PerfRecord, cross_validation
 from ipdkit.scenegen import DetectorProfile, SceneSpec
 
 from helpers import box_arrays, image_labels
@@ -625,6 +625,13 @@ class TestPairing:
         synth = [_labels("s0"), _labels("s1")]
         with pytest.raises(LoadError, match="r0"):
             pair_datasets(real, synth, [("r0", "s0"), ("r0", "s1")])
+        real.append(_labels("r1"))
+        with pytest.raises(LoadError, match="synth image 's0' paired twice"):
+            pair_datasets(real, synth, [("r0", "s0"), ("r1", "s0")])
+
+    def test_empty_pairing_table_rejected(self):
+        with pytest.raises(LoadError, match="pairing table is empty"):
+            pair_datasets([_labels("r0")], [_labels("s0")], [])
 
 
 DOMAINS = ("Real", "Principled", "Hapke")
@@ -672,11 +679,8 @@ class TestWriteReport:
     def test_json_embeds_details_for_ipd_results(self):
         detailed = {
             key: IpdResult(
-                ipd=v,
-                instance_count=4,
+                tuple(PerfRecord("p", "img", i, i, v, 0.0) for i in range(4)),
                 unmatched_real_total=1,
-                unmatched_synth_total=0,
-                per_image_breakdown=(("img", v, 4),),
             )
             for key, v in RESULTS.items()
         }
@@ -700,37 +704,46 @@ class TestWriteReport:
         with pytest.raises(InputValidationError):
             write_report(bad)
 
-
-def _result_from_doc(doc: dict) -> IpdResult:
-    return IpdResult(
-        ipd=doc["ipd"],
-        instance_count=doc["instance_count"],
-        unmatched_real_total=doc["unmatched_real_total"],
-        unmatched_synth_total=doc["unmatched_synth_total"],
-        per_image_breakdown=tuple(
-            (r["image_id"], r["ipd_contribution"], r["pair_count"])
-            for r in doc["per_image_breakdown"]
-        ),
-    )
+    @pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
+    def test_malformed_matrix_rejected(self, fmt):
+        real, principled = self.matrix[0], self.matrix[1]
+        mixed = [principled[0], *real[1:]]
+        for bad, message in (
+            ([], "matrix is empty"),
+            ([[]], "matrix is empty"),
+            ([mixed, principled], "row mixes training domains"),
+            ([real, principled, real], "duplicate training-domain rows"),
+        ):
+            with pytest.raises(InputValidationError, match=message):
+                write_report(bad, fmt=fmt)
 
 
 class TestIpdReport:
     def setup_method(self):
+        values = [("a", 1.0, 0.0), ("a", 0.5, 0.5), ("b", 0.0, 0.0), ("b", 1.0, 1.0)]
         self.result = IpdResult(
-            ipd=0.25,
-            instance_count=4,
+            tuple(PerfRecord("p", img, i % 2, i % 2, *pv) for i, (img, *pv) in enumerate(values)),
             unmatched_real_total=1,
             unmatched_synth_total=2,
-            per_image_breakdown=(("a", 0.5, 2), ("b", 0.0, 2)),
         )
+        self.doc = {
+            "ipd": 0.25,
+            "instance_count": 4,
+            "unmatched_real_total": 1,
+            "unmatched_synth_total": 2,
+            "per_image_breakdown": [
+                {"image_id": "a", "ipd_contribution": 0.5, "pair_count": 2},
+                {"image_id": "b", "ipd_contribution": 0.0, "pair_count": 2},
+            ],
+        }
 
-    def test_result_dict_round_trip(self):
-        assert _result_from_doc(ipd_result_to_dict(self.result)) == self.result
+    def test_result_dict_holds_the_derived_fields(self):
+        assert ipd_result_to_dict(self.result) == self.doc
 
     def test_json_report_round_trip(self):
         text = write_ipd_report(self.result, provenance={"gate": 5.0})
         doc = json.loads(text)
-        assert _result_from_doc(doc["result"]) == self.result
+        assert doc["result"] == self.doc
         assert doc["provenance"] == {"gate": 5.0}
 
     def test_markdown_totals_row(self):

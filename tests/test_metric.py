@@ -18,7 +18,6 @@ from ipdkit.metric import (
     cross_validation,
     domain_pairs,
     evaluate_pair,
-    ipd,
 )
 
 from helpers import box_arrays, image_labels
@@ -91,16 +90,16 @@ class TestPerfRecord:
 class TestIpd:
     def test_hand_computed_mean(self):
         records = [_record(0.9, 0.6), _record(0.5, 0.5, idx=1), _record(0.0, 0.3, idx=2)]
-        result = ipd(records)
+        result = IpdResult(tuple(records))
         assert result.ipd == pytest.approx((0.3 + 0.0 + 0.3) / 3.0, abs=1e-12)
         assert result.instance_count == 3
 
     def test_empty_records_raise(self):
-        with pytest.raises(NoInstancesError):
-            ipd([])
+        with pytest.raises(NoInstancesError, match="no matched instance pairs"):
+            IpdResult(())
 
     def test_unmatched_totals_pass_through(self):
-        result = ipd([_record(0.5, 0.5)], unmatched_real_total=2, unmatched_synth_total=3)
+        result = IpdResult((_record(0.5, 0.5),), unmatched_real_total=2, unmatched_synth_total=3)
         assert result.unmatched_real_total == 2
         assert result.unmatched_synth_total == 3
 
@@ -110,10 +109,20 @@ class TestIpd:
             _record(0.5, 0.5, image_id="a", idx=1),
             _record(0.0, 0.25, image_id="b", idx=0),
         ]
-        result = ipd(records)
+        result = IpdResult(tuple(records))
         by_image = {image_id: (v, c) for image_id, v, c in result.per_image_breakdown}
         assert by_image["a"] == (pytest.approx(0.5), 2)
         assert by_image["b"] == (pytest.approx(0.25), 1)
+
+    def test_keeps_its_records_and_lists_images_by_first_record(self):
+        records = (
+            _record(0.25, 0.0, image_id="b", idx=0),
+            _record(1.0, 0.5, image_id="a", idx=0),
+            _record(0.0, 0.75, image_id="b", idx=1),
+        )
+        result = IpdResult(records)
+        assert result.records == records
+        assert result.per_image_breakdown == (("b", 0.5, 2), ("a", 0.5, 1))
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -132,20 +141,25 @@ class TestIpd:
             _record(pr, ps, image_id=f"img{i % n_images}", idx=i)
             for i, (pr, ps) in enumerate(values)
         ]
-        result = ipd(records)
+        result = IpdResult(tuple(records))
 
         expected = math.fsum(abs(pr - ps) for pr, ps in values) / len(values)
         assert abs(result.ipd - expected) <= 1e-12
+        # one left-to-right sum in record order, which the reports print
+        total = 0.0
+        for pr, ps in values:
+            total += abs(pr - ps)
+        assert result.ipd == total / len(values)
         assert 0.0 <= result.ipd <= 1.0
 
         # order of the two domains cannot matter
-        swapped = ipd([_record(ps, pr, image_id=r.image_id, idx=r.real_index)
-                       for r, (pr, ps) in zip(records, values)])
+        swapped = IpdResult(tuple(_record(ps, pr, image_id=r.image_id, idx=r.real_index)
+                                  for r, (pr, ps) in zip(records, values)))
         assert abs(result.ipd - swapped.ipd) <= 1e-12
 
         # identical profiles mean a zero gap, exactly
-        same = ipd([_record(pr, pr, image_id=r.image_id, idx=r.real_index)
-                    for r, (pr, _) in zip(records, values)])
+        same = IpdResult(tuple(_record(pr, pr, image_id=r.image_id, idx=r.real_index)
+                               for r, (pr, _) in zip(records, values)))
         assert same.ipd == 0.0
 
         # per-image means recombine to the aggregate, count-weighted
@@ -154,29 +168,11 @@ class TestIpd:
 
 
 class TestIpdResultValidation:
-    def test_breakdown_must_sum_to_instance_count(self):
+    def test_rejects_negative_unmatched_counts(self):
         with pytest.raises(InputValidationError):
-            IpdResult(
-                ipd=0.5,
-                instance_count=3,
-                unmatched_real_total=0,
-                unmatched_synth_total=0,
-                per_image_breakdown=(("a", 0.5, 2),),
-            )
-
-    def test_breakdown_must_average_to_ipd(self):
+            IpdResult((_record(0.5, 0.5),), unmatched_real_total=-1)
         with pytest.raises(InputValidationError):
-            IpdResult(
-                ipd=0.5,
-                instance_count=2,
-                unmatched_real_total=0,
-                unmatched_synth_total=0,
-                per_image_breakdown=(("a", 0.1, 2),),
-            )
-
-    def test_rejects_out_of_range_ipd(self):
-        with pytest.raises(InputValidationError):
-            IpdResult(ipd=1.5, instance_count=1, unmatched_real_total=0, unmatched_synth_total=0)
+            IpdResult((_record(0.5, 0.5),), unmatched_synth_total=-1)
 
 
 def _labels(image_id, gt, pred):
@@ -203,7 +199,11 @@ class TestEvaluatePair:
             unmatched_synth=(),
             gate_distance=5.0,
         )
-        result = evaluate_pair([real], [synth], [pairing], conf_threshold=0.25)
+        result = evaluate_pair([real], [synth], [pairing], 0.25, dataset_pair_id="p")
+        ids = [(r.dataset_pair_id, r.image_id, r.real_index, r.synth_index) for r in result.records]
+        assert ids == [("p", "img0", 0, 0), ("p", "img0", 1, 1)]
+        assert [r.p_real for r in result.records] == [1.0, 0.0]
+        assert [r.p_synth for r in result.records] == [pytest.approx(1.0 / 3.0), 1.0]
         # |1.0 - 1/3| and |0.0 - 1.0| averaged
         assert result.ipd == pytest.approx((2.0 / 3.0 + 1.0) / 2.0, abs=1e-12)
         assert result.instance_count == 2
@@ -290,26 +290,31 @@ class TestCrossValidation:
         assert cross_validation(DOMAINS, flipped) == cross_validation(DOMAINS, TABLE_RESULTS)
 
     def test_accepts_ipd_result_values(self):
-        results = {
-            key: IpdResult(ipd=v, instance_count=1, unmatched_real_total=0, unmatched_synth_total=0)
-            for key, v in TABLE_RESULTS.items()
-        }
+        results = {key: IpdResult((_record(v, 0.0),)) for key, v in TABLE_RESULTS.items()}
         assert cross_validation(DOMAINS, results) == cross_validation(DOMAINS, TABLE_RESULTS)
 
     def test_a_cell_keeps_the_result_of_the_first_entry_listed_for_it(self):
         key, flipped = ("Real", ("Real", "Principled")), ("Real", ("Principled", "Real"))
-        detailed = IpdResult(
-            ipd=TABLE_RESULTS[key],
-            instance_count=1,
-            unmatched_real_total=0,
-            unmatched_synth_total=0,
-        )
+        detailed = IpdResult((_record(TABLE_RESULTS[key], 0.0),))
         rest = {k: v for k, v in TABLE_RESULTS.items() if k != key}
         first = cross_validation(DOMAINS, {key: detailed, flipped: TABLE_RESULTS[key], **rest})
         later = cross_validation(DOMAINS, {flipped: TABLE_RESULTS[key], key: detailed, **rest})
         assert first[0][2].result is detailed
         assert later[0][2].result is None
         assert first == later == cross_validation(DOMAINS, TABLE_RESULTS)
+
+    @pytest.mark.parametrize("value", ["0.25", True, None, [0.25]])
+    def test_value_that_is_not_a_result_or_a_real_number_raises(self, value):
+        # a str and a bool were coerced with float() into 0.25 and 1.0, before
+        pair = ("a", "b")
+        with pytest.raises(InputValidationError, match="not an IpdResult or a real number"):
+            cross_validation(["a", "b"], {("a", pair): 0.25, ("b", pair): value})
+
+    def test_numpy_reals_are_taken(self):
+        pair = ("a", "b")
+        results = {("a", pair): np.float64(0.25), ("b", pair): np.int64(1)}
+        matrix = cross_validation(["a", "b"], results)
+        assert [cell.ipd for row in matrix for cell in row] == [0.25, 1.0]
 
     def test_missing_cell_raises(self):
         partial = dict(TABLE_RESULTS)

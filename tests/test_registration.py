@@ -16,10 +16,11 @@ from ipdkit import (
     fallback_translation,
     fit_affine_batch,
     generate_scene_pair,
+    default_gate_distance,
+    match_instances,
     random_affine,
     register,
 )
-from ipdkit.cli import align_pair
 from ipdkit.geometry import transform_points
 from ipdkit.registration import _CheckTest, _neighbours
 
@@ -217,14 +218,20 @@ def _scenes(master_seed, count, n_range, dropout, **layout):
         yield generate_scene_pair(spec)[:3]
 
 
+def _align(real_gt, synth_gt, cfg):
+    """The pipeline's per-pair step at a given registration config:
+    register the GT centers, then match them inside the default gate."""
+    real, synth = real_gt[:, :2].copy(), synth_gt[:, :2].copy()
+    reg = register(synth, real, cfg)
+    return match_instances(reg.transform, synth, real, default_gate_distance(real_gt))
+
+
 def _recalls(scenes):
     """Per scene, the share of the generator's true correspondence that
-    align_pair recovers."""
+    _align recovers."""
     out = []
     for i, (real, synth, corr) in enumerate(scenes):
-        _, _, pairing = align_pair(
-            real.gt.xywh, synth.gt.xywh, RegistrationConfig(rng_seed=i), None
-        )
+        pairing = _align(real.gt.xywh, synth.gt.xywh, RegistrationConfig(rng_seed=i))
         truth = set(corr)
         found = {(r, s) for r, s, _ in pairing.pairs}
         out.append(len(found & truth) / len(truth) if truth else 1.0)
@@ -266,8 +273,8 @@ def test_pairing_invariant_under_affine_remap_of_synthetic_side():
         remapped = synth.gt.xywh.copy()
         remapped[:, :2] = transform_points(remap, synth.gt.xywh[:, :2])
         cfg = RegistrationConfig(rng_seed=i)
-        _, _, before = align_pair(real.gt.xywh, synth.gt.xywh, cfg, None)
-        _, _, after = align_pair(real.gt.xywh, remapped, cfg, None)
+        before = _align(real.gt.xywh, synth.gt.xywh, cfg)
+        after = _align(real.gt.xywh, remapped, cfg)
         assert [(r, s) for r, s, _ in after.pairs] == [(r, s) for r, s, _ in before.pairs], i
 
 
