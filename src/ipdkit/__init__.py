@@ -31,8 +31,6 @@ from .ingestion import (
     parse_label_file,
     read_label_arrays,
     serialize_labels,
-    write_ipd_report,
-    write_report,
 )
 from .matching import (
     InstancePairing,
@@ -54,6 +52,7 @@ from .registration import (
     fallback_translation,
     register,
 )
+from .report import write_ipd_report, write_report
 from .scenegen import (
     DetectorProfile,
     SceneIous,

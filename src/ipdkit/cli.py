@@ -1,5 +1,10 @@
 """Command-line surface: evaluate dataset pairs, assemble cross-validation
-tables, inspect registration on one pair, and generate test scenes.
+tables, show one image pair's registration, and generate test scenes.
+
+ipd, crossval and register share one per-pair step: align_pair registers
+and matches an image pair under a PipelineConfig and returns a
+PairOutcome, whose provenance_row is the pair's row in every report.
+evaluate_dataset_pair runs it over a dataset pair without argparse.
 
 Exit codes: 0 success, 2 bad input (parse/validation/load), 3 zero
 matched instance pairs. A bad flag value is an argparse usage error:
@@ -14,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,24 +30,12 @@ import numpy as np
 from .errors import InputValidationError, IpdKitError, NoInstancesError
 from .geometry import AffineTransform2D
 from .ingestion import (
-    ImageLabels,
-    from_json,
-    load_dataset,
-    merge_pairings,
-    pair_datasets,
-    read_json,
-    read_label_arrays,
-    write_ipd_report,
-    write_report,
+    ImageLabels, from_json, load_dataset, merge_pairings, pair_datasets, read_json
 )
-from .matching import (
-    InstancePairing,
-    check_gate_distance,
-    default_gate_distance,
-    match_instances,
-)
-from .metric import IpdResult, check_conf_threshold, cross_validation, evaluate_pair
+from .matching import InstancePairing, check_gate_distance, default_gate_distance, match_instances
+from .metric import IpdResult, check_conf_threshold, check_ipd, cross_validation, evaluate_pair
 from .registration import RegistrationConfig, RegistrationResult, register
+from .report import write_ipd_report, write_report
 from .scenegen import DetectorProfile, SceneSpec, check_rng_seed, emit_dataset, random_affine
 
 
@@ -51,56 +45,37 @@ def stable_subseed(seed: int, real_id: str, synth_id: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def align_pair(
-    real_id: str,
-    synth_id: str,
-    real_gt: np.ndarray,
-    synth_gt: np.ndarray,
-    seed: int,
-    max_iterations: int,
-    gate: float | None,
-) -> tuple[int, RegistrationResult | None, InstancePairing]:
-    """Register one image pair's synthetic GT centers onto the real ones,
-    then match them inside the gate (None: half the median real GT
-    diagonal). Takes (n, 4) cx, cy, w, h GT arrays; returns the pair's
-    sub-seed, the registration (None when a side is empty, which leaves
-    every instance unmatched) and the pairing, which holds the gate."""
-    sub_seed = stable_subseed(seed, real_id, synth_id)
-    if len(real_gt) == 0 or len(synth_gt) == 0:
-        unmatched = tuple(range(len(real_gt))), tuple(range(len(synth_gt)))
-        return sub_seed, None, InstancePairing((), *unmatched)
-    real_centers = real_gt[:, :2].copy()
-    synth_centers = synth_gt[:, :2].copy()
-    cfg = RegistrationConfig(max_iterations=max_iterations, rng_seed=sub_seed)
-    reg = register(synth_centers, real_centers, cfg)
-    if reg.used_fallback:
-        print(
-            f"warning: pair ({real_id}, {synth_id}) has too few points for an affine fit; "
-            "fell back to centroid translation",
-            file=sys.stderr,
-        )
-    if gate is None:
-        gate = default_gate_distance(real_gt)
-    return sub_seed, reg, match_instances(reg.transform, synth_centers, real_centers, gate)
+@dataclass(frozen=True)
+class PipelineConfig:
+    """The flags that decide an evaluation: the master seed, the
+    registration budget, the matching gate (None: half the median real GT
+    diagonal) and the confidence threshold below which predictions are
+    dropped."""
+
+    seed: int = 0
+    max_iterations: int = RegistrationConfig.max_iterations
+    gate: float | None = None
+    conf_threshold: float = 0.25
 
 
-def evaluate_dataset_pair(
-    pairs: Sequence[tuple[ImageLabels, ImageLabels]],
-    args: argparse.Namespace,
-    dataset_pair_id: str,
-) -> tuple[IpdResult, list[dict]]:
-    """registration -> matching -> per-instance evaluation over all image
-    pairs; returns the result plus per-pair provenance rows."""
-    pairings: list[InstancePairing] = []
-    per_pair: list[dict] = []
-    for real, synth in pairs:
-        sub_seed, reg, pairing = align_pair(
-            real.image_id, synth.image_id, real.gt.xywh, synth.gt.xywh,
-            args.seed, args.max_iterations, args.gate,
-        )
+@dataclass(frozen=True)
+class PairOutcome:
+    """One image pair after registration and matching. registration is
+    None when a side has no GT box, which leaves every instance
+    unmatched; the pairing holds the gate it was matched inside."""
+
+    real_id: str
+    synth_id: str
+    sub_seed: int
+    registration: RegistrationResult | None
+    pairing: InstancePairing
+
+    def provenance_row(self) -> dict:
+        """The pair's row in the ipd and crossval reports and in register's output."""
         row: dict = {
-            "real_image": real.image_id, "synth_image": synth.image_id, "sub_seed": sub_seed
+            "real_image": self.real_id, "synth_image": self.synth_id, "sub_seed": self.sub_seed
         }
+        reg, pairing = self.registration, self.pairing
         if reg is None:
             row["registration"] = "skipped (empty side)"
         else:
@@ -116,21 +91,59 @@ def evaluate_dataset_pair(
             unmatched_real=len(pairing.unmatched_real),
             unmatched_synth=len(pairing.unmatched_synth),
         )
-        per_pair.append(row)
-        pairings.append(pairing)
+        return row
+
+
+def align_pair(real: ImageLabels, synth: ImageLabels, config: PipelineConfig) -> PairOutcome:
+    """Register one image pair's synthetic GT centers onto the real ones,
+    seeded by the pair's sub-seed, then match them inside the gate."""
+    real_id, synth_id = real.image_id, synth.image_id
+    sub_seed = stable_subseed(config.seed, real_id, synth_id)
+    real_gt, synth_gt = real.gt.xywh, synth.gt.xywh
+    if len(real_gt) == 0 or len(synth_gt) == 0:
+        unmatched = tuple(range(len(real_gt))), tuple(range(len(synth_gt)))
+        return PairOutcome(real_id, synth_id, sub_seed, None, InstancePairing((), *unmatched))
+    real_centers = real_gt[:, :2].copy()
+    synth_centers = synth_gt[:, :2].copy()
+    cfg = RegistrationConfig(max_iterations=config.max_iterations, rng_seed=sub_seed)
+    reg = register(synth_centers, real_centers, cfg)
+    if reg.used_fallback:
+        print(
+            f"warning: pair ({real_id}, {synth_id}) has too few points for an affine fit; "
+            "fell back to centroid translation",
+            file=sys.stderr,
+        )
+    gate = default_gate_distance(real_gt) if config.gate is None else config.gate
+    pairing = match_instances(reg.transform, synth_centers, real_centers, gate)
+    return PairOutcome(real_id, synth_id, sub_seed, reg, pairing)
+
+
+def evaluate_dataset_pair(
+    pairs: Sequence[tuple[ImageLabels, ImageLabels]],
+    config: PipelineConfig,
+    dataset_pair_id: str,
+) -> tuple[IpdResult, list[PairOutcome]]:
+    """registration -> matching -> per-instance evaluation over all image
+    pairs; returns the result and each image pair's outcome."""
+    outcomes = [align_pair(real, synth, config) for real, synth in pairs]
     reals = [real for real, _ in pairs]
     synths = [synth for _, synth in pairs]
-    result = evaluate_pair(reals, synths, pairings, args.conf_threshold, dataset_pair_id)
-    return result, per_pair
+    pairings = [outcome.pairing for outcome in outcomes]
+    result = evaluate_pair(reals, synths, pairings, config.conf_threshold, dataset_pair_id)
+    return result, outcomes
 
 
-def _pipeline_provenance(args: argparse.Namespace) -> dict:
+def _pipeline_provenance(config: PipelineConfig) -> dict:
     return {
-        "seed": args.seed,
-        "conf_threshold": args.conf_threshold,
-        "gate": "auto (half median GT diagonal)" if args.gate is None else args.gate,
-        "registration_config": {"max_iterations": args.max_iterations},
+        "seed": config.seed,
+        "conf_threshold": config.conf_threshold,
+        "gate": "auto (half median GT diagonal)" if config.gate is None else config.gate,
+        "registration_config": {"max_iterations": config.max_iterations},
     }
+
+
+def _config(args: argparse.Namespace) -> PipelineConfig:
+    return PipelineConfig(args.seed, args.max_iterations, args.gate, args.conf_threshold)
 
 
 def _load_pairs(
@@ -151,15 +164,16 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_ipd(args: argparse.Namespace) -> int:
+    config = _config(args)
     pairs, dataset_pair_id = _load_pairs(args.real_manifest, args.synth_manifest)
-    result, per_pair = evaluate_dataset_pair(pairs, args, dataset_pair_id)
+    result, outcomes = evaluate_dataset_pair(pairs, config, dataset_pair_id)
     provenance = {
         "command": "ipd",
         "real_manifest": args.real_manifest,
         "synth_manifest": args.synth_manifest,
         "dataset_pair_id": dataset_pair_id,
-        **_pipeline_provenance(args),
-        "pairs": per_pair,
+        **_pipeline_provenance(config),
+        "pairs": [outcome.provenance_row() for outcome in outcomes],
     }
     print(f"IPD {result.ipd:.6f}")
     _emit(write_ipd_report(result, fmt=args.format, provenance=provenance), args.out)
@@ -175,6 +189,10 @@ class _Cell:
     ipd: float | None = None
     real_manifest: str | None = None
     synth_manifest: str | None = None
+
+    def __post_init__(self):
+        if self.ipd is not None:
+            check_ipd(self.ipd)
 
 
 @dataclass(frozen=True)
@@ -194,6 +212,7 @@ class _CellsFile:
 def cmd_crossval(args: argparse.Namespace) -> int:
     doc = read_json(args.cells, "cells file")
     cells_file = from_json(_CellsFile, doc, f"cells file {args.cells}")
+    config = _config(args)
     # the matrix's layout rules, checked before any manifest is evaluated
     cross_validation(cells_file.domains, {(c.train, c.pair): 0.0 for c in cells_file.cells})
     results: dict[tuple[str, tuple[str, str]], object] = {}
@@ -204,16 +223,17 @@ def cmd_crossval(args: argparse.Namespace) -> int:
             results[(train, pair)] = cell.ipd
         else:
             pairs, pair_id = _load_pairs(cell.real_manifest, cell.synth_manifest)
-            results[(train, pair)], per_pair = evaluate_dataset_pair(pairs, args, pair_id)
+            results[(train, pair)], outcomes = evaluate_dataset_pair(pairs, config, pair_id)
+            rows = [outcome.provenance_row() for outcome in outcomes]
             computed.append(
-                {"train": train, "pair": list(pair), "dataset_pair_id": pair_id, "pairs": per_pair}
+                {"train": train, "pair": list(pair), "dataset_pair_id": pair_id, "pairs": rows}
             )
 
     matrix = cross_validation(cells_file.domains, results)
     provenance = {
         "command": "crossval",
         "cells_file": args.cells,
-        **_pipeline_provenance(args),
+        **_pipeline_provenance(config),
         "computed_cells": computed,
     }
     _emit(write_report(matrix, fmt=args.format, provenance=provenance), args.out)
@@ -221,37 +241,18 @@ def cmd_crossval(args: argparse.Namespace) -> int:
 
 
 def cmd_register(args: argparse.Namespace) -> int:
-    if args.mode == "normalized" and (args.width is None or args.height is None):
-        raise InputValidationError("--width and --height are required in normalized mode")
-    dims = (args.width, args.height) if args.mode == "normalized" else (1, 1)  # pixel mode: unused
-    real_boxes = read_label_arrays(args.real, args.mode, dims)
-    synth_boxes = read_label_arrays(args.synth, args.mode, dims)
-    # GT rows are the ones without a confidence
-    real_gt = real_boxes.xywh[np.isnan(real_boxes.confidence)]
-    synth_gt = synth_boxes.xywh[np.isnan(synth_boxes.confidence)]
-    if len(real_gt) == 0 or len(synth_gt) == 0:
-        raise InputValidationError("both label files must contain GT boxes")
-
-    _, reg, pairing = align_pair(
-        str(args.real), str(args.synth), real_gt, synth_gt,
-        args.seed, args.max_iterations, args.gate,
-    )
-
-    t = reg.transform
-    print(
-        f"transform: a11={t.a11:.6f} a12={t.a12:.6f} a21={t.a21:.6f} "
-        f"a22={t.a22:.6f} tx={t.tx:.6f} ty={t.ty:.6f}"
-    )
-    print(
-        f"iterations: {reg.iterations_used}  hypotheses: {reg.hypothesis_count}  "
-        f"fallback: {'yes' if reg.used_fallback else 'no'}"
-    )
-    print(f"gate: {pairing.gate_distance:.6f}")
-    print("pairs (real_idx synth_idx distance):")
-    for r, s, d in pairing.pairs:
-        print(f"  {r} {s} {d:.6f}")
-    print(f"unmatched real: {list(pairing.unmatched_real)}")
-    print(f"unmatched synth: {list(pairing.unmatched_synth)}")
+    pairs, _ = _load_pairs(args.real_manifest, args.synth_manifest)
+    pair = next((p for p in pairs if p[0].image_id == args.real_image_id), None)
+    if pair is None:
+        raise InputValidationError(f"no image pair has the real image {args.real_image_id!r}")
+    outcome = align_pair(*pair, PipelineConfig(args.seed, args.max_iterations, args.gate))
+    doc = {
+        "pair": outcome.provenance_row(),
+        "matches": outcome.pairing.pairs,
+        "unmatched_real_indices": outcome.pairing.unmatched_real,
+        "unmatched_synth_indices": outcome.pairing.unmatched_synth,
+    }
+    print(json.dumps(doc, indent=2))
     return 0
 
 
@@ -345,11 +346,11 @@ def _transform(text: str) -> AffineTransform2D | str:
 
 
 def _add_align_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    sp.add_argument("--seed", type=int, default=PipelineConfig.seed, help="master RNG seed")
     sp.add_argument(
         "--max-iterations",
         type=_flag_type(int, lambda n: RegistrationConfig(max_iterations=n)),
-        default=RegistrationConfig.max_iterations,
+        default=PipelineConfig.max_iterations,
         help="registration budget, in synthetic bases tried",
     )
     sp.add_argument(
@@ -365,7 +366,7 @@ def _add_pipeline_flags(sp: argparse.ArgumentParser, default_format: str) -> Non
     sp.add_argument(
         "--conf-threshold",
         type=_flag_type(float, check_conf_threshold),
-        default=0.25,
+        default=PipelineConfig.conf_threshold,
         help="drop predictions below this confidence",
     )
     sp.add_argument("--format", choices=("csv", "json", "markdown"), default=default_format)
@@ -394,12 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline_flags(p_cv, default_format="markdown")
     p_cv.set_defaults(func=cmd_crossval)
 
-    p_reg = sub.add_parser("register", help="diagnose registration on one image pair")
-    p_reg.add_argument("real", help="real label file (GT lines)")
-    p_reg.add_argument("synth", help="synthetic label file (GT lines)")
-    p_reg.add_argument("--mode", choices=("pixel", "normalized"), default="pixel")
-    for flag in ("--width", "--height"):
-        p_reg.add_argument(flag, type=_flag_type(int, _check_at_least_one), default=None)
+    p_reg = sub.add_parser(
+        "register", help="show registration and matching on one image pair, as ipd runs them"
+    )
+    p_reg.add_argument("real_manifest", help="path to the real dataset manifest")
+    p_reg.add_argument("synth_manifest", help="path to the synthetic dataset manifest")
+    p_reg.add_argument("real_image_id", help="the real image of the pair to show")
     _add_align_flags(p_reg)
     p_reg.set_defaults(func=cmd_register)
 

@@ -1,4 +1,5 @@
-"""Dataset I/O: label files, JSON manifests, pairing, and report output.
+"""Dataset input: label files, JSON manifests and pairing. Reports are
+written by the report module.
 
 Label files are plain text, one box per line:
 
@@ -40,8 +41,6 @@ and pair_datasets checks the result once, against both loaded datasets.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import json
 import math
@@ -50,17 +49,12 @@ from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from functools import cache, cached_property
 from pathlib import Path
 from types import UnionType
-from typing import Mapping, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import (
-    InputValidationError,
-    LoadError,
-    ParseError,
-)
+from .errors import InputValidationError, LoadError, ParseError
 from .geometry import BBox
-from .metric import CrossValCell, IpdResult
 
 _COORDINATE_MODES = ("normalized", "pixel")
 
@@ -569,132 +563,3 @@ def pair_datasets(
             raise LoadError(f"pairing references unknown synth image {sid!r}")
         out.append((real_by_id[rid], synth_by_id[sid]))
     return out
-
-
-def _pair_label(pair: tuple[str, str]) -> str:
-    return f"‖{pair[0]} − {pair[1]}‖"
-
-
-def _validate_matrix(matrix: Sequence[Sequence[CrossValCell]]) -> list[tuple[str, str]]:
-    if not matrix or not matrix[0]:
-        raise InputValidationError("cross-validation matrix is empty")
-    pairs = [cell.eval_pair for cell in matrix[0]]
-    trains = []
-    for row in matrix:
-        if [cell.eval_pair for cell in row] != pairs:
-            raise InputValidationError("matrix rows disagree on column structure")
-        row_trains = {cell.train_domain for cell in row}
-        if len(row_trains) != 1:
-            raise InputValidationError("matrix row mixes training domains")
-        trains.append(next(iter(row_trains)))
-    if len(set(trains)) != len(trains):
-        raise InputValidationError("duplicate training-domain rows")
-    return pairs
-
-
-def ipd_result_to_dict(result: IpdResult) -> dict:
-    return {
-        "ipd": result.ipd,
-        "instance_count": result.instance_count,
-        "unmatched_real_total": result.unmatched_real_total,
-        "unmatched_synth_total": result.unmatched_synth_total,
-        "per_image_breakdown": [
-            {"image_id": i, "ipd_contribution": v, "pair_count": c}
-            for i, v, c in result.per_image_breakdown
-        ],
-    }
-
-
-def write_report(
-    matrix: Sequence[Sequence[CrossValCell]],
-    fmt: str = "markdown",
-    provenance: Mapping | None = None,
-) -> str:
-    """Render the cross-validation matrix.
-
-    markdown/csv show the matrix itself (markdown bolds each row's
-    minimum); json additionally embeds the detailed per-cell results and
-    any provenance the caller supplies, with stable key order.
-    """
-    pairs = _validate_matrix(matrix)
-    if fmt == "markdown":
-        lines = ["| Train\\Eval | " + " | ".join(_pair_label(p) for p in pairs) + " |"]
-        lines.append("| --- |" + " --- |" * len(pairs))
-        for row in matrix:
-            filled = [c.ipd for c in row if c.ipd is not None]
-            row_min = min(filled) if filled else None
-            cells = []
-            for cell in row:
-                if cell.ipd is None:
-                    cells.append("-")
-                elif cell.ipd == row_min:
-                    cells.append(f"**{cell.ipd:.4f}**")
-                else:
-                    cells.append(f"{cell.ipd:.4f}")
-            lines.append(f"| {row[0].train_domain} | " + " | ".join(cells) + " |")
-        return "\n".join(lines) + "\n"
-
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["Train\\Eval"] + [_pair_label(p) for p in pairs])
-        for row in matrix:
-            writer.writerow(
-                [row[0].train_domain]
-                + ["" if c.ipd is None else repr(c.ipd) for c in row]
-            )
-        return buf.getvalue()
-
-    if fmt == "json":
-        cells = []
-        for row in matrix:
-            for cell in row:
-                entry: dict = {
-                    "train": cell.train_domain,
-                    "pair": list(cell.eval_pair),
-                    "ipd": cell.ipd,
-                }
-                if cell.result is not None:
-                    entry["detail"] = ipd_result_to_dict(cell.result)
-                cells.append(entry)
-        doc = {
-            "domains": [row[0].train_domain for row in matrix],
-            "columns": [list(p) for p in pairs],
-            "cells": cells,
-            "provenance": dict(provenance) if provenance else {},
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
-
-    raise InputValidationError(f"unknown report format {fmt!r}")
-
-
-def write_ipd_report(
-    result: IpdResult,
-    fmt: str = "json",
-    provenance: Mapping | None = None,
-) -> str:
-    """Render a single dataset-pair evaluation."""
-    if fmt == "json":
-        doc = {
-            "result": ipd_result_to_dict(result),
-            "provenance": dict(provenance) if provenance else {},
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
-    if fmt == "markdown":
-        lines = [
-            "| image | ipd contribution | pairs |",
-            "| --- | --- | --- |",
-        ]
-        for image_id, value, count in result.per_image_breakdown:
-            lines.append(f"| {image_id} | {value:.4f} | {count} |")
-        lines.append(f"| **all** | **{result.ipd:.4f}** | {result.instance_count} |")
-        return "\n".join(lines) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["image", "ipd_contribution", "pair_count"])
-        for image_id, value, count in result.per_image_breakdown:
-            writer.writerow([image_id, repr(value), count])
-        writer.writerow(["all", repr(result.ipd), result.instance_count])
-        return buf.getvalue()
-    raise InputValidationError(f"unknown report format {fmt!r}")

@@ -114,8 +114,14 @@ class CrossValCell:
             raise InputValidationError(
                 f"cell ({self.train_domain}, {self.eval_pair}) must be blank"
             )
-        if self.ipd is not None and not (math.isfinite(self.ipd) and self.ipd >= 0.0):
-            raise InputValidationError("ipd must be finite and non-negative")
+        if self.ipd is not None:
+            check_ipd(self.ipd)
+
+
+def check_ipd(ipd: float) -> None:
+    """Raise unless an IPD value is finite and non-negative."""
+    if not (math.isfinite(ipd) and ipd >= 0.0):
+        raise InputValidationError(f"ipd must be finite and non-negative, got {ipd!r}")
 
 
 def check_conf_threshold(conf_threshold: float) -> None:

@@ -356,6 +356,8 @@ def emit_dataset(
     synth/), manifest_real.json, manifest_synth.json, truth.json. Returns
     the three JSON paths.
     """
+    # generate every scene first: one that fails leaves no partial dataset
+    scenes = [generate_scene_pair(spec, image_id=f"scene{i:04d}") for i, spec in enumerate(specs)]
     out = Path(outdir)
     entries: dict[str, list[ManifestEntry]] = {"real": [], "synth": []}
     for side in entries:
@@ -364,9 +366,8 @@ def emit_dataset(
     pairing: list[tuple[str, str]] = []
     truth_scenes = []
     pooled: list[tuple[tuple[tuple[int, int], ...], SceneIous]] = []
-    for i, spec in enumerate(specs):
-        image_id = f"scene{i:04d}"
-        real, synth, correspondence, ious = generate_scene_pair(spec, image_id=image_id)
+    for spec, (real, synth, correspondence, ious) in zip(specs, scenes):
+        image_id = real.image_id
         dims = (spec.frame[0], spec.frame[1])
         for side, labels in (("real", real), ("synth", synth)):
             gt_rel = f"{side}/{image_id}_gt.txt"

@@ -33,8 +33,8 @@ from ipdkit.metric import (
     evaluate_pair,
 )
 from ipdkit.baselines import average_precision
-from ipdkit.ingestion import write_report
 from ipdkit.registration import RegistrationConfig, register
+from ipdkit.report import write_report
 from ipdkit.scenegen import (
     DetectorProfile,
     SceneSpec,

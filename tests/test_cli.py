@@ -7,6 +7,7 @@ be asserted directly.
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,12 +17,12 @@ import numpy as np
 import pytest
 
 import ipdkit.cli as cli
-from ipdkit.cli import align_pair, main, stable_subseed
+from ipdkit.cli import PipelineConfig, align_pair, evaluate_dataset_pair, main, stable_subseed
 from ipdkit.geometry import AffineTransform2D, transform_points
-from ipdkit.ingestion import load_dataset
+from ipdkit.ingestion import load_dataset, pair_datasets
 from ipdkit.scenegen import DetectorProfile, SceneSpec, emit_dataset, random_affine
 
-from helpers import box_arrays
+from helpers import image_labels
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
 
@@ -192,6 +193,21 @@ class TestScenegen:
             main(["scenegen", "--out", str(out_dir), "--seed", "-5"])
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_unplaceable_scene_is_exit_2_and_writes_nothing(self, tmp_path, capsys):
+        # the first scene's label files were written before the second
+        # scene failed, before
+        spec_path = tmp_path / "specs.json"
+        spec_path.write_text(
+            json.dumps([{"n_instances": 5}, {"n_instances": 50, "frame": [200, 200]}])
+        )
+        out_dir = tmp_path / "d"
+        code, out, err = run_cli(
+            ["scenegen", "--out", str(out_dir), "--spec-file", str(spec_path)], capsys
+        )
+        assert code == 2
+        assert "could not place 50 instances" in err
         assert not out_dir.exists()
 
     def test_bad_profile_is_exit_2(self, tmp_path, capsys):
@@ -548,6 +564,16 @@ class TestCrossval:
             # a ValueError traceback, exit 1, before
             ({"domains": ["a", "b"], "cells": [{"train": "a", "pair": ["a", "b"], "ipd": "x"}]},
              "cells[0].ipd"),
+            # refused without the file or the cell named, and only after
+            # every computed cell was evaluated, before
+            *(
+                ({"domains": ["a", "b"],
+                  "cells": [{"train": "b", "pair": ["a", "b"], "real_manifest": "nope_r.json",
+                             "synth_manifest": "nope_s.json"},
+                            {"train": "a", "pair": ["a", "b"], "ipd": bad}]},
+                 f"cells.json: cells[1]: ipd must be finite and non-negative, got {bad!r}")
+                for bad in (math.nan, math.inf, -0.5)
+            ),
             # the ipd was taken and the manifests never read, before
             ({"domains": ["a", "b"], "cells": [{"train": "a", "pair": ["a", "b"], "ipd": 0.1,
                                                "real_manifest": "r.json",
@@ -583,80 +609,105 @@ class TestCrossval:
         assert "Hapke" in err
 
 
-class TestRegister:
-    def _write_pair(self, tmp_path, n=3):
-        real = tmp_path / "real.txt"
-        synth = tmp_path / "synth.txt"
-        lines_s = []
-        lines_r = []
-        coords = [(100.0, 100.0), (300.0, 150.0), (180.0, 320.0), (420.0, 260.0)][:n]
-        for x, y in coords:
-            lines_s.append(f"0 {x} {y} 10 10")
-            lines_r.append(f"0 {x + 40.0} {y - 25.0} 10 10")
-        real.write_text("\n".join(lines_r) + "\n")
-        synth.write_text("\n".join(lines_s) + "\n")
-        return real, synth
+def _ipd_rows(manifests, tmp_path, *flags) -> dict[str, dict]:
+    """The provenance rows of an ipd report, by real image id."""
+    report = tmp_path / "ipd_report.json"
+    assert main(["ipd", *manifests, "--out", str(report), *flags]) == 0
+    rows = json.loads(report.read_text())["provenance"]["pairs"]
+    return {row["real_image"]: row for row in rows}
 
-    def test_reports_transform_and_pairs(self, tmp_path, capsys):
-        real, synth = self._write_pair(tmp_path, n=4)
-        code, out, err = run_cli(["register", str(real), str(synth)], capsys)
+
+class TestRegister:
+    def _manifests(self, tmp_path, specs):
+        real, synth, _ = emit_dataset(tmp_path / "data", specs)
+        return [str(real), str(synth)]
+
+    def test_prints_the_pair_row_then_its_matches(self, tmp_path, capsys):
+        shift = AffineTransform2D(1.0, 0.0, 0.0, 1.0, 40.0, -25.0)
+        manifests = self._manifests(tmp_path, [SceneSpec(6, transform=shift, rng_seed=1)])
+        code, out, err = run_cli(["register", *manifests, "scene0000"], capsys)
         assert code == 0, err
-        assert "tx=40.000000 ty=-25.000000" in out
-        assert "fallback: no" in out
-        assert out.count("\n  ") == 4  # one indented line per pair
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2) + "\n"
+        assert list(doc) == ["pair", "matches", "unmatched_real_indices", "unmatched_synth_indices"]
+        reg = doc["pair"]["registration"]
+        assert reg["transform"] == pytest.approx([1.0, 0.0, 0.0, 1.0, 40.0, -25.0], abs=1e-9)
+        assert reg["used_fallback"] is False
+        assert [(r, s) for r, s, _ in doc["matches"]] == [(i, i) for i in range(6)]
+        assert doc["unmatched_real_indices"] == doc["unmatched_synth_indices"] == []
 
     def test_two_point_sets_fall_back_with_warning(self, tmp_path, capsys):
-        real, synth = self._write_pair(tmp_path, n=2)
-        code, out, err = run_cli(["register", str(real), str(synth)], capsys)
+        manifests = self._manifests(tmp_path, [SceneSpec(2, rng_seed=3)])
+        code, out, err = run_cli(["register", *manifests, "scene0000"], capsys)
         assert code == 0
-        assert "fallback: yes" in out
+        assert json.loads(out)["pair"]["registration"]["used_fallback"] is True
         assert err == (
-            f"warning: pair ({real}, {synth}) has too few points for an affine fit; "
+            "warning: pair (scene0000, scene0000) has too few points for an affine fit; "
             "fell back to centroid translation\n"
         )
 
-    def test_normalized_mode_requires_dims(self, tmp_path, capsys):
-        real, synth = self._write_pair(tmp_path)
-        code, out, err = run_cli(
-            ["register", str(real), str(synth), "--mode", "normalized"], capsys
-        )
-        assert code == 2
-        assert "--width" in err
+    def test_empty_side_prints_the_skipped_row_of_ipd(self, tmp_path, capsys):
+        manifests = self._manifests(tmp_path, [SceneSpec(12, rng_seed=1), SceneSpec(0, rng_seed=4)])
+        code, out, err = run_cli(["register", *manifests, "scene0001"], capsys)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["pair"] == _ipd_rows(manifests, tmp_path)["scene0001"]
+        assert doc["pair"]["registration"] == "skipped (empty side)"
+        assert doc["matches"] == doc["unmatched_real_indices"] == []
 
-    def test_files_without_gt_lines_are_exit_2(self, tmp_path, capsys):
-        real, synth = self._write_pair(tmp_path)
-        real.write_text("0 100 100 10 10 0.9\n")
-        code, out, err = run_cli(["register", str(real), str(synth)], capsys)
+    def test_unknown_real_image_is_exit_2(self, tmp_path, capsys):
+        manifests = self._manifests(tmp_path, [SceneSpec(4, rng_seed=1)])
+        code, out, err = run_cli(["register", *manifests, "scene0009"], capsys)
         assert code == 2
-        assert "must contain GT boxes" in err
+        assert "no image pair has the real image 'scene0009'" in err
 
     def test_report_flags_are_rejected(self, tmp_path, capsys):
-        real, synth = self._write_pair(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            main(["register", str(real), str(synth), "--format", "json"])
-        assert exc.value.code == 2
-        assert "--format" in capsys.readouterr().err
-
-    def test_predictions_in_a_mixed_file_take_no_part(self, tmp_path, capsys):
-        real, synth = self._write_pair(tmp_path, n=4)
-        code, gt_only, err = run_cli(["register", str(real), str(synth)], capsys)
-        assert code == 0, err
-        for path in (real, synth):
-            # prediction lines before, between and after the GT lines
-            mixed = ["0 600 40 10 10 0.9"]
-            for line in path.read_text().splitlines():
-                mixed += [line, "1 20 500 12 8 0.4"]
-            path.write_text("\n".join(mixed) + "\n")
-        code, out, err = run_cli(["register", str(real), str(synth)], capsys)
-        assert code == 0, err
-        assert out == gt_only
+        manifests = self._manifests(tmp_path, [SceneSpec(4, rng_seed=1)])
+        for flag, value in (("--format", "json"), ("--mode", "normalized"), ("--width", "640")):
+            with pytest.raises(SystemExit) as exc:
+                main(["register", *manifests, "scene0000", flag, value])
+            assert exc.value.code == 2
+            assert flag in capsys.readouterr().err
 
     def test_label_parse_error_names_file_and_line(self, tmp_path, capsys):
-        real, synth = self._write_pair(tmp_path)
-        real.write_text("0 1 1 2 2\nbroken\n")
-        code, out, err = run_cli(["register", str(real), str(synth)], capsys)
+        manifests = self._manifests(tmp_path, [SceneSpec(4, rng_seed=1)])
+        label = tmp_path / "data" / "synth" / "scene0000_gt.txt"
+        label.write_text("0 1 1 2 2\nbroken\n")
+        code, out, err = run_cli(["register", *manifests, "scene0000"], capsys)
         assert code == 2
-        assert f"{real}:2:" in err
+        assert f"{label}:2:" in err
+
+    def test_rows_equal_the_ipd_rows_on_fifty_pairs(self, tmp_path, capsys):
+        # 3 of these pairs were seeded differently when register took its
+        # sub-seed from the label paths instead of the image ids
+        outdir = tmp_path / "d"
+        flags = ["--instances", "20:40", "--transform", "random", "--sigma", "0.5"]
+        flags += ["--dropout-real", "0.1", "--dropout-synth", "0.1", "--seed", "0"]
+        assert main(["scenegen", "--out", str(outdir), "--scenes", "50", *flags]) == 0
+        manifests = [str(outdir / "manifest_real.json"), str(outdir / "manifest_synth.json")]
+        rows = _ipd_rows(manifests, tmp_path)
+        capsys.readouterr()
+        assert len(rows) == 50
+        for image_id, row in rows.items():
+            code, out, err = run_cli(["register", *manifests, image_id], capsys)
+            assert code == 0, err
+            assert json.loads(out)["pair"] == row
+
+
+def test_evaluate_dataset_pair_runs_without_argparse(tmp_path, capsys):
+    outdir = _scenegen(tmp_path, capsys, "--transform", "random")
+    manifests = [str(outdir / "manifest_real.json"), str(outdir / "manifest_synth.json")]
+    report = tmp_path / "report.json"
+    flags = ["--seed", "3", "--max-iterations", "500", "--gate", "9", "--conf-threshold", "0.5"]
+    assert main(["ipd", *manifests, "--out", str(report), *flags]) == 0
+    doc = json.loads(report.read_text())
+    real, real_m = load_dataset(manifests[0])
+    synth, _ = load_dataset(manifests[1])
+    pairs = pair_datasets(real, synth, real_m.pairing)
+    config = PipelineConfig(seed=3, max_iterations=500, gate=9.0, conf_threshold=0.5)
+    result, outcomes = evaluate_dataset_pair(pairs, config, doc["provenance"]["dataset_pair_id"])
+    assert result.ipd == doc["result"]["ipd"]
+    assert [outcome.provenance_row() for outcome in outcomes] == doc["provenance"]["pairs"]
 
 
 @pytest.mark.parametrize(
@@ -666,13 +717,11 @@ class TestRegister:
         for command in ("ipd", "crossval", "register")
         for flag, value in (("--conf-threshold", "1.5"), ("--gate", "-1"), ("--max-iterations", "0"))
         if command != "register" or flag != "--conf-threshold"
-    ]
-    # read as 1, so normalized coordinates were taken for pixels, before
-    + [("register", "--width", "0"), ("register", "--height", "-480")],
+    ],
 )
 def test_bad_flag_is_exit_2_before_any_file_is_read(tmp_path, capsys, command, flag, value):
     missing = [str(tmp_path / "nope_real.json"), str(tmp_path / "nope_synth.json")]
-    inputs = missing[:1] if command == "crossval" else missing
+    inputs = {"ipd": missing, "crossval": missing[:1], "register": [*missing, "scene0000"]}[command]
     with pytest.raises(SystemExit) as exc:
         main([command, *inputs, flag, value])
     err = capsys.readouterr().err
@@ -739,19 +788,23 @@ def test_wrong_typed_json_value_is_exit_2_naming_its_field(
 
 def test_align_pair_gate_defaults_to_half_median_diagonal():
     centers = [(0.0, 0.0), (100.0, 50.0), (230.0, 10.0), (310.0, 90.0), (420.0, 30.0)]
-    real = box_arrays([(x, y, 6.0, 8.0) for x, y in centers]).xywh
-    sub_seed, reg, pairing = align_pair("a", "b", real, real, 0, 200, None)
-    assert sub_seed == stable_subseed(0, "a", "b")
-    assert pairing.gate_distance == pytest.approx(5.0)
-    assert [(r, s) for r, s, _ in pairing.pairs] == [(i, i) for i in range(5)]
-    assert align_pair("a", "b", real, real, 0, 200, 2.5)[2].gate_distance == 2.5
+    gt = [(x, y, 6.0, 8.0) for x, y in centers]
+    real, synth = image_labels("a", gt), image_labels("b", gt)
+    outcome = align_pair(real, synth, PipelineConfig())
+    assert (outcome.real_id, outcome.synth_id) == ("a", "b")
+    assert outcome.sub_seed == stable_subseed(0, "a", "b")
+    assert outcome.pairing.gate_distance == pytest.approx(5.0)
+    assert [(r, s) for r, s, _ in outcome.pairing.pairs] == [(i, i) for i in range(5)]
+    assert align_pair(real, synth, PipelineConfig(gate=2.5)).pairing.gate_distance == 2.5
 
 
 def test_align_pair_leaves_an_empty_side_unregistered():
-    real = box_arrays([(10.0, 10.0, 6.0, 8.0), (40.0, 10.0, 6.0, 8.0)]).xywh
-    sub_seed, reg, pairing = align_pair("a", "b", real, real[:0], 3, 200, None)
-    assert (sub_seed, reg) == (stable_subseed(3, "a", "b"), None)
+    real = image_labels("a", [(10.0, 10.0, 6.0, 8.0), (40.0, 10.0, 6.0, 8.0)])
+    outcome = align_pair(real, image_labels("b", []), PipelineConfig(seed=3))
+    assert (outcome.sub_seed, outcome.registration) == (stable_subseed(3, "a", "b"), None)
+    pairing = outcome.pairing
     assert (pairing.pairs, pairing.unmatched_real, pairing.unmatched_synth) == ((), (0, 1), ())
+    assert outcome.provenance_row()["registration"] == "skipped (empty side)"
 
 
 def _bench_module(name):
@@ -901,7 +954,7 @@ def _cli_outputs(tmp_path, capsys, monkeypatch) -> dict[str, str]:
     runs = {f"ipd.{f}": ["ipd", *manifests, "--format", f] for f in ("json", "csv", "markdown")}
     runs["crossval.json"] = ["crossval", "cells.json", "--format", "json"]
     for scene in ("scene0000", "scene0002"):
-        runs[f"register.{scene}"] = ["register", f"real/{scene}_gt.txt", f"synth/{scene}_gt.txt"]
+        runs[f"register.{scene}"] = ["register", *manifests, scene]
     digests = {}
     for name, argv in runs.items():
         code, out, err = run_cli([*argv, "--seed", "7"], capsys)

@@ -19,7 +19,6 @@ from ipdkit.ingestion import (
     ManifestEntry,
     _read_uniform,
     from_json,
-    ipd_result_to_dict,
     load_dataset,
     merge_pairings,
     pair_datasets,
@@ -27,10 +26,9 @@ from ipdkit.ingestion import (
     parse_label_file,
     read_manifest,
     serialize_labels,
-    write_ipd_report,
-    write_report,
 )
 from ipdkit.metric import CrossValCell, IpdResult, PerfRecord, cross_validation
+from ipdkit.report import ipd_result_to_dict, write_ipd_report, write_report
 from ipdkit.scenegen import DetectorProfile, SceneSpec
 
 from helpers import box_arrays, image_labels
@@ -448,6 +446,12 @@ class TestDatasetManifest:
             (_manifest(entires=[]), "unknown key 'entires'"),
             ({k: v for k, v in _manifest().items() if k != "entries"}, "missing field 'entries'"),
             (_manifest(entries=[{"image_id": "a"}]), "entries[0]: missing field 'gt_label_path'"),
+            # the class's own refusals, located the same way
+            (_manifest(entries=[{**_manifest()["entries"][0], "width_px": 0}]),
+             "entries[0]: entry 'img0': image dimensions must be positive"),
+            (_manifest(entries=[{**_manifest()["entries"][0], "image_id": ""}]),
+             "entries[0]: manifest entry needs an image_id"),
+            (_manifest(dataset_id=""), "dataset_id must be non-empty"),
         ],
     )
     def test_unknown_and_missing_keys_are_named(self, doc, message):
