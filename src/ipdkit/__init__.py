@@ -15,6 +15,7 @@ from .errors import (
 from .geometry import (
     AffineTransform2D,
     BBox,
+    best_iou,
     fit_affine_batch,
     iou,
     iou_table,
@@ -93,6 +94,7 @@ __all__ = [
     "UndefinedApError",
     "assignment_min_cost",
     "average_precision",
+    "best_iou",
     "closest_domain",
     "cross_validation",
     "default_gate_distance",

@@ -30,7 +30,8 @@ import numpy as np
 from .errors import InputValidationError, IpdKitError, NoInstancesError
 from .geometry import AffineTransform2D
 from .ingestion import (
-    ImageLabels, from_json, load_dataset, merge_pairings, pair_datasets, read_json
+    ImageLabels, from_json, load_dataset, load_entry, merge_pairings, pair_datasets, read_json,
+    read_manifest,
 )
 from .matching import InstancePairing, check_gate_distance, default_gate_distance, match_instances
 from .metric import IpdResult, check_conf_threshold, check_ipd, cross_validation, evaluate_pair
@@ -241,11 +242,20 @@ def cmd_crossval(args: argparse.Namespace) -> int:
 
 
 def cmd_register(args: argparse.Namespace) -> int:
-    pairs, _ = _load_pairs(args.real_manifest, args.synth_manifest)
-    pair = next((p for p in pairs if p[0].image_id == args.real_image_id), None)
+    paths = (args.real_manifest, args.synth_manifest)
+    real_m, synth_m = (read_manifest(path) for path in paths)
+    # the whole pairing table is checked on the manifests' entries, and
+    # only the shown pair's label files are read
+    pairing = merge_pairings(real_m.pairing, synth_m.pairing)
+    entries = pair_datasets(real_m.entries, synth_m.entries, pairing)
+    pair = next((p for p in entries if p[0].image_id == args.real_image_id), None)
     if pair is None:
         raise InputValidationError(f"no image pair has the real image {args.real_image_id!r}")
-    outcome = align_pair(*pair, PipelineConfig(args.seed, args.max_iterations, args.gate))
+    real, synth = (
+        load_entry(entry, manifest.coordinate_mode, Path(path).parent)
+        for entry, manifest, path in zip(pair, (real_m, synth_m), paths)
+    )
+    outcome = align_pair(real, synth, PipelineConfig(args.seed, args.max_iterations, args.gate))
     doc = {
         "pair": outcome.provenance_row(),
         "matches": outcome.pairing.pairs,

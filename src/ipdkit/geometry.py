@@ -3,7 +3,10 @@
 Everything downstream (registration, matching, the performance metric)
 is built on these few types and pure functions. Boxes are stored as
 center/width/height in one consistent coordinate unit, as the rows of an
-(n, 4) cx, cy, w, h array; iou_rows is the one IOU kernel on them. BBox
+(n, 4) cx, cy, w, h array; iou_rows is the one IOU kernel on them.
+iou_table runs it on every GT/prediction pair, for the AP baseline;
+best_iou, each GT box's performance value, runs it only on the pairs
+whose boxes overlap along x, and is equal to the table's row maximum. BBox
 and the scalar iou, one box at a time, are the reference the tests check
 the kernel against and the form the benchmark's dataset builder takes.
 Points are always (n, 2) float64 arrays, and apply_params is the one
@@ -140,6 +143,35 @@ def iou_table(gt: np.ndarray, pred: np.ndarray) -> np.ndarray:
     """IOU of every GT box (rows) against every predicted box (columns),
     from (n, 4) and (m, 4) cx, cy, w, h arrays; either may be empty."""
     return iou_rows(gt[:, None, :], pred[None, :, :])
+
+
+def best_iou(gt: np.ndarray, pred: np.ndarray) -> np.ndarray:
+    """Each GT row's largest IOU over the predicted rows, 0 when none
+    overlaps: iou_table(gt, pred).max(axis=1, initial=0.0), bit for bit,
+    from (n, 4) and (m, 4) cx, cy, w, h arrays; either may be empty.
+
+    Only candidate pairs, whose x extents overlap strictly, go through
+    iou_rows. Any other pair has hi <= lo along x under iou_rows' own
+    corners, so its intersection is 0 and its IOU is 0 / (area sum):
+    0.0, which cannot raise a maximum that starts at 0.0, unless both
+    areas underflow to 0. Those pairs score NaN, and join the candidates.
+    """
+    with np.errstate(over="ignore"):  # iou_rows warns of the overflows it meets
+        gt_lo, gt_hi = gt[:, 0] - gt[:, 2] / 2.0, gt[:, 0] + gt[:, 2] / 2.0
+        pred_lo, pred_hi = pred[:, 0] - pred[:, 2] / 2.0, pred[:, 0] + pred[:, 2] / 2.0
+        gt_area, pred_area = gt[:, 2] * gt[:, 3], pred[:, 2] * pred[:, 3]
+    candidate = (pred_lo < gt_hi[:, None]) & (gt_lo[:, None] < pred_hi)
+    if not (gt_area.all() or pred_area.all()):
+        candidate |= (gt_area == 0.0)[:, None] & (pred_area == 0.0)
+    # flat indices split by divmod: a 2-D nonzero costs several times more
+    rows, cols = np.divmod(np.flatnonzero(candidate), len(pred))
+    ious = iou_rows(gt[rows], pred[cols])
+    # the zero start also floors the maximum: an IOU can be negative where
+    # the corners round past a box of a few ulps
+    best = np.zeros(len(gt))
+    with np.errstate(invalid="ignore"):  # a NaN IOU propagates silently, as in max()
+        np.maximum.at(best, rows, ious)
+    return best
 
 
 def fit_affine_batch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

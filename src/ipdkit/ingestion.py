@@ -32,11 +32,13 @@ float any number, and neither a boolean; tuple[T, ...] and tuple[T, U] an
 array of that length, T | None null or a T, and a dataclass an object of
 its fields or an array of them in order. An unknown key or a missing
 required field is refused. Errors name a field path: entries[1].width_px.
-load_dataset(path) reads a manifest and loads every image it lists, with
-label paths taken relative to the manifest's directory. Loading is
-atomic: the first bad line or missing file aborts the whole dataset with
-a located error. merge_pairings reconciles the two manifests' pairings,
-and pair_datasets checks the result once, against both loaded datasets.
+load_dataset(path) reads a manifest and loads every image it lists
+through load_entry, with label paths taken relative to the manifest's
+directory. Loading is atomic: the first bad line or missing file aborts
+the whole dataset with a located error. merge_pairings reconciles the two
+manifests' pairings, and pair_datasets checks the result once, against
+both datasets: their loaded images, or just their manifest entries when
+only one pair is to be loaded.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from functools import cache, cached_property
 from pathlib import Path
 from types import UnionType
-from typing import Sequence, Union, get_args, get_origin, get_type_hints
+from typing import Sequence, TypeVar, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -492,6 +494,22 @@ def read_manifest(path: str | Path) -> DatasetManifest:
         raise LoadError(str(e)) from e
 
 
+def load_entry(entry: ManifestEntry, coordinate_mode: str, root: Path) -> ImageLabels:
+    """Load the labels of one manifest entry, its label paths taken
+    relative to root; any failure is a LoadError naming the entry."""
+    dims = (entry.width_px, entry.height_px)
+    try:
+        return ImageLabels(
+            image_id=entry.image_id,
+            width_px=entry.width_px,
+            height_px=entry.height_px,
+            gt=read_label_arrays(root / entry.gt_label_path, coordinate_mode, dims),
+            pred=read_label_arrays(root / entry.pred_label_path, coordinate_mode, dims),
+        )
+    except (ParseError, LoadError, InputValidationError) as e:
+        raise LoadError(f"entry {entry.image_id!r}: {e}") from e
+
+
 def load_dataset(path: str | Path) -> tuple[list[ImageLabels], DatasetManifest]:
     """Read a manifest and load every image of its dataset, atomically.
 
@@ -500,25 +518,7 @@ def load_dataset(path: str | Path) -> tuple[list[ImageLabels], DatasetManifest]:
     """
     manifest = read_manifest(path)
     root = Path(path).parent
-    labels: list[ImageLabels] = []
-    for entry in manifest.entries:
-        dims = (entry.width_px, entry.height_px)
-        try:
-            labels.append(
-                ImageLabels(
-                    image_id=entry.image_id,
-                    width_px=entry.width_px,
-                    height_px=entry.height_px,
-                    gt=read_label_arrays(
-                        root / entry.gt_label_path, manifest.coordinate_mode, dims
-                    ),
-                    pred=read_label_arrays(
-                        root / entry.pred_label_path, manifest.coordinate_mode, dims
-                    ),
-                )
-            )
-        except (ParseError, LoadError, InputValidationError) as e:
-            raise LoadError(f"entry {entry.image_id!r}: {e}") from e
+    labels = [load_entry(entry, manifest.coordinate_mode, root) for entry in manifest.entries]
     return labels, manifest
 
 
@@ -537,12 +537,18 @@ def merge_pairings(
     return a or b
 
 
+# the items pair_datasets pairs by their image_id
+_Image = TypeVar("_Image", ImageLabels, ManifestEntry)
+
+
 def pair_datasets(
-    real_labels: Sequence[ImageLabels],
-    synth_labels: Sequence[ImageLabels],
+    real_labels: Sequence[_Image],
+    synth_labels: Sequence[_Image],
     pairing: Sequence[tuple[str, str]],
-) -> list[tuple[ImageLabels, ImageLabels]]:
-    """Resolve the pairing table into aligned (real, synth) label pairs."""
+) -> list[tuple[_Image, _Image]]:
+    """Resolve the pairing table into aligned (real, synth) pairs of
+    images: the loaded ImageLabels, or the ManifestEntry items, which
+    check the table before any label file is read."""
     if not pairing:
         raise LoadError("pairing table is empty")
     real_by_id = {lab.image_id: lab for lab in real_labels}

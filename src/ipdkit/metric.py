@@ -2,13 +2,13 @@
 across paired real/synthetic images.
 
 A GT box's performance value is the best IOU any predicted box achieves
-against it, i.e. its row maximum in the image's (GT x prediction) IOU
-array from geometry.iou_table. evaluate_pair keeps one PerfRecord per
-matched real/synth instance pair, and its IpdResult holds those records:
-IPD is the mean absolute difference of their performance values, and the
-per-image breakdown splits that mean by image. cross_validation arranges
-IPDs into the train-domain x domain-pair matrix used for dataset
-comparison.
+against it, 0 when none overlaps it: geometry.best_iou, which scores
+only the GT/prediction pairs whose boxes can overlap. evaluate_pair
+keeps one PerfRecord per matched real/synth instance pair, and its
+IpdResult holds those records: IPD is the mean absolute difference of
+their performance values, and the per-image breakdown splits that mean
+by image. cross_validation arranges IPDs into the train-domain x
+domain-pair matrix used for dataset comparison.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .errors import IncompleteResultsError, InputValidationError, NoInstancesError
-from .geometry import iou_table
+from .geometry import best_iou
 from .matching import InstancePairing
 
 if TYPE_CHECKING:
@@ -140,9 +140,9 @@ def evaluate_pair(
     """Run the per-image performance extraction over aligned image pairs.
 
     The three sequences are index-aligned: element i describes the same
-    real/synth image pair. Predictions below conf_threshold are dropped
-    before each image's IOU table is built, and a GT box's performance
-    value is its row maximum (0 when no prediction is left). Records are
+    real/synth image pair. Predictions below conf_threshold are dropped,
+    and a GT box's performance value is its best IOU against the
+    predictions left (0 when none overlaps it). Records are
     accumulated image by image, within an image by real instance index.
     """
     if not (len(real_labels) == len(synth_labels) == len(pairings)):
@@ -155,10 +155,7 @@ def evaluate_pair(
     records: list[PerfRecord] = []
     for real, synth, pairing in zip(real_labels, synth_labels, pairings):
         perf_real, perf_synth = (
-            iou_table(
-                labels.gt.xywh,
-                labels.pred.xywh[labels.pred.confidence >= conf_threshold],
-            ).max(axis=1, initial=0.0)
+            best_iou(labels.gt.xywh, labels.pred.xywh[labels.pred.confidence >= conf_threshold])
             for labels in (real, synth)
         )
         for r_idx, s_idx, _ in sorted(pairing.pairs):

@@ -3,7 +3,9 @@ cross-validation matrix (write_report), each as json, markdown or csv.
 
 JSON reports sort their keys and carry the provenance the caller passes.
 The markdown and csv forms are the same table, a header and one row of
-cell texts per image or training domain, written by one helper.
+cell texts per image or training domain, written by one helper. In
+markdown an id's `|` is escaped and its line breaks become spaces, so
+each row keeps its columns; json and csv keep ids exactly.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from typing import Mapping, Sequence
 
 from .errors import InputValidationError
@@ -37,11 +40,17 @@ def _validate_matrix(matrix: Sequence[Sequence[CrossValCell]]) -> list[tuple[str
     return pairs
 
 
+def _markdown_cell(text: str) -> str:
+    """A cell text that keeps its table row whole: `|` escaped, each line
+    break (CRLF, CR or LF) a space."""
+    return re.sub(r"\r\n?|\n", " ", text).replace("|", "\\|")
+
+
 def _table(fmt: str, header: list[str], rows: list[list[str]]) -> str:
     """A header and rows of cell texts as a markdown table or as csv."""
     if fmt == "markdown":
         lines = [header, ["---"] * len(header), *rows]
-        return "".join("| " + " | ".join(line) + " |\n" for line in lines)
+        return "".join("| " + " | ".join(map(_markdown_cell, line)) + " |\n" for line in lines)
     if fmt == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows([header, *rows])

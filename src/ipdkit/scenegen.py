@@ -217,6 +217,12 @@ def _place_centers(spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
     d_min = spec.min_separation_factor * spec.size_range[1]
     centers: list[tuple[float, float]] = []
     attempts_left = _PLACEMENT_ATTEMPT_FACTOR * max(spec.n_instances, 1)
+    # discs of diameter d_min around the centers are disjoint and lie in
+    # the region grown by d_min / 2 on each side; a count whose discs
+    # cover more than that area is refused before the first draw
+    grown = (x_hi - x_lo + d_min) * (y_hi - y_lo + d_min)
+    if d_min > 0.0 and spec.n_instances * math.pi * d_min * d_min / 4.0 > grown:
+        attempts_left = 0
     while len(centers) < spec.n_instances:
         if attempts_left <= 0:
             raise InputValidationError(

@@ -9,6 +9,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -374,6 +375,19 @@ class TestIpd:
         assert code == 0, err
         assert "| **all** |" in out
 
+    def test_markdown_rows_keep_their_columns_whatever_the_image_id(self, tmp_path, capsys):
+        outdir = _scenegen(tmp_path, capsys)
+        manifests = [outdir / "manifest_real.json", outdir / "manifest_synth.json"]
+        for path in manifests:
+            text = path.read_text().replace('"scene0000"', '"left|right"')
+            path.write_text(text.replace('"scene0001"', '"two\\r\\nlines"'))
+        code, out, err = run_cli(["ipd", *map(str, manifests), "--format", "markdown"], capsys)
+        assert code == 0, err
+        lines = out.splitlines()[1:]
+        assert lines[2].startswith("| left\\|right | ")
+        assert lines[3].startswith("| two lines | ")
+        assert [len(re.findall(r"(?<!\\)\|", line)) for line in lines] == [4] * 5
+
     def test_dangling_pairing_id_is_exit_2_naming_the_id(self, tmp_path, capsys):
         outdir = _scenegen(tmp_path, capsys)
         mpath = outdir / "manifest_real.json"
@@ -676,6 +690,27 @@ class TestRegister:
         code, out, err = run_cli(["register", *manifests, "scene0000"], capsys)
         assert code == 2
         assert f"{label}:2:" in err
+
+    def test_reads_only_the_shown_pairs_label_files(self, tmp_path, capsys):
+        manifests = self._manifests(tmp_path, [SceneSpec(6, rng_seed=1), SceneSpec(6, rng_seed=2)])
+        for side in ("real", "synth"):
+            (tmp_path / "data" / side / "scene0001_gt.txt").write_text("broken\n")
+        code, out, err = run_cli(["register", *manifests, "scene0000"], capsys)
+        assert code == 0, err
+        assert json.loads(out)["pair"]["real_image"] == "scene0000"
+        # ipd loads every entry, and stops at the broken file
+        code, out, err = run_cli(["ipd", *manifests], capsys)
+        assert code == 2 and "scene0001_gt.txt:1:" in err
+
+    def test_checks_the_whole_pairing_table(self, tmp_path, capsys):
+        manifests = self._manifests(tmp_path, [SceneSpec(6, rng_seed=1), SceneSpec(6, rng_seed=2)])
+        for path in manifests:
+            doc = json.loads(Path(path).read_text())
+            doc["pairing"][1][1] = "scene9999"
+            Path(path).write_text(json.dumps(doc))
+        code, out, err = run_cli(["register", *manifests, "scene0000"], capsys)
+        assert code == 2
+        assert "pairing references unknown synth image 'scene9999'" in err
 
     def test_rows_equal_the_ipd_rows_on_fifty_pairs(self, tmp_path, capsys):
         # 3 of these pairs were seeded differently when register took its

@@ -9,6 +9,7 @@ from ipdkit import (
     AffineTransform2D,
     BBox,
     InputValidationError,
+    best_iou,
     fit_affine_batch,
     iou,
     iou_table,
@@ -203,6 +204,63 @@ def test_iou_bounds_property(cx1, cy1, w1, h1, cx2, cy2, w2, h2):
     assert iou(b, a) == v
     # intersection can never exceed the smaller area's share of the union
     assert v <= min(a.area, b.area) / max(a.area, b.area) + 1e-12
+
+
+def _box_rows(center, side):
+    """(n, 4) cx, cy, w, h arrays of up to 12 rows, empty ones included."""
+    row = st.tuples(center, center, side, side)
+    return st.lists(row, max_size=12).map(lambda rows: np.array(rows, float).reshape(-1, 4))
+
+
+_ULP_1E6 = float(np.spacing(1e6))
+BOX_FAMILIES = {
+    # half-pixel grid: touching edges, nested boxes and duplicates
+    "grid": _box_rows(
+        st.integers(0, 12).map(lambda k: k / 2.0), st.integers(1, 8).map(lambda k: k / 2.0)
+    ),
+    # centres a few ulps apart near 1e6, with sides down to a single ulp,
+    # where the corners round past the box and an IOU can come out negative
+    "near 1e6": _box_rows(
+        st.integers(-6, 6).map(lambda k: 1e6 + k * _ULP_1E6 / 2),
+        st.one_of(st.floats(1e-9, 1e-3), st.integers(1, 6).map(lambda k: k * _ULP_1E6 / 2)),
+    ),
+    # areas that overflow to inf, and corners that overflow too
+    "huge": _box_rows(st.floats(-1.7e308, 1.7e308), st.floats(1e150, 1.7e308)),
+    # areas that underflow to 0, which score 0 / 0 = NaN against each other
+    "tiny": _box_rows(st.integers(0, 4).map(float), st.floats(1e-200, 1e-150)),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(BOX_FAMILIES)).flatmap(lambda k: st.tuples(*[BOX_FAMILIES[k]] * 2)))
+@example((np.zeros((0, 4)), np.zeros((0, 4))))
+@example((np.array([[1e6 + _ULP_1E6, 1e6 + _ULP_1E6, _ULP_1E6, _ULP_1E6]]),) * 2)
+@example((np.array([[0.0, 0.0, 1e-200, 1e-200]]), np.array([[3.0, 0.0, 1e-200, 1e-200]])))
+def test_best_iou_is_the_table_row_maximum(sides):
+    gt, pred = sides
+    with np.errstate(all="ignore"):
+        want = iou_table(gt, pred).max(axis=1, initial=0.0)
+        got = best_iou(gt, pred)
+    assert got.dtype == want.dtype and got.shape == want.shape == (len(gt),)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_best_iou_floors_a_negative_iou_and_keeps_a_nan():
+    # a box one ulp wide and high: its corners round outward to two ulps
+    # apart, the intersection with itself is 4 times its area, and the
+    # union comes out negative
+    c = 1e6 + _ULP_1E6
+    box = np.array([[c, c, _ULP_1E6, _ULP_1E6]])
+    assert iou_table(box, box).tolist() == [[-2.0]]
+    assert best_iou(box, box).tolist() == [0.0]
+    # disjoint boxes whose areas underflow to 0 score 0 / 0, with the
+    # table's own warning and no other
+    gt, pred = np.array([[0.0, 0.0, 1e-200, 1e-200]]), np.array([[5.0, 0.0, 1e-200, 1e-200]])
+    with pytest.warns(RuntimeWarning) as table_said:
+        assert np.isnan(iou_table(gt, pred).max(axis=1, initial=0.0)).all()
+    with pytest.warns(RuntimeWarning) as best_said:
+        assert np.isnan(best_iou(gt, pred)).all()
+    assert [str(w.message) for w in best_said] == [str(w.message) for w in table_said]
 
 
 def test_median_is_bit_equal_to_numpy():

@@ -754,6 +754,24 @@ class TestIpdReport:
         text = write_ipd_report(self.result, fmt="markdown")
         assert "| **all** | **0.2500** | 4 |" in text.splitlines()[-1]
 
+    def test_markdown_escapes_ids_that_json_and_csv_keep(self):
+        ids = ("left|right", "two\r\nlines\rand\nmore")
+        result = IpdResult(tuple(PerfRecord("p", i, 0, 0, 1.0, 0.5) for i in ids))
+        lines = write_ipd_report(result, fmt="markdown").split("\n")
+        assert lines[2:4] == [
+            "| left\\|right | 0.5000 | 1 |",
+            "| two lines and more | 0.5000 | 1 |",
+        ]
+        rows = list(csv.reader(io.StringIO(write_ipd_report(result, fmt="csv"))))
+        assert [row[0] for row in rows[1:3]] == list(ids)
+        doc = json.loads(write_ipd_report(result))
+        assert [row["image_id"] for row in doc["result"]["per_image_breakdown"]] == list(ids)
+        pair = ("a|b", "c")
+        matrix = cross_validation(["a|b", "c"], {("a|b", pair): 0.5, ("c", pair): 0.25})
+        lines = write_report(matrix, fmt="markdown").splitlines()
+        assert lines[0] == "| Train\\Eval | ‖a\\|b − c‖ |"
+        assert lines[2] == "| a\\|b | **0.5000** |"
+
     def test_csv_has_header_and_total(self):
         rows = list(csv.reader(io.StringIO(write_ipd_report(self.result, fmt="csv"))))
         assert rows[0] == ["image", "ipd_contribution", "pair_count"]

@@ -220,6 +220,32 @@ class TestEvaluatePair:
         # real's only prediction fell below the threshold, so p_real drops to 0
         assert high.ipd == 1.0
 
+    def test_clutter_image_takes_the_table_row_maximum(self):
+        # 20 GT boxes under 400 random predictions, most of them far from
+        # every GT box, some below the confidence threshold
+        rng = np.random.default_rng(18)
+        sides = []
+        for _ in range(2):
+            gt = np.column_stack([rng.uniform(0, 640, (20, 2)), rng.uniform(6, 40, (20, 2))])
+            near = gt[rng.integers(0, 20, 40)] + rng.normal(0.0, 4.0, (40, 4)) * [1, 1, 0, 0]
+            far = np.column_stack([rng.uniform(0, 640, (360, 2)), rng.uniform(4, 60, (360, 2))])
+            pred = np.concatenate([near, far])
+            conf = rng.uniform(0.0, 1.0, 400)
+            sides.append((gt, pred, conf))
+        real, synth = (
+            image_labels("img0", gt.tolist(), np.column_stack([pred, conf]).tolist(), (640, 640))
+            for gt, pred, conf in sides
+        )
+        pairs = tuple((i, 19 - i, 1.0) for i in range(20))
+        pairing = InstancePairing(pairs, (), (), gate_distance=5.0)
+        result = evaluate_pair([real], [synth], [pairing], conf_threshold=0.25)
+        (gt_r, pred_r, conf_r), (gt_s, pred_s, conf_s) = sides
+        want_r = iou_table(gt_r, pred_r[conf_r >= 0.25]).max(axis=1, initial=0.0)
+        want_s = iou_table(gt_s, pred_s[conf_s >= 0.25]).max(axis=1, initial=0.0)
+        assert [r.p_real for r in result.records] == want_r.tolist()
+        assert [r.p_synth for r in result.records] == want_s[::-1].tolist()
+        assert 0 < np.count_nonzero(want_r) < 20 and 0 < np.count_nonzero(want_s) < 20
+
     def test_unmatched_counts_accumulate(self):
         real = _labels("img0", [BBox(10, 10, 4, 4), BBox(50, 50, 4, 4)], [])
         synth = _labels("img0", [BBox(10, 10, 4, 4)], [])

@@ -23,6 +23,7 @@ from ipdkit.scenegen import (
     perturb_box_to_target_iou,
     pooled_oracle_ipd,
     random_affine,
+    _place_centers,
     _shift_to_target_iou,
 )
 from helpers import bisect_shift, random_box
@@ -223,6 +224,19 @@ class TestGenerateScenePair:
         spec = _spec(n_instances=500, frame=(100, 100))
         with pytest.raises(InputValidationError, match="separation"):
             generate_scene_pair(spec)
+
+    def test_impossible_density_is_refused_before_any_draw(self):
+        # by the disc-packing bound, a 100 x 100 px layout region holds at
+        # most 9 centers 60 px apart: 5000 is refused without a draw
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(InputValidationError, match="could not place 5000 instances"):
+            _place_centers(SceneSpec(n_instances=5000, frame=(200, 200)), rng)
+        assert rng.bit_generator.state == state
+        # a count within the bound is left to the trial placement
+        with pytest.raises(InputValidationError, match="could not place 9 instances"):
+            _place_centers(SceneSpec(n_instances=9, frame=(200, 200)), rng)
+        assert rng.bit_generator.state != state
 
 
 class TestOracles:
