@@ -45,14 +45,12 @@ class BBox:
     w: float
     h: float
     confidence: float | None = None
-    class_id: int = 0
 
     def __post_init__(self):
         # coerce to plain python scalars so equality and serialization do
         # not depend on the caller's numeric types
         for name in ("cx", "cy", "w", "h"):
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-        object.__setattr__(self, "class_id", int(self.class_id))
         if self.w <= 0 or self.h <= 0:
             raise InputValidationError(
                 f"box sides must be positive, got w={self.w}, h={self.h}"
@@ -62,6 +60,11 @@ class BBox:
             if not 0.0 <= c <= 1.0:
                 raise InputValidationError(f"confidence must be in [0,1], got {c}")
             object.__setattr__(self, "confidence", c)
+        # last, so that a box breaking another rule is worded by that rule
+        if not 0.0 < self.area < math.inf:
+            raise InputValidationError(
+                f"box area must be positive and finite, got w={self.w}, h={self.h}"
+            )
 
     @property
     def area(self) -> float:

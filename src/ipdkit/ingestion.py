@@ -5,17 +5,19 @@ Label files are plain text, one box per line:
 
     class_id cx cy w h [confidence]
 
-Five fields mark a GT box, six a prediction. parse_label_arrays is the one
-label parser. It reads a file into a BoxArrays: an (n, 4) float64
-cx, cy, w, h array in pixels, an (n,) confidence vector that is NaN on a
-GT line, and an (n,) int class-id vector. A file whose lines all have one
-field count and no comment is read by numpy's C text reader; any file it
-refuses (comments, GT and prediction lines mixed, a number it does not
-parse, a malformed line) goes through a per-line scan with Python's int
-and float. Both accept the same language and give the same bits. The
-box rules (finite values, positive sides, a confidence in [0, 1]) are
-then checked once per file as array masks, and an error names the first
-bad line in file order, in BBox's own words. ImageLabels holds an
+Five fields mark a GT box, six a prediction. The class id is checked to
+be an integer and then ignored: ipdkit measures a single-class task, and
+serialize_labels writes 0. parse_label_arrays is the one label parser. It
+reads a file into a BoxArrays: an (n, 4) float64 cx, cy, w, h array in
+pixels and an (n,) confidence vector that is NaN on a GT line. A file
+whose lines all have one field count and no comment is read by numpy's C
+text reader; any file it refuses (comments, GT and prediction lines
+mixed, a number it does not parse, a class id beyond int64, a malformed
+line) goes through a per-line scan with Python's int and float. Both
+accept the same language and give the same bits. The box rules (finite
+values, positive sides, a confidence in [0, 1], a positive and finite
+area) are then checked once per file as array masks, and an error names
+the first bad line in file order, in BBox's own words. ImageLabels holds an
 image's GT and prediction arrays and checks the image rules (which side
 carries confidences, the 10% frame overhang) the same way. The pipeline,
 the scene generator and the AP baseline use only these arrays. BBox
@@ -73,7 +75,7 @@ class BoxArrays:
     """The boxes of one label file, one row per box in file order.
 
     xywh is (n, 4) float64 cx, cy, w, h; confidence is (n,) float64 with
-    NaN for "no confidence" (a GT box); class_id is (n,) int64. Every row
+    NaN for "no confidence" (a GT box). No class id is kept. Every row
     satisfies BBox's rules, which parse_label_arrays checks and the scene
     generator's SceneSpec guarantees. Equality is exact, NaN-aware on
     confidence.
@@ -81,14 +83,11 @@ class BoxArrays:
 
     xywh: np.ndarray
     confidence: np.ndarray
-    class_id: np.ndarray
 
     def boxes(self) -> tuple[BBox, ...]:
         return tuple(
-            BBox(cx, cy, w, h, None if math.isnan(c) else c, k)
-            for (cx, cy, w, h), c, k in zip(
-                self.xywh.tolist(), self.confidence.tolist(), self.class_id.tolist()
-            )
+            BBox(cx, cy, w, h, None if math.isnan(c) else c)
+            for (cx, cy, w, h), c in zip(self.xywh.tolist(), self.confidence.tolist())
         )
 
     def __len__(self) -> int:
@@ -97,10 +96,8 @@ class BoxArrays:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BoxArrays):
             return NotImplemented
-        return (
-            np.array_equal(self.xywh, other.xywh)
-            and np.array_equal(self.confidence, other.confidence, equal_nan=True)
-            and np.array_equal(self.class_id, other.class_id)
+        return np.array_equal(self.xywh, other.xywh) and np.array_equal(
+            self.confidence, other.confidence, equal_nan=True
         )
 
 
@@ -196,15 +193,15 @@ class DatasetManifest:
 
 
 # The columns of a box line, read by numpy's C text reader: the class id,
-# then cx, cy, w, h and, on a prediction line, the confidence.
+# read as int64 only so that the reader refuses what int() refuses, then
+# cx, cy, w, h and, on a prediction line, the confidence.
 _ROW_DTYPES = {
     n: np.dtype([("class_id", np.int64), ("values", np.float64, (n - 1,))]) for n in (5, 6)
 }
 
 # The columns of a label file, in file order: (n, 4) cx, cy, w, h as read;
-# (n,) confidence, NaN on a GT line; (n,) bool, the line gave a confidence;
-# the class ids, an int64 array or Python ints that may not fit one.
-_Columns = tuple[np.ndarray, np.ndarray, np.ndarray, "np.ndarray | list[int]"]
+# (n,) confidence, NaN on a GT line; (n,) bool, the line gave a confidence.
+_Columns = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _read_uniform(lines: list[str]) -> _Columns | None:
@@ -239,7 +236,7 @@ def _read_uniform(lines: list[str]) -> _Columns | None:
     values = rows["values"]
     given = len(first) == 6
     confidence = values[:, 4].copy() if given else np.full(len(rows), math.nan)
-    return values[:, :4].copy(), confidence, np.full(len(rows), given), rows["class_id"].copy()
+    return values[:, :4].copy(), confidence, np.full(len(rows), given)
 
 
 def _scan(lines: list[str], source: str) -> tuple[_Columns, ParseError | None]:
@@ -250,7 +247,6 @@ def _scan(lines: list[str], source: str) -> tuple[_Columns, ParseError | None]:
     raised only if every box before it passes the box rules.
     """
     values: list[float] = []  # cx, cy, w, h, confidence per box (NaN: none given)
-    class_ids: list[int] = []
     has_confidence: list[bool] = []
     malformed: ParseError | None = None
     for line_no, raw in enumerate(lines, start=1):
@@ -264,7 +260,7 @@ def _scan(lines: list[str], source: str) -> tuple[_Columns, ParseError | None]:
             )
             break
         try:
-            class_id = int(fields[0])
+            int(fields[0])
         except ValueError:
             malformed = ParseError(
                 f"class_id must be an integer, got {fields[0]!r}",
@@ -280,7 +276,6 @@ def _scan(lines: list[str], source: str) -> tuple[_Columns, ParseError | None]:
         if n == 5:
             row.append(math.nan)
         values += row
-        class_ids.append(class_id)
         has_confidence.append(n == 6)
 
     table = np.array(values, dtype=np.float64).reshape(-1, 5)
@@ -288,7 +283,6 @@ def _scan(lines: list[str], source: str) -> tuple[_Columns, ParseError | None]:
         np.ascontiguousarray(table[:, :4]),
         table[:, 4].copy(),
         np.array(has_confidence, dtype=bool),
-        class_ids,
     )
     return columns, malformed
 
@@ -329,33 +323,27 @@ def parse_label_arrays(
     columns = None if "#" in text else _read_uniform(lines)
     if columns is None:
         columns, malformed = _scan(lines, source)
-    xywh, confidence, given, class_ids = columns
+    xywh, confidence, given = columns
 
-    if coordinate_mode == "normalized":
-        with np.errstate(over="ignore"):  # an overflow to inf is rejected below
+    # an overflow to inf, and inf * 0, are rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if coordinate_mode == "normalized":
             xywh *= np.array([width, height, width, height], dtype=np.float64)
+        area = xywh[:, 2] * xywh[:, 3]
     bad = ~np.isfinite(xywh).all(axis=1) | (xywh[:, 2] <= 0.0) | (xywh[:, 3] <= 0.0)
     bad |= given & ~((confidence >= 0.0) & (confidence <= 1.0))
-    try:
-        classes = np.asarray(class_ids, dtype=np.int64)
-    except OverflowError:
-        bad |= [not -(2**63) <= k < 2**63 for k in class_ids]
+    bad |= ~((area > 0.0) & (area < math.inf))
     if bad.any():
+        # the masks are BBox's rules, so BBox refuses the row and words the error
         i = int(np.argmax(bad))
-        line_no = _box_line_no(lines, i)
         cx, cy, w, h = xywh[i].tolist()
-        conf = confidence[i].tolist() if given[i] else None
-        # BBox words the error; a row it accepts was flagged for its class id
         try:
-            BBox(cx, cy, w, h, conf, class_ids[i])
+            BBox(cx, cy, w, h, confidence[i].tolist() if given[i] else None)
         except InputValidationError as e:
-            raise ParseError(str(e), source=source, line_no=line_no) from None
-        raise ParseError(
-            f"class_id {class_ids[i]} does not fit in 64 bits", source=source, line_no=line_no
-        )
+            raise ParseError(str(e), source=source, line_no=_box_line_no(lines, i)) from None
     if malformed is not None:
         raise malformed
-    return BoxArrays(xywh, confidence, classes)
+    return BoxArrays(xywh, confidence)
 
 
 def read_label_arrays(
@@ -384,22 +372,23 @@ def serialize_labels(
     boxes: BoxArrays | Sequence[BBox], coordinate_mode: str, image_dims: tuple[int, int]
 ) -> str:
     """Label-file text of a BoxArrays (or of a sequence of BBoxes), one
-    line per box: the inverse of parse_label_arrays, exact in pixel mode."""
+    line per box with class id 0: the inverse of parse_label_arrays, exact
+    in pixel mode."""
     _require_mode(coordinate_mode)
     width, height = image_dims
     if isinstance(boxes, BoxArrays):
-        rows = zip(boxes.class_id.tolist(), boxes.xywh.tolist(), boxes.confidence.tolist())
+        rows = zip(boxes.xywh.tolist(), boxes.confidence.tolist())
     else:
         rows = (
-            (b.class_id, (b.cx, b.cy, b.w, b.h), math.nan if b.confidence is None else b.confidence)
+            ((b.cx, b.cy, b.w, b.h), math.nan if b.confidence is None else b.confidence)
             for b in boxes
         )
     lines = []
-    for class_id, (cx, cy, w, h), confidence in rows:
+    for (cx, cy, w, h), confidence in rows:
         if coordinate_mode == "normalized":
             cx, w = cx / width, w / width
             cy, h = cy / height, h / height
-        parts = [str(class_id), repr(cx), repr(cy), repr(w), repr(h)]
+        parts = ["0", repr(cx), repr(cy), repr(w), repr(h)]
         if not math.isnan(confidence):
             parts.append(repr(confidence))
         lines.append(" ".join(parts))

@@ -186,7 +186,7 @@ def perturb_box_to_target_iou(
     cx, cy, _, _ = _shift_to_target_iou(
         row, np.array([dx]), np.array([dy]), np.array([norm]), np.array([target_iou])
     )[0].tolist()
-    return BBox(cx, cy, gt.w, gt.h, gt.confidence, gt.class_id)
+    return BBox(cx, cy, gt.w, gt.h, gt.confidence)
 
 
 def random_affine(rng: np.random.Generator, frame: tuple[int, int]) -> AffineTransform2D:
@@ -258,11 +258,11 @@ def _simulate_detector(
     pred = _shift_to_target_iou(gt[hit], dx, dy, norm, profile.target(u_target[hit]))
     ious = np.zeros(len(gt))
     ious[hit] = iou_rows(gt[hit], pred)
-    return BoxArrays(pred, confidences[hit], np.zeros(len(pred), dtype=np.int64)), ious
+    return BoxArrays(pred, confidences[hit]), ious
 
 
 def _gt_arrays(xywh: np.ndarray) -> BoxArrays:
-    return BoxArrays(xywh, np.full(len(xywh), math.nan), np.zeros(len(xywh), dtype=np.int64))
+    return BoxArrays(xywh, np.full(len(xywh), math.nan))
 
 
 def generate_scene_pair(

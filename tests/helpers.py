@@ -119,14 +119,12 @@ def bisect_shift(gt: BBox, direction: tuple[float, float], target: float) -> BBo
 
 
 def box_arrays(rows) -> BoxArrays:
-    """BoxArrays of BBoxes or of (cx, cy, w, h[, confidence[, class_id]])
-    rows, each checked by BBox's rules; no confidence (or None) marks a GT
-    box."""
+    """BoxArrays of BBoxes or of (cx, cy, w, h[, confidence]) rows, each
+    checked by BBox's rules; no confidence (or None) marks a GT box."""
     boxes = [row if isinstance(row, BBox) else BBox(*row) for row in rows]
     return BoxArrays(
         np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4),
         np.array([math.nan if b.confidence is None else b.confidence for b in boxes]),
-        np.array([b.class_id for b in boxes], dtype=np.int64),
     )
 
 

@@ -361,6 +361,28 @@ class TestIpd:
         assert run_cli(argv + ["--out", str(b_path)], capsys)[0] == 0
         assert a_path.read_bytes() == b_path.read_bytes()
 
+    @pytest.mark.parametrize("class_id", [7, -3, 2**70], ids=["7", "-3", "2**70"])
+    def test_class_ids_leave_the_report_unchanged(self, tmp_path, capsys, class_id):
+        outdir = _scenegen(tmp_path, capsys, "--transform", "random")
+        report = tmp_path / "report.json"
+        argv = [
+            "ipd",
+            str(outdir / "manifest_real.json"),
+            str(outdir / "manifest_synth.json"),
+            "--out", str(report),
+        ]
+
+        def run():
+            code, out, err = run_cli(argv, capsys)
+            assert code == 0, err
+            return out, report.read_bytes()
+
+        want = run()
+        for path in [*(outdir / "real").glob("*.txt"), *(outdir / "synth").glob("*.txt")]:
+            lines = path.read_text().splitlines(keepends=True)
+            path.write_text("".join(f"{class_id} {line.split(' ', 1)[1]}" for line in lines))
+        assert run() == want
+
     def test_markdown_format_to_stdout(self, tmp_path, capsys):
         outdir = _scenegen(tmp_path, capsys)
         code, out, err = run_cli(

@@ -34,7 +34,6 @@ def test_bbox_coerces_numeric_types():
     b = BBox(np.float64(1.0), np.float32(2.0), np.int64(3), 4, confidence=np.float64(0.5))
     assert type(b.cx) is float and type(b.w) is float
     assert type(b.confidence) is float
-    assert type(b.class_id) is int
     assert b == BBox(1.0, 2.0, 3.0, 4.0, confidence=0.5)
 
 
