@@ -69,36 +69,28 @@ def _greedy_outcomes(
     return tp, confs[order], total_gt
 
 
-def pr_curve(labels: Sequence[ImageLabels], iou_threshold: float = 0.5) -> list[PrCurvePoint]:
-    """One point per prediction, in descending-confidence order."""
+def _curve(
+    labels: Sequence[ImageLabels], iou_threshold: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Recall, precision and confidence after each prediction, in
+    descending-confidence order."""
     if not 0.0 < iou_threshold < 1.0:
         raise InputValidationError("iou_threshold must lie in (0, 1)")
     tp, confs, total_gt = _greedy_outcomes(labels, iou_threshold)
-    if tp.size == 0:
-        return []
     cum_tp = np.cumsum(tp)
-    ranks = np.arange(1, tp.size + 1)
-    return [
-        PrCurvePoint(
-            recall=float(cum_tp[i] / total_gt),
-            precision=float(cum_tp[i] / ranks[i]),
-            confidence=float(confs[i]),
-        )
-        for i in range(tp.size)
-    ]
+    return cum_tp / total_gt, cum_tp / np.arange(1, tp.size + 1), confs
+
+
+def pr_curve(labels: Sequence[ImageLabels], iou_threshold: float = 0.5) -> list[PrCurvePoint]:
+    """One point per prediction, in descending-confidence order."""
+    rows = zip(*(column.tolist() for column in _curve(labels, iou_threshold)))
+    return [PrCurvePoint(*row) for row in rows]
 
 
 def average_precision(labels: Sequence[ImageLabels], iou_threshold: float = 0.5) -> float:
-    """Area under the monotone-envelope precision-recall curve."""
-    if not 0.0 < iou_threshold < 1.0:
-        raise InputValidationError("iou_threshold must lie in (0, 1)")
-    tp, _, total_gt = _greedy_outcomes(labels, iou_threshold)
-    if tp.size == 0:
-        return 0.0
-    cum_tp = np.cumsum(tp)
-    recall = cum_tp / total_gt
-    precision = cum_tp / np.arange(1, tp.size + 1)
-
+    """Area under the monotone-envelope precision-recall curve; 0 without
+    predictions."""
+    recall, precision, _ = _curve(labels, iou_threshold)
     mrec = np.concatenate(([0.0], recall, [1.0]))
     mpre = np.concatenate(([0.0], precision, [0.0]))
     for i in range(mpre.size - 2, -1, -1):

@@ -198,24 +198,31 @@ class _Cell:
 
 @dataclass(frozen=True)
 class _CellsFile:
+    """A cells file whose cells fill each matrix cell exactly once, checked
+    before any manifest is read."""
+
     domains: tuple[str, ...]
     cells: tuple[_Cell, ...]
 
     def __post_init__(self):
+        first_of: dict[tuple[str, frozenset], int] = {}
         for idx, cell in enumerate(self.cells):
             manifests = (cell.real_manifest, cell.synth_manifest)
             if manifests.count(None) != (0 if cell.ipd is None else 2):
                 raise InputValidationError(
                     f"cell #{idx} needs either an 'ipd' value or manifest paths, not both"
                 )
+            first = first_of.setdefault((cell.train, frozenset(cell.pair)), idx)
+            if first != idx:
+                raise InputValidationError(f"cell #{idx} fills the same cell as cell #{first}")
+        # the matrix's layout rules, on a placeholder value per cell
+        cross_validation(self.domains, {(c.train, c.pair): 0.0 for c in self.cells})
 
 
 def cmd_crossval(args: argparse.Namespace) -> int:
     doc = read_json(args.cells, "cells file")
     cells_file = from_json(_CellsFile, doc, f"cells file {args.cells}")
     config = _config(args)
-    # the matrix's layout rules, checked before any manifest is evaluated
-    cross_validation(cells_file.domains, {(c.train, c.pair): 0.0 for c in cells_file.cells})
     results: dict[tuple[str, tuple[str, str]], object] = {}
     computed: list[dict] = []
     for cell in cells_file.cells:

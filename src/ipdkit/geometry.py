@@ -112,9 +112,10 @@ def iou(a: BBox, b: BBox) -> float:
     """Intersection over union of two axis-aligned boxes, in [0, 1].
 
     Boxes that only touch along an edge or corner have zero intersection
-    area and therefore IOU 0. The result is clamped to 1: the corners
+    area and therefore IOU 0. The result is clamped to [0, 1]: the corners
     cx -/+ w/2 can round so that the intersection exceeds the union by an
-    ulp when the boxes are identical.
+    ulp when the boxes are identical, and past the union's sign for a box
+    of a few ulps. A 0 / 0 NaN passes the clamp unchanged.
     """
     ax1, ay1, ax2, ay2 = a.corners()
     bx1, by1, bx2, by2 = b.corners()
@@ -124,7 +125,7 @@ def iou(a: BBox, b: BBox) -> float:
         return 0.0
     inter = iw * ih
     union = a.area + b.area - inter
-    return min(inter / union, 1.0)
+    return min(max(inter / union, 0.0), 1.0)
 
 
 def iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -139,7 +140,7 @@ def iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     hi = np.minimum(a[..., :2] + a_half, b[..., :2] + b_half)
     iw, ih = hi[..., 0] - lo[..., 0], hi[..., 1] - lo[..., 1]
     inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
-    return np.minimum(inter / (a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter), 1.0)
+    return np.clip(inter / (a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter), 0.0, 1.0)
 
 
 def iou_table(gt: np.ndarray, pred: np.ndarray) -> np.ndarray:
@@ -169,8 +170,6 @@ def best_iou(gt: np.ndarray, pred: np.ndarray) -> np.ndarray:
     # flat indices split by divmod: a 2-D nonzero costs several times more
     rows, cols = np.divmod(np.flatnonzero(candidate), len(pred))
     ious = iou_rows(gt[rows], pred[cols])
-    # the zero start also floors the maximum: an IOU can be negative where
-    # the corners round past a box of a few ulps
     best = np.zeros(len(gt))
     with np.errstate(invalid="ignore"):  # a NaN IOU propagates silently, as in max()
         np.maximum.at(best, rows, ious)

@@ -8,7 +8,8 @@ keeps one PerfRecord per matched real/synth instance pair, and its
 IpdResult holds those records: IPD is the mean absolute difference of
 their performance values, and the per-image breakdown splits that mean
 by image. cross_validation arranges IPDs into the train-domain x
-domain-pair matrix used for dataset comparison.
+domain-pair matrix used for dataset comparison, each cell filled by
+exactly one entry.
 """
 
 from __future__ import annotations
@@ -96,8 +97,8 @@ class IpdResult:
 class CrossValCell:
     """One cell of the cross-validation matrix; ipd is None exactly when
     the evaluated pair does not involve the training domain. result is
-    the IpdResult the value came from, if any; it takes no part in
-    equality."""
+    the IpdResult of the one entry that filled the cell, if that entry was
+    one; it takes no part in equality."""
 
     train_domain: str
     eval_pair: tuple[str, str]
@@ -180,35 +181,6 @@ def domain_pairs(domains: Sequence[str]) -> list[tuple[str, str]]:
     return list(reversed(list(itertools.combinations(domains, 2))))
 
 
-def _normalize_results(
-    results: Mapping,
-) -> dict[tuple[str, frozenset], tuple[float, IpdResult | None]]:
-    """Map (train, unordered pair) to its ipd and to the IpdResult of the
-    first entry listed for it, if that entry was one."""
-    normalized: dict[tuple[str, frozenset], tuple[float, IpdResult | None]] = {}
-    for (train, pair), value in results.items():
-        key = (train, frozenset(pair))
-        if isinstance(value, IpdResult):
-            v = value.ipd
-        elif isinstance(value, numbers.Real) and not isinstance(value, bool):
-            v = float(value)
-        else:
-            raise InputValidationError(
-                f"result train={train!r} pair={tuple(pair)!r} is {value!r}, "
-                "not an IpdResult or a real number"
-            )
-        if key in normalized:
-            first_v, first_result = normalized[key]
-            if first_v != v:
-                raise InputValidationError(
-                    f"conflicting results for train={train!r}, pair={tuple(pair)!r}"
-                )
-        else:
-            first_result = value if isinstance(value, IpdResult) else None
-        normalized[key] = (v, first_result)
-    return normalized
-
-
 def cross_validation(
     domains: Sequence[str],
     results: Mapping,
@@ -217,9 +189,9 @@ def cross_validation(
 
     results maps (train_domain, (domain_a, domain_b)) to an IpdResult or a
     bare ipd, a real number that is not a bool; pair order inside keys
-    does not matter. Every cell whose pair involves the training domain
-    must be present, and every result must land in such a cell. A cell
-    keeps the IpdResult of the first entry listed for it, if that was one.
+    does not matter. Each cell whose pair involves the training domain is
+    filled by exactly one entry: an entry that fills no such cell, or a
+    second entry for a filled cell (its pair in the other order), raises.
     """
     if len(domains) < 2:
         raise InputValidationError("cross_validation requires at least 2 domains")
@@ -227,29 +199,36 @@ def cross_validation(
         raise InputValidationError("domain names must be unique")
     pairs = domain_pairs(domains)
     filled = [(train, pair) for train in domains for pair in pairs if train in pair]
-    keys = {(train, frozenset(pair)) for train, pair in filled}
-    for train, pair in results:
-        if len(pair) != 2 or (train, frozenset(pair)) not in keys:
+    columns = {(train, frozenset(pair)): pair for train, pair in filled}
+    cells: dict[tuple[str, frozenset], tuple[tuple, CrossValCell]] = {}
+    for (train, pair), value in results.items():
+        key = (train, frozenset(pair))
+        entry = f"result train={train!r} pair={tuple(pair)!r}"
+        if len(pair) != 2 or key not in columns:
+            raise InputValidationError(f"{entry} fills no cell of the matrix")
+        if key in cells:
+            first = cells[key][0]
             raise InputValidationError(
-                f"result train={train!r} pair={tuple(pair)!r} fills no cell of the matrix"
+                f"{entry} fills the same cell as result train={train!r} pair={first!r}"
             )
-    normalized = _normalize_results(results)
+        if isinstance(value, IpdResult):
+            ipd, result = value.ipd, value
+        elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+            ipd, result = float(value), None
+        else:
+            raise InputValidationError(f"{entry} is {value!r}, not an IpdResult or a real number")
+        cells[key] = tuple(pair), CrossValCell(train, columns[key], ipd, result)
 
-    missing = [(t, p) for t, p in filled if (t, frozenset(p)) not in normalized]
+    missing = [f"train={t!r} pair={p!r}" for t, p in filled if (t, frozenset(p)) not in cells]
     if missing:
-        desc = ", ".join(f"train={t!r} pair={p!r}" for t, p in missing)
-        raise IncompleteResultsError(f"missing cross-validation cells: {desc}")
-
-    matrix: list[list[CrossValCell]] = []
-    for train in domains:
-        row = [
-            CrossValCell(train, pair, *normalized[(train, frozenset(pair))])
-            if train in pair
-            else CrossValCell(train, pair, None)
+        raise IncompleteResultsError(f"missing cross-validation cells: {', '.join(missing)}")
+    return [
+        [
+            cells[(train, frozenset(pair))][1] if train in pair else CrossValCell(train, pair, None)
             for pair in pairs
         ]
-        matrix.append(row)
-    return matrix
+        for train in domains
+    ]
 
 
 def closest_domain(row: Sequence[CrossValCell], reference: str) -> str:

@@ -626,6 +626,27 @@ class TestCrossval:
             ({"domains": ["a", "b", "c"],
               "cells": [{"train": "c", "pair": ["a", "b"], "ipd": 0.01}]},
              "result train='c' pair=('a', 'b') fills no cell"),
+            # the later cell silently won, before
+            ({"domains": ["a", "b"],
+              "cells": [{"train": "a", "pair": ["a", "b"], "ipd": 0.1},
+                        {"train": "b", "pair": ["a", "b"], "ipd": 0.2},
+                        {"train": "a", "pair": ["a", "b"], "ipd": 0.9}]},
+             "cells.json: cell #2 fills the same cell as cell #0"),
+            # taken as one cell, before
+            ({"domains": ["a", "b"],
+              "cells": [{"train": "a", "pair": ["a", "b"], "ipd": 0.1},
+                        {"train": "a", "pair": ["b", "a"], "ipd": 0.1},
+                        {"train": "b", "pair": ["a", "b"], "ipd": 0.2}]},
+             "cells.json: cell #1 fills the same cell as cell #0"),
+            # both evaluated, before; refused now before its manifests
+            # (which do not exist) are read
+            ({"domains": ["a", "b"],
+              "cells": [{"train": "a", "pair": ["a", "b"], "real_manifest": "nope_r.json",
+                         "synth_manifest": "nope_s.json"},
+                        {"train": "b", "pair": ["a", "b"], "ipd": 0.2},
+                        {"train": "a", "pair": ["b", "a"], "real_manifest": "nope_r.json",
+                         "synth_manifest": "nope_s.json"}]},
+             "cells.json: cell #2 fills the same cell as cell #0"),
         ],
     )
     def test_bad_cells_file_is_exit_2(self, tmp_path, capsys, doc, message):
@@ -973,7 +994,7 @@ def test_bench_dataset_builder_files_are_pinned(tmp_path):
 
 
 # SHA-256 of the CLI's stdout on one seeded dataset: the ipd report in
-# every format, a crossval json report with a computed cell, and register
+# every format, a crossval report with a computed cell in every format, and register
 # on a full pair and on a two-GT pair that falls back.
 CLI_DIGESTS = Path(__file__).parent / "data" / "cli_outputs_sha256.json"
 
@@ -1009,7 +1030,8 @@ def _cli_outputs(tmp_path, capsys, monkeypatch) -> dict[str, str]:
     )
     manifests = ["manifest_real.json", "manifest_synth.json"]
     runs = {f"ipd.{f}": ["ipd", *manifests, "--format", f] for f in ("json", "csv", "markdown")}
-    runs["crossval.json"] = ["crossval", "cells.json", "--format", "json"]
+    for f in ("json", "csv", "markdown"):
+        runs[f"crossval.{f}"] = ["crossval", "cells.json", "--format", f]
     for scene in ("scene0000", "scene0002"):
         runs[f"register.{scene}"] = ["register", *manifests, scene]
     digests = {}

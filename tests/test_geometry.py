@@ -247,10 +247,10 @@ def test_best_iou_is_the_table_row_maximum(sides):
 def test_best_iou_floors_a_negative_iou_and_keeps_a_nan():
     # a box one ulp wide and high: its corners round outward to two ulps
     # apart, the intersection with itself is 4 times its area, and the
-    # union comes out negative
+    # union comes out negative; the IOU of -2.0 is clamped to 0
     c = 1e6 + _ULP_1E6
     box = np.array([[c, c, _ULP_1E6, _ULP_1E6]])
-    assert iou_table(box, box).tolist() == [[-2.0]]
+    assert iou_table(box, box).tolist() == [[0.0]]
     assert best_iou(box, box).tolist() == [0.0]
     # disjoint boxes whose areas underflow to 0 score 0 / 0, with the
     # table's own warning and no other

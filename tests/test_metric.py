@@ -319,15 +319,39 @@ class TestCrossValidation:
         results = {key: IpdResult((_record(v, 0.0),)) for key, v in TABLE_RESULTS.items()}
         assert cross_validation(DOMAINS, results) == cross_validation(DOMAINS, TABLE_RESULTS)
 
-    def test_a_cell_keeps_the_result_of_the_first_entry_listed_for_it(self):
+    @settings(deadline=None, max_examples=30)
+    @given(st.lists(st.booleans(), min_size=len(TABLE_RESULTS), max_size=len(TABLE_RESULTS)))
+    def test_any_pair_orientation_gives_the_same_matrix(self, flips):
+        results = {
+            (train, pair[::-1] if flip else pair): value
+            for ((train, pair), value), flip in zip(TABLE_RESULTS.items(), flips)
+        }
+        assert cross_validation(DOMAINS, results) == cross_validation(DOMAINS, TABLE_RESULTS)
+
+    @pytest.mark.parametrize("first_detailed", [False, True])
+    @pytest.mark.parametrize("second_detailed", [False, True])
+    @pytest.mark.parametrize("first_reversed", [False, True])
+    def test_a_second_entry_for_a_filled_cell_raises(
+        self, first_detailed, second_detailed, first_reversed
+    ):
+        # an equal second entry was dropped and the first entry's
+        # IpdResult kept, before
         key, flipped = ("Real", ("Real", "Principled")), ("Real", ("Principled", "Real"))
-        detailed = IpdResult((_record(TABLE_RESULTS[key], 0.0),))
+        first, second = (flipped, key) if first_reversed else (key, flipped)
+        value = TABLE_RESULTS[key]
+        detailed = IpdResult((_record(value, 0.0),))
         rest = {k: v for k, v in TABLE_RESULTS.items() if k != key}
-        first = cross_validation(DOMAINS, {key: detailed, flipped: TABLE_RESULTS[key], **rest})
-        later = cross_validation(DOMAINS, {flipped: TABLE_RESULTS[key], key: detailed, **rest})
-        assert first[0][2].result is detailed
-        assert later[0][2].result is None
-        assert first == later == cross_validation(DOMAINS, TABLE_RESULTS)
+        results = {
+            first: detailed if first_detailed else value,
+            second: detailed if second_detailed else value,
+            **rest,
+        }
+        with pytest.raises(InputValidationError) as exc:
+            cross_validation(DOMAINS, results)
+        assert str(exc.value) == (
+            f"result train='Real' pair={second[1]!r} fills the same cell as "
+            f"result train='Real' pair={first[1]!r}"
+        )
 
     @pytest.mark.parametrize("value", ["0.25", True, None, [0.25]])
     def test_value_that_is_not_a_result_or_a_real_number_raises(self, value):
