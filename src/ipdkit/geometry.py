@@ -9,6 +9,7 @@ best_iou, each GT box's performance value, runs it only on the pairs
 whose boxes overlap along x, and is equal to the table's row maximum. BBox
 and the scalar iou, one box at a time, are the reference the tests check
 the kernel against and the form the benchmark's dataset builder takes.
+box_rule_error and its row form box_rule_mask alone state the box rules.
 Points are always (n, 2) float64 arrays, and apply_params is the one
 implementation of the affine map p -> Ap + t.
 """
@@ -36,6 +37,38 @@ def _require_finite(name: str, value: float) -> float:
     return v
 
 
+def box_rule_error(
+    cx: float, cy: float, w: float, h: float, confidence: float | None = None
+) -> str | None:
+    """The first box rule a box of these floats breaks, worded, or None:
+    finite cx, cy, w and h, positive sides, a finite confidence in [0, 1]
+    when there is one, and a positive and finite area, in that order."""
+    for name, value in (("cx", cx), ("cy", cy), ("w", w), ("h", h)):
+        if not math.isfinite(value):
+            return f"{name} must be finite, got {value!r}"
+    if w <= 0 or h <= 0:
+        return f"box sides must be positive, got w={w}, h={h}"
+    if confidence is not None and not math.isfinite(confidence):
+        return f"confidence must be finite, got {confidence!r}"
+    if confidence is not None and not 0.0 <= confidence <= 1.0:
+        return f"confidence must be in [0,1], got {confidence}"
+    # last, so that a box breaking another rule is worded by that rule
+    if not 0.0 < w * h < math.inf:
+        return f"box area must be positive and finite, got w={w}, h={h}"
+    return None
+
+
+def box_rule_mask(xywh: np.ndarray, confidence: np.ndarray, given: np.ndarray) -> np.ndarray:
+    """The rows box_rule_error refuses, as an (n,) bool mask, of an (n, 4)
+    cx, cy, w, h array and (n,) confidences, judged only where given."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an area of inf or inf * 0 is refused
+        area = xywh[:, 2] * xywh[:, 3]
+    bad = ~np.isfinite(xywh).all(axis=1) | (xywh[:, 2] <= 0.0) | (xywh[:, 3] <= 0.0)
+    bad |= given & ~((confidence >= 0.0) & (confidence <= 1.0))
+    bad |= ~((area > 0.0) & (area < math.inf))
+    return bad
+
+
 @dataclass(frozen=True)
 class BBox:
     """Axis-aligned box, center/width/height, optional detection confidence."""
@@ -47,24 +80,14 @@ class BBox:
     confidence: float | None = None
 
     def __post_init__(self):
-        # coerce to plain python scalars so equality and serialization do
-        # not depend on the caller's numeric types
+        # coerce to plain python floats so equality, serialization and the
+        # error messages do not depend on the caller's numeric types
         for name in ("cx", "cy", "w", "h"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-        if self.w <= 0 or self.h <= 0:
-            raise InputValidationError(
-                f"box sides must be positive, got w={self.w}, h={self.h}"
-            )
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.confidence is not None:
-            c = _require_finite("confidence", self.confidence)
-            if not 0.0 <= c <= 1.0:
-                raise InputValidationError(f"confidence must be in [0,1], got {c}")
-            object.__setattr__(self, "confidence", c)
-        # last, so that a box breaking another rule is worded by that rule
-        if not 0.0 < self.area < math.inf:
-            raise InputValidationError(
-                f"box area must be positive and finite, got w={self.w}, h={self.h}"
-            )
+            object.__setattr__(self, "confidence", float(self.confidence))
+        if error := box_rule_error(self.cx, self.cy, self.w, self.h, self.confidence):
+            raise InputValidationError(error)
 
     @property
     def area(self) -> float:

@@ -16,14 +16,15 @@ mixed, a number it does not parse, a class id beyond int64, a malformed
 line) goes through a per-line scan with Python's int and float. Both
 accept the same language and give the same bits. The box rules (finite
 values, positive sides, a confidence in [0, 1], a positive and finite
-area) are then checked once per file as array masks, and an error names
-the first bad line in file order, in BBox's own words. ImageLabels holds an
-image's GT and prediction arrays and checks the image rules (which side
-carries confidences, the 10% frame overhang) the same way. The pipeline,
-the scene generator and the AP baseline use only these arrays. BBox
-tuples are built from them only for callers that ask for them, such as
-the benchmark's dataset builder: parse_label_file, BoxArrays.boxes and
-ImageLabels.gt_boxes/pred_boxes. serialize_labels writes either form.
+area) are then checked once per file by geometry.box_rule_mask, and an
+error names the first bad line in file order, worded by box_rule_error.
+ImageLabels holds an image's GT and prediction arrays and checks the
+image rules (which side carries confidences, the 10% frame overhang) the
+same way. The pipeline, the scene generator and the AP baseline use only
+these arrays. BBox tuples are built from them only for callers that ask
+for them, such as the benchmark's dataset builder: parse_label_file,
+BoxArrays.boxes and ImageLabels.gt_boxes/pred_boxes. serialize_labels
+writes either form.
 
 A manifest is one JSON document describing a dataset's images and,
 optionally, the real<->synth pairing. read_json reads every JSON input
@@ -58,7 +59,7 @@ from typing import Sequence, TypeVar, Union, get_args, get_origin, get_type_hint
 import numpy as np
 
 from .errors import InputValidationError, LoadError, ParseError
-from .geometry import BBox
+from .geometry import BBox, box_rule_error, box_rule_mask
 
 _COORDINATE_MODES = ("normalized", "pixel")
 
@@ -76,9 +77,9 @@ class BoxArrays:
 
     xywh is (n, 4) float64 cx, cy, w, h; confidence is (n,) float64 with
     NaN for "no confidence" (a GT box). No class id is kept. Every row
-    satisfies BBox's rules, which parse_label_arrays checks and the scene
-    generator's SceneSpec guarantees. Equality is exact, NaN-aware on
-    confidence.
+    satisfies the box rules of geometry.box_rule_error, which
+    parse_label_arrays checks and the scene generator's SceneSpec
+    guarantees. Equality is exact, NaN-aware on confidence.
     """
 
     xywh: np.ndarray
@@ -325,22 +326,14 @@ def parse_label_arrays(
         columns, malformed = _scan(lines, source)
     xywh, confidence, given = columns
 
-    # an overflow to inf, and inf * 0, are rejected below
-    with np.errstate(over="ignore", invalid="ignore"):
-        if coordinate_mode == "normalized":
+    if coordinate_mode == "normalized":
+        with np.errstate(over="ignore"):  # an overflow to inf breaks the box rules
             xywh *= np.array([width, height, width, height], dtype=np.float64)
-        area = xywh[:, 2] * xywh[:, 3]
-    bad = ~np.isfinite(xywh).all(axis=1) | (xywh[:, 2] <= 0.0) | (xywh[:, 3] <= 0.0)
-    bad |= given & ~((confidence >= 0.0) & (confidence <= 1.0))
-    bad |= ~((area > 0.0) & (area < math.inf))
+    bad = box_rule_mask(xywh, confidence, given)
     if bad.any():
-        # the masks are BBox's rules, so BBox refuses the row and words the error
         i = int(np.argmax(bad))
-        cx, cy, w, h = xywh[i].tolist()
-        try:
-            BBox(cx, cy, w, h, confidence[i].tolist() if given[i] else None)
-        except InputValidationError as e:
-            raise ParseError(str(e), source=source, line_no=_box_line_no(lines, i)) from None
+        row = xywh[i].tolist() + [confidence[i].tolist() if given[i] else None]
+        raise ParseError(box_rule_error(*row), source=source, line_no=_box_line_no(lines, i))
     if malformed is not None:
         raise malformed
     return BoxArrays(xywh, confidence)

@@ -280,8 +280,6 @@ def register(
         cfg = RegistrationConfig()
     synth = points_to_array(synth_pts)
     real = points_to_array(real_pts)
-    if len(synth) == 0 and len(real) == 0:
-        raise InputValidationError("register requires non-empty point sets")
     if len(synth) == 0 or len(real) == 0:
         raise InputValidationError("register requires points on both sides")
 
@@ -317,7 +315,7 @@ def register(
     # other columns, which hold the check points
     columns, basis_columns = np.arange(synth_nbrs.shape[1]), np.arange(k_synth)
     is_check = (columns != basis_columns[:, None, None]) & (columns != basis_columns[:, None])
-    best_quality: tuple | None = None  # consensus quality + (iteration, hypothesis)
+    best_quality: tuple | None = None
     best_params: np.ndarray | None = None
     hypothesis_count = 0
     iterations_used = 0
@@ -332,13 +330,10 @@ def register(
         hypothesis_count += int(valid.sum())
 
         for idx in check_test.refine_set(params, valid, check):
-            cand, cand_consensus = _refine_params(
-                params[idx], synth, real, capture_radius, judge_radius
-            )
-            quality = cand_consensus + (iterations_used, int(idx))
+            # ascending (iteration, idx): only a strictly better one replaces
+            cand, quality = _refine_params(params[idx], synth, real, capture_radius, judge_radius)
             if best_quality is None or quality < best_quality:
-                best_quality = quality
-                best_params = cand
+                best_quality, best_params = quality, cand
 
         iterations_used += 1
         if best_quality is not None:

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputValidationError
-from .geometry import AffineTransform2D, BBox, iou_rows, transform_points
+from .geometry import AffineTransform2D, BBox, box_rule_error, iou_rows, transform_points
 from .ingestion import BoxArrays, DatasetManifest, ImageLabels, ManifestEntry, serialize_labels
 
 _IOU_TOL = 1e-4  # internal bisection tolerance, tighter than the 1e-3 contract
@@ -67,6 +67,7 @@ class SceneSpec:
     values that keep instances far enough apart that a prediction can
     only ever be the best match for its own GT box, and keep transformed
     centers inside the frame-bound tolerance for moderate transforms.
+    Every box a spec can generate obeys the label files' box rules.
     """
 
     n_instances: int
@@ -100,14 +101,14 @@ class SceneSpec:
         if not (0.0 < self.size_range[0] <= self.size_range[1] < math.inf):
             raise InputValidationError("size_range must be finite and satisfy 0 < low <= high")
         t = self.transform
-        # each side of a real GT box is its hull under the linear part,
-        # |a| * w + |b| * h for a row (a, b), smallest at w = h = low
-        for a, b in ((t.a11, t.a12), (t.a21, t.a22)):
-            smallest, largest = (abs(a) * s + abs(b) * s for s in self.size_range)
-            if not (smallest > 0.0 and math.isfinite(largest)):
-                raise InputValidationError(
-                    f"transform row ({a}, {b}) gives boxes a side that is not positive and finite"
-                )
+        # a real box is a hull, |a| * w + |b| * h per row (a, b): every side
+        # and area grows with w and h, so the boxes at size_range's ends bound all
+        for s in self.size_range:
+            hull = (abs(t.a11) * s + abs(t.a12) * s, abs(t.a21) * s + abs(t.a22) * s)
+            if error := box_rule_error(0.0, 0.0, s, s):
+                raise InputValidationError(f"size_range {self.size_range}: {error}")
+            if error := box_rule_error(0.0, 0.0, *hull):
+                raise InputValidationError(f"transform rows {t.params()[:4]}: {error}")
         if self.min_separation_factor < 0.0:
             raise InputValidationError("min_separation_factor must be >= 0")
         lo, hi = self.center_region
@@ -162,31 +163,19 @@ def _shift_to_target_iou(
     return moved
 
 
-def perturb_box_to_target_iou(
-    gt: BBox,
-    target_iou: float,
-    rng: np.random.Generator,
-    direction: tuple[float, float] | None = None,
-) -> BBox:
-    """A copy of gt translated so that its IOU with gt is within 1e-3 of
-    target_iou. target 1.0 returns the box unchanged; direction, when not
-    given, is drawn uniformly from rng."""
+def perturb_box_to_target_iou(gt: BBox, target_iou: float, rng: np.random.Generator) -> BBox:
+    """A copy of gt translated, in a direction drawn uniformly from rng, so
+    that its IOU with gt is within 1e-3 of target_iou. target 1.0 returns
+    the box unchanged."""
     if not (0.0 < target_iou <= 1.0):
         raise InputValidationError(f"target IOU must lie in (0, 1], got {target_iou!r}")
     if target_iou == 1.0:
         return gt
-    if direction is None:
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        direction = (math.cos(angle), math.sin(angle))
-    dx, dy = direction
-    norm = math.hypot(dx, dy)
-    if norm == 0.0:
-        raise InputValidationError("direction must be non-zero")
+    angle = rng.uniform(0.0, 2.0 * math.pi)
+    dx, dy = math.cos(angle), math.sin(angle)
     row = np.array([[gt.cx, gt.cy, gt.w, gt.h]])
-    cx, cy, _, _ = _shift_to_target_iou(
-        row, np.array([dx]), np.array([dy]), np.array([norm]), np.array([target_iou])
-    )[0].tolist()
-    return BBox(cx, cy, gt.w, gt.h, gt.confidence)
+    moved = _shift_to_target_iou(row, *np.array([[dx], [dy], [math.hypot(dx, dy)], [target_iou]]))
+    return BBox(*moved[0, :2].tolist(), gt.w, gt.h, gt.confidence)
 
 
 def random_affine(rng: np.random.Generator, frame: tuple[int, int]) -> AffineTransform2D:

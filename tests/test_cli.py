@@ -257,6 +257,12 @@ class TestScenegen:
             ({"n_instances": 1, "transform": "random"}, "transform: expected a JSON object"),
             # an AttributeError traceback, exit 1, before
             (5, "JSON object"),
+            # boxes of zero area, written with exit 0 and refused by ipd, before
+            (
+                {"n_instances": 5, "size_range": [1e-200, 1e-200], "min_separation_factor": 0},
+                "size_range",
+            ),
+            ({"n_instances": 5, "transform": [1e-200, 0, 0, 1e-200, 640, 480]}, "transform row"),
         ],
     )
     def test_bad_spec_file_is_exit_2(self, tmp_path, capsys, spec, message):
@@ -267,6 +273,7 @@ class TestScenegen:
         )
         assert code == 2
         assert "spec #0" in err and message in err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
         "text, message",

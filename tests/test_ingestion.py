@@ -82,6 +82,11 @@ class TestParseLabelArrays:
         with pytest.raises(InputValidationError):
             parse_label_arrays("", "spherical", DIMS)
 
+    @pytest.mark.parametrize("dims", [(0, 480), (640, -1)])
+    def test_non_positive_image_dims_rejected(self, dims):
+        with pytest.raises(InputValidationError, match="image_dims must be positive"):
+            parse_label_arrays("0 1 1 2 2\n", "pixel", dims)
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -377,6 +382,18 @@ class TestImageLabels:
         with pytest.raises(InputValidationError):
             image_labels("img", (), (BBox(10, 10, 4, 4),), frame=(100, 100))
 
+    @pytest.mark.parametrize(
+        "image_id, frame, message",
+        [
+            ("", (100, 100), "image_id must be non-empty"),
+            ("img", (0, 100), "image dimensions must be positive"),
+            ("img", (100, -5), "image dimensions must be positive"),
+        ],
+    )
+    def test_empty_id_and_non_positive_dimensions_rejected(self, image_id, frame, message):
+        with pytest.raises(InputValidationError, match=message):
+            image_labels(image_id, (), (), frame=frame)
+
     def test_center_overhang_allowance(self):
         # centers may overhang the frame by 10% per side
         image_labels("img", (BBox(-10.0, 110.0, 4, 4),), (), frame=(100, 100))
@@ -551,6 +568,12 @@ class TestFromJson:
         assert (m.width_px, type(m.width_px)) == (1280, int)
         spec = from_json(SceneSpec, {"n_instances": 1, "center_noise_sigma": 2}, "s")
         assert (spec.center_noise_sigma, type(spec.center_noise_sigma)) == (2.0, float)
+
+    def test_an_integer_past_float_range_is_refused(self):
+        # json reads 1 followed by 400 zeros as an int that float() overflows on
+        doc = json.loads('{"n_instances": 1, "center_noise_sigma": 1%s}' % ("0" * 400))
+        with pytest.raises(InputValidationError, match="s: center_noise_sigma: expected a number"):
+            from_json(SceneSpec, doc, "s")
 
 
 class TestLoadDataset:

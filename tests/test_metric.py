@@ -422,3 +422,9 @@ class TestClosestDomain:
         row = [CrossValCell("X", ("a", "b"), None)]
         with pytest.raises(InputValidationError):
             closest_domain(row, "X")
+
+    def test_a_pair_repeating_the_reference_is_no_candidate(self):
+        row = [CrossValCell("X", ("X", "X"), 0.1), CrossValCell("X", ("X", "b"), 0.5)]
+        assert closest_domain(row, "X") == "b"
+        with pytest.raises(InputValidationError):
+            closest_domain(row[:1], "X")

@@ -141,6 +141,8 @@ def test_register_rejects_empty_sides():
         register(np.zeros((0, 2)), pts)
     with pytest.raises(InputValidationError):
         register(pts, np.zeros((0, 2)))
+    with pytest.raises(InputValidationError, match="points on both sides"):
+        register(np.zeros((0, 2)), np.zeros((0, 2)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -196,6 +198,8 @@ def test_fallback_translation_aligns_centroids():
     real = np.array([[10.0, 5.0], [12.0, 7.0]])
     t = fallback_translation(synth, real)
     assert (t.tx, t.ty) == (10.0, 5.0) and t.a11 == 1.0
+    with pytest.raises(InputValidationError, match="non-empty"):
+        fallback_translation(synth, np.zeros((0, 2)))
 
 
 def _scenes(master_seed, count, n_range, dropout, **layout):
