@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -329,6 +330,14 @@ def _check_at_least_one(n: int) -> None:
         raise ValueError("must be at least 1")
 
 
+def _check_gate(gate: float) -> None:
+    """The library's gate check, and a finite gate: the library allows
+    match_instances' infinite default, which a JSON report cannot hold."""
+    check_gate_distance(gate)
+    if not math.isfinite(gate):
+        raise ValueError("gate_distance must be finite")
+
+
 def _instance_span(text: str) -> tuple[int, int]:
     bounds = [int(v) for v in text.split(":")]
     if len(bounds) == 1:
@@ -372,7 +381,7 @@ def _add_align_flags(sp: argparse.ArgumentParser) -> None:
     )
     sp.add_argument(
         "--gate",
-        type=_flag_type(float, check_gate_distance),
+        type=_flag_type(float, _check_gate),
         default=None,
         help="matching gate distance in px (default: half the median GT diagonal)",
     )

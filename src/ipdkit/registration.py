@@ -109,37 +109,35 @@ def _neighbours(pts: np.ndarray, k: int) -> tuple[np.ndarray, float]:
     return order, spacing
 
 
-def _nn_distances(params: np.ndarray, synth: np.ndarray, real: np.ndarray):
-    moved_x, moved_y = apply_params(params, synth)
-    d2 = (moved_x[:, None] - real[None, :, 0]) ** 2 + (moved_y[:, None] - real[None, :, 1]) ** 2
-    nn_idx = d2.argmin(axis=1)
-    nn_d = np.sqrt(d2[np.arange(len(synth)), nn_idx])
-    return nn_idx, nn_d
-
-
 def _consensus(
-    nn_idx: np.ndarray,
-    nn_d: np.ndarray,
+    params: np.ndarray,
+    synth: np.ndarray,
+    real: np.ndarray,
     capture_radius: float,
     judge_radius: float,
-) -> tuple[int, float, int, float]:
-    """Tight and loose consensus of one hypothesis from its
-    nearest-neighbor pass: (-judge count, judge mean, -capture count,
-    capture mean), ready for lexicographic comparison (smaller is
-    better).
+) -> tuple[tuple[int, float, int, float], np.ndarray, np.ndarray]:
+    """Tight and loose consensus of one hypothesis, a (6,) params row:
+    (quality, nn_idx, nn_d), where nn_idx and nn_d are the
+    nearest-neighbor pass it is counted on and quality is (-judge count,
+    judge mean, -capture count, capture mean), ready for lexicographic
+    comparison (smaller is better).
 
     Counting distinct real nearest neighbors instead of raw pairs keeps a
     near-collapse map (everything lands on one real point) from faking a
     large consensus.
     """
-    out = []
+    moved_x, moved_y = apply_params(params, synth)
+    d2 = (moved_x[:, None] - real[None, :, 0]) ** 2 + (moved_y[:, None] - real[None, :, 1]) ** 2
+    nn_idx = d2.argmin(axis=1)
+    nn_d = np.sqrt(d2[np.arange(len(synth)), nn_idx])
+    quality = []
     for radius in (judge_radius, capture_radius):
         mask = nn_d <= radius
         count = np.count_nonzero(np.bincount(nn_idx[mask]))
         inside = nn_d[mask]
         mean = float(inside.sum() / inside.size) if count else math.inf
-        out.extend((-count, mean))
-    return tuple(out)
+        quality.extend((-count, mean))
+    return tuple(quality), nn_idx, nn_d
 
 
 def _refine_params(
@@ -159,8 +157,7 @@ def _refine_params(
     """
 
     best_params = params
-    nn_idx, nn_d = _nn_distances(params, synth, real)
-    best_quality = _consensus(nn_idx, nn_d, capture_radius, judge_radius)
+    best_quality, nn_idx, nn_d = _consensus(params, synth, real, capture_radius, judge_radius)
     for _ in range(5):
         inliers = np.flatnonzero(nn_d <= capture_radius)
         if inliers.size < 3:
@@ -175,83 +172,63 @@ def _refine_params(
             [sol[0, 0], sol[1, 0], sol[0, 1], sol[1, 1], sol[2, 0], sol[2, 1]]
         )
         # the next round refits on the pass that judged this candidate
-        nn_idx, nn_d = _nn_distances(candidate, synth, real)
-        cand_quality = _consensus(nn_idx, nn_d, capture_radius, judge_radius)
-        if cand_quality < best_quality:
-            best_params, best_quality = candidate, cand_quality
+        quality, nn_idx, nn_d = _consensus(candidate, synth, real, capture_radius, judge_radius)
+        if quality < best_quality:
+            best_params, best_quality = candidate, quality
         else:
             break
     return best_params, best_quality
 
 
-def _least_hits(n_check: int) -> int:
-    """The refine gate: the fewest of n_check check points a hypothesis
-    must carry onto the real neighbourhood, half of them rounded up, to be
-    refined."""
-    return (n_check + 1) // 2
+def _refine_set(
+    params: np.ndarray,
+    valid: np.ndarray,
+    check: np.ndarray,
+    near_x: np.ndarray,
+    near_y: np.ndarray,
+    radius2: float,
+) -> np.ndarray:
+    """Ascending indices of the hypotheses (params (H, 6), valid (H,)) to
+    refine: those whose maps carry the most of the check points (c, 2)
+    within sqrt(radius2) of one of their real near neighbours (near_x and
+    near_y (K, H)), when that is at least half of them, rounded up.
 
-
-class _CheckTest:
-    """Counts, per hypothesis, the check points that land within the
-    capture radius of one of its real point's near neighbours, and picks
-    the hypotheses to refine: those tying at the most hits, when that is
-    at least _least_hits of the check points.
-
-    The count is staged, and exact. Stage A scores the first
-    n_check - need + 1 check points of every hypothesis, so one that hits
-    none of them cannot reach the gate. The floor is the gate or the best
+    The count is staged, and exact: the same set, in the same order, as a
+    full count of every check point gives. Stage A scores the first
+    c - need + 1 check points of every hypothesis, so one that hits none
+    of them cannot reach the gate. The floor is the gate or the best
     stage-A count, whichever is higher; a hypothesis whose stage-A count
     plus its unscored check points falls short of it can neither reach the
     gate nor tie the winner, and is dropped. Stage B scores the remaining
-    check points of the survivors only. Coordinates are laid out
-    hypothesis-minor: moved check points (rows, hypotheses), near
-    neighbours (K, hypotheses).
+    check points of the survivors only.
     """
+    need = (len(check) + 1) // 2
+    # with no check points the gate is 0 hits, and stage A scores none
+    head = min(len(check), len(check) - need + 1)
 
-    def __init__(
-        self, near_x: np.ndarray, near_y: np.ndarray, capture_radius: float, n_check: int
-    ):
-        self.near_x, self.near_y = near_x, near_y  # (K, hypotheses)
-        self.radius2 = capture_radius**2
-        self.need = _least_hits(n_check)
-        # with no check points the gate is 0 hits, and stage A scores none
-        self.head = min(n_check, n_check - self.need + 1)
-        # squared distance to the nearest neighbour so far, d^2 and dy^2
-        self.buffers = np.empty((3, self.head, near_x.shape[1]))
-
-    def _hits(self, moved_x, moved_y, near_x, near_y, buffers) -> np.ndarray:
-        """Per column, how many of the moved points (rows, columns) lie
-        within the capture radius of one of the column's near neighbours
-        (K, columns); buffers are three (rows, columns) scratch arrays."""
-        nearest, d2, dy2 = buffers
-        nearest.fill(np.inf)
-        for nx, ny in zip(near_x, near_y):
+    def hits(columns, points: np.ndarray) -> np.ndarray:
+        """Per selected hypothesis, how many of points it carries within
+        the radius; moved points are laid out (rows, hypotheses)."""
+        moved_x, moved_y = apply_params(params[columns], points)
+        nearest = np.full(moved_x.shape, np.inf)
+        d2, dy2 = np.empty_like(nearest), np.empty_like(nearest)
+        for nx, ny in zip(near_x[:, columns], near_y[:, columns]):
             np.square(np.subtract(moved_x, nx, out=d2), out=d2)
             np.square(np.subtract(moved_y, ny, out=dy2), out=dy2)
             d2 += dy2
             np.minimum(nearest, d2, out=nearest)
-        return np.count_nonzero(nearest <= self.radius2, axis=0)
+        return np.count_nonzero(nearest <= radius2, axis=0)
 
-    def refine_set(self, params: np.ndarray, valid: np.ndarray, check: np.ndarray) -> np.ndarray:
-        """Ascending indices of the hypotheses (params (H, 6), valid (H,))
-        to refine, given the check points (c, 2): the same set, in the
-        same order, as a full count of every check point gives."""
-        head, tail = check[: self.head], check[self.head :]
-        # invalid rows may hold NaN or inf params; they score -1
-        with np.errstate(invalid="ignore", over="ignore"):
-            hits = self._hits(*apply_params(params, head), self.near_x, self.near_y, self.buffers)
-        hits = np.where(valid, hits, -1)
-        floor = max(self.need, int(hits.max()))
-        alive = np.flatnonzero(hits + len(tail) >= floor)
-        if alive.size == 0:
-            return alive
-        hits = hits[alive]
-        if len(tail):
-            buffers = np.empty((3, len(tail), alive.size))
-            near_x, near_y = self.near_x[:, alive], self.near_y[:, alive]
-            hits += self._hits(*apply_params(params[alive], tail), near_x, near_y, buffers)
-        most = hits.max()
-        return alive[hits == most] if most >= self.need else alive[:0]
+    # invalid rows may hold NaN or inf params; they score -1
+    with np.errstate(invalid="ignore", over="ignore"):
+        first = np.where(valid, hits(slice(None), check[:head]), -1)
+    floor = max(need, int(first.max()))
+    alive = np.flatnonzero(first + len(check) - head >= floor)
+    if alive.size == 0:
+        return alive
+    total = first[alive] + hits(alive, check[head:])
+    most = total.max()
+    return alive[total == most] if most >= need else alive[:0]
 
 
 def register(
@@ -307,7 +284,7 @@ def register(
     dst = np.ascontiguousarray(real[real_bases].transpose(1, 2, 0)).transpose(2, 0, 1)
     # each hypothesis' real near neighbours, (K, hypotheses)
     near = real_nbrs[real_bases[:, 0]].T
-    check_test = _CheckTest(real[near, 0], real[near, 1], capture_radius, synth_nbrs.shape[1] - 2)
+    near_x, near_y = real[near, 0], real[near, 1]
 
     rng = np.random.default_rng(cfg.rng_seed)
     k_synth = min(_SYNTH_BASIS_NEIGHBOURS, n - 1)
@@ -329,7 +306,7 @@ def register(
         params, valid = fit_affine_batch(synth[[point, nbrs[a], nbrs[b]]], dst)
         hypothesis_count += int(valid.sum())
 
-        for idx in check_test.refine_set(params, valid, check):
+        for idx in _refine_set(params, valid, check, near_x, near_y, capture_radius**2):
             # ascending (iteration, idx): only a strictly better one replaces
             cand, quality = _refine_params(params[idx], synth, real, capture_radius, judge_radius)
             if best_quality is None or quality < best_quality:

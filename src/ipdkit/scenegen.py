@@ -67,7 +67,8 @@ class SceneSpec:
     values that keep instances far enough apart that a prediction can
     only ever be the best match for its own GT box, and keep transformed
     centers inside the frame-bound tolerance for moderate transforms.
-    Every box a spec can generate obeys the label files' box rules.
+    Every box a spec can generate obeys the label files' box rules, with a
+    finite center.
     """
 
     n_instances: int
@@ -114,6 +115,16 @@ class SceneSpec:
         lo, hi = self.center_region
         if not (0.0 <= lo < hi <= 1.0):
             raise InputValidationError("center_region must satisfy 0 <= low < high <= 1")
+        # an affine map carries the region's corners furthest out; plain
+        # floats overflow to inf without a warning
+        for x in (float(lo) * self.frame[0], float(hi) * self.frame[0]):
+            for y in (float(lo) * self.frame[1], float(hi) * self.frame[1]):
+                corner = (t.a11 * x + t.a12 * y + t.tx, t.a21 * x + t.a22 * y + t.ty)
+                if not all(map(math.isfinite, corner)):
+                    raise InputValidationError(
+                        f"transform {t.params()} carries the center_region corner "
+                        f"({x}, {y}) to {corner}"
+                    )
         clo, chi = self.confidence_range
         if not (0.0 <= clo <= chi <= 1.0):
             raise InputValidationError("confidence_range must lie in [0, 1]")

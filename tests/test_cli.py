@@ -263,6 +263,8 @@ class TestScenegen:
                 "size_range",
             ),
             ({"n_instances": 5, "transform": [1e-200, 0, 0, 1e-200, 640, 480]}, "transform row"),
+            # centers carried to inf, refused after numpy overflow warnings, before
+            ({"n_instances": 5, "transform": [1e306, 0, 0, 1e-306, 0, 0]}, "transform"),
         ],
     )
     def test_bad_spec_file_is_exit_2(self, tmp_path, capsys, spec, message):
@@ -800,7 +802,13 @@ def test_evaluate_dataset_pair_runs_without_argparse(tmp_path, capsys):
     [
         (command, flag, value)
         for command in ("ipd", "crossval", "register")
-        for flag, value in (("--conf-threshold", "1.5"), ("--gate", "-1"), ("--max-iterations", "0"))
+        for flag, value in (
+            ("--conf-threshold", "1.5"),
+            ("--gate", "-1"),
+            # exit 0 and a report holding "gate": Infinity, which is not JSON, before
+            ("--gate", "inf"),
+            ("--max-iterations", "0"),
+        )
         if command != "register" or flag != "--conf-threshold"
     ],
 )

@@ -22,7 +22,7 @@ from ipdkit import (
     register,
 )
 from ipdkit.geometry import transform_points
-from ipdkit.registration import _CheckTest, _neighbours
+from ipdkit.registration import _consensus, _neighbours, _refine_set
 
 from helpers import check_hits
 
@@ -170,8 +170,46 @@ def test_staged_check_count_refines_what_the_full_count_refines(n_check, n_hyp, 
     hits = check_hits(params, valid, check, near_x, near_y, radius)
     most = hits.max()
     want = np.flatnonzero(hits == most) if 2 * most >= n_check else []
-    got = _CheckTest(near_x, near_y, radius, n_check).refine_set(params, valid, check)
+    got = _refine_set(params, valid, check, near_x, near_y, radius**2)
     assert got.tolist() == list(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    m=st.integers(1, 12),
+    radii=st.lists(st.sampled_from([0.0, 1.0, math.sqrt(2.0), 2.0, 2.5]), min_size=2, max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_consensus_equals_a_brute_force_count(n, m, radii, seed):
+    rng = np.random.default_rng(seed)
+    # small integer layouts under integer maps: every squared distance is
+    # an exact integer, so nearest-neighbour ties and distances on a radius
+    # are common, and collapsing maps put several points on one real point
+    synth = rng.integers(0, 5, size=(n, 2)).astype(float)
+    real = rng.integers(0, 5, size=(m, 2)).astype(float)
+    params = rng.integers(-1, 2, size=6).astype(float)
+    params[4:] = rng.integers(-2, 3, size=2)
+    capture_radius, judge_radius = radii
+    quality, nn_idx, nn_d = _consensus(params, synth, real, capture_radius, judge_radius)
+
+    a11, a12, a21, a22, tx, ty = params.tolist()
+    want_idx, want_d = [], []
+    for x, y in synth.tolist():
+        mx, my = a11 * x + a12 * y + tx, a21 * x + a22 * y + ty
+        d2 = [(mx - rx) ** 2 + (my - ry) ** 2 for rx, ry in real.tolist()]
+        j = d2.index(min(d2))  # the lowest index on a tie
+        want_idx.append(j)
+        want_d.append(math.sqrt(d2[j]))
+    assert nn_idx.tolist() == want_idx
+    assert nn_d.tolist() == want_d
+    judged, captured = quality[:2], quality[2:]
+    for (neg_count, mean), radius in ((judged, judge_radius), (captured, capture_radius)):
+        inside = [(j, d) for j, d in zip(want_idx, want_d) if d <= radius]
+        assert -neg_count == len({j for j, _ in inside})
+        want_mean = math.fsum(d for _, d in inside) / len(inside) if inside else math.inf
+        # numpy sums in another order than fsum: a few ulps of 12 terms
+        assert math.isclose(mean, want_mean, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize(
