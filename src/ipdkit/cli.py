@@ -34,7 +34,7 @@ from .ingestion import (
     ImageLabels, from_json, load_dataset, load_entry, merge_pairings, pair_datasets, read_json,
     read_manifest,
 )
-from .matching import InstancePairing, check_gate_distance, default_gate_distance, match_instances
+from .matching import InstancePairing, default_gate_distance, match_instances
 from .metric import IpdResult, check_conf_threshold, check_ipd, cross_validation, evaluate_pair
 from .registration import RegistrationConfig, RegistrationResult, register
 from .report import write_ipd_report, write_report
@@ -52,12 +52,20 @@ class PipelineConfig:
     """The flags that decide an evaluation: the master seed, the
     registration budget, the matching gate (None: half the median real GT
     diagonal) and the confidence threshold below which predictions are
-    dropped."""
+    dropped. A value its flag would refuse raises InputValidationError."""
 
     seed: int = 0
     max_iterations: int = RegistrationConfig.max_iterations
     gate: float | None = None
     conf_threshold: float = 0.25
+
+    def __post_init__(self):
+        RegistrationConfig(max_iterations=self.max_iterations)
+        # match_instances allows an infinite gate, which a JSON report
+        # cannot hold
+        if self.gate is not None and not 0.0 < self.gate < math.inf:
+            raise InputValidationError("gate must be a positive, finite distance")
+        check_conf_threshold(self.conf_threshold)
 
 
 @dataclass(frozen=True)
@@ -330,14 +338,6 @@ def _check_at_least_one(n: int) -> None:
         raise ValueError("must be at least 1")
 
 
-def _check_gate(gate: float) -> None:
-    """The library's gate check, and a finite gate: the library allows
-    match_instances' infinite default, which a JSON report cannot hold."""
-    check_gate_distance(gate)
-    if not math.isfinite(gate):
-        raise ValueError("gate_distance must be finite")
-
-
 def _instance_span(text: str) -> tuple[int, int]:
     bounds = [int(v) for v in text.split(":")]
     if len(bounds) == 1:
@@ -375,13 +375,13 @@ def _add_align_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", type=int, default=PipelineConfig.seed, help="master RNG seed")
     sp.add_argument(
         "--max-iterations",
-        type=_flag_type(int, lambda n: RegistrationConfig(max_iterations=n)),
+        type=_flag_type(int, lambda n: PipelineConfig(max_iterations=n)),
         default=PipelineConfig.max_iterations,
         help="registration budget, in synthetic bases tried",
     )
     sp.add_argument(
         "--gate",
-        type=_flag_type(float, _check_gate),
+        type=_flag_type(float, lambda gate: PipelineConfig(gate=gate)),
         default=None,
         help="matching gate distance in px (default: half the median GT diagonal)",
     )
@@ -391,7 +391,7 @@ def _add_pipeline_flags(sp: argparse.ArgumentParser, default_format: str) -> Non
     _add_align_flags(sp)
     sp.add_argument(
         "--conf-threshold",
-        type=_flag_type(float, check_conf_threshold),
+        type=_flag_type(float, lambda t: PipelineConfig(conf_threshold=t)),
         default=PipelineConfig.conf_threshold,
         help="drop predictions below this confidence",
     )

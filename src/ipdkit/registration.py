@@ -1,15 +1,22 @@
 """Seeded RANSAC registration of 2D point sets via local 3-point affine
 hypotheses.
 
+The model is an orientation-preserving affine map (det A > 0): the map
+between two camera images of one scene never mirrors it, so both label
+sets must use the same image axes. A renderer that exports y-up boxes
+must map cy -> height - cy first; a mirrored pair is not registered.
+
 Each iteration draws one synthetic basis: a point and a pair of its
 nearest neighbours (NAPSAC-style local sampling, Myatt et al. 2002).
 Nearest-neighbour structure survives moderate affine maps, so the basis
-is fitted onto every real basis (each real point with each ordered pair
-of its nearest neighbours) at once; one of those is the true
-correspondence whenever the basis survived on the real side. Each
-hypothesis carries the synthetic point's wider neighbourhood over, and
-only the ones that land the most of it on the real point's neighbourhood
-are refined by least squares (LO-RANSAC) and judged. That count is
+is fitted at once onto every real basis (each real point with each
+ordered pair of its nearest neighbours) that turns the same way; a real
+basis that turns the other way could only be reached by a mirror (an
+oriented constraint, after Chum, Werner & Matas 2004). One of those is
+the true correspondence whenever the basis survived on the real side.
+Each hypothesis carries the synthetic point's wider neighbourhood over,
+and only the ones that land the most of it on the real point's
+neighbourhood are refined by least squares (LO-RANSAC) and judged. That count is
 staged, an exact bail-out (after Capel 2005 and Matas & Chum's T(d,d)
 pre-test): every hypothesis is scored on just enough check points that
 one hitting none of them cannot reach the refine gate, and only those
@@ -107,6 +114,14 @@ def _neighbours(pts: np.ndarray, k: int) -> tuple[np.ndarray, float]:
     order = cols[by_distance][starts[:, None] + np.arange(k)]
     spacing = median(np.sqrt(d2[np.arange(len(pts)), order[:, 0]]))
     return order, spacing
+
+
+def _turn(triples: np.ndarray) -> np.ndarray:
+    """(p1 - p0) x (p2 - p0) of (..., 3, 2) triples: its sign is the way
+    p0, p1, p2 turn, and it is 0 when they are collinear."""
+    d1 = triples[..., 1, :] - triples[..., 0, :]
+    d2 = triples[..., 2, :] - triples[..., 0, :]
+    return d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
 
 
 def _consensus(
@@ -222,7 +237,7 @@ def _refine_set(
     # invalid rows may hold NaN or inf params; they score -1
     with np.errstate(invalid="ignore", over="ignore"):
         first = np.where(valid, hits(slice(None), check[:head]), -1)
-    floor = max(need, int(first.max()))
+    floor = max(need, int(first.max(initial=-1)))  # no hypotheses: -1
     alive = np.flatnonzero(first + len(check) - head >= floor)
     if alive.size == 0:
         return alive
@@ -240,7 +255,8 @@ def register(
     coordinates.
 
     Per iteration one synthetic basis (a seeded point and two of its
-    nearest neighbours) is fitted onto every real basis. A hypothesis is
+    nearest neighbours) is fitted onto every real basis that turns the
+    same way, so every fit keeps orientation. A hypothesis is
     checked by carrying the point's other near neighbours over: a check
     point hits when it lands within the capture radius of one of the
     real point's near neighbours. The hypotheses with the most hits, when
@@ -279,12 +295,20 @@ def register(
             real_nbrs[:, second].ravel(),
         ]
     )
+    # The fit of a synthetic basis S onto a real basis Q has det A =
+    # det Q / det S, so only the real bases that turn the way S does give
+    # an orientation-preserving map. Per handedness (turn > 0, then
+    # turn < 0; collinear bases fit nowhere): the bases' triples
     # (hypotheses, 3, 2), stored so that each of the six coordinate
-    # columns fit_affine_batch reads is contiguous
-    dst = np.ascontiguousarray(real[real_bases].transpose(1, 2, 0)).transpose(2, 0, 1)
-    # each hypothesis' real near neighbours, (K, hypotheses)
-    near = real_nbrs[real_bases[:, 0]].T
-    near_x, near_y = real[near, 0], real[near, 1]
+    # columns fit_affine_batch reads is contiguous, and each hypothesis'
+    # real near neighbours, x and y (K, hypotheses).
+    triples = real[real_bases]
+    turn = _turn(triples)
+    sides = []
+    for keep in (turn > 0, turn < 0):
+        dst = np.ascontiguousarray(triples[keep].transpose(1, 2, 0)).transpose(2, 0, 1)
+        near = real_nbrs[real_bases[keep, 0]].T
+        sides.append((dst, real[near, 0], real[near, 1]))
 
     rng = np.random.default_rng(cfg.rng_seed)
     k_synth = min(_SYNTH_BASIS_NEIGHBOURS, n - 1)
@@ -303,7 +327,10 @@ def register(
         nbrs = synth_nbrs[point]
         check = synth[nbrs[is_check[a, b]]]  # (c, 2)
 
-        params, valid = fit_affine_batch(synth[[point, nbrs[a], nbrs[b]]], dst)
+        basis = synth[[point, nbrs[a], nbrs[b]]]
+        # a collinear basis (turn 0) has no valid fit on either side
+        dst, near_x, near_y = sides[0 if _turn(basis) > 0 else 1]
+        params, valid = fit_affine_batch(basis, dst)
         hypothesis_count += int(valid.sum())
 
         for idx in _refine_set(params, valid, check, near_x, near_y, capture_radius**2):

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import ipdkit.cli as cli
+from ipdkit import InputValidationError
 from ipdkit.cli import PipelineConfig, align_pair, evaluate_dataset_pair, main, stable_subseed
 from ipdkit.geometry import AffineTransform2D, transform_points
 from ipdkit.ingestion import load_dataset, pair_datasets
@@ -795,6 +796,23 @@ def test_evaluate_dataset_pair_runs_without_argparse(tmp_path, capsys):
     result, outcomes = evaluate_dataset_pair(pairs, config, doc["provenance"]["dataset_pair_id"])
     assert result.ipd == doc["result"]["ipd"]
     assert [outcome.provenance_row() for outcome in outcomes] == doc["provenance"]["pairs"]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_iterations", 0),
+        # evaluate_dataset_pair once wrote "gate_distance": Infinity, which
+        # is not JSON, into the report
+        ("gate", math.inf),
+        ("gate", math.nan),
+        ("gate", 0.0),
+        ("conf_threshold", 1.5),
+    ],
+)
+def test_pipeline_config_refuses_what_its_flag_refuses(field, value):
+    with pytest.raises(InputValidationError):
+        PipelineConfig(**{field: value})
 
 
 @pytest.mark.parametrize(

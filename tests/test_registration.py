@@ -22,7 +22,7 @@ from ipdkit import (
     register,
 )
 from ipdkit.geometry import transform_points
-from ipdkit.registration import _consensus, _neighbours, _refine_set
+from ipdkit.registration import _consensus, _neighbours, _refine_set, _turn
 
 from helpers import check_hits
 
@@ -109,6 +109,46 @@ def test_register_exact_copy_stops_after_one_iteration():
         assert res.iterations_used == 1
         moved = transform_points(res.transform, synth)
         assert np.max(np.hypot(*(moved - real).T)) < 1e-6
+
+
+def test_register_does_not_model_mirrored_maps():
+    # the model keeps orientation: a mirror image of the layout has no
+    # real basis that turns the way a synthetic basis does, so no fit
+    # reaches it and the whole budget is spent on partial ones
+    rng = np.random.default_rng(0)
+    synth = scatter(rng, 30)
+    mirror = AffineTransform2D(1.1, 0.2, 0.25, -0.9, 100.0, 960.0)
+    real = transform_points(mirror, synth)
+    res = register(synth, real, RegistrationConfig(rng_seed=0))
+    assert res.iterations_used == RegistrationConfig().max_iterations
+    t = res.transform
+    assert t.a11 * t.a22 - t.a12 * t.a21 > 0
+    moved = transform_points(t, synth)
+    assert np.max(np.hypot(*(moved - real).T)) > 100.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_fit_keeps_orientation_exactly_when_the_triples_turn_alike(grid, seed):
+    # so splitting the real bases by turn drops only mirrored fits; small
+    # integer grids make collinear and coincident triples common, which no
+    # valid fit may use
+    rng = np.random.default_rng(seed)
+    if grid:
+        src, dst = rng.integers(0, 5, size=(2, 200, 3, 2)).astype(float)
+    else:
+        src, dst = rng.uniform(-1e3, 1e3, size=(2, 200, 3, 2))
+    params, valid = fit_affine_batch(src, dst)
+    det_a = params[:, 0] * params[:, 3] - params[:, 1] * params[:, 2]
+    turn_s, turn_q = _turn(src), _turn(dst)
+    if grid:
+        # integer turns are exact
+        assert (turn_q[valid] != 0).all()
+    else:
+        # uniform triples are non-degenerate but for a negligible share
+        extent = np.ptp(np.concatenate([src, dst], axis=1), axis=1).max(axis=1)
+        valid &= np.minimum(abs(turn_s), abs(turn_q)) > 1e-6 * extent**2
+    assert ((det_a > 0) == (turn_s * turn_q > 0))[valid].all()
 
 
 def test_register_early_exits_on_identical_sets():
@@ -306,6 +346,24 @@ def test_small_scenes_without_dropout_recover_every_pair():
     # a fixed consensus floor once stopped these searches at a wrong fit
     recalls = _recalls(_scenes(3, 50, (10, 15), 0.0))
     assert min(recalls) >= 0.95, recalls
+
+
+# Pairs below 95% recall on seeded 30-pair slices of two correctness
+# families, at 0.5 px noise: heavy30 (20-60 GT, 30% dropout per side,
+# twice the box size apart) and small (4-10 GT, 10% dropout). A change to
+# register that moves a count rewrites it here and records the change
+# with the full-family counts.
+@pytest.mark.parametrize(
+    "master_seed, n_range, dropout, layout, misses",
+    [
+        (30, (20, 61), 0.3, {"min_separation_factor": 2.0}, 1),
+        (10, (4, 11), 0.1, {}, 6),
+    ],
+    ids=["heavy30", "small"],
+)
+def test_recovery_family_slices_miss_as_pinned(master_seed, n_range, dropout, layout, misses):
+    recalls = _recalls(_scenes(master_seed, 30, n_range, dropout, **layout))
+    assert sum(r < 0.95 for r in recalls) == misses
 
 
 def test_pairing_invariant_under_affine_remap_of_synthetic_side():
