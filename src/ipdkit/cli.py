@@ -118,9 +118,14 @@ def align_pair(real: ImageLabels, synth: ImageLabels, config: PipelineConfig) ->
     cfg = RegistrationConfig(max_iterations=config.max_iterations, rng_seed=sub_seed)
     reg = register(synth_centers, real_centers, cfg)
     if reg.used_fallback:
+        # register spends no iteration on a side of fewer than 3 points
+        cause = (
+            "has too few points for an affine fit"
+            if reg.iterations_used == 0
+            else f"had no hypothesis pass the refine gate in {reg.iterations_used} iterations"
+        )
         print(
-            f"warning: pair ({real_id}, {synth_id}) has too few points for an affine fit; "
-            "fell back to centroid translation",
+            f"warning: pair ({real_id}, {synth_id}) {cause}; fell back to centroid translation",
             file=sys.stderr,
         )
     gate = default_gate_distance(real_gt) if config.gate is None else config.gate

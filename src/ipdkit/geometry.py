@@ -162,7 +162,8 @@ def iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     lo = np.maximum(a[..., :2] - a_half, b[..., :2] - b_half)
     hi = np.minimum(a[..., :2] + a_half, b[..., :2] + b_half)
     iw, ih = hi[..., 0] - lo[..., 0], hi[..., 1] - lo[..., 1]
-    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+    with np.errstate(over="ignore"):  # only products np.where discards can overflow
+        inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
     return np.clip(inter / (a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter), 0.0, 1.0)
 
 

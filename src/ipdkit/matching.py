@@ -132,9 +132,10 @@ def default_gate_distance(boxes: np.ndarray) -> float:
     registration."""
     if len(boxes) == 0:
         raise InputValidationError("default_gate_distance requires at least one box")
-    # math.hypot per row: np.hypot rounds differently in the last bit
-    diags = [math.hypot(w, h) for w, h in boxes[:, 2:].tolist()]
-    return 0.5 * median(diags)
+    # math.hypot per row: np.hypot rounds differently in the last bit.
+    # Halved before the median adds the middle two, which cannot then
+    # overflow; halving is exact, so the result is the same elsewhere.
+    return median([0.5 * math.hypot(w, h) for w, h in boxes[:, 2:].tolist()])
 
 
 def match_instances(

@@ -16,20 +16,15 @@ oriented constraint, after Chum, Werner & Matas 2004). One of those is
 the true correspondence whenever the basis survived on the real side.
 Each hypothesis carries the synthetic point's wider neighbourhood over,
 and only the ones that land the most of it on the real point's
-neighbourhood are refined by least squares (LO-RANSAC) and judged. That count is
-staged, an exact bail-out (after Capel 2005 and Matas & Chum's T(d,d)
-pre-test): every hypothesis is scored on just enough check points that
-one hitting none of them cannot reach the refine gate, and only those
-that can still reach the gate and tie the best go on to the rest, so the
-refined set is the one a full count gives. One signal ranks them: the
-nearest-neighbor consensus, i.e. how many distinct real points lie
-within a layout-derived radius of the aligned synthetic points, with the
-mean inlier distance breaking ties. Unlike a mean distance, a
-consensus count does not let the unmatchable points (dropout on either
-side) drag the true alignment below a wrong one. The search stops by the
-adaptive RANSAC bound (Fischler & Bolles 1981) on the best consensus so
-far. Everything is driven by one seeded generator, so a run is a pure
-function of (points, config).
+neighbourhood are refined by least squares (LO-RANSAC) and judged. One
+signal ranks them: the nearest-neighbor consensus, i.e. how many
+distinct real points lie within a layout-derived radius of the aligned
+synthetic points, with the mean inlier distance breaking ties. Unlike a
+mean distance, a consensus count does not let the unmatchable points
+(dropout on either side) drag the true alignment below a wrong one. The
+search stops by the adaptive RANSAC bound (Fischler & Bolles 1981) on
+the best consensus so far. Everything is driven by one seeded generator,
+so a run is a pure function of (points, config).
 """
 
 from __future__ import annotations
@@ -207,43 +202,21 @@ def _refine_set(
     refine: those whose maps carry the most of the check points (c, 2)
     within sqrt(radius2) of one of their real near neighbours (near_x and
     near_y (K, H)), when that is at least half of them, rounded up.
-
-    The count is staged, and exact: the same set, in the same order, as a
-    full count of every check point gives. Stage A scores the first
-    c - need + 1 check points of every hypothesis, so one that hits none
-    of them cannot reach the gate. The floor is the gate or the best
-    stage-A count, whichever is higher; a hypothesis whose stage-A count
-    plus its unscored check points falls short of it can neither reach the
-    gate nor tie the winner, and is dropped. Stage B scores the remaining
-    check points of the survivors only.
     """
-    need = (len(check) + 1) // 2
-    # with no check points the gate is 0 hits, and stage A scores none
-    head = min(len(check), len(check) - need + 1)
-
-    def hits(columns, points: np.ndarray) -> np.ndarray:
-        """Per selected hypothesis, how many of points it carries within
-        the radius; moved points are laid out (rows, hypotheses)."""
-        moved_x, moved_y = apply_params(params[columns], points)
+    # moved points are laid out (c, H); invalid rows may hold NaN or inf
+    # params, and score -1
+    with np.errstate(invalid="ignore", over="ignore"):
+        moved_x, moved_y = apply_params(params, check)
         nearest = np.full(moved_x.shape, np.inf)
         d2, dy2 = np.empty_like(nearest), np.empty_like(nearest)
-        for nx, ny in zip(near_x[:, columns], near_y[:, columns]):
+        for nx, ny in zip(near_x, near_y):
             np.square(np.subtract(moved_x, nx, out=d2), out=d2)
             np.square(np.subtract(moved_y, ny, out=dy2), out=dy2)
             d2 += dy2
             np.minimum(nearest, d2, out=nearest)
-        return np.count_nonzero(nearest <= radius2, axis=0)
-
-    # invalid rows may hold NaN or inf params; they score -1
-    with np.errstate(invalid="ignore", over="ignore"):
-        first = np.where(valid, hits(slice(None), check[:head]), -1)
-    floor = max(need, int(first.max(initial=-1)))  # no hypotheses: -1
-    alive = np.flatnonzero(first + len(check) - head >= floor)
-    if alive.size == 0:
-        return alive
-    total = first[alive] + hits(alive, check[head:])
-    most = total.max()
-    return alive[total == most] if most >= need else alive[:0]
+        hits = np.where(valid, np.count_nonzero(nearest <= radius2, axis=0), -1)
+    most = hits.max(initial=-1)  # no hypotheses: -1
+    return np.flatnonzero((hits == most) & (most >= (len(check) + 1) // 2))
 
 
 def register(

@@ -137,10 +137,11 @@ def check_hits(params, valid, check, near_x, near_y, capture_radius) -> np.ndarr
     """Per hypothesis, how many check points its map carries within
     capture_radius of one of its near neighbours; -1 for an invalid fit.
 
-    The full count register's hypothesis test made before it was staged:
+    The independent reference for registration._refine_set's count:
     params (H, 6) in from_params order, valid (H,), check (c, 2), near_x
     and near_y (K, H); every check point of every hypothesis, laid out
-    (H, c).
+    (H, c) where _refine_set lays them out (c, H), and written without
+    apply_params or in-place buffers.
     """
     a11, a12, a21, a22, tx, ty = np.asarray(params, dtype=np.float64).T[..., None]
     x, y = check[:, 0], check[:, 1]

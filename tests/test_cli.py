@@ -21,7 +21,13 @@ import ipdkit.cli as cli
 from ipdkit import InputValidationError
 from ipdkit.cli import PipelineConfig, align_pair, evaluate_dataset_pair, main, stable_subseed
 from ipdkit.geometry import AffineTransform2D, transform_points
-from ipdkit.ingestion import load_dataset, pair_datasets
+from ipdkit.ingestion import (
+    DatasetManifest,
+    ManifestEntry,
+    load_dataset,
+    pair_datasets,
+    serialize_labels,
+)
 from ipdkit.scenegen import DetectorProfile, SceneSpec, emit_dataset, random_affine
 
 from helpers import image_labels
@@ -916,6 +922,44 @@ def test_align_pair_leaves_an_empty_side_unregistered():
     pairing = outcome.pairing
     assert (pairing.pairs, pairing.unmatched_real, pairing.unmatched_synth) == ((), (0, 1), ())
     assert outcome.provenance_row()["registration"] == "skipped (empty side)"
+
+
+def test_a_pair_with_no_gated_hypothesis_warns_naming_the_refine_gate(capsys):
+    # collinear on both sides: every basis is degenerate, so no hypothesis
+    # is ever fitted, although both sides have 8 points
+    gt = [(100.0 + 30.0 * i, 100.0 + 60.0 * i, 6.0, 8.0) for i in range(8)]
+    outcome = align_pair(image_labels("a", gt), image_labels("b", gt), PipelineConfig())
+    reg = outcome.registration
+    assert (reg.iterations_used, reg.hypothesis_count, reg.used_fallback) == (200, 0, True)
+    assert capsys.readouterr().err == (
+        "warning: pair (a, b) had no hypothesis pass the refine gate in 200 iterations; "
+        "fell back to centroid translation\n"
+    )
+
+
+def test_huge_boxes_give_a_strict_json_report_and_no_warning(tmp_path, capsys):
+    # every box passes the box rules (area 1.7e8), but two diagonals added
+    # overflow, and so does iw * ih of two boxes disjoint along y
+    centers = [(100.0, 100.0), (400.0, 150.0), (700.0, 300.0), (250.0, 600.0), (800.0, 800.0)]
+    gt = [(x, y, 1.7e308, 1e-300) for x, y in [*centers, (500.0, 450.0)]]
+    labels = image_labels("a", gt, [(*box, 0.9) for box in gt])
+    for side in ("real", "synth"):
+        for kind, boxes in (("gt", labels.gt), ("pred", labels.pred)):
+            text = serialize_labels(boxes, "pixel", (1000, 1000))
+            (tmp_path / f"{side}_{kind}.txt").write_text(text)
+        entry = ManifestEntry("a", f"{side}_gt.txt", f"{side}_pred.txt", 1000, 1000)
+        manifest = DatasetManifest(side, "pixel", (entry,), (("a", "a"),))
+        (tmp_path / f"manifest_{side}.json").write_text(manifest.to_json())
+    report = tmp_path / "report.json"
+    manifests = [str(tmp_path / f"manifest_{side}.json") for side in ("real", "synth")]
+    code, out, err = run_cli(["ipd", *manifests, "--out", str(report)], capsys)
+    assert (code, err) == (0, "")
+
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    row = json.loads(report.read_text(), parse_constant=refuse)["provenance"]["pairs"][0]
+    assert row["gate_distance"] == 8.5e307
 
 
 def _bench_module(name):

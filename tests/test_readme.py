@@ -1,4 +1,5 @@
-"""The README's quick start runs as written and prints what it shows."""
+"""The README's quick start runs as written and prints what it shows, and
+its Python API blocks run as written on the quick start's files."""
 
 import re
 import shlex
@@ -51,3 +52,10 @@ def test_readme_quick_start_runs_and_prints_what_it_shows(tmp_path, capsys, monk
     assert "IPD 0.300006" in outputs["ipd"].splitlines()
     table = re.search(r"```\n(\| Train\\Eval .*?)```", text, re.S).group(1)
     assert outputs["crossval"] == table
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    assert len(blocks) == 2
+    for block in blocks:
+        namespace = {}
+        exec(compile(block, str(README), "exec"), namespace)
+    # the last block runs ipd's whole pipeline on the quick start's pair
+    assert f"IPD {namespace['result'].ipd:.6f}" in outputs["ipd"].splitlines()

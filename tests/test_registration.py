@@ -192,7 +192,7 @@ def test_register_rejects_empty_sides():
     k=st.integers(1, 12),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_staged_check_count_refines_what_the_full_count_refines(n_check, n_hyp, k, seed):
+def test_refine_set_refines_what_the_reference_count_refines(n_check, n_hyp, k, seed):
     rng = np.random.default_rng(seed)
     # small integer coordinates, so hits are common and counts tie at the
     # most
@@ -379,10 +379,10 @@ def test_pairing_invariant_under_affine_remap_of_synthetic_side():
 
 
 # register's outputs on _pin_cases(): float.hex of the transform params,
-# iterations_used, hypothesis_count and used_fallback, recorded before the
-# staged hypothesis test replaced the full count. Any change to how the
-# search scores, orders or stops its hypotheses shows here as a moved bit.
-# `PYTHONPATH=src python tests/test_registration.py` rewrites the file.
+# iterations_used, hypothesis_count and used_fallback. Any change to how
+# the search scores, orders or stops its hypotheses shows here as a moved
+# bit. `PYTHONPATH=src python tests/test_registration.py` rewrites the
+# file, and first prints each case whose pin moved with its moved fields.
 REGISTER_PINS = Path(__file__).parent / "data" / "register_pins.json"
 
 
@@ -471,5 +471,12 @@ def test_register_outputs_are_pinned(family):
 
 
 if __name__ == "__main__":
+    before = json.loads(REGISTER_PINS.read_text(encoding="utf-8"))
     pins = {name: _pin(s, r, cfg) for name, (_, s, r, cfg) in _pin_cases().items()}
+    for name, pin in pins.items():
+        moved = [field for field, value in pin.items() if before.get(name, {}).get(field) != value]
+        if moved:
+            print(name, *moved)
+    for name in sorted(before.keys() - pins.keys()):
+        print(name, "removed")
     REGISTER_PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n", encoding="utf-8")
