@@ -136,7 +136,6 @@ def align_pair(real: ImageLabels, synth: ImageLabels, config: PipelineConfig) ->
 def evaluate_dataset_pair(
     pairs: Sequence[tuple[ImageLabels, ImageLabels]],
     config: PipelineConfig,
-    dataset_pair_id: str,
 ) -> tuple[IpdResult, list[PairOutcome]]:
     """registration -> matching -> per-instance evaluation over all image
     pairs; returns the result and each image pair's outcome."""
@@ -144,7 +143,7 @@ def evaluate_dataset_pair(
     reals = [real for real, _ in pairs]
     synths = [synth for _, synth in pairs]
     pairings = [outcome.pairing for outcome in outcomes]
-    result = evaluate_pair(reals, synths, pairings, config.conf_threshold, dataset_pair_id)
+    result = evaluate_pair(reals, synths, pairings, config.conf_threshold)
     return result, outcomes
 
 
@@ -181,7 +180,7 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_ipd(args: argparse.Namespace) -> int:
     config = _config(args)
     pairs, dataset_pair_id = _load_pairs(args.real_manifest, args.synth_manifest)
-    result, outcomes = evaluate_dataset_pair(pairs, config, dataset_pair_id)
+    result, outcomes = evaluate_dataset_pair(pairs, config)
     provenance = {
         "command": "ipd",
         "real_manifest": args.real_manifest,
@@ -245,7 +244,7 @@ def cmd_crossval(args: argparse.Namespace) -> int:
             results[(train, pair)] = cell.ipd
         else:
             pairs, pair_id = _load_pairs(cell.real_manifest, cell.synth_manifest)
-            results[(train, pair)], outcomes = evaluate_dataset_pair(pairs, config, pair_id)
+            results[(train, pair)], outcomes = evaluate_dataset_pair(pairs, config)
             rows = [outcome.provenance_row() for outcome in outcomes]
             computed.append(
                 {"train": train, "pair": list(pair), "dataset_pair_id": pair_id, "pairs": rows}

@@ -60,7 +60,8 @@ def box_rule_error(
 
 def box_rule_mask(xywh: np.ndarray, confidence: np.ndarray, given: np.ndarray) -> np.ndarray:
     """The rows box_rule_error refuses, as an (n,) bool mask, of an (n, 4)
-    cx, cy, w, h array and (n,) confidences, judged only where given."""
+    cx, cy, w, h array and (n,) confidences, judged only where given: an
+    (n,) bool mask, or one bool for every row."""
     with np.errstate(over="ignore", invalid="ignore"):  # an area of inf or inf * 0 is refused
         area = xywh[:, 2] * xywh[:, 3]
     bad = ~np.isfinite(xywh).all(axis=1) | (xywh[:, 2] <= 0.0) | (xywh[:, 3] <= 0.0)
@@ -138,7 +139,8 @@ def iou(a: BBox, b: BBox) -> float:
     area and therefore IOU 0. The result is clamped to [0, 1]: the corners
     cx -/+ w/2 can round so that the intersection exceeds the union by an
     ulp when the boxes are identical, and past the union's sign for a box
-    of a few ulps. A 0 / 0 NaN passes the clamp unchanged.
+    of a few ulps. A 0 / 0 NaN passes the clamp unchanged. Where the two
+    areas sum past the float range, the ratio is taken of halved terms.
     """
     ax1, ay1, ax2, ay2 = a.corners()
     bx1, by1, bx2, by2 = b.corners()
@@ -148,6 +150,8 @@ def iou(a: BBox, b: BBox) -> float:
         return 0.0
     inter = iw * ih
     union = a.area + b.area - inter
+    if union == math.inf:  # halving each term is exact for normal floats
+        inter, union = inter / 2.0, a.area / 2.0 + b.area / 2.0 - inter / 2.0
     return min(max(inter / union, 0.0), 1.0)
 
 
@@ -162,9 +166,16 @@ def iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     lo = np.maximum(a[..., :2] - a_half, b[..., :2] - b_half)
     hi = np.minimum(a[..., :2] + a_half, b[..., :2] + b_half)
     iw, ih = hi[..., 0] - lo[..., 0], hi[..., 1] - lo[..., 1]
-    with np.errstate(over="ignore"):  # only products np.where discards can overflow
+    a_area, b_area = a[..., 2] * a[..., 3], b[..., 2] * b[..., 3]
+    # only products np.where discards, and area sums halved below, overflow
+    with np.errstate(over="ignore"):
         inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
-    return np.clip(inter / (a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter), 0.0, 1.0)
+        union = a_area + b_area - inter
+    halve = union == math.inf
+    if halve.any():
+        union = np.where(halve, a_area / 2.0 + b_area / 2.0 - inter / 2.0, union)
+        inter = np.where(halve, inter / 2.0, inter)
+    return np.clip(inter / union, 0.0, 1.0)
 
 
 def iou_table(gt: np.ndarray, pred: np.ndarray) -> np.ndarray:

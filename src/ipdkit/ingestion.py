@@ -9,15 +9,17 @@ Five fields mark a GT box, six a prediction. The class id is checked to
 be an integer and then ignored: ipdkit measures a single-class task, and
 serialize_labels writes 0. parse_label_arrays is the one label parser. It
 reads a file into a BoxArrays: an (n, 4) float64 cx, cy, w, h array in
-pixels and an (n,) confidence vector that is NaN on a GT line. A file
-whose lines all have one field count and no comment is read by numpy's C
-text reader; any file it refuses (comments, GT and prediction lines
-mixed, a number it does not parse, a class id beyond int64, a malformed
-line) goes through a per-line scan with Python's int and float. Both
-accept the same language and give the same bits. The box rules (finite
-values, positive sides, a confidence in [0, 1], a positive and finite
-area) are then checked once per file by geometry.box_rule_mask, and an
-error names the first bad line in file order, worded by box_rule_error.
+pixels and an (n,) confidence vector that is NaN on a GT line. The box
+rules (finite values, positive sides, a confidence in [0, 1], a positive
+and finite area) are checked on a file's arrays by geometry.box_rule_mask.
+numpy's C text reader is only an accelerator: it reads a file whose lines
+all have one field count and no comment, and its arrays are returned only
+when it took every line and every box keeps the box rules. Every other
+file (comments, GT and prediction lines mixed, a number the reader does
+not parse, a class id beyond int64, a malformed line, a bad box) goes
+through a per-line scan with Python's int and float. Both accept the same
+language and give the same bits, and the scan alone words and locates
+every error: the first bad line in file order, worded by box_rule_error.
 ImageLabels holds an image's GT and prediction arrays and checks the
 image rules (which side carries confidences, the 10% frame overhang) the
 same way. The pipeline, the scene generator and the AP baseline use only
@@ -46,7 +48,6 @@ only one pair is to be loaded.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import warnings
@@ -200,14 +201,22 @@ _ROW_DTYPES = {
     n: np.dtype([("class_id", np.int64), ("values", np.float64, (n - 1,))]) for n in (5, 6)
 }
 
-# The columns of a label file, in file order: (n, 4) cx, cy, w, h as read;
-# (n,) confidence, NaN on a GT line; (n,) bool, the line gave a confidence.
-_Columns = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+def _to_pixels(xywh: np.ndarray, coordinate_mode: str, image_dims: tuple[int, int]) -> np.ndarray:
+    """Scale cx, cy, w, h rows to pixels in place, in normalized mode."""
+    if coordinate_mode == "normalized":
+        width, height = image_dims
+        with np.errstate(over="ignore"):  # an overflow to inf breaks the box rules
+            xywh *= np.array([width, height, width, height], dtype=np.float64)
+    return xywh
 
 
-def _read_uniform(lines: list[str]) -> _Columns | None:
+def _read_uniform(
+    lines: list[str], coordinate_mode: str, image_dims: tuple[int, int]
+) -> BoxArrays | None:
     """Read box lines that all have the field count of the first with
-    numpy's C text reader, or return None where the reader refuses.
+    numpy's C text reader, or return None: where the reader refuses a line
+    and where a box breaks a box rule, so that the scan words the error.
 
     The reader splits on the whitespace str.split splits on, parses each
     float through PyOS_string_to_double as float() does, and takes only
@@ -221,10 +230,6 @@ def _read_uniform(lines: list[str]) -> _Columns | None:
     first = next((fields for raw in lines if (fields := raw.split())), None)
     if first is None or len(first) not in _ROW_DTYPES:
         return None
-    # a file whose last box line has another field count (GT and prediction
-    # lines in two blocks) is refused without a partial read
-    if len(next(fields for raw in reversed(lines) if (fields := raw.split()))) != len(first):
-        return None
     try:
         with warnings.catch_warnings():
             # numpy from 1.23 until that deprecation expired reads a class
@@ -236,67 +241,60 @@ def _read_uniform(lines: list[str]) -> _Columns | None:
         return None
     values = rows["values"]
     given = len(first) == 6
+    xywh = _to_pixels(values[:, :4].copy(), coordinate_mode, image_dims)
     confidence = values[:, 4].copy() if given else np.full(len(rows), math.nan)
-    return values[:, :4].copy(), confidence, np.full(len(rows), given)
+    return None if box_rule_mask(xywh, confidence, given).any() else BoxArrays(xywh, confidence)
 
 
-def _scan(lines: list[str], source: str) -> tuple[_Columns, ParseError | None]:
+def _scan(
+    lines: list[str], coordinate_mode: str, image_dims: tuple[int, int], source: str
+) -> BoxArrays:
     """Read box lines one at a time through Python's int and float,
-    skipping blank lines and `#` comments.
+    skipping blank lines and `#` comments, and raise a ParseError at the
+    first bad line in file order.
 
-    A malformed line ends the scan and is returned as the error, to be
-    raised only if every box before it passes the box rules.
+    A malformed line ends the scan; it is raised only if every box before
+    it passes the box rules, and otherwise the first box that breaks one.
     """
     values: list[float] = []  # cx, cy, w, h, confidence per box (NaN: none given)
-    has_confidence: list[bool] = []
-    malformed: ParseError | None = None
+    given: list[bool] = []
+    line_nos: list[int] = []
+    error: str | None = None  # what is wrong with line line_no, where the scan stopped
     for line_no, raw in enumerate(lines, start=1):
         fields = raw.split()
         if not fields or fields[0].startswith("#"):
             continue
         n = len(fields)
         if n not in (5, 6):
-            malformed = ParseError(
-                f"expected 5 or 6 fields, got {n}", source=source, line_no=line_no
-            )
+            error = f"expected 5 or 6 fields, got {n}"
             break
         try:
             int(fields[0])
         except ValueError:
-            malformed = ParseError(
-                f"class_id must be an integer, got {fields[0]!r}",
-                source=source,
-                line_no=line_no,
-            )
+            error = f"class_id must be an integer, got {fields[0]!r}"
             break
         try:
             row = list(map(float, fields[1:]))
         except ValueError as e:
-            malformed = ParseError(f"non-numeric field: {e}", source=source, line_no=line_no)
+            error = f"non-numeric field: {e}"
             break
         if n == 5:
             row.append(math.nan)
         values += row
-        has_confidence.append(n == 6)
+        given.append(n == 6)
+        line_nos.append(line_no)
 
     table = np.array(values, dtype=np.float64).reshape(-1, 5)
-    columns = (
-        np.ascontiguousarray(table[:, :4]),
-        table[:, 4].copy(),
-        np.array(has_confidence, dtype=bool),
-    )
-    return columns, malformed
-
-
-def _box_line_no(lines: list[str], i: int) -> int:
-    """Line number of the i-th box line (from 0), blank and comment lines
-    skipped as the scan skips them."""
-    box_line_nos = (
-        line_no
-        for line_no, raw in enumerate(lines, start=1)
-        if (fields := raw.split()) and not fields[0].startswith("#")
-    )
-    return next(itertools.islice(box_line_nos, i, None))
+    xywh = _to_pixels(np.ascontiguousarray(table[:, :4]), coordinate_mode, image_dims)
+    confidence = table[:, 4].copy()
+    bad = box_rule_mask(xywh, confidence, np.array(given, dtype=bool))
+    if bad.any():
+        i = int(np.argmax(bad))
+        row = xywh[i].tolist() + [confidence[i].tolist() if given[i] else None]
+        error, line_no = box_rule_error(*row), line_nos[i]
+    if error is not None:
+        raise ParseError(error, source=source, line_no=line_no)
+    return BoxArrays(xywh, confidence)
 
 
 def parse_label_arrays(
@@ -319,24 +317,9 @@ def parse_label_arrays(
     # the reader gets the scan's lines: a file object would not break
     # lines at \x85 or \u2028
     lines = text.splitlines()
-    malformed: ParseError | None = None
     # the reader refuses every file holding a `#`; spare it the attempt
-    columns = None if "#" in text else _read_uniform(lines)
-    if columns is None:
-        columns, malformed = _scan(lines, source)
-    xywh, confidence, given = columns
-
-    if coordinate_mode == "normalized":
-        with np.errstate(over="ignore"):  # an overflow to inf breaks the box rules
-            xywh *= np.array([width, height, width, height], dtype=np.float64)
-    bad = box_rule_mask(xywh, confidence, given)
-    if bad.any():
-        i = int(np.argmax(bad))
-        row = xywh[i].tolist() + [confidence[i].tolist() if given[i] else None]
-        raise ParseError(box_rule_error(*row), source=source, line_no=_box_line_no(lines, i))
-    if malformed is not None:
-        raise malformed
-    return BoxArrays(xywh, confidence)
+    arrays = None if "#" in text else _read_uniform(lines, coordinate_mode, image_dims)
+    return arrays if arrays is not None else _scan(lines, coordinate_mode, image_dims, source)
 
 
 def read_label_arrays(

@@ -34,7 +34,6 @@ if TYPE_CHECKING:
 class PerfRecord:
     """Performance values of one matched instance pair."""
 
-    dataset_pair_id: str
     image_id: str
     real_index: int
     synth_index: int
@@ -136,7 +135,6 @@ def evaluate_pair(
     synth_labels: Sequence["ImageLabels"],
     pairings: Sequence[InstancePairing],
     conf_threshold: float,
-    dataset_pair_id: str = "",
 ) -> IpdResult:
     """Run the per-image performance extraction over aligned image pairs.
 
@@ -166,7 +164,7 @@ def evaluate_pair(
                     f"({r_idx}, {s_idx}) beyond the labeled boxes"
                 )
             values = float(perf_real[r_idx]), float(perf_synth[s_idx])
-            records.append(PerfRecord(dataset_pair_id, real.image_id, r_idx, s_idx, *values))
+            records.append(PerfRecord(real.image_id, r_idx, s_idx, *values))
     return IpdResult(
         tuple(records),
         sum(len(pairing.unmatched_real) for pairing in pairings),

@@ -258,7 +258,7 @@ def test_ipd_algebra(capsys):
         def result(a, b):
             return IpdResult(
                 tuple(
-                    PerfRecord("pair", images[i], i, i, float(a[i]), float(b[i]))
+                    PerfRecord(images[i], i, i, float(a[i]), float(b[i]))
                     for i in range(n)
                 )
             )

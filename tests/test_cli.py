@@ -235,6 +235,7 @@ class TestScenegen:
             ("--frame", "640"),
             ("--transform", "1,0,0,1"),
             ("--transform", "spin"),
+            ("--transform", "1,0,0,1,inf,0"),
             # exit 0 and two manifests without entries, before
             ("--scenes", "0"),
             ("--scenes", "-3"),
@@ -272,6 +273,8 @@ class TestScenegen:
             ({"n_instances": 5, "transform": [1e-200, 0, 0, 1e-200, 640, 480]}, "transform row"),
             # centers carried to inf, refused after numpy overflow warnings, before
             ({"n_instances": 5, "transform": [1e306, 0, 0, 1e-306, 0, 0]}, "transform"),
+            # json.dumps writes inf as the token Infinity, which json.loads reads
+            ({"n_instances": 1, "transform": [1, 0, 0, 1, math.inf, 0]}, "tx must be finite"),
         ],
     )
     def test_bad_spec_file_is_exit_2(self, tmp_path, capsys, spec, message):
@@ -799,7 +802,7 @@ def test_evaluate_dataset_pair_runs_without_argparse(tmp_path, capsys):
     synth, _ = load_dataset(manifests[1])
     pairs = pair_datasets(real, synth, real_m.pairing)
     config = PipelineConfig(seed=3, max_iterations=500, gate=9.0, conf_threshold=0.5)
-    result, outcomes = evaluate_dataset_pair(pairs, config, doc["provenance"]["dataset_pair_id"])
+    result, outcomes = evaluate_dataset_pair(pairs, config)
     assert result.ipd == doc["result"]["ipd"]
     assert [outcome.provenance_row() for outcome in outcomes] == doc["provenance"]["pairs"]
 
@@ -937,21 +940,27 @@ def test_a_pair_with_no_gated_hypothesis_warns_naming_the_refine_gate(capsys):
     )
 
 
-def test_huge_boxes_give_a_strict_json_report_and_no_warning(tmp_path, capsys):
-    # every box passes the box rules (area 1.7e8), but two diagonals added
-    # overflow, and so does iw * ih of two boxes disjoint along y
-    centers = [(100.0, 100.0), (400.0, 150.0), (700.0, 300.0), (250.0, 600.0), (800.0, 800.0)]
-    gt = [(x, y, 1.7e308, 1e-300) for x, y in [*centers, (500.0, 450.0)]]
-    labels = image_labels("a", gt, [(*box, 0.9) for box in gt])
-    for side in ("real", "synth"):
+def _one_image_pair(tmp_path, real, synth) -> list[str]:
+    """The two manifests of a dataset pair of one 1000 x 1000 image "a",
+    whose real and synthetic labels are the ImageLabels real and synth."""
+    for side, labels in (("real", real), ("synth", synth)):
         for kind, boxes in (("gt", labels.gt), ("pred", labels.pred)):
             text = serialize_labels(boxes, "pixel", (1000, 1000))
             (tmp_path / f"{side}_{kind}.txt").write_text(text)
         entry = ManifestEntry("a", f"{side}_gt.txt", f"{side}_pred.txt", 1000, 1000)
         manifest = DatasetManifest(side, "pixel", (entry,), (("a", "a"),))
         (tmp_path / f"manifest_{side}.json").write_text(manifest.to_json())
+    return [str(tmp_path / f"manifest_{side}.json") for side in ("real", "synth")]
+
+
+def test_huge_boxes_give_a_strict_json_report_and_no_warning(tmp_path, capsys):
+    # every box passes the box rules (area 1.7e8), but two diagonals added
+    # overflow, and so does iw * ih of two boxes disjoint along y
+    centers = [(100.0, 100.0), (400.0, 150.0), (700.0, 300.0), (250.0, 600.0), (800.0, 800.0)]
+    gt = [(x, y, 1.7e308, 1e-300) for x, y in [*centers, (500.0, 450.0)]]
+    labels = image_labels("a", gt, [(*box, 0.9) for box in gt])
     report = tmp_path / "report.json"
-    manifests = [str(tmp_path / f"manifest_{side}.json") for side in ("real", "synth")]
+    manifests = _one_image_pair(tmp_path, labels, labels)
     code, out, err = run_cli(["ipd", *manifests, "--out", str(report)], capsys)
     assert (code, err) == (0, "")
 
@@ -960,6 +969,22 @@ def test_huge_boxes_give_a_strict_json_report_and_no_warning(tmp_path, capsys):
 
     row = json.loads(report.read_text(), parse_constant=refuse)["provenance"]["pairs"][0]
     assert row["gate_distance"] == 8.5e307
+
+
+def test_boxes_whose_areas_sum_past_the_float_range_score_their_iou(tmp_path, capsys):
+    # each area, 1e308 or 1.5e308, is finite, but a GT box's and its
+    # prediction's add to inf: every IOU scored 0 and IPD 0.000000 with an
+    # overflow warning, before. Real predictions score 1, synthetic 2/3.
+    centers = [(200.0, 200.0), (700.0, 250.0), (400.0, 600.0), (800.0, 750.0), (300.0, 850.0)]
+    gt = [(x, y, 1e154, 1e154) for x, y in centers]
+    real, synth = (
+        image_labels("a", gt, [(x, y, w, 1e154, 0.9) for x, y in centers])
+        for w in (1e154, 1.5e154)
+    )
+    manifests = _one_image_pair(tmp_path, real, synth)
+    code, out, err = run_cli(["ipd", *manifests, "--format", "csv"], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("IPD 0.333333\n")
 
 
 def _bench_module(name):

@@ -14,7 +14,7 @@ from ipdkit import (
     iou,
     iou_table,
 )
-from ipdkit.geometry import apply_params, median, points_to_array, transform_points
+from ipdkit.geometry import apply_params, iou_rows, median, points_to_array, transform_points
 
 from helpers import grid_iou, overlapping_box_pair
 
@@ -260,6 +260,18 @@ def test_best_iou_floors_a_negative_iou_and_keeps_a_nan():
     with pytest.warns(RuntimeWarning) as best_said:
         assert np.isnan(best_iou(gt, pred)).all()
     assert [str(w.message) for w in best_said] == [str(w.message) for w in table_said]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("width, want", [(1e154, 1.0), (1.5e154, 2 / 3)])
+def test_iou_of_two_areas_that_sum_past_the_float_range(width, want):
+    # each area, 1e308 or 1.5e308, is finite, but their sum overflowed:
+    # the union came out inf and the IOU 0, with an overflow warning
+    gt, pred = (500.0, 500.0, 1e154, 1e154), (500.0, 500.0, width, 1e154)
+    v = iou(BBox(*gt), BBox(*pred))
+    assert v == pytest.approx(want, rel=1e-15)
+    assert iou_rows(np.array(gt), np.array(pred)) == v
+    assert best_iou(np.array([gt]), np.array([pred])).tolist() == [v]
 
 
 def test_median_is_bit_equal_to_numpy():

@@ -108,7 +108,7 @@ class TestParseLabelArrays:
 
     def test_class_id_beyond_64_bits_loads(self):
         text = f"0 1 1 2 2\n{2**63} 3 3 2 2\n{-(2**70)} 5 5 2 2\n"
-        assert _read_uniform(text.splitlines()) is None
+        assert _read_uniform(text.splitlines(), "pixel", DIMS) is None
         arrays = parse_label_arrays(text, "pixel", DIMS)
         assert arrays == box_arrays([(1, 1, 2, 2), (3, 3, 2, 2), (5, 5, 2, 2)])
 
@@ -313,7 +313,7 @@ class TestNumpyReaderMatchesPerLineReference:
     )
     @pytest.mark.parametrize("mode", ["pixel", "normalized"])
     def test_both_paths_return_contiguous_typed_arrays(self, text, reader, mode):
-        assert (_read_uniform(text.splitlines()) is not None) == reader
+        assert (_read_uniform(text.splitlines(), mode, DIMS) is not None) == reader
         arrays = parse_label_arrays(text, mode, DIMS)
         for values in (arrays.xywh, arrays.confidence):
             assert values.dtype == np.float64 and values.flags.c_contiguous
@@ -719,7 +719,7 @@ class TestWriteReport:
     def test_json_embeds_details_for_ipd_results(self):
         detailed = {
             key: IpdResult(
-                tuple(PerfRecord("p", "img", i, i, v, 0.0) for i in range(4)),
+                tuple(PerfRecord("img", i, i, v, 0.0) for i in range(4)),
                 unmatched_real_total=1,
             )
             for key, v in RESULTS.items()
@@ -762,7 +762,7 @@ class TestIpdReport:
     def setup_method(self):
         values = [("a", 1.0, 0.0), ("a", 0.5, 0.5), ("b", 0.0, 0.0), ("b", 1.0, 1.0)]
         self.result = IpdResult(
-            tuple(PerfRecord("p", img, i % 2, i % 2, *pv) for i, (img, *pv) in enumerate(values)),
+            tuple(PerfRecord(img, i % 2, i % 2, *pv) for i, (img, *pv) in enumerate(values)),
             unmatched_real_total=1,
             unmatched_synth_total=2,
         )
@@ -792,7 +792,7 @@ class TestIpdReport:
 
     def test_markdown_escapes_ids_that_json_and_csv_keep(self):
         ids = ("left|right", "two\r\nlines\rand\nmore")
-        result = IpdResult(tuple(PerfRecord("p", i, 0, 0, 1.0, 0.5) for i in ids))
+        result = IpdResult(tuple(PerfRecord(i, 0, 0, 1.0, 0.5) for i in ids))
         lines = write_ipd_report(result, fmt="markdown").split("\n")
         assert lines[2:4] == [
             "| left\\|right | 0.5000 | 1 |",

@@ -25,7 +25,6 @@ from helpers import box_arrays, image_labels
 
 def _record(p_real, p_synth, image_id="img", idx=0):
     return PerfRecord(
-        dataset_pair_id="pair",
         image_id=image_id,
         real_index=idx,
         synth_index=idx,
@@ -84,7 +83,7 @@ class TestPerfRecord:
 
     def test_rejects_negative_indices(self):
         with pytest.raises(InputValidationError):
-            PerfRecord("p", "i", -1, 0, 0.5, 0.5)
+            PerfRecord("i", -1, 0, 0.5, 0.5)
 
 
 class TestIpd:
@@ -199,9 +198,9 @@ class TestEvaluatePair:
             unmatched_synth=(),
             gate_distance=5.0,
         )
-        result = evaluate_pair([real], [synth], [pairing], 0.25, dataset_pair_id="p")
-        ids = [(r.dataset_pair_id, r.image_id, r.real_index, r.synth_index) for r in result.records]
-        assert ids == [("p", "img0", 0, 0), ("p", "img0", 1, 1)]
+        result = evaluate_pair([real], [synth], [pairing], 0.25)
+        ids = [(r.image_id, r.real_index, r.synth_index) for r in result.records]
+        assert ids == [("img0", 0, 0), ("img0", 1, 1)]
         assert [r.p_real for r in result.records] == [1.0, 0.0]
         assert [r.p_synth for r in result.records] == [pytest.approx(1.0 / 3.0), 1.0]
         # |1.0 - 1/3| and |0.0 - 1.0| averaged

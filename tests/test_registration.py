@@ -448,6 +448,18 @@ def _pin_cases():
     grid = np.stack(np.meshgrid(np.arange(20.0), np.arange(20.0)), axis=-1).reshape(-1, 2)
     grid *= 40.0
     cases["lattice"] = ("lattice", grid, transform_points(T_TRUE, grid), RegistrationConfig())
+    # repeated points, whose refits find fewer than 3 inliers (the first)
+    # or a rank-deficient design (the second); no draw from rng
+    real = np.array([[30, 10], [10, 30], [0, 30], [10, 0], [30, 10], [10, 30], [0, 30]], float)
+    cfg = RegistrationConfig(max_iterations=20, rng_seed=94)
+    cases["duplicates_few_inliers"] = ("duplicates", 0.5 * real + 3.0, real, cfg)
+    real = np.array(
+        [[10, 0], [20, 0], [10, 0], [20, 20], [10, 0], [10, 30], [20, 0], [10, 20], [10, 0],
+         [20, 0], [10, 0], [20, 20], [10, 0]],
+        float,
+    )
+    cfg = RegistrationConfig(max_iterations=20, rng_seed=47)
+    cases["duplicates_low_rank"] = ("duplicates", real @ [[0.9, 0.2], [-0.1, 1.1]] + 5.0, real, cfg)
     return cases
 
 
@@ -461,7 +473,9 @@ def _pin(synth, real, cfg):
     }
 
 
-@pytest.mark.parametrize("family", ["random", "collinear", "small", "scene", "lattice"])
+@pytest.mark.parametrize(
+    "family", ["random", "collinear", "small", "scene", "lattice", "duplicates"]
+)
 def test_register_outputs_are_pinned(family):
     pins = json.loads(REGISTER_PINS.read_text(encoding="utf-8"))
     cases = {k: v for k, v in _pin_cases().items() if v[0] == family}

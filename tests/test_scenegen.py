@@ -10,7 +10,7 @@ import pytest
 
 from ipdkit.errors import InputValidationError
 from ipdkit.geometry import AffineTransform2D, iou, iou_table, transform_points
-from ipdkit.ingestion import load_dataset, merge_pairings, pair_datasets
+from ipdkit.ingestion import _read_uniform, load_dataset, merge_pairings, pair_datasets
 from ipdkit.scenegen import (
     RANDOM_AFFINE_MAX_TRANSLATION_FRAC,
     RANDOM_AFFINE_SCALE_RANGE,
@@ -281,6 +281,20 @@ class TestEmitDataset:
             gen_real, gen_synth, _, _ = generate_scene_pair(spec, image_id=f"scene{i:04d}")
             assert pairs[i][0] == gen_real
             assert pairs[i][1] == gen_synth
+
+    @pytest.mark.parametrize("mode", ["pixel", "normalized"])
+    def test_numpy_reader_takes_every_label_file_written(self, tmp_path, mode):
+        # the benchmark's workloads are written here; a header comment or
+        # another line format would move them all onto the per-line scan,
+        # which reads the same boxes, only slower
+        rng = np.random.default_rng(3)
+        specs = [_spec(rng_seed=7), _spec(rng_seed=8, transform=random_affine(rng, (1280, 960)))]
+        emit_dataset(tmp_path, specs, mode)
+        files = [p for p in sorted(tmp_path.glob("*/*.txt")) if p.read_text().strip()]
+        assert len(files) == 8
+        for path in files:
+            lines = path.read_text().splitlines()
+            assert _read_uniform(lines, mode, (1280, 960)) is not None, path
 
     def test_a_numpy_integer_frame_writes_json_manifests(self, tmp_path):
         spec = _spec(frame=(np.int64(1280), np.int64(960)))
