@@ -118,12 +118,12 @@ def align_pair(real: ImageLabels, synth: ImageLabels, config: PipelineConfig) ->
     cfg = RegistrationConfig(max_iterations=config.max_iterations, rng_seed=sub_seed)
     reg = register(synth_centers, real_centers, cfg)
     if reg.used_fallback:
-        # register spends no iteration on a side of fewer than 3 points
-        cause = (
-            "has too few points for an affine fit"
-            if reg.iterations_used == 0
-            else f"had no hypothesis pass the refine gate in {reg.iterations_used} iterations"
-        )
+        if min(len(real_gt), len(synth_gt)) < 3:
+            cause = "has too few points for an affine fit"
+        elif reg.iterations_used == 0:
+            cause = "has only collinear synthetic bases"
+        else:
+            cause = f"had no hypothesis pass the refine gate in {reg.iterations_used} iterations"
         print(
             f"warning: pair ({real_id}, {synth_id}) {cause}; fell back to centroid translation",
             file=sys.stderr,
@@ -337,6 +337,11 @@ def _flag_type(convert, check=None):
     return flag_type
 
 
+def _spec_flag(convert, field: str):
+    """A scenegen flag's type=: SceneSpec's own check of the field it sets."""
+    return _flag_type(convert, lambda value: SceneSpec(0, **{field: value}))
+
+
 def _check_at_least_one(n: int) -> None:
     if n < 1:
         raise ValueError("must be at least 1")
@@ -381,7 +386,7 @@ def _add_align_flags(sp: argparse.ArgumentParser) -> None:
         "--max-iterations",
         type=_flag_type(int, lambda n: PipelineConfig(max_iterations=n)),
         default=PipelineConfig.max_iterations,
-        help="registration budget, in synthetic bases tried",
+        help="registration budget, in synthetic bases tried (each at most once)",
     )
     sp.add_argument(
         "--gate",
@@ -437,18 +442,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("scenegen", help="generate paired test scenes with ground truth")
     p_gen.add_argument("--out", required=True, help="output directory")
     p_gen.add_argument("--scenes", type=_flag_type(int, _check_at_least_one), default=1)
-    p_gen.add_argument(
-        "--instances", type=_flag_type(_instance_span), default="30", help="count or low:high span"
-    )
+    span_type = _flag_type(_instance_span, lambda span: SceneSpec(span[0]))
+    p_gen.add_argument("--instances", type=span_type, default="30", help="count or low:high span")
     p_gen.add_argument("--seed", type=_flag_type(int, check_rng_seed), default=0)
-    p_gen.add_argument("--sigma", type=float, default=0.0, help="center noise sigma (px)")
-    p_gen.add_argument("--dropout-real", type=float, default=0.0)
-    p_gen.add_argument("--dropout-synth", type=float, default=0.0)
+    p_gen.add_argument(
+        "--sigma", type=_spec_flag(float, "center_noise_sigma"), default=0.0, help="center noise (px)"
+    )
+    p_gen.add_argument("--dropout-real", type=_spec_flag(float, "dropout_real"), default=0.0)
+    p_gen.add_argument("--dropout-synth", type=_spec_flag(float, "dropout_synth"), default=0.0)
     for flag in ("--profile-real", "--profile-synth"):
         p_gen.add_argument(
             flag, type=_flag_type(_profile), default="0.9", help="low[:high[:miss_rate]]"
         )
-    p_gen.add_argument("--frame", type=_flag_type(_frame), default="1280x960")
+    p_gen.add_argument("--frame", type=_spec_flag(_frame, "frame"), default="1280x960")
     p_gen.add_argument(
         "--transform",
         type=_flag_type(_transform),

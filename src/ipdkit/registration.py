@@ -6,8 +6,12 @@ between two camera images of one scene never mirrors it, so both label
 sets must use the same image axes. A renderer that exports y-up boxes
 must map cy -> height - cy first; a mirrored pair is not registered.
 
-Each iteration draws one synthetic basis: a point and a pair of its
-nearest neighbours (NAPSAC-style local sampling, Myatt et al. 2002).
+Both point sets are first sorted by y, then x, so a run is a pure
+function of the two sets and the config, whatever the rows' order. A
+synthetic basis is a point and an ordered pair of its nearest neighbours
+(NAPSAC-style local sampling, Myatt et al. 2002); the search walks a
+seeded permutation of the non-collinear ones, so each is tried at most
+once (sampling without replacement, as PROSAC does, Chum & Matas 2005).
 Nearest-neighbour structure survives moderate affine maps, so the basis
 is fitted at once onto every real basis (each real point with each
 ordered pair of its nearest neighbours) that turns the same way; a real
@@ -16,15 +20,15 @@ oriented constraint, after Chum, Werner & Matas 2004). One of those is
 the true correspondence whenever the basis survived on the real side.
 Each hypothesis carries the synthetic point's wider neighbourhood over,
 and only the ones that land the most of it on the real point's
-neighbourhood are refined by least squares (LO-RANSAC) and judged. One
-signal ranks them: the nearest-neighbor consensus, i.e. how many
+neighbourhood are refitted once by least squares (LO-RANSAC) and judged.
+One signal ranks them: the nearest-neighbor consensus, i.e. how many
 distinct real points lie within a layout-derived radius of the aligned
 synthetic points, with the mean inlier distance breaking ties. Unlike a
 mean distance, a consensus count does not let the unmatchable points
 (dropout on either side) drag the true alignment below a wrong one. The
 search stops by the adaptive RANSAC bound (Fischler & Bolles 1981) on
-the best consensus so far. Everything is driven by one seeded generator,
-so a run is a pure function of (points, config).
+the best consensus so far, and the winner is refitted on its tight
+inliers, the last step of a fixed LO-RANSAC (Lebeda, Matas & Chum 2012).
 """
 
 from __future__ import annotations
@@ -111,6 +115,14 @@ def _neighbours(pts: np.ndarray, k: int) -> tuple[np.ndarray, float]:
     return order, spacing
 
 
+def _bases(nbrs: np.ndarray, k: int) -> np.ndarray:
+    """Each point with each ordered pair of its k nearest neighbours (the
+    first k columns of nbrs): (n * k(k - 1), 3) indices, point-major."""
+    first, second = np.nonzero(~np.eye(k, dtype=bool))
+    point = np.repeat(np.arange(len(nbrs)), first.size)
+    return np.column_stack([point, nbrs[:, first].ravel(), nbrs[:, second].ravel()])
+
+
 def _turn(triples: np.ndarray) -> np.ndarray:
     """(p1 - p0) x (p2 - p0) of (..., 3, 2) triples: its sign is the way
     p0, p1, p2 turn, and it is 0 when they are collinear."""
@@ -157,37 +169,24 @@ def _refine_params(
     capture_radius: float,
     judge_radius: float,
 ) -> tuple[np.ndarray, tuple[int, float, int, float]]:
-    """Deterministic least-squares polish of a promising hypothesis.
-
-    A raw 3-point fit through noisy points extrapolates poorly far from
-    the triple. Each round refits on the nearest-neighbor pairs within
-    the capture radius; rounds are accepted when the consensus improves,
-    judged primarily at the tight radius. Returns (params, consensus
-    quality) of the best round.
+    """Least-squares refit of a promising hypothesis on its nearest-neighbor
+    pairs within the capture radius: a raw 3-point fit through noisy
+    points extrapolates poorly far from its triple. Returns (params,
+    consensus quality) of whichever of the two scores better, judged
+    first at the tight radius; the hypothesis when fewer than 3 pairs, or
+    pairs of rank < 3, allow no refit.
     """
-
-    best_params = params
-    best_quality, nn_idx, nn_d = _consensus(params, synth, real, capture_radius, judge_radius)
-    for _ in range(5):
-        inliers = np.flatnonzero(nn_d <= capture_radius)
-        if inliers.size < 3:
-            break
-        src = synth[inliers]
-        dst = real[nn_idx[inliers]]
-        design = np.column_stack([src, np.ones(inliers.size)])
-        sol, _, rank, _ = np.linalg.lstsq(design, dst, rcond=None)
-        if rank < 3:
-            break
-        candidate = np.array(
-            [sol[0, 0], sol[1, 0], sol[0, 1], sol[1, 1], sol[2, 0], sol[2, 1]]
-        )
-        # the next round refits on the pass that judged this candidate
-        quality, nn_idx, nn_d = _consensus(candidate, synth, real, capture_radius, judge_radius)
-        if quality < best_quality:
-            best_params, best_quality = candidate, quality
-        else:
-            break
-    return best_params, best_quality
+    quality, nn_idx, nn_d = _consensus(params, synth, real, capture_radius, judge_radius)
+    inliers = np.flatnonzero(nn_d <= capture_radius)
+    if inliers.size < 3:
+        return params, quality
+    design = np.column_stack([synth[inliers], np.ones(inliers.size)])
+    sol, _, rank, _ = np.linalg.lstsq(design, real[nn_idx[inliers]], rcond=None)
+    if rank < 3:
+        return params, quality
+    refit = np.array([sol[0, 0], sol[1, 0], sol[0, 1], sol[1, 1], sol[2, 0], sol[2, 1]])
+    refit_quality = _consensus(refit, synth, real, capture_radius, judge_radius)[0]
+    return (refit, refit_quality) if refit_quality < quality else (params, quality)
 
 
 def _refine_set(
@@ -227,20 +226,25 @@ def register(
     """Estimate the affine map taking synthetic centers into real-image
     coordinates.
 
-    Per iteration one synthetic basis (a seeded point and two of its
-    nearest neighbours) is fitted onto every real basis that turns the
-    same way, so every fit keeps orientation. A hypothesis is
-    checked by carrying the point's other near neighbours over: a check
-    point hits when it lands within the capture radius of one of the
-    real point's near neighbours. The hypotheses with the most hits, when
-    those are at least half the check points, are refined, and the one
-    with the largest consensus (distinct real inliers, mean inlier
-    distance breaking ties, then draw order) wins. The search stops once
-    the iterations reach log(1 - p) / log(1 - w^3), w being the winner's
-    tight consensus over the synthetic point count, or at once when w = 1.
+    Both sets are sorted by y, then x, first. Per iteration the next
+    basis of a seeded permutation of the non-collinear synthetic bases
+    (a point and two of its nearest neighbours) is fitted onto every
+    real basis that turns the same way, so every fit keeps orientation.
+    A hypothesis is checked by carrying the point's other near
+    neighbours over: a check point hits when it lands within the capture
+    radius of one of the real point's near neighbours. The hypotheses
+    with the most hits, when those are at least half the check points,
+    are refitted once, and the one with the largest consensus (distinct
+    real inliers, mean inlier distance breaking ties, then draw order)
+    wins. The search stops once the iterations reach
+    log(1 - p) / log(1 - w^3), w being the winner's tight consensus over
+    the synthetic point count, at once when w = 1, or when the bases run
+    out; the winner is then refitted on its tight inliers.
 
     Sets with fewer than 3 points on either side fall back to the
-    centroid translation and flag the result.
+    centroid translation and flag the result; so does a search that
+    refined nothing, after 0 iterations when every synthetic basis is
+    collinear.
     """
     if cfg is None:
         cfg = RegistrationConfig()
@@ -248,6 +252,8 @@ def register(
     real = points_to_array(real_pts)
     if len(synth) == 0 or len(real) == 0:
         raise InputValidationError("register requires points on both sides")
+    synth = synth[np.lexsort(synth.T)]
+    real = real[np.lexsort(real.T)]
 
     n, m = len(synth), len(real)
     if n < 3 or m < 3:
@@ -258,16 +264,6 @@ def register(
     capture_radius = _CAPTURE_RADIUS_FRACTION * spacing
     judge_radius = _JUDGE_RADIUS_FRACTION * spacing
 
-    # every real basis: (point, ordered pair of its nearest neighbours)
-    k_real = min(_REAL_BASIS_NEIGHBOURS, m - 1)
-    first, second = np.nonzero(~np.eye(k_real, dtype=bool))
-    real_bases = np.column_stack(
-        [
-            np.repeat(np.arange(m), first.size),
-            real_nbrs[:, first].ravel(),
-            real_nbrs[:, second].ravel(),
-        ]
-    )
     # The fit of a synthetic basis S onto a real basis Q has det A =
     # det Q / det S, so only the real bases that turn the way S does give
     # an orientation-preserving map. Per handedness (turn > 0, then
@@ -275,6 +271,7 @@ def register(
     # (hypotheses, 3, 2), stored so that each of the six coordinate
     # columns fit_affine_batch reads is contiguous, and each hypothesis'
     # real near neighbours, x and y (K, hypotheses).
+    real_bases = _bases(real_nbrs, min(_REAL_BASIS_NEIGHBOURS, m - 1))
     triples = real[real_bases]
     turn = _turn(triples)
     sides = []
@@ -283,27 +280,22 @@ def register(
         near = real_nbrs[real_bases[keep, 0]].T
         sides.append((dst, real[near, 0], real[near, 1]))
 
-    rng = np.random.default_rng(cfg.rng_seed)
-    k_synth = min(_SYNTH_BASIS_NEIGHBOURS, n - 1)
-    # per ordered pair (a, b) of basis columns of synth_nbrs, a mask of the
-    # other columns, which hold the check points
-    columns, basis_columns = np.arange(synth_nbrs.shape[1]), np.arange(k_synth)
-    is_check = (columns != basis_columns[:, None, None]) & (columns != basis_columns[:, None])
+    synth_bases = _bases(synth_nbrs, min(_SYNTH_BASIS_NEIGHBOURS, n - 1))
+    synth_triples = synth[synth_bases]
+    synth_turn = _turn(synth_triples)
+    # a collinear basis (turn 0) has no valid fit on either side
+    order = np.random.default_rng(cfg.rng_seed).permutation(np.flatnonzero(synth_turn))
     best_quality: tuple | None = None
     best_params: np.ndarray | None = None
     hypothesis_count = 0
     iterations_used = 0
 
-    while iterations_used < cfg.max_iterations:
-        point = int(rng.integers(n))
-        a, b = rng.choice(k_synth, size=2, replace=False)
+    for basis in order[: cfg.max_iterations]:
+        point, p1, p2 = synth_bases[basis]
         nbrs = synth_nbrs[point]
-        check = synth[nbrs[is_check[a, b]]]  # (c, 2)
-
-        basis = synth[[point, nbrs[a], nbrs[b]]]
-        # a collinear basis (turn 0) has no valid fit on either side
-        dst, near_x, near_y = sides[0 if _turn(basis) > 0 else 1]
-        params, valid = fit_affine_batch(basis, dst)
+        check = synth[nbrs[(nbrs != p1) & (nbrs != p2)]]  # (c, 2)
+        dst, near_x, near_y = sides[0 if synth_turn[basis] > 0 else 1]
+        params, valid = fit_affine_batch(synth_triples[basis], dst)
         hypothesis_count += int(valid.sum())
 
         for idx in _refine_set(params, valid, check, near_x, near_y, capture_radius**2):
@@ -320,11 +312,12 @@ def register(
                 break
 
     if best_params is None:
-        # every sampled basis was degenerate (e.g. collinear layouts), or
-        # none carried half its check points onto a real neighbourhood
+        # every synthetic basis was collinear, or no hypothesis carried
+        # half its check points onto a real neighbourhood
         t = fallback_translation(synth, real)
         return RegistrationResult(t, iterations_used, hypothesis_count, used_fallback=True)
 
+    best_params, _ = _refine_params(best_params, synth, real, judge_radius, judge_radius)
     return RegistrationResult(
         AffineTransform2D.from_params(best_params),
         iterations_used,

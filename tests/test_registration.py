@@ -75,6 +75,43 @@ def test_register_handles_noise_and_dropout():
     assert np.median(np.hypot(*err.T)) < 2.0
 
 
+def test_register_fit_does_not_depend_on_the_winning_basis():
+    # the scene above under 12 seeds: each wins with another basis, and
+    # the winner's refit on its tight inliers lands on the same fit
+    rng = np.random.default_rng(4)
+    base = scatter(rng, 30)
+    keep_s = rng.random(30) > 0.2
+    keep_r = rng.random(30) > 0.2
+    synth = base[keep_s]
+    real = transform_points(T_TRUE, base[keep_r]) + rng.normal(0, 0.5, (int(keep_r.sum()), 2))
+    shared = base[keep_s & keep_r]
+    errors = []
+    for seed in range(12):
+        res = register(synth, real, RegistrationConfig(rng_seed=seed))
+        err = transform_points(res.transform, shared) - transform_points(T_TRUE, shared)
+        errors.append(float(np.median(np.hypot(*err.T))))
+    assert max(errors) < 0.5, errors
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 40), grid=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_register_does_not_depend_on_the_order_of_either_side(n, grid, seed):
+    # integer grids hold duplicate points and tied neighbour distances,
+    # which only a canonical order breaks alike; noisy affine copies are
+    # registrable
+    rng = np.random.default_rng(seed)
+    if grid:
+        synth, real = (rng.integers(0, 6, size=(k, 2)) * 10.0 for k in (n, rng.integers(1, 41)))
+    else:
+        synth = scatter(rng, n, span=500.0)
+        real = transform_points(T_TRUE, synth) + rng.normal(0.0, 0.5, (n, 2))
+    cfg = RegistrationConfig(max_iterations=30, rng_seed=seed)
+    want = register(synth, real, cfg)
+    got = register(synth[rng.permutation(n)], real[rng.permutation(len(real))], cfg)
+    assert got == want
+    assert [p.hex() for p in got.transform.params()] == [p.hex() for p in want.transform.params()]
+
+
 def test_register_is_deterministic():
     rng = np.random.default_rng(9)
     synth = scatter(rng, 20)
