@@ -238,13 +238,16 @@ def cmd_crossval(args: argparse.Namespace) -> int:
     config = _config(args)
     results: dict[tuple[str, tuple[str, str]], object] = {}
     computed: list[dict] = []
-    for cell in cells_file.cells:
+    for idx, cell in enumerate(cells_file.cells):
         train, pair = cell.train, cell.pair
         if cell.ipd is not None:
             results[(train, pair)] = cell.ipd
         else:
             pairs, pair_id = _load_pairs(cell.real_manifest, cell.synth_manifest)
-            results[(train, pair)], outcomes = evaluate_dataset_pair(pairs, config)
+            try:
+                results[(train, pair)], outcomes = evaluate_dataset_pair(pairs, config)
+            except NoInstancesError as e:
+                raise NoInstancesError(f"cells file {args.cells}: cell #{idx}: {e}") from e
             rows = [outcome.provenance_row() for outcome in outcomes]
             computed.append(
                 {"train": train, "pair": list(pair), "dataset_pair_id": pair_id, "pairs": rows}

@@ -22,13 +22,14 @@ Each hypothesis carries the synthetic point's wider neighbourhood over,
 and only the ones that land the most of it on the real point's
 neighbourhood are refitted once by least squares (LO-RANSAC) and judged.
 One signal ranks them: the nearest-neighbor consensus, i.e. how many
-distinct real points lie within a layout-derived radius of the aligned
-synthetic points, with the mean inlier distance breaking ties. Unlike a
-mean distance, a consensus count does not let the unmatchable points
-(dropout on either side) drag the true alignment below a wrong one. The
-search stops by the adaptive RANSAC bound (Fischler & Bolles 1981) on
-the best consensus so far, and the winner is refitted on its tight
-inliers, the last step of a fixed LO-RANSAC (Lebeda, Matas & Chum 2012).
+distinct real points lie within a tight, layout-derived radius of the
+aligned synthetic points, with the mean inlier distance breaking ties.
+Unlike a mean distance, a consensus count does not let the unmatchable
+points (dropout on either side) drag the true alignment below a wrong
+one. The search stops by the adaptive RANSAC bound (Fischler & Bolles
+1981) on the best consensus so far, and the winner is refitted on the
+tight inliers of the pass it was scored on, the last step of a fixed
+LO-RANSAC (Lebeda, Matas & Chum 2012).
 """
 
 from __future__ import annotations
@@ -52,12 +53,12 @@ _REAL_BASIS_NEIGHBOURS = 6
 # refined.
 _CHECK_NEIGHBOURS = 12
 # Both radii are fractions of the real points' median nearest-neighbor
-# spacing. The capture radius decides which pairs the least-squares
-# refit sees: wide, because a raw 3-point fit through noisy points can
-# be tens of pixels off far from its triple. Candidates are then judged
-# at the tight radius, where only a genuinely aligned transform scores -
-# at the capture radius a sloppy wrong fit can rack up as many loose
-# inliers as the true one.
+# spacing. The capture radius decides which hypotheses are refitted and
+# which pairs the least-squares refit sees: wide, because a raw 3-point
+# fit through noisy points can be tens of pixels off far from its
+# triple. Every map is judged at the tight radius only, where only a
+# genuinely aligned transform scores - at the capture radius a sloppy
+# wrong fit can rack up as many loose inliers as the true one.
 _CAPTURE_RADIUS_FRACTION = 0.35
 _JUDGE_RADIUS_FRACTION = 0.08
 # Probability that the adaptive stop has seen an all-inlier sample.
@@ -135,14 +136,13 @@ def _consensus(
     params: np.ndarray,
     synth: np.ndarray,
     real: np.ndarray,
-    capture_radius: float,
-    judge_radius: float,
-) -> tuple[tuple[int, float, int, float], np.ndarray, np.ndarray]:
-    """Tight and loose consensus of one hypothesis, a (6,) params row:
-    (quality, nn_idx, nn_d), where nn_idx and nn_d are the
-    nearest-neighbor pass it is counted on and quality is (-judge count,
-    judge mean, -capture count, capture mean), ready for lexicographic
-    comparison (smaller is better).
+    radius: float,
+) -> tuple[tuple[int, float], np.ndarray, np.ndarray, np.ndarray]:
+    """The scored map of one hypothesis, a (6,) params row: (quality,
+    params, nn_idx, nn_d), where nn_idx and nn_d are the nearest-neighbor
+    pass it is counted on and quality is (-count, mean) over the distinct
+    real points within the radius, ready for lexicographic comparison
+    (smaller is better).
 
     Counting distinct real nearest neighbors instead of raw pairs keeps a
     near-collapse map (everything lands on one real point) from faking a
@@ -152,41 +152,37 @@ def _consensus(
     d2 = (moved_x[:, None] - real[None, :, 0]) ** 2 + (moved_y[:, None] - real[None, :, 1]) ** 2
     nn_idx = d2.argmin(axis=1)
     nn_d = np.sqrt(d2[np.arange(len(synth)), nn_idx])
-    quality = []
-    for radius in (judge_radius, capture_radius):
-        mask = nn_d <= radius
-        count = np.count_nonzero(np.bincount(nn_idx[mask]))
-        inside = nn_d[mask]
-        mean = float(inside.sum() / inside.size) if count else math.inf
-        quality.extend((-count, mean))
-    return tuple(quality), nn_idx, nn_d
+    mask = nn_d <= radius
+    count = np.count_nonzero(np.bincount(nn_idx[mask]))
+    inside = nn_d[mask]
+    mean = float(inside.sum() / inside.size) if count else math.inf
+    return (-count, mean), params, nn_idx, nn_d
 
 
 def _refine_params(
-    params: np.ndarray,
+    scored: tuple,
     synth: np.ndarray,
     real: np.ndarray,
-    capture_radius: float,
+    fit_radius: float,
     judge_radius: float,
-) -> tuple[np.ndarray, tuple[int, float, int, float]]:
-    """Least-squares refit of a promising hypothesis on its nearest-neighbor
-    pairs within the capture radius: a raw 3-point fit through noisy
-    points extrapolates poorly far from its triple. Returns (params,
-    consensus quality) of whichever of the two scores better, judged
-    first at the tight radius; the hypothesis when fewer than 3 pairs, or
-    pairs of rank < 3, allow no refit.
+) -> tuple:
+    """One least-squares refit step of a scored map (from _consensus) on
+    its pairs within the fit radius, as a raw 3-point fit through noisy
+    points extrapolates poorly far from its triple. Returns the better
+    scored at the judge radius of the map and its refit; the map when
+    fewer than 3 pairs, or pairs of rank < 3, allow no refit.
     """
-    quality, nn_idx, nn_d = _consensus(params, synth, real, capture_radius, judge_radius)
-    inliers = np.flatnonzero(nn_d <= capture_radius)
+    _, params, nn_idx, nn_d = scored
+    inliers = np.flatnonzero(nn_d <= fit_radius)
     if inliers.size < 3:
-        return params, quality
+        return scored
     design = np.column_stack([synth[inliers], np.ones(inliers.size)])
     sol, _, rank, _ = np.linalg.lstsq(design, real[nn_idx[inliers]], rcond=None)
     if rank < 3:
-        return params, quality
+        return scored
     refit = np.array([sol[0, 0], sol[1, 0], sol[0, 1], sol[1, 1], sol[2, 0], sol[2, 1]])
-    refit_quality = _consensus(refit, synth, real, capture_radius, judge_radius)[0]
-    return (refit, refit_quality) if refit_quality < quality else (params, quality)
+    refit = _consensus(refit, synth, real, judge_radius)
+    return refit if refit[0] < scored[0] else scored
 
 
 def _refine_set(
@@ -234,12 +230,13 @@ def register(
     neighbours over: a check point hits when it lands within the capture
     radius of one of the real point's near neighbours. The hypotheses
     with the most hits, when those are at least half the check points,
-    are refitted once, and the one with the largest consensus (distinct
-    real inliers, mean inlier distance breaking ties, then draw order)
+    are refitted once on their pairs within the capture radius, and the
+    map with the largest consensus (distinct real inliers within the
+    judge radius, mean inlier distance breaking ties, then draw order)
     wins. The search stops once the iterations reach
-    log(1 - p) / log(1 - w^3), w being the winner's tight consensus over
-    the synthetic point count, at once when w = 1, or when the bases run
-    out; the winner is then refitted on its tight inliers.
+    log(1 - p) / log(1 - w^3), w being the winner's consensus over the
+    synthetic point count, at once when w = 1, or when the bases run out;
+    the winner is then refitted on the tight inliers of its own pass.
 
     Sets with fewer than 3 points on either side fall back to the
     centroid translation and flag the result; so does a search that
@@ -268,25 +265,22 @@ def register(
     # det Q / det S, so only the real bases that turn the way S does give
     # an orientation-preserving map. Per handedness (turn > 0, then
     # turn < 0; collinear bases fit nowhere): the bases' triples
-    # (hypotheses, 3, 2), stored so that each of the six coordinate
-    # columns fit_affine_batch reads is contiguous, and each hypothesis'
-    # real near neighbours, x and y (K, hypotheses).
+    # (hypotheses, 3, 2) and each hypothesis' real near neighbours, x and
+    # y (K, hypotheses).
     real_bases = _bases(real_nbrs, min(_REAL_BASIS_NEIGHBOURS, m - 1))
     triples = real[real_bases]
     turn = _turn(triples)
     sides = []
     for keep in (turn > 0, turn < 0):
-        dst = np.ascontiguousarray(triples[keep].transpose(1, 2, 0)).transpose(2, 0, 1)
         near = real_nbrs[real_bases[keep, 0]].T
-        sides.append((dst, real[near, 0], real[near, 1]))
+        sides.append((triples[keep], real[near, 0], real[near, 1]))
 
     synth_bases = _bases(synth_nbrs, min(_SYNTH_BASIS_NEIGHBOURS, n - 1))
     synth_triples = synth[synth_bases]
     synth_turn = _turn(synth_triples)
     # a collinear basis (turn 0) has no valid fit on either side
     order = np.random.default_rng(cfg.rng_seed).permutation(np.flatnonzero(synth_turn))
-    best_quality: tuple | None = None
-    best_params: np.ndarray | None = None
+    best: tuple | None = None  # the scored winner, from _consensus
     hypothesis_count = 0
     iterations_used = 0
 
@@ -300,24 +294,25 @@ def register(
 
         for idx in _refine_set(params, valid, check, near_x, near_y, capture_radius**2):
             # ascending (iteration, idx): only a strictly better one replaces
-            cand, quality = _refine_params(params[idx], synth, real, capture_radius, judge_radius)
-            if best_quality is None or quality < best_quality:
-                best_quality, best_params = quality, cand
+            scored = _consensus(params[idx], synth, real, judge_radius)
+            cand = _refine_params(scored, synth, real, capture_radius, judge_radius)
+            if best is None or cand[0] < best[0]:
+                best = cand
 
         iterations_used += 1
-        if best_quality is not None:
-            w = -best_quality[0] / n
+        if best is not None:
+            w = -best[0][0] / n
             needed = math.log(1.0 - _STOP_CONFIDENCE) / math.log1p(-(w**3)) if w < 1.0 else 0.0
             if iterations_used >= needed:
                 break
 
-    if best_params is None:
+    if best is None:
         # every synthetic basis was collinear, or no hypothesis carried
         # half its check points onto a real neighbourhood
         t = fallback_translation(synth, real)
         return RegistrationResult(t, iterations_used, hypothesis_count, used_fallback=True)
 
-    best_params, _ = _refine_params(best_params, synth, real, judge_radius, judge_radius)
+    _, best_params, _, _ = _refine_params(best, synth, real, judge_radius, judge_radius)
     return RegistrationResult(
         AffineTransform2D.from_params(best_params),
         iterations_used,

@@ -110,8 +110,8 @@ class SceneSpec:
                 raise InputValidationError(f"size_range {self.size_range}: {error}")
             if error := box_rule_error(0.0, 0.0, *hull):
                 raise InputValidationError(f"transform rows {t.params()[:4]}: {error}")
-        if self.min_separation_factor < 0.0:
-            raise InputValidationError("min_separation_factor must be >= 0")
+        if not (math.isfinite(self.min_separation_factor) and self.min_separation_factor >= 0.0):
+            raise InputValidationError("min_separation_factor must be finite and >= 0")
         lo, hi = self.center_region
         if not (0.0 <= lo < hi <= 1.0):
             raise InputValidationError("center_region must satisfy 0 <= low < high <= 1")

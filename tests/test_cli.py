@@ -10,6 +10,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -282,6 +283,11 @@ class TestScenegen:
             ({"n_instances": 5, "transform": [1e306, 0, 0, 1e-306, 0, 0]}, "transform"),
             # json.dumps writes inf as the token Infinity, which json.loads reads
             ({"n_instances": 1, "transform": [1, 0, 0, 1, math.inf, 0]}, "tx must be finite"),
+            # 400,000 placement attempts over 3 s, then exit 2 naming nan px, before
+            (
+                {"n_instances": 1000, "frame": [20000, 20000], "min_separation_factor": math.nan},
+                "min_separation_factor must be finite",
+            ),
         ],
     )
     def test_bad_spec_file_is_exit_2(self, tmp_path, capsys, spec, message):
@@ -683,6 +689,23 @@ class TestCrossval:
         assert code == 2
         assert message in err
 
+    def test_cell_without_instance_pairs_is_exit_3_naming_it(self, tmp_path, capsys):
+        outdir = tmp_path / "data"
+        assert main(["scenegen", "--out", str(outdir), "--instances", "0"]) == 0
+        cells = json.loads(json.dumps(CELLS))
+        del cells["cells"][1]["ipd"]
+        cells["cells"][1]["real_manifest"] = str(outdir / "manifest_real.json")
+        cells["cells"][1]["synth_manifest"] = str(outdir / "manifest_synth.json")
+        cells_path = tmp_path / "cells.json"
+        cells_path.write_text(json.dumps(cells))
+        capsys.readouterr()
+        code, out, err = run_cli(["crossval", str(cells_path)], capsys)
+        assert code == 3 and out == ""
+        # only "error: no matched instance pairs to aggregate", before
+        assert err == (
+            f"error: cells file {cells_path}: cell #1: no matched instance pairs to aggregate\n"
+        )
+
     def test_missing_cell_is_exit_2(self, tmp_path, capsys):
         partial = {"domains": CELLS["domains"], "cells": CELLS["cells"][:-1]}
         cells_path = tmp_path / "cells.json"
@@ -690,6 +713,38 @@ class TestCrossval:
         code, out, err = run_cli(["crossval", str(cells_path)], capsys)
         assert code == 2
         assert "Hapke" in err
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_ipd_does_not_depend_on_the_order_of_label_lines(tmp_path, capsys, seed):
+    # a metamorphic relation: every label file's lines in a seeded shuffle,
+    # among blank and `#` comment lines (which send every file through the
+    # line scan), give the same registrations, counts, stderr and IPD
+    data = tmp_path / "data"
+    gen = ["scenegen", "--out", str(data), "--scenes", "10", "--instances", "15:30"]
+    gen += ["--seed", str(seed), "--transform", "random", "--sigma", "0.5"]
+    assert main([*gen, "--dropout-real", "0.2", "--dropout-synth", "0.2"]) == 0
+    shuffled = tmp_path / "shuffled"
+    shutil.copytree(data, shuffled)
+    rng = np.random.default_rng(seed)
+    for path in sorted(shuffled.glob("*/*.txt")):
+        lines = path.read_text().splitlines()
+        mixed = ["# shuffled", ""]
+        for i in rng.permutation(len(lines)):
+            mixed += [lines[i], "" if rng.random() < 0.5 else "# box"]
+        path.write_text("\n".join(mixed) + "\n")
+    capsys.readouterr()
+    runs = []
+    for root in (data, shuffled):
+        manifests = [str(root / "manifest_real.json"), str(root / "manifest_synth.json")]
+        report = root / "report.json"
+        code, _, err = run_cli(["ipd", *manifests, "--out", str(report)], capsys)
+        assert code == 0, err
+        doc = json.loads(report.read_text())
+        runs.append((doc["result"]["ipd"], doc["provenance"]["pairs"], err))
+    (want_ipd, want_rows, want_err), (ipd, rows, err) = runs
+    assert rows == want_rows and err == want_err
+    assert abs(ipd - want_ipd) <= 1e-12
 
 
 def _ipd_rows(manifests, tmp_path, *flags) -> dict[str, dict]:

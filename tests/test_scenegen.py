@@ -58,8 +58,9 @@ class TestSceneSpecValidation:
             SceneSpec(n_instances=1, center_region=(0.5, 0.4))
         with pytest.raises(InputValidationError, match="frame"):
             SceneSpec(n_instances=1, frame=(0, 960))
-        with pytest.raises(InputValidationError, match="min_separation_factor"):
-            SceneSpec(n_instances=1, min_separation_factor=-1.0)
+        for factor in (-1.0, math.nan, math.inf):
+            with pytest.raises(InputValidationError, match="min_separation_factor"):
+                SceneSpec(n_instances=1, min_separation_factor=factor)
         for confidence_range in ((0.5, 1.5), (-0.1, 0.5)):
             with pytest.raises(InputValidationError, match="confidence_range"):
                 SceneSpec(n_instances=1, confidence_range=confidence_range)
