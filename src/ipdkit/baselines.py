@@ -46,9 +46,6 @@ def _greedy_outcomes(
     if total_gt == 0:
         raise UndefinedApError("average precision is undefined without GT boxes")
     counts = [len(image.pred) for image in labels]
-    if sum(counts) == 0:
-        return np.zeros(0, dtype=bool), np.zeros(0), total_gt
-
     # every prediction in image order, then file order; the stable sort
     # keeps that order among equal confidences
     confs = np.concatenate([image.pred.confidence for image in labels])

@@ -113,8 +113,8 @@ def align_pair(real: ImageLabels, synth: ImageLabels, config: PipelineConfig) ->
     if len(real_gt) == 0 or len(synth_gt) == 0:
         unmatched = tuple(range(len(real_gt))), tuple(range(len(synth_gt)))
         return PairOutcome(real_id, synth_id, sub_seed, None, InstancePairing((), *unmatched))
-    real_centers = real_gt[:, :2].copy()
-    synth_centers = synth_gt[:, :2].copy()
+    real_centers = real_gt[:, :2]
+    synth_centers = synth_gt[:, :2]
     cfg = RegistrationConfig(max_iterations=config.max_iterations, rng_seed=sub_seed)
     reg = register(synth_centers, real_centers, cfg)
     if reg.used_fallback:

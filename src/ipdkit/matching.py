@@ -6,7 +6,9 @@ shortest-augmenting-path solver (Jonker & Volgenant 1987; Crouse 2016);
 assignments farther apart than the gate distance are discarded rather
 than forced. Distances beyond the gate enter the solve saturated at the
 gate value, so hopeless rows and columns are interchangeable and can
-never pull a close pair apart.
+never pull a close pair apart. An empty side goes through the same
+solve: its n x 0 or 0 x m cost matrix leaves every index of the other
+side unmatched.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ def assignment_min_cost(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise InputValidationError("cost must be a 2D matrix")
-    if cost.size and not np.all(np.isfinite(cost)):
+    if not np.all(np.isfinite(cost)):
         raise InputValidationError("cost entries must be finite")
     transpose = cost.shape[0] > cost.shape[1]
     if transpose:
@@ -156,14 +158,6 @@ def match_instances(
     check_gate_distance(gate_distance)
     synth = points_to_array(synth_centers)
     real = points_to_array(real_centers)
-    if len(synth) == 0 or len(real) == 0:
-        return InstancePairing(
-            pairs=(),
-            unmatched_real=tuple(range(len(real))),
-            unmatched_synth=tuple(range(len(synth))),
-            gate_distance=gate_distance,
-        )
-
     moved = transform_points(transform, synth)
     diff = real[:, None, :] - moved[None, :, :]
     cost = np.sqrt((diff**2).sum(axis=2))
@@ -185,20 +179,15 @@ def match_instances(
     rows = np.concatenate([lone_rows, rest_rows[sub_rows]])
     cols = np.concatenate([lone_cols, rest_cols[sub_cols]])
 
-    pairs: list[tuple[int, int, float]] = []
-    for k in np.argsort(rows):
-        r, s = int(rows[k]), int(cols[k])
-        d = float(cost[r, s])
-        if d <= gate_distance:
-            pairs.append((r, s, d))
-
-    matched_real = {r for r, _, _ in pairs}
-    matched_synth = {s for _, s, _ in pairs}
-    unmatched_real = tuple(i for i in range(len(real)) if i not in matched_real)
-    unmatched_synth = tuple(j for j in range(len(synth)) if j not in matched_synth)
+    # ordered by real index; .tolist() keeps every entry a Python number
+    order = np.argsort(rows)
+    rows, cols = rows[order], cols[order]
+    dist = cost[rows, cols]
+    inside = dist <= gate_distance
+    rows, cols, dist = rows[inside], cols[inside], dist[inside]
     return InstancePairing(
-        pairs=tuple(pairs),
-        unmatched_real=unmatched_real,
-        unmatched_synth=unmatched_synth,
+        pairs=tuple(zip(rows.tolist(), cols.tolist(), dist.tolist())),
+        unmatched_real=tuple(np.delete(np.arange(len(real)), rows).tolist()),
+        unmatched_synth=tuple(np.delete(np.arange(len(synth)), cols).tolist()),
         gate_distance=gate_distance,
     )

@@ -239,9 +239,9 @@ def register(
     the winner is then refitted on the tight inliers of its own pass.
 
     Sets with fewer than 3 points on either side fall back to the
-    centroid translation and flag the result; so does a search that
-    refined nothing, after 0 iterations when every synthetic basis is
-    collinear.
+    centroid translation and flag the result; so does a search whose
+    refined maps scored no inlier, or that refined nothing (after 0
+    iterations when every synthetic basis is collinear).
     """
     if cfg is None:
         cfg = RegistrationConfig()
@@ -293,10 +293,11 @@ def register(
         hypothesis_count += int(valid.sum())
 
         for idx in _refine_set(params, valid, check, near_x, near_y, capture_radius**2):
-            # ascending (iteration, idx): only a strictly better one replaces
+            # ascending (iteration, idx): only a strictly better one replaces;
+            # a map with no inlier never wins (at a zero layout scale, every map may have none)
             scored = _consensus(params[idx], synth, real, judge_radius)
             cand = _refine_params(scored, synth, real, capture_radius, judge_radius)
-            if best is None or cand[0] < best[0]:
+            if cand[0][0] < 0 and (best is None or cand[0] < best[0]):
                 best = cand
 
         iterations_used += 1
@@ -307,8 +308,9 @@ def register(
                 break
 
     if best is None:
-        # every synthetic basis was collinear, or no hypothesis carried
-        # half its check points onto a real neighbourhood
+        # every synthetic basis was collinear, no hypothesis carried half
+        # its check points onto a real neighbourhood, or none scored an
+        # inlier
         t = fallback_translation(synth, real)
         return RegistrationResult(t, iterations_used, hypothesis_count, used_fallback=True)
 

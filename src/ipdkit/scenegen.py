@@ -281,7 +281,7 @@ def generate_scene_pair(
     centers = _place_centers(spec, rng)
     moved = transform_points(spec.transform, centers)
     sizes = rng.uniform(spec.size_range[0], spec.size_range[1], size=(n, 2))
-    noise = rng.normal(0.0, spec.center_noise_sigma, size=(n, 2)) if n else np.zeros((0, 2))
+    noise = rng.normal(0.0, spec.center_noise_sigma, size=(n, 2))
     keep_real = rng.random(n) >= spec.dropout_real
     keep_synth = rng.random(n) >= spec.dropout_synth
     u_miss = rng.random(n)

@@ -1030,6 +1030,22 @@ def _one_image_pair(tmp_path, real, synth) -> list[str]:
     return [str(tmp_path / f"manifest_{side}.json") for side in ("real", "synth")]
 
 
+def test_ipd_runs_on_a_real_side_that_lists_every_box_twice(tmp_path, capsys):
+    # a zero layout scale leaves every map of this pair with no inlier:
+    # registration falls back instead of ending the run with a traceback
+    centers = [(200.0, 300.0), (600.0, 250.0), (450.0, 700.0)]
+    synth_gt = [(x, y, 20.0, 30.0) for x, y in centers]
+    real_gt = [(x + 12.3, y - 4.7, 20.0, 30.0) for x, y in centers for _ in range(2)]
+    real, synth = (
+        image_labels("a", gt, [(*box, 0.9) for box in gt]) for gt in (real_gt, synth_gt)
+    )
+    manifests = _one_image_pair(tmp_path, real, synth)
+    code, out, err = run_cli(["ipd", *manifests, "--format", "csv"], capsys)
+    assert code == 0
+    assert out.startswith("IPD 0.000000\n")
+    assert err.endswith("fell back to centroid translation\n")
+
+
 def test_huge_boxes_give_a_strict_json_report_and_no_warning(tmp_path, capsys):
     # every box passes the box rules (area 1.7e8), but two diagonals added
     # overflow, and so does iw * ih of two boxes disjoint along y

@@ -177,12 +177,19 @@ class TestMatchInstances:
     def test_empty_sides(self):
         pts = np.array([[1.0, 2.0]])
         none = np.empty((0, 2))
-        a = match_instances(IDENTITY, none, pts)
+        a = match_instances(IDENTITY, none, pts, gate_distance=3.0)
         assert a.pairs == () and a.unmatched_real == (0,) and a.unmatched_synth == ()
-        b = match_instances(IDENTITY, pts, none)
+        b = match_instances(IDENTITY, pts, none, gate_distance=3.0)
         assert b.pairs == () and b.unmatched_real == () and b.unmatched_synth == (0,)
-        c = match_instances(IDENTITY, none, none)
+        c = match_instances(IDENTITY, none, none, gate_distance=3.0)
         assert c.pairs == () and c.unmatched_real == () and c.unmatched_synth == ()
+        assert a.gate_distance == b.gate_distance == c.gate_distance == 3.0
+        # a non-empty matching holds Python numbers, which cmd_register
+        # writes with json.dumps
+        d = match_instances(IDENTITY, np.vstack([pts, [[50.0, 50.0]]]), pts + 0.5, 3.0)
+        assert d.pairs == ((0, 0, math.hypot(0.5, 0.5)),) and d.unmatched_synth == (1,)
+        assert [tuple(map(type, entry)) for entry in d.pairs] == [(int, int, float)]
+        assert type(d.unmatched_synth[0]) is int
 
     def test_rejects_bad_points(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0]])

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ipdkit import (
@@ -113,6 +113,7 @@ def test_register_scores_each_map_once(monkeypatch):
 
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(1, 40), grid=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(n=3, grid=True, seed=11279)  # duplicated real points: layout scale 0
 def test_register_does_not_depend_on_the_order_of_either_side(n, grid, seed):
     # integer grids hold duplicate points and tied neighbour distances,
     # which only a canonical order breaks alike; noisy affine copies are
@@ -128,6 +129,22 @@ def test_register_does_not_depend_on_the_order_of_either_side(n, grid, seed):
     got = register(synth[rng.permutation(n)], real[rng.permutation(len(real))], cfg)
     assert got == want
     assert [p.hex() for p in got.transform.params()] == [p.hex() for p in want.transform.params()]
+
+
+def test_register_survives_a_real_side_that_lists_every_point_twice():
+    # the real points' median nearest-neighbour distance is then 0, and so
+    # is the judge radius: a map may score no inlier at all, and such a
+    # map must not win
+    fallbacks = 0
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        synth = rng.uniform(0.0, 500.0, size=(3, 2))
+        real = np.repeat(synth + [12.3, -4.7], 2, axis=0)
+        res = register(synth, real, RegistrationConfig(rng_seed=seed))
+        if res.used_fallback:
+            fallbacks += 1
+            assert res.transform.params() == pytest.approx((1.0, 0.0, 0.0, 1.0, 12.3, -4.7))
+    assert fallbacks > 0
 
 
 def test_register_is_deterministic():
