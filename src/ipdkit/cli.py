@@ -123,7 +123,7 @@ def align_pair(real: ImageLabels, synth: ImageLabels, config: PipelineConfig) ->
         elif reg.iterations_used == 0:
             cause = "has only collinear synthetic bases"
         else:
-            cause = f"had no hypothesis pass the refine gate in {reg.iterations_used} iterations"
+            cause = f"had no refined map score an inlier in {reg.iterations_used} iterations"
         print(
             f"warning: pair ({real_id}, {synth_id}) {cause}; fell back to centroid translation",
             file=sys.stderr,

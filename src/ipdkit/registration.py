@@ -8,16 +8,16 @@ must map cy -> height - cy first; a mirrored pair is not registered.
 
 Both point sets are first sorted by y, then x, so a run is a pure
 function of the two sets and the config, whatever the rows' order. A
-synthetic basis is a point and an ordered pair of its nearest neighbours
-(NAPSAC-style local sampling, Myatt et al. 2002); the search walks a
-seeded permutation of the non-collinear ones, so each is tried at most
-once (sampling without replacement, as PROSAC does, Chum & Matas 2005).
-Nearest-neighbour structure survives moderate affine maps, so the basis
-is fitted at once onto every real basis (each real point with each
-ordered pair of its nearest neighbours) that turns the same way; a real
-basis that turns the other way could only be reached by a mirror (an
-oriented constraint, after Chum, Werner & Matas 2004). One of those is
-the true correspondence whenever the basis survived on the real side.
+basis, on either side, is a point and an unordered pair of its nearest
+neighbours (NAPSAC-style local sampling, Myatt et al. 2002), ordered so
+the three turn left; collinear ones are dropped. As both triples of a
+fit turn left, no fit mirrors the layout (an oriented constraint, after
+Chum, Werner & Matas 2004). The search walks a seeded permutation of the
+synthetic bases, so each is tried once (sampling without replacement,
+as PROSAC does, Chum & Matas 2005). Nearest-neighbour structure survives
+moderate affine maps, so the basis is fitted at once onto every real
+basis; one of those is the true correspondence whenever the basis
+survived on the real side.
 Each hypothesis carries the synthetic point's wider neighbourhood over,
 and only the ones that land the most of it on the real point's
 neighbourhood are refitted once by least squares (LO-RANSAC) and judged.
@@ -116,20 +116,24 @@ def _neighbours(pts: np.ndarray, k: int) -> tuple[np.ndarray, float]:
     return order, spacing
 
 
-def _bases(nbrs: np.ndarray, k: int) -> np.ndarray:
-    """Each point with each ordered pair of its k nearest neighbours (the
-    first k columns of nbrs): (n * k(k - 1), 3) indices, point-major."""
-    first, second = np.nonzero(~np.eye(k, dtype=bool))
-    point = np.repeat(np.arange(len(nbrs)), first.size)
-    return np.column_stack([point, nbrs[:, first].ravel(), nbrs[:, second].ravel()])
-
-
 def _turn(triples: np.ndarray) -> np.ndarray:
     """(p1 - p0) x (p2 - p0) of (..., 3, 2) triples: its sign is the way
     p0, p1, p2 turn, and it is 0 when they are collinear."""
     d1 = triples[..., 1, :] - triples[..., 0, :]
     d2 = triples[..., 2, :] - triples[..., 0, :]
     return d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+
+
+def _bases(pts: np.ndarray, nbrs: np.ndarray, k: int) -> np.ndarray:
+    """Each point of pts with each unordered pair of its k nearest
+    neighbours (the first k columns of nbrs), ordered so the triple turns
+    left: (b, 3) indices, point-major, collinear triples dropped."""
+    first, second = np.triu_indices(k, 1)
+    point = np.repeat(np.arange(len(nbrs)), first.size)
+    bases = np.column_stack([point, nbrs[:, first].ravel(), nbrs[:, second].ravel()])
+    turn = _turn(pts[bases])
+    bases[turn < 0] = bases[turn < 0][:, [0, 2, 1]]
+    return bases[turn != 0]
 
 
 def _consensus(
@@ -223,9 +227,10 @@ def register(
     coordinates.
 
     Both sets are sorted by y, then x, first. Per iteration the next
-    basis of a seeded permutation of the non-collinear synthetic bases
-    (a point and two of its nearest neighbours) is fitted onto every
-    real basis that turns the same way, so every fit keeps orientation.
+    basis of a seeded permutation of the synthetic bases (a point and an
+    unordered pair of its nearest neighbours, ordered to turn left;
+    collinear ones dropped) is fitted onto every real basis, built
+    alike, so every fit keeps orientation.
     A hypothesis is checked by carrying the point's other near
     neighbours over: a check point hits when it lands within the capture
     radius of one of the real point's near neighbours. The hypotheses
@@ -262,34 +267,23 @@ def register(
     judge_radius = _JUDGE_RADIUS_FRACTION * spacing
 
     # The fit of a synthetic basis S onto a real basis Q has det A =
-    # det Q / det S, so only the real bases that turn the way S does give
-    # an orientation-preserving map. Per handedness (turn > 0, then
-    # turn < 0; collinear bases fit nowhere): the bases' triples
-    # (hypotheses, 3, 2) and each hypothesis' real near neighbours, x and
-    # y (K, hypotheses).
-    real_bases = _bases(real_nbrs, min(_REAL_BASIS_NEIGHBOURS, m - 1))
-    triples = real[real_bases]
-    turn = _turn(triples)
-    sides = []
-    for keep in (turn > 0, turn < 0):
-        near = real_nbrs[real_bases[keep, 0]].T
-        sides.append((triples[keep], real[near, 0], real[near, 1]))
+    # det Q / det S, and both turn left, so every fit keeps orientation.
+    # Each hypothesis' real near neighbours, x and y (K, hypotheses).
+    real_bases = _bases(real, real_nbrs, min(_REAL_BASIS_NEIGHBOURS, m - 1))
+    dst = real[real_bases]
+    near = real_nbrs[real_bases[:, 0]].T
+    near_x, near_y = real[near, 0], real[near, 1]
 
-    synth_bases = _bases(synth_nbrs, min(_SYNTH_BASIS_NEIGHBOURS, n - 1))
-    synth_triples = synth[synth_bases]
-    synth_turn = _turn(synth_triples)
-    # a collinear basis (turn 0) has no valid fit on either side
-    order = np.random.default_rng(cfg.rng_seed).permutation(np.flatnonzero(synth_turn))
+    synth_bases = _bases(synth, synth_nbrs, min(_SYNTH_BASIS_NEIGHBOURS, n - 1))
+    order = np.random.default_rng(cfg.rng_seed).permutation(len(synth_bases))
     best: tuple | None = None  # the scored winner, from _consensus
     hypothesis_count = 0
     iterations_used = 0
 
-    for basis in order[: cfg.max_iterations]:
-        point, p1, p2 = synth_bases[basis]
+    for point, p1, p2 in synth_bases[order[: cfg.max_iterations]]:
         nbrs = synth_nbrs[point]
         check = synth[nbrs[(nbrs != p1) & (nbrs != p2)]]  # (c, 2)
-        dst, near_x, near_y = sides[0 if synth_turn[basis] > 0 else 1]
-        params, valid = fit_affine_batch(synth_triples[basis], dst)
+        params, valid = fit_affine_batch(synth[[point, p1, p2]], dst)
         hypothesis_count += int(valid.sum())
 
         for idx in _refine_set(params, valid, check, near_x, near_y, capture_radius**2):

@@ -151,3 +151,23 @@ def check_hits(params, valid, check, near_x, near_y, capture_radius) -> np.ndarr
         for nx, ny in zip(near_x[:, :, None], near_y[:, :, None]):
             np.minimum(nearest, (moved_x - nx) ** 2 + (moved_y - ny) ** 2, out=nearest)
     return np.where(valid, (nearest <= capture_radius**2).sum(axis=1), -1)
+
+
+def left_turning_bases(pts: np.ndarray, k: int) -> set[tuple[int, int, int]]:
+    """Each point p with each ordered pair (a, b) of its k nearest other
+    points (ties broken by index) such that p, a, b turn left.
+
+    The independent reference for registration._bases: neighbours by a
+    stable argsort of the full distance table, both orderings of every
+    pair tried, and the turn taken in Python, exact on integer points.
+    """
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    out = set()
+    for p, row in enumerate(np.argsort(d2, axis=1, kind="stable")[:, :k].tolist()):
+        (x0, y0) = pts[p].tolist()
+        for a, b in itertools.permutations(row, 2):
+            (x1, y1), (x2, y2) = pts[a].tolist(), pts[b].tolist()
+            if (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0) > 0:
+                out.add((p, a, b))
+    return out

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import ipdkit.cli as cli
-from ipdkit import InputValidationError
+from ipdkit import InputValidationError, registration
 from ipdkit.cli import PipelineConfig, align_pair, evaluate_dataset_pair, main, stable_subseed
 from ipdkit.geometry import AffineTransform2D, transform_points
 from ipdkit.ingestion import (
@@ -31,7 +31,7 @@ from ipdkit.ingestion import (
 )
 from ipdkit.scenegen import DetectorProfile, SceneSpec, emit_dataset, random_affine
 
-from helpers import image_labels
+from helpers import image_labels, left_turning_bases
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
 
@@ -1002,17 +1002,21 @@ def test_a_pair_with_only_collinear_synthetic_bases_warns_so(capsys):
     )
 
 
-def test_a_pair_with_no_gated_hypothesis_warns_naming_the_refine_gate(capsys):
-    # a collinear real side: no real basis turns either way, so no
-    # synthetic basis is fitted anywhere and the whole budget is spent
+def test_a_pair_with_no_gated_hypothesis_warns_that_no_map_scored(capsys):
+    # a collinear real side: no real basis turns left, so no synthetic
+    # basis is fitted anywhere, and the search tries each of the 47
+    # left-turning synthetic bases once, within the budget
     real_gt = [(100.0 + 30.0 * i, 100.0 + 60.0 * i, 6.0, 8.0) for i in range(8)]
     synth_gt = [(100.0 + 40.0 * i, 100.0 + 30.0 * (i * i % 5), 6.0, 8.0) for i in range(8)]
     config = PipelineConfig(max_iterations=50)
     outcome = align_pair(image_labels("a", real_gt), image_labels("b", synth_gt), config)
     reg = outcome.registration
-    assert (reg.iterations_used, reg.hypothesis_count, reg.used_fallback) == (50, 0, True)
+    assert (reg.iterations_used, reg.hypothesis_count, reg.used_fallback) == (47, 0, True)
+    synth = np.array(synth_gt)[:, :2]
+    k = registration._SYNTH_BASIS_NEIGHBOURS
+    assert len(left_turning_bases(synth[np.lexsort(synth.T)], k)) == 47
     assert capsys.readouterr().err == (
-        "warning: pair (a, b) had no hypothesis pass the refine gate in 50 iterations; "
+        "warning: pair (a, b) had no refined map score an inlier in 47 iterations; "
         "fell back to centroid translation\n"
     )
 
@@ -1032,7 +1036,9 @@ def _one_image_pair(tmp_path, real, synth) -> list[str]:
 
 def test_ipd_runs_on_a_real_side_that_lists_every_box_twice(tmp_path, capsys):
     # a zero layout scale leaves every map of this pair with no inlier:
-    # registration falls back instead of ending the run with a traceback
+    # registration falls back instead of ending the run with a traceback.
+    # Every hypothesis passes the refine gate, as 3 synthetic points
+    # leave no check point, and the warning says no refined map scored
     centers = [(200.0, 300.0), (600.0, 250.0), (450.0, 700.0)]
     synth_gt = [(x, y, 20.0, 30.0) for x, y in centers]
     real_gt = [(x + 12.3, y - 4.7, 20.0, 30.0) for x, y in centers for _ in range(2)]
@@ -1043,7 +1049,10 @@ def test_ipd_runs_on_a_real_side_that_lists_every_box_twice(tmp_path, capsys):
     code, out, err = run_cli(["ipd", *manifests, "--format", "csv"], capsys)
     assert code == 0
     assert out.startswith("IPD 0.000000\n")
-    assert err.endswith("fell back to centroid translation\n")
+    assert err == (
+        "warning: pair (a, a) had no refined map score an inlier in 3 iterations; "
+        "fell back to centroid translation\n"
+    )
 
 
 def test_huge_boxes_give_a_strict_json_report_and_no_warning(tmp_path, capsys):

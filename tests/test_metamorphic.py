@@ -111,3 +111,21 @@ def test_pixel_and_normalized_label_files_agree(datasets, base):
     result, outcomes = evaluate_dataset_pair(datasets["normalized"], CONFIG)
     assert _matched(outcomes) == _matched(base[1])
     assert abs(result.ipd - base[0].ipd) <= 1e-12
+
+
+def test_mirroring_both_sides_keeps_the_ipd_and_the_pairs(datasets, base):
+    # cx -> width - cx on every box of both sides: the map between the
+    # mirrored sides keeps orientation, and the search favours neither
+    # handedness. Mirroring one side only is not registered.
+    def mirrored(labels):
+        def flip(boxes: BoxArrays) -> BoxArrays:
+            xywh = boxes.xywh.copy()
+            xywh[:, 0] = labels.width_px - xywh[:, 0]
+            return BoxArrays(xywh, boxes.confidence)
+
+        return replace(labels, gt=flip(labels.gt), pred=flip(labels.pred))
+
+    pairs = [(mirrored(real), mirrored(synth)) for real, synth in datasets["pixel"]]
+    result, outcomes = evaluate_dataset_pair(pairs, CONFIG)
+    assert _matched(outcomes) == _matched(base[1])
+    assert abs(result.ipd - base[0].ipd) <= 1e-12

@@ -23,9 +23,9 @@ from ipdkit import (
 )
 from ipdkit import registration
 from ipdkit.geometry import transform_points
-from ipdkit.registration import _consensus, _neighbours, _refine_set, _turn
+from ipdkit.registration import _bases, _consensus, _neighbours, _refine_set, _turn
 
-from helpers import check_hits
+from helpers import check_hits, left_turning_bases
 
 
 def scatter(rng, n, span=1000.0):
@@ -184,15 +184,16 @@ def test_register_exact_copy_stops_after_one_iteration():
 
 
 def test_register_does_not_model_mirrored_maps():
-    # the model keeps orientation: a mirror image of the layout has no
-    # real basis that turns the way a synthetic basis does, so no fit
-    # reaches it and the whole budget is spent on partial ones
+    # the model keeps orientation: a mirror image of the layout turns
+    # every true real basis right, so no fit reaches it, and the search
+    # tries each of its 180 synthetic bases once, within the budget
     rng = np.random.default_rng(0)
     synth = scatter(rng, 30)
     mirror = AffineTransform2D(1.1, 0.2, 0.25, -0.9, 100.0, 960.0)
     real = transform_points(mirror, synth)
     res = register(synth, real, RegistrationConfig(rng_seed=0))
-    assert res.iterations_used == RegistrationConfig().max_iterations
+    k = registration._SYNTH_BASIS_NEIGHBOURS
+    assert res.iterations_used == len(left_turning_bases(synth, k)) == 180
     t = res.transform
     assert t.a11 * t.a22 - t.a12 * t.a21 > 0
     moved = transform_points(t, synth)
@@ -202,9 +203,9 @@ def test_register_does_not_model_mirrored_maps():
 @settings(max_examples=200, deadline=None)
 @given(grid=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_fit_keeps_orientation_exactly_when_the_triples_turn_alike(grid, seed):
-    # so splitting the real bases by turn drops only mirrored fits; small
-    # integer grids make collinear and coincident triples common, which no
-    # valid fit may use
+    # so fitting left-turning bases only onto left-turning bases drops
+    # only mirrored fits; small integer grids make collinear and
+    # coincident triples common, which no valid fit may use
     rng = np.random.default_rng(seed)
     if grid:
         src, dst = rng.integers(0, 5, size=(2, 200, 3, 2)).astype(float)
@@ -221,6 +222,21 @@ def test_fit_keeps_orientation_exactly_when_the_triples_turn_alike(grid, seed):
         extent = np.ptp(np.concatenate([src, dst], axis=1), axis=1).max(axis=1)
         valid &= np.minimum(abs(turn_s), abs(turn_q)) > 1e-6 * extent**2
     assert ((det_a > 0) == (turn_s * turn_q > 0))[valid].all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 30), k=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_bases_are_the_left_turning_neighbour_pairs(n, k, seed):
+    # integer grids hold collinear and coincident points; each unordered
+    # neighbour pair comes back at most once, in the order that turns left
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, 5, size=(n, 2)).astype(float)
+    k = min(k, n - 1)
+    bases = _bases(pts, _neighbours(pts, k)[0], k)
+    got = [tuple(b) for b in bases.tolist()]
+    assert set(got) == left_turning_bases(pts, k)
+    assert len({(p, frozenset((a, b))) for p, a, b in got}) == len(got)
+    assert (_turn(pts[bases]) > 0).all()
 
 
 def test_register_early_exits_on_identical_sets():
