@@ -122,6 +122,8 @@ def align_pair(real: ImageLabels, synth: ImageLabels, config: PipelineConfig) ->
             cause = "has too few points for an affine fit"
         elif reg.iterations_used == 0:
             cause = "has only collinear synthetic bases"
+        elif reg.hypothesis_count == 0:
+            cause = f"had no valid affine fit in {reg.iterations_used} iterations"
         else:
             cause = f"had no refined map score an inlier in {reg.iterations_used} iterations"
         print(

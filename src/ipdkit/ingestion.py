@@ -327,10 +327,11 @@ def read_label_arrays(
     coordinate_mode: str,
     image_dims: tuple[int, int],
 ) -> BoxArrays:
-    """parse_label_arrays on a label file, located by its path."""
+    """parse_label_arrays on a UTF-8 label file, located by its path; a
+    leading byte-order mark is dropped."""
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as e:
         raise LoadError(f"cannot read label file {p}: {e}") from e
     return parse_label_arrays(text, coordinate_mode, image_dims, source=str(p))
@@ -372,11 +373,11 @@ def serialize_labels(
 
 
 def read_json(path: str | Path, what: str) -> object:
-    """Read a JSON file and decode it. A failure to do either is a
-    LoadError naming `what` and the path."""
+    """Read a UTF-8 JSON file (a leading byte-order mark dropped) and decode
+    it. A failure to do either is a LoadError naming `what` and the path."""
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as e:
         raise LoadError(f"cannot read {what} {p}: {e}") from e
     try:

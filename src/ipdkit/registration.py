@@ -8,7 +8,7 @@ must map cy -> height - cy first; a mirrored pair is not registered.
 
 Both point sets are first sorted by y, then x, so a run is a pure
 function of the two sets and the config, whatever the rows' order. A
-basis, on either side, is a point and an unordered pair of its nearest
+basis, on either side, is a point and an unordered pair of its 4 nearest
 neighbours (NAPSAC-style local sampling, Myatt et al. 2002), ordered so
 the three turn left; collinear ones are dropped. As both triples of a
 fit turn left, no fit mirrors the layout (an oriented constraint, after
@@ -19,8 +19,9 @@ moderate affine maps, so the basis is fitted at once onto every real
 basis; one of those is the true correspondence whenever the basis
 survived on the real side.
 Each hypothesis carries the synthetic point's wider neighbourhood over,
-and only the ones that land the most of it on the real point's
-neighbourhood are refitted once by least squares (LO-RANSAC) and judged.
+and only the ones that land the most of it, and at least one point, on
+the real point's neighbourhood are refitted once by least squares
+(LO-RANSAC, Chum, Matas & Kittler 2003) and judged.
 One signal ranks them: the nearest-neighbor consensus, i.e. how many
 distinct real points lie within a tight, layout-derived radius of the
 aligned synthetic points, with the mean inlier distance breaking ties.
@@ -42,13 +43,9 @@ import numpy as np
 from .errors import InputValidationError
 from .geometry import AffineTransform2D, apply_params, fit_affine_batch, median, points_to_array
 
-# A synthetic basis pairs its point with two of the point's nearest
-# _SYNTH_BASIS_NEIGHBOURS; a real basis with two of its nearest
-# _REAL_BASIS_NEIGHBOURS. The real side reaches further, so a neighbour
-# that an affine map or a dropped instance pushed down the order is still
-# found.
-_SYNTH_BASIS_NEIGHBOURS = 4
-_REAL_BASIS_NEIGHBOURS = 6
+# A basis, on either side, pairs its point with two of the point's
+# nearest _BASIS_NEIGHBOURS.
+_BASIS_NEIGHBOURS = 4
 # Neighbourhood size on both sides for checking a hypothesis before it is
 # refined.
 _CHECK_NEIGHBOURS = 12
@@ -200,7 +197,7 @@ def _refine_set(
     """Ascending indices of the hypotheses (params (H, 6), valid (H,)) to
     refine: those whose maps carry the most of the check points (c, 2)
     within sqrt(radius2) of one of their real near neighbours (near_x and
-    near_y (K, H)), when that is at least half of them, rounded up.
+    near_y (K, H)), when that is at least one, or there are no check points.
     """
     # moved points are laid out (c, H); invalid rows may hold NaN or inf
     # params, and score -1
@@ -215,7 +212,7 @@ def _refine_set(
             np.minimum(nearest, d2, out=nearest)
         hits = np.where(valid, np.count_nonzero(nearest <= radius2, axis=0), -1)
     most = hits.max(initial=-1)  # no hypotheses: -1
-    return np.flatnonzero((hits == most) & (most >= (len(check) + 1) // 2))
+    return np.flatnonzero((hits == most) & (most >= min(1, len(check))))
 
 
 def register(
@@ -228,17 +225,17 @@ def register(
 
     Both sets are sorted by y, then x, first. Per iteration the next
     basis of a seeded permutation of the synthetic bases (a point and an
-    unordered pair of its nearest neighbours, ordered to turn left;
+    unordered pair of its 4 nearest neighbours, ordered to turn left;
     collinear ones dropped) is fitted onto every real basis, built
     alike, so every fit keeps orientation.
     A hypothesis is checked by carrying the point's other near
     neighbours over: a check point hits when it lands within the capture
     radius of one of the real point's near neighbours. The hypotheses
-    with the most hits, when those are at least half the check points,
-    are refitted once on their pairs within the capture radius, and the
-    map with the largest consensus (distinct real inliers within the
-    judge radius, mean inlier distance breaking ties, then draw order)
-    wins. The search stops once the iterations reach
+    with the most hits, when that is at least one (or there are no check
+    points), are refitted once on their pairs within the capture radius,
+    and the map with the largest consensus (distinct real inliers within
+    the judge radius, mean inlier distance breaking ties, then draw
+    order) wins. The search stops once the iterations reach
     log(1 - p) / log(1 - w^3), w being the winner's consensus over the
     synthetic point count, at once when w = 1, or when the bases run out;
     the winner is then refitted on the tight inliers of its own pass.
@@ -269,12 +266,12 @@ def register(
     # The fit of a synthetic basis S onto a real basis Q has det A =
     # det Q / det S, and both turn left, so every fit keeps orientation.
     # Each hypothesis' real near neighbours, x and y (K, hypotheses).
-    real_bases = _bases(real, real_nbrs, min(_REAL_BASIS_NEIGHBOURS, m - 1))
+    real_bases = _bases(real, real_nbrs, min(_BASIS_NEIGHBOURS, m - 1))
     dst = real[real_bases]
     near = real_nbrs[real_bases[:, 0]].T
     near_x, near_y = real[near, 0], real[near, 1]
 
-    synth_bases = _bases(synth, synth_nbrs, min(_SYNTH_BASIS_NEIGHBOURS, n - 1))
+    synth_bases = _bases(synth, synth_nbrs, min(_BASIS_NEIGHBOURS, n - 1))
     order = np.random.default_rng(cfg.rng_seed).permutation(len(synth_bases))
     best: tuple | None = None  # the scored winner, from _consensus
     hypothesis_count = 0
@@ -302,9 +299,8 @@ def register(
                 break
 
     if best is None:
-        # every synthetic basis was collinear, no hypothesis carried half
-        # its check points onto a real neighbourhood, or none scored an
-        # inlier
+        # every synthetic basis was collinear, no hypothesis carried a
+        # check point onto a real neighbourhood, or none scored an inlier
         t = fallback_translation(synth, real)
         return RegistrationResult(t, iterations_used, hypothesis_count, used_fallback=True)
 

@@ -747,6 +747,44 @@ def test_ipd_does_not_depend_on_the_order_of_label_lines(tmp_path, capsys, seed)
     assert abs(ipd - want_ipd) <= 1e-12
 
 
+def test_inputs_saved_with_a_byte_order_mark_give_the_same_reports(tmp_path, capsys):
+    # some editors save UTF-8 with a leading byte-order mark; a label file,
+    # a manifest and a cells file each read as their copies without one
+    real, synth, _ = emit_dataset(tmp_path, [SceneSpec(14, rng_seed=1), SceneSpec(9, rng_seed=2)])
+    cells = tmp_path / "cells.json"
+    cells.write_text(
+        json.dumps(
+            {
+                "domains": ["R", "S"],
+                "cells": [
+                    {"train": "R", "pair": ["R", "S"], "real_manifest": str(real),
+                     "synth_manifest": str(synth)},
+                    {"train": "S", "pair": ["R", "S"], "ipd": 0.31},
+                ],
+            }
+        ),
+        encoding="utf-8",
+    )
+    runs = [["ipd", str(real), str(synth)], ["crossval", str(cells), "--format", "json"]]
+    want = [run_cli(argv, capsys) for argv in runs]
+    assert [code for code, _, _ in want] == [0, 0]
+    for path in (tmp_path / "real" / "scene0000_gt.txt", synth, cells):
+        text = path.read_text(encoding="utf-8")
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        assert [run_cli(argv, capsys) for argv in runs] == want, path
+        path.write_text(text, encoding="utf-8")
+
+
+def test_a_byte_order_mark_past_the_first_line_is_refused_at_its_line(tmp_path, capsys):
+    real, synth, _ = emit_dataset(tmp_path, [SceneSpec(9, rng_seed=1)])
+    path = tmp_path / "real" / "scene0000_gt.txt"
+    first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join([first, "\ufeff", *rest]), encoding="utf-8")
+    code, out, err = run_cli(["ipd", str(real), str(synth)], capsys)
+    assert (code, out) == (2, "")
+    assert f"{path}:2: class_id must be an integer, got '\\ufeff0'" in err
+
+
 def _ipd_rows(manifests, tmp_path, *flags) -> dict[str, dict]:
     """The provenance rows of an ipd report, by real image id."""
     report = tmp_path / "ipd_report.json"
@@ -1002,7 +1040,7 @@ def test_a_pair_with_only_collinear_synthetic_bases_warns_so(capsys):
     )
 
 
-def test_a_pair_with_no_gated_hypothesis_warns_that_no_map_scored(capsys):
+def test_a_pair_that_fits_no_hypothesis_warns_that_no_fit_was_valid(capsys):
     # a collinear real side: no real basis turns left, so no synthetic
     # basis is fitted anywhere, and the search tries each of the 47
     # left-turning synthetic bases once, within the budget
@@ -1013,10 +1051,10 @@ def test_a_pair_with_no_gated_hypothesis_warns_that_no_map_scored(capsys):
     reg = outcome.registration
     assert (reg.iterations_used, reg.hypothesis_count, reg.used_fallback) == (47, 0, True)
     synth = np.array(synth_gt)[:, :2]
-    k = registration._SYNTH_BASIS_NEIGHBOURS
+    k = registration._BASIS_NEIGHBOURS
     assert len(left_turning_bases(synth[np.lexsort(synth.T)], k)) == 47
     assert capsys.readouterr().err == (
-        "warning: pair (a, b) had no refined map score an inlier in 47 iterations; "
+        "warning: pair (a, b) had no valid affine fit in 47 iterations; "
         "fell back to centroid translation\n"
     )
 

@@ -192,7 +192,7 @@ def test_register_does_not_model_mirrored_maps():
     mirror = AffineTransform2D(1.1, 0.2, 0.25, -0.9, 100.0, 960.0)
     real = transform_points(mirror, synth)
     res = register(synth, real, RegistrationConfig(rng_seed=0))
-    k = registration._SYNTH_BASIS_NEIGHBOURS
+    k = registration._BASIS_NEIGHBOURS
     assert res.iterations_used == len(left_turning_bases(synth, k)) == 180
     t = res.transform
     assert t.a11 * t.a22 - t.a12 * t.a21 > 0
@@ -297,7 +297,9 @@ def test_refine_set_refines_what_the_reference_count_refines(n_check, n_hyp, k, 
 
     hits = check_hits(params, valid, check, near_x, near_y, radius)
     most = hits.max()
-    want = np.flatnonzero(hits == most) if 2 * most >= n_check else []
+    # a valid hypothesis that carries a check point, or any valid one when
+    # there are no check points
+    want = np.flatnonzero(hits == most) if most > 0 or most == n_check == 0 else []
     got = _refine_set(params, valid, check, near_x, near_y, radius**2)
     assert got.tolist() == list(want)
 
@@ -406,11 +408,11 @@ def _recalls(scenes):
     return out
 
 
-def test_small_scenes_screen_half_their_subset():
-    # 7-10 instances with 10% dropout per side; the 3 scenes missed here
-    # share only 3 or 4 instances between the sides
+def test_small_scenes_recover_all_but_a_few_pairs():
+    # 7-10 instances with 10% dropout per side; the one scene missed here
+    # shares only 3 instances between the sides
     recalls = _recalls(_scenes(123, 40, (7, 11), 0.1))
-    assert sum(r >= 0.95 for r in recalls) >= 37
+    assert sum(r >= 0.95 for r in recalls) >= 39
 
 
 def test_dense_scenes_recover_every_pair():
@@ -434,22 +436,34 @@ def test_small_scenes_without_dropout_recover_every_pair():
     assert min(recalls) >= 0.95, recalls
 
 
-# Pairs below 95% recall on seeded 30-pair slices of two correctness
-# families, at 0.5 px noise: heavy30 (20-60 GT, 30% dropout per side,
-# twice the box size apart) and small (4-10 GT, 10% dropout). A change to
-# register that moves a count rewrites it here and records the change
-# with the full-family counts.
+# Pairs below 95% recall on seeded 30-pair slices of three correctness
+# families, at 0.5 px noise: heavy30 and heavy50 (20-60 GT, 30% and 50%
+# dropout per side, twice the box size apart) and small (4-10 GT, 10%
+# dropout). A change to register that moves a count rewrites it here and
+# records the change with the full-family counts.
 @pytest.mark.parametrize(
     "master_seed, n_range, dropout, layout, misses",
     [
-        (30, (20, 61), 0.3, {"min_separation_factor": 2.0}, 1),
-        (10, (4, 11), 0.1, {}, 6),
+        (30, (20, 61), 0.3, {"min_separation_factor": 2.0}, 0),
+        (50, (20, 61), 0.5, {"min_separation_factor": 2.0}, 7),
+        (10, (4, 11), 0.1, {}, 5),
     ],
-    ids=["heavy30", "small"],
+    ids=["heavy30", "heavy50", "small"],
 )
 def test_recovery_family_slices_miss_as_pinned(master_seed, n_range, dropout, layout, misses):
     recalls = _recalls(_scenes(master_seed, 30, n_range, dropout, **layout))
     assert sum(r < 0.95 for r in recalls) == misses
+
+
+def test_heavy_dropout_pairs_match_alike_under_another_seed():
+    # the seed only orders the synthetic bases: where the search finds the
+    # true map, another order finds it too and matches the same pairs
+    for i, (real, synth, _) in enumerate(_scenes(30, 30, (20, 61), 0.3, min_separation_factor=2.0)):
+        matched = [
+            {(r, s) for r, s, _ in _align(real.gt.xywh, synth.gt.xywh, cfg).pairs}
+            for cfg in (RegistrationConfig(rng_seed=i), RegistrationConfig(rng_seed=i + 1000))
+        ]
+        assert matched[0] == matched[1], i
 
 
 def test_pairing_invariant_under_affine_remap_of_synthetic_side():
