@@ -47,12 +47,7 @@ from .metric import (
     cross_validation,
     evaluate_pair,
 )
-from .registration import (
-    RegistrationConfig,
-    RegistrationResult,
-    fallback_translation,
-    register,
-)
+from .registration import RegistrationConfig, RegistrationResult, register
 from .report import write_ipd_report, write_report
 from .scenegen import (
     DetectorProfile,
@@ -100,7 +95,6 @@ __all__ = [
     "default_gate_distance",
     "emit_dataset",
     "evaluate_pair",
-    "fallback_translation",
     "fit_affine_batch",
     "generate_scene_pair",
     "iou",

@@ -117,17 +117,10 @@ def align_pair(real: ImageLabels, synth: ImageLabels, config: PipelineConfig) ->
     synth_centers = synth_gt[:, :2]
     cfg = RegistrationConfig(max_iterations=config.max_iterations, rng_seed=sub_seed)
     reg = register(synth_centers, real_centers, cfg)
-    if reg.used_fallback:
-        if min(len(real_gt), len(synth_gt)) < 3:
-            cause = "has too few points for an affine fit"
-        elif reg.iterations_used == 0:
-            cause = "has only collinear synthetic bases"
-        elif reg.hypothesis_count == 0:
-            cause = f"had no valid affine fit in {reg.iterations_used} iterations"
-        else:
-            cause = f"had no refined map score an inlier in {reg.iterations_used} iterations"
+    if reg.fallback is not None:
         print(
-            f"warning: pair ({real_id}, {synth_id}) {cause}; fell back to centroid translation",
+            f"warning: pair ({real_id}, {synth_id}) {reg.fallback}; "
+            "fell back to centroid translation",
             file=sys.stderr,
         )
     gate = default_gate_distance(real_gt) if config.gate is None else config.gate

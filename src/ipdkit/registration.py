@@ -77,21 +77,36 @@ class RegistrationConfig:
 
 @dataclass(frozen=True)
 class RegistrationResult:
+    """register()'s map and counts. fallback is None when the search found
+    a map, else it says why the transform is the centroid translation."""
+
     transform: AffineTransform2D
     iterations_used: int
     hypothesis_count: int
-    used_fallback: bool = False
+    fallback: str | None = None
+
+    @property
+    def used_fallback(self) -> bool:
+        return self.fallback is not None
 
 
-def fallback_translation(synth_pts: np.ndarray, real_pts: np.ndarray) -> AffineTransform2D:
-    """Pure translation aligning the two centroids; used when a set is too
-    small for affine hypotheses."""
-    synth = points_to_array(synth_pts)
-    real = points_to_array(real_pts)
-    if len(synth) == 0 or len(real) == 0:
-        raise InputValidationError("fallback_translation requires non-empty point sets")
+def _fell_back(
+    synth: np.ndarray, real: np.ndarray, iterations_used: int, hypothesis_count: int
+) -> RegistrationResult:
+    """The centroid translation of a search that found no map, with the
+    reason: a side under 3 points, no synthetic basis to try (all are
+    collinear), no valid fit, or no refined map with an inlier."""
+    if min(len(synth), len(real)) < 3:
+        reason = "has too few points for an affine fit"
+    elif iterations_used == 0:
+        reason = "has only collinear synthetic bases"
+    elif hypothesis_count == 0:
+        reason = f"had no valid affine fit in {iterations_used} iterations"
+    else:
+        reason = f"had no refined map score an inlier in {iterations_used} iterations"
     offset = real.mean(axis=0) - synth.mean(axis=0)
-    return AffineTransform2D.translation(float(offset[0]), float(offset[1]))
+    t = AffineTransform2D.translation(float(offset[0]), float(offset[1]))
+    return RegistrationResult(t, iterations_used, hypothesis_count, reason)
 
 
 def _neighbours(pts: np.ndarray, k: int) -> tuple[np.ndarray, float]:
@@ -241,9 +256,9 @@ def register(
     the winner is then refitted on the tight inliers of its own pass.
 
     Sets with fewer than 3 points on either side fall back to the
-    centroid translation and flag the result; so does a search whose
-    refined maps scored no inlier, or that refined nothing (after 0
-    iterations when every synthetic basis is collinear).
+    centroid translation, and the result's fallback says why; so does a
+    search whose refined maps scored no inlier, or that refined nothing
+    (after 0 iterations when every synthetic basis is collinear).
     """
     if cfg is None:
         cfg = RegistrationConfig()
@@ -256,7 +271,7 @@ def register(
 
     n, m = len(synth), len(real)
     if n < 3 or m < 3:
-        return RegistrationResult(fallback_translation(synth, real), 0, 0, used_fallback=True)
+        return _fell_back(synth, real, 0, 0)
 
     synth_nbrs, _ = _neighbours(synth, min(_CHECK_NEIGHBOURS, n - 1))
     real_nbrs, spacing = _neighbours(real, min(_CHECK_NEIGHBOURS, m - 1))
@@ -299,15 +314,9 @@ def register(
                 break
 
     if best is None:
-        # every synthetic basis was collinear, no hypothesis carried a
-        # check point onto a real neighbourhood, or none scored an inlier
-        t = fallback_translation(synth, real)
-        return RegistrationResult(t, iterations_used, hypothesis_count, used_fallback=True)
+        return _fell_back(synth, real, iterations_used, hypothesis_count)
 
     _, best_params, _, _ = _refine_params(best, synth, real, judge_radius, judge_radius)
     return RegistrationResult(
-        AffineTransform2D.from_params(best_params),
-        iterations_used,
-        hypothesis_count,
-        used_fallback=False,
+        AffineTransform2D.from_params(best_params), iterations_used, hypothesis_count
     )

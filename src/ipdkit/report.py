@@ -41,9 +41,10 @@ def _validate_matrix(matrix: Sequence[Sequence[CrossValCell]]) -> list[tuple[str
 
 
 def _markdown_cell(text: str) -> str:
-    """A cell text that keeps its table row whole: `|` escaped, each line
-    break (CRLF, CR or LF) a space."""
-    return re.sub(r"\r\n?|\n", " ", text).replace("|", "\\|")
+    """A cell text that keeps its table row whole: each line break (CRLF,
+    CR or LF) a space, and `|` escaped, the backslashes just before it doubled."""
+    text = re.sub(r"\r\n?|\n", " ", text)
+    return re.sub(r"(\\*)\|", lambda m: m[1] * 2 + "\\|", text)
 
 
 def _table(fmt: str, header: list[str], rows: list[list[str]]) -> str:

@@ -430,17 +430,24 @@ class TestIpd:
         assert "| **all** |" in out
 
     def test_markdown_rows_keep_their_columns_whatever_the_image_id(self, tmp_path, capsys):
-        outdir = _scenegen(tmp_path, capsys)
+        outdir = _scenegen(tmp_path, capsys, "--scenes", "4")
         manifests = [outdir / "manifest_real.json", outdir / "manifest_synth.json"]
+        # the ids left|right, two<CR><LF>lines, a\|b and a\\|b, as JSON strings
+        ids = ['"left|right"', '"two\\r\\nlines"', r'"a\\|b"', r'"a\\\\|b"']
         for path in manifests:
-            text = path.read_text().replace('"scene0000"', '"left|right"')
-            path.write_text(text.replace('"scene0001"', '"two\\r\\nlines"'))
+            text = path.read_text()
+            for idx, image_id in enumerate(ids):
+                text = text.replace(f'"scene{idx:04d}"', image_id)
+            path.write_text(text)
         code, out, err = run_cli(["ipd", *map(str, manifests), "--format", "markdown"], capsys)
         assert code == 0, err
         lines = out.splitlines()[1:]
         assert lines[2].startswith("| left\\|right | ")
         assert lines[3].startswith("| two lines | ")
-        assert [len(re.findall(r"(?<!\\)\|", line)) for line in lines] == [4] * 5
+        assert lines[4].startswith(r"| a\\\|b | ")
+        assert lines[5].startswith(r"| a\\\\\|b | ")
+        # a `|` after an even number of backslashes (none included) splits the row
+        assert [len(re.findall(r"(?<!\\)(?:\\\\)*\|", line)) for line in lines] == [4] * 7
 
     def test_dangling_pairing_id_is_exit_2_naming_the_id(self, tmp_path, capsys):
         outdir = _scenegen(tmp_path, capsys)
@@ -1034,6 +1041,7 @@ def test_a_pair_with_only_collinear_synthetic_bases_warns_so(capsys):
     outcome = align_pair(image_labels("a", gt), image_labels("b", gt), PipelineConfig())
     reg = outcome.registration
     assert (reg.iterations_used, reg.hypothesis_count, reg.used_fallback) == (0, 0, True)
+    assert reg.fallback == "has only collinear synthetic bases"
     assert capsys.readouterr().err == (
         "warning: pair (a, b) has only collinear synthetic bases; "
         "fell back to centroid translation\n"
@@ -1050,6 +1058,7 @@ def test_a_pair_that_fits_no_hypothesis_warns_that_no_fit_was_valid(capsys):
     outcome = align_pair(image_labels("a", real_gt), image_labels("b", synth_gt), config)
     reg = outcome.registration
     assert (reg.iterations_used, reg.hypothesis_count, reg.used_fallback) == (47, 0, True)
+    assert reg.fallback == "had no valid affine fit in 47 iterations"
     synth = np.array(synth_gt)[:, :2]
     k = registration._BASIS_NEIGHBOURS
     assert len(left_turning_bases(synth[np.lexsort(synth.T)], k)) == 47
@@ -1091,6 +1100,8 @@ def test_ipd_runs_on_a_real_side_that_lists_every_box_twice(tmp_path, capsys):
         "warning: pair (a, a) had no refined map score an inlier in 3 iterations; "
         "fell back to centroid translation\n"
     )
+    reg = align_pair(real, synth, PipelineConfig()).registration
+    assert reg.fallback == "had no refined map score an inlier in 3 iterations"
 
 
 def test_huge_boxes_give_a_strict_json_report_and_no_warning(tmp_path, capsys):

@@ -791,15 +791,18 @@ class TestIpdReport:
         assert "| **all** | **0.2500** | 4 |" in text.splitlines()[-1]
 
     def test_markdown_escapes_ids_that_json_and_csv_keep(self):
-        ids = ("left|right", "two\r\nlines\rand\nmore")
+        # a backslash just before a `|` is doubled, so it cannot escape the escape
+        ids = ("left|right", "two\r\nlines\rand\nmore", r"a\|b", r"a\\|b")
         result = IpdResult(tuple(PerfRecord(i, 0, 0, 1.0, 0.5) for i in ids))
         lines = write_ipd_report(result, fmt="markdown").split("\n")
-        assert lines[2:4] == [
+        assert lines[2:6] == [
             "| left\\|right | 0.5000 | 1 |",
             "| two lines and more | 0.5000 | 1 |",
+            r"| a\\\|b | 0.5000 | 1 |",
+            r"| a\\\\\|b | 0.5000 | 1 |",
         ]
         rows = list(csv.reader(io.StringIO(write_ipd_report(result, fmt="csv"))))
-        assert [row[0] for row in rows[1:3]] == list(ids)
+        assert [row[0] for row in rows[1:5]] == list(ids)
         doc = json.loads(write_ipd_report(result))
         assert [row["image_id"] for row in doc["result"]["per_image_breakdown"]] == list(ids)
         pair = ("a|b", "c")

@@ -13,7 +13,6 @@ from ipdkit import (
     InputValidationError,
     RegistrationConfig,
     SceneSpec,
-    fallback_translation,
     fit_affine_batch,
     generate_scene_pair,
     default_gate_distance,
@@ -251,7 +250,7 @@ def test_register_small_sets_fall_back_to_translation():
     synth = np.array([[0.0, 0.0], [10.0, 0.0]])
     real = synth + np.array([5.0, -3.0])
     res = register(synth, real)
-    assert res.used_fallback
+    assert res.fallback == "has too few points for an affine fit" and res.used_fallback
     assert res.transform.params() == (1.0, 0.0, 0.0, 1.0, 5.0, -3.0)
 
 
@@ -260,7 +259,22 @@ def test_register_collinear_synth_falls_back():
     rng = np.random.default_rng(1)
     real = scatter(rng, 5, span=100.0)
     res = register(synth, real, RegistrationConfig(rng_seed=0, max_iterations=64))
-    assert res.used_fallback
+    assert res.fallback == "has only collinear synthetic bases" and res.used_fallback
+
+
+def test_fallback_translation_aligns_centroids():
+    # sides of unequal size: the shift is the centroids', not any point's
+    synth = np.array([[0.0, 0.0], [2.0, 2.0]])
+    real = np.array([[10.0, 5.0], [12.0, 7.0], [14.0, 3.0]])
+    t = register(synth, real).transform
+    assert (t.tx, t.ty) == (11.0, 4.0) and (t.a11, t.a12, t.a21, t.a22) == (1.0, 0.0, 0.0, 1.0)
+    # the search's own fallback return builds the same translation
+    synth = np.column_stack([np.arange(5, dtype=float), np.arange(5, dtype=float)])
+    real = scatter(np.random.default_rng(1), 7, span=100.0)
+    res = register(synth, real, RegistrationConfig(rng_seed=0, max_iterations=64))
+    offset = real.mean(axis=0) - synth.mean(axis=0)
+    assert res.used_fallback and res.iterations_used == 0
+    assert (res.transform.tx, res.transform.ty) == pytest.approx(tuple(offset), abs=1e-9)
 
 
 def test_register_rejects_empty_sides():
@@ -357,15 +371,6 @@ def test_neighbours_equal_the_stable_argsort(pts):
         got, spacing = _neighbours(pts, k)
         assert got.tolist() == order[:, :k].tolist(), k
         assert spacing == float(np.median(np.sqrt(d2[np.arange(len(pts)), order[:, 0]])))
-
-
-def test_fallback_translation_aligns_centroids():
-    synth = np.array([[0.0, 0.0], [2.0, 2.0]])
-    real = np.array([[10.0, 5.0], [12.0, 7.0]])
-    t = fallback_translation(synth, real)
-    assert (t.tx, t.ty) == (10.0, 5.0) and t.a11 == 1.0
-    with pytest.raises(InputValidationError, match="non-empty"):
-        fallback_translation(synth, np.zeros((0, 2)))
 
 
 def _scenes(master_seed, count, n_range, dropout, **layout):
