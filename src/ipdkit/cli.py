@@ -248,14 +248,13 @@ def cmd_crossval(args: argparse.Namespace) -> int:
                 {"train": train, "pair": list(pair), "dataset_pair_id": pair_id, "pairs": rows}
             )
 
-    matrix = cross_validation(cells_file.domains, results)
     provenance = {
         "command": "crossval",
         "cells_file": args.cells,
         **_pipeline_provenance(config),
         "computed_cells": computed,
     }
-    _emit(write_report(matrix, fmt=args.format, provenance=provenance), args.out)
+    _emit(write_report(cells_file.domains, results, args.format, provenance), args.out)
     return 0
 
 

@@ -374,14 +374,23 @@ def serialize_labels(
 
 def read_json(path: str | Path, what: str) -> object:
     """Read a UTF-8 JSON file (a leading byte-order mark dropped) and decode
-    it. A failure to do either is a LoadError naming `what` and the path."""
+    it. A failure to do either, or a key repeated in one object, is a
+    LoadError naming `what` and the path."""
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as e:
         raise LoadError(f"cannot read {what} {p}: {e}") from e
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = next(key for key in obj if sum(key == k for k, _ in pairs) > 1)
+            raise LoadError(f"{what} {p}: key {key!r} is repeated in one object")
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as e:
         raise LoadError(f"{what} {p}: {e}") from e
 

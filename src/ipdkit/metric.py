@@ -9,7 +9,7 @@ IpdResult holds those records: IPD is the mean absolute difference of
 their performance values, and the per-image breakdown splits that mean
 by image. cross_validation arranges IPDs into the train-domain x
 domain-pair matrix used for dataset comparison, each cell filled by
-exactly one entry.
+exactly one entry: the one owner of that layout, which write_report renders.
 """
 
 from __future__ import annotations
@@ -94,8 +94,9 @@ class IpdResult:
 
 @dataclass(frozen=True)
 class CrossValCell:
-    """One cell of the cross-validation matrix; ipd is None exactly when
-    the evaluated pair does not involve the training domain. result is
+    """One cell of the cross-validation matrix: eval_pair is two distinct
+    domains, and ipd, in [0, 1], is None exactly when the evaluated pair
+    does not involve the training domain. result is
     the IpdResult of the one entry that filled the cell, if that entry was
     one; it takes no part in equality."""
 
@@ -105,6 +106,8 @@ class CrossValCell:
     result: IpdResult | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        if len(self.eval_pair) != 2 or self.eval_pair[0] == self.eval_pair[1]:
+            raise InputValidationError(f"cell pair {self.eval_pair} is not two distinct domains")
         involved = self.train_domain in self.eval_pair
         if involved and self.ipd is None:
             raise InputValidationError(
@@ -119,9 +122,9 @@ class CrossValCell:
 
 
 def check_ipd(ipd: float) -> None:
-    """Raise unless an IPD value is finite and non-negative."""
-    if not (math.isfinite(ipd) and ipd >= 0.0):
-        raise InputValidationError(f"ipd must be finite and non-negative, got {ipd!r}")
+    """Raise unless an IPD value lies in [0, 1], as every mean of |p_real - p_synth| does."""
+    if not 0.0 <= ipd <= 1.0:
+        raise InputValidationError(f"ipd must lie in [0, 1], got {ipd!r}")
 
 
 def check_conf_threshold(conf_threshold: float) -> None:
@@ -139,7 +142,8 @@ def evaluate_pair(
     """Run the per-image performance extraction over aligned image pairs.
 
     The three sequences are index-aligned: element i describes the same
-    real/synth image pair. Predictions below conf_threshold are dropped,
+    real/synth image pair, and each pairing covers its image's GT boxes on
+    both sides. Predictions below conf_threshold are dropped,
     and a GT box's performance value is its best IOU against the
     predictions left (0 when none overlaps it). Records are
     accumulated image by image, within an image by real instance index.
@@ -153,16 +157,19 @@ def evaluate_pair(
 
     records: list[PerfRecord] = []
     for real, synth, pairing in zip(real_labels, synth_labels, pairings):
+        labeled = len(real.gt), len(synth.gt)
+        n_pairs = len(pairing.pairs)
+        covered = n_pairs + len(pairing.unmatched_real), n_pairs + len(pairing.unmatched_synth)
+        if covered != labeled:
+            raise InputValidationError(
+                f"pairing for image {real.image_id!r} covers {covered} of its {labeled} "
+                "labeled (real, synthetic) instances"
+            )
         perf_real, perf_synth = (
             best_iou(labels.gt.xywh, labels.pred.xywh[labels.pred.confidence >= conf_threshold])
             for labels in (real, synth)
         )
         for r_idx, s_idx, _ in sorted(pairing.pairs):
-            if r_idx >= len(perf_real) or s_idx >= len(perf_synth):
-                raise InputValidationError(
-                    f"pairing for image {real.image_id!r} references instance "
-                    f"({r_idx}, {s_idx}) beyond the labeled boxes"
-                )
             values = float(perf_real[r_idx]), float(perf_synth[s_idx])
             records.append(PerfRecord(real.image_id, r_idx, s_idx, *values))
     return IpdResult(
@@ -229,21 +236,11 @@ def cross_validation(
     ]
 
 
-def closest_domain(row: Sequence[CrossValCell], reference: str) -> str:
-    """Among this row's filled cells whose pair contains `reference`,
-    return the other pair member with the smallest IPD (ties broken by
-    name)."""
-    candidates: list[tuple[float, str]] = []
-    for cell in row:
-        if cell.ipd is None or reference not in cell.eval_pair:
-            continue
-        others = [d for d in cell.eval_pair if d != reference]
-        if len(others) != 1:
-            continue
-        candidates.append((cell.ipd, others[0]))
+def closest_domain(row: Sequence[CrossValCell]) -> str:
+    """The domain whose pair with the row's training domain has the
+    smallest IPD in this row, ties broken by name; its cell is one of the
+    row's bold cells in the markdown report."""
+    candidates = [(c.ipd, *set(c.eval_pair) - {c.train_domain}) for c in row if c.ipd is not None]
     if not candidates:
-        raise InputValidationError(
-            f"no filled cells involving {reference!r} in this row"
-        )
-    candidates.sort()
-    return candidates[0][1]
+        raise InputValidationError("no filled cells in this row")
+    return min(candidates)[1]

@@ -17,27 +17,11 @@ import re
 from typing import Mapping, Sequence
 
 from .errors import InputValidationError
-from .metric import CrossValCell, IpdResult
+from .metric import IpdResult, cross_validation
 
 
 def _pair_label(pair: tuple[str, str]) -> str:
     return f"‖{pair[0]} − {pair[1]}‖"
-
-
-def _validate_matrix(matrix: Sequence[Sequence[CrossValCell]]) -> list[tuple[str, str]]:
-    if not matrix or not matrix[0]:
-        raise InputValidationError("cross-validation matrix is empty")
-    pairs = [cell.eval_pair for cell in matrix[0]]
-    trains = []
-    for row in matrix:
-        if [cell.eval_pair for cell in row] != pairs:
-            raise InputValidationError("matrix rows disagree on column structure")
-        if len({cell.train_domain for cell in row}) != 1:
-            raise InputValidationError("matrix row mixes training domains")
-        trains.append(row[0].train_domain)
-    if len(set(trains)) != len(trains):
-        raise InputValidationError("duplicate training-domain rows")
-    return pairs
 
 
 def _markdown_cell(text: str) -> str:
@@ -77,17 +61,20 @@ def ipd_result_to_dict(result: IpdResult) -> dict:
 
 
 def write_report(
-    matrix: Sequence[Sequence[CrossValCell]],
+    domains: Sequence[str],
+    results: Mapping,
     fmt: str = "markdown",
     provenance: Mapping | None = None,
 ) -> str:
-    """Render the cross-validation matrix.
+    """Render the cross-validation matrix that cross_validation builds
+    from these domains and results.
 
     markdown/csv show the matrix itself (markdown bolds each row's
     minimum); json additionally embeds the detailed per-cell results and
     any provenance the caller supplies, with stable key order.
     """
-    pairs = _validate_matrix(matrix)
+    matrix = cross_validation(domains, results)
+    pairs = [cell.eval_pair for cell in matrix[0]]
     if fmt == "json":
         cells = []
         for row in matrix:
@@ -100,13 +87,12 @@ def write_report(
                 if cell.result is not None:
                     entry["detail"] = ipd_result_to_dict(cell.result)
                 cells.append(entry)
-        domains = [row[0].train_domain for row in matrix]
-        doc = {"domains": domains, "columns": [list(p) for p in pairs], "cells": cells}
+        doc = {"domains": list(domains), "columns": [list(p) for p in pairs], "cells": cells}
         return _json(doc, provenance)
 
     rows = []
     for row in matrix:
-        row_min = min((c.ipd for c in row if c.ipd is not None), default=None)
+        row_min = min(c.ipd for c in row if c.ipd is not None)
         if fmt == "csv":
             cells = ["" if c.ipd is None else repr(c.ipd) for c in row]
         else:

@@ -646,8 +646,8 @@ class TestCrossval:
                   "cells": [{"train": "b", "pair": ["a", "b"], "real_manifest": "nope_r.json",
                              "synth_manifest": "nope_s.json"},
                             {"train": "a", "pair": ["a", "b"], "ipd": bad}]},
-                 f"cells.json: cells[1]: ipd must be finite and non-negative, got {bad!r}")
-                for bad in (math.nan, math.inf, -0.5)
+                 f"cells.json: cells[1]: ipd must lie in [0, 1], got {bad!r}")
+                for bad in (math.nan, math.inf, -0.5, 1.5)
             ),
             # the ipd was taken and the manifests never read, before
             ({"domains": ["a", "b"], "cells": [{"train": "a", "pair": ["a", "b"], "ipd": 0.1,
@@ -790,6 +790,34 @@ def test_a_byte_order_mark_past_the_first_line_is_refused_at_its_line(tmp_path, 
     code, out, err = run_cli(["ipd", str(real), str(synth)], capsys)
     assert (code, out) == (2, "")
     assert f"{path}:2: class_id must be an integer, got '\\ufeff0'" in err
+
+
+
+@pytest.mark.parametrize("kind", ["manifest", "cells file", "spec file"])
+def test_a_key_repeated_in_one_object_is_exit_2_naming_it(tmp_path, capsys, kind):
+    # json.loads keeps a repeated key's last value, so the first was
+    # dropped without a word, before
+    real, synth, _ = emit_dataset(tmp_path, [SceneSpec(9, rng_seed=1)])
+    if kind == "manifest":
+        path, key = real, "dataset_id"
+        text = real.read_text(encoding="utf-8").rstrip()[:-1] + ', "dataset_id": "again"}'
+        argv = ["ipd", str(real), str(synth)]
+    elif kind == "cells file":
+        path, key = tmp_path / "cells.json", "ipd"
+        text = (
+            '{"domains": ["a", "b"], "cells": [{"train": "a", "pair": ["a", "b"], '
+            '"ipd": 0.1, "ipd": 0.2}, {"train": "b", "pair": ["a", "b"], "ipd": 0.3}]}'
+        )
+        argv = ["crossval", str(path)]
+    else:
+        path, key = tmp_path / "specs.json", "n_instances"
+        text = '[{"n_instances": 5, "rng_seed": 1, "n_instances": 6}]'
+        argv = ["scenegen", "--out", str(tmp_path / "x"), "--spec-file", str(path)]
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {kind} {path}: key {key!r} is repeated in one object\n"
+    assert not (tmp_path / "x").exists()
 
 
 def _ipd_rows(manifests, tmp_path, *flags) -> dict[str, dict]:

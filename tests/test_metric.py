@@ -19,6 +19,7 @@ from ipdkit.metric import (
     domain_pairs,
     evaluate_pair,
 )
+from ipdkit.report import write_report
 
 from helpers import box_arrays, image_labels
 
@@ -260,16 +261,24 @@ class TestEvaluatePair:
         with pytest.raises(InputValidationError):
             evaluate_pair([real], [], [], conf_threshold=0.25)
 
-    def test_pairing_beyond_boxes_raises(self):
-        real = _labels("img0", [BBox(10, 10, 4, 4)], [])
-        synth = _labels("img0", [BBox(10, 10, 4, 4)], [])
-        pairing = InstancePairing(
-            pairs=((0, 0, 0.5), (1, 1, 0.5)),
-            unmatched_real=(),
-            unmatched_synth=(),
-            gate_distance=2.0,
+    @pytest.mark.parametrize(
+        "n_real, n_synth, pairs, unmatched_real, unmatched_synth",
+        [
+            (1, 1, ((0, 0, 0.5), (1, 1, 0.5)), (), ()),
+            # accepted, with 2 unmatched real instances counted of the 4, before
+            (5, 5, ((0, 0, 0.5),), (1, 2), (1, 2, 3, 4)),
+            (5, 5, ((0, 0, 0.5),), (1, 2, 3, 4), (1, 2)),
+        ],
+    )
+    def test_pairing_beyond_boxes_raises(
+        self, n_real, n_synth, pairs, unmatched_real, unmatched_synth
+    ):
+        real, synth = (
+            _labels("img0", [BBox(10 * i, 10, 4, 4) for i in range(n)], [])
+            for n in (n_real, n_synth)
         )
-        with pytest.raises(InputValidationError):
+        pairing = InstancePairing(pairs, unmatched_real, unmatched_synth, gate_distance=2.0)
+        with pytest.raises(InputValidationError, match="pairing for image 'img0' covers"):
             evaluate_pair([real], [synth], [pairing], conf_threshold=0.25)
 
     def test_rejects_bad_threshold(self):
@@ -403,27 +412,47 @@ class TestCrossValidation:
             CrossValCell("Real", ("Real", "Hapke"), None)
         with pytest.raises(InputValidationError):
             CrossValCell("Real", ("Principled", "Hapke"), 0.5)
+        # 1.5 was taken, and bolded, before
+        for bad in (math.nan, math.inf, -0.5, 1.5):
+            with pytest.raises(InputValidationError, match=rf"ipd must lie in \[0, 1\], got {bad}"):
+                CrossValCell("Real", ("Real", "Hapke"), bad)
+        # ("X",) and ("X", "X", "Y") were taken, before
+        for pair in (("X",), ("X", "X"), ("X", "X", "Y")):
+            with pytest.raises(InputValidationError, match="is not two distinct domains"):
+                CrossValCell("X", pair, 0.1)
 
 
 class TestClosestDomain:
     def test_real_row_prefers_smaller_ipd(self):
         matrix = cross_validation(DOMAINS, TABLE_RESULTS)
-        assert closest_domain(matrix[0], "Real") == "Principled"
+        assert closest_domain(matrix[0]) == "Principled"
 
     def test_tie_breaks_by_name(self):
         row = [
             CrossValCell("X", ("X", "b"), 0.5),
-            CrossValCell("X", ("X", "a"), 0.5),
+            CrossValCell("X", ("a", "X"), 0.5),
         ]
-        assert closest_domain(row, "X") == "a"
+        assert closest_domain(row) == "a"
 
     def test_no_candidates_raises(self):
         row = [CrossValCell("X", ("a", "b"), None)]
         with pytest.raises(InputValidationError):
-            closest_domain(row, "X")
+            closest_domain(row)
 
-    def test_a_pair_repeating_the_reference_is_no_candidate(self):
-        row = [CrossValCell("X", ("X", "X"), 0.1), CrossValCell("X", ("X", "b"), 0.5)]
-        assert closest_domain(row, "X") == "b"
-        with pytest.raises(InputValidationError):
-            closest_domain(row[:1], "X")
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_the_bold_cells_hold_the_closest_domain_first_by_name(self, data):
+        # one notion of "closest": a small grid of values makes ties common
+        names = st.sampled_from("pqrstu")
+        domains = data.draw(st.lists(names, min_size=2, max_size=5, unique=True))
+        pairs = domain_pairs(domains)
+        grid = st.sampled_from([0.0, 0.125, 0.25])
+        results = {(train, p): data.draw(grid) for train in domains for p in pairs if train in p}
+        lines = write_report(domains, results).splitlines()[2:]
+        for train, row, line in zip(domains, cross_validation(domains, results), lines):
+            name, *texts = line[2:-2].split(" | ")
+            assert name == train
+            bold = [p for p, text in zip(pairs, texts) if text.startswith("**")]
+            closest = closest_domain(row)
+            assert next(p for p in pairs if set(p) == {train, closest}) in bold
+            assert closest == min(d for p in bold for d in p if d != train)

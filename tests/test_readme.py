@@ -53,9 +53,13 @@ def test_readme_quick_start_runs_and_prints_what_it_shows(tmp_path, capsys, monk
     table = re.search(r"```\n(\| Train\\Eval .*?)```", text, re.S).group(1)
     assert outputs["crossval"] == table
     blocks = re.findall(r"```python\n(.*?)```", text, re.S)
-    assert len(blocks) == 2
+    assert len(blocks) == 3
+    printed = []
     for block in blocks:
         namespace = {}
         exec(compile(block, str(README), "exec"), namespace)
+        printed.append(capsys.readouterr().out)
+    # the second block renders the crossval table and reads its Real row
+    assert printed[1] == outputs["crossval"] + "Principled\n"
     # the last block runs ipd's whole pipeline on the quick start's pair
     assert f"IPD {namespace['result'].ipd:.6f}" in outputs["ipd"].splitlines()
