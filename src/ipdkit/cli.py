@@ -35,7 +35,7 @@ from .ingestion import (
     read_manifest,
 )
 from .matching import InstancePairing, default_gate_distance, match_instances
-from .metric import IpdResult, check_conf_threshold, check_ipd, cross_validation, evaluate_pair
+from .metric import IpdResult, check_conf_threshold, cross_validation, evaluate_pair
 from .registration import RegistrationConfig, RegistrationResult, register
 from .report import write_ipd_report, write_report
 from .scenegen import DetectorProfile, SceneSpec, check_rng_seed, emit_dataset, random_affine
@@ -155,14 +155,21 @@ def _config(args: argparse.Namespace) -> PipelineConfig:
     return PipelineConfig(args.seed, args.max_iterations, args.gate, args.conf_threshold)
 
 
-def _load_pairs(
-    real_manifest: str, synth_manifest: str
-) -> tuple[list[tuple[ImageLabels, ImageLabels]], str]:
+def _evaluate_manifests(
+    real_manifest: str, synth_manifest: str, config: PipelineConfig
+) -> tuple[IpdResult, dict]:
+    """ipd's evaluation of a manifest pair, which crossval runs for each
+    computed cell: the result, and the report's dataset_pair_id and
+    per-pair rows."""
     real_labels, real_m = load_dataset(real_manifest)
     synth_labels, synth_m = load_dataset(synth_manifest)
     pairing = merge_pairings(real_m.pairing, synth_m.pairing)
     pairs = pair_datasets(real_labels, synth_labels, pairing)
-    return pairs, f"{real_m.dataset_id}|{synth_m.dataset_id}"
+    result, outcomes = evaluate_dataset_pair(pairs, config)
+    return result, {
+        "dataset_pair_id": f"{real_m.dataset_id}|{synth_m.dataset_id}",
+        "pairs": [outcome.provenance_row() for outcome in outcomes],
+    }
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -174,15 +181,13 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_ipd(args: argparse.Namespace) -> int:
     config = _config(args)
-    pairs, dataset_pair_id = _load_pairs(args.real_manifest, args.synth_manifest)
-    result, outcomes = evaluate_dataset_pair(pairs, config)
+    result, evaluated = _evaluate_manifests(args.real_manifest, args.synth_manifest, config)
     provenance = {
         "command": "ipd",
         "real_manifest": args.real_manifest,
         "synth_manifest": args.synth_manifest,
-        "dataset_pair_id": dataset_pair_id,
         **_pipeline_provenance(config),
-        "pairs": [outcome.provenance_row() for outcome in outcomes],
+        **evaluated,
     }
     print(f"IPD {result.ipd:.6f}")
     _emit(write_ipd_report(result, fmt=args.format, provenance=provenance), args.out)
@@ -200,53 +205,42 @@ class _Cell:
     synth_manifest: str | None = None
 
     def __post_init__(self):
-        if self.ipd is not None:
-            check_ipd(self.ipd)
+        manifests = (self.real_manifest, self.synth_manifest)
+        if manifests.count(None) != (0 if self.ipd is None else 2):
+            raise InputValidationError("needs either an 'ipd' value or both manifest paths")
 
 
 @dataclass(frozen=True)
 class _CellsFile:
-    """A cells file whose cells fill each matrix cell exactly once, checked
-    before any manifest is read."""
+    """A cells file that cross_validation takes, checked before any
+    manifest is read."""
 
     domains: tuple[str, ...]
     cells: tuple[_Cell, ...]
 
     def __post_init__(self):
-        first_of: dict[tuple[str, frozenset], int] = {}
-        for idx, cell in enumerate(self.cells):
-            manifests = (cell.real_manifest, cell.synth_manifest)
-            if manifests.count(None) != (0 if cell.ipd is None else 2):
-                raise InputValidationError(
-                    f"cell #{idx} needs either an 'ipd' value or manifest paths, not both"
-                )
-            first = first_of.setdefault((cell.train, frozenset(cell.pair)), idx)
-            if first != idx:
-                raise InputValidationError(f"cell #{idx} fills the same cell as cell #{first}")
-        # the matrix's layout rules, on a placeholder value per cell
-        cross_validation(self.domains, {(c.train, c.pair): 0.0 for c in self.cells})
+        # the matrix's rules, with 0.0 standing in for each computed cell's IPD
+        entries = [((c.train, c.pair), 0.0 if c.ipd is None else c.ipd) for c in self.cells]
+        cross_validation(self.domains, entries)
 
 
 def cmd_crossval(args: argparse.Namespace) -> int:
     doc = read_json(args.cells, "cells file")
     cells_file = from_json(_CellsFile, doc, f"cells file {args.cells}")
     config = _config(args)
-    results: dict[tuple[str, tuple[str, str]], object] = {}
+    results: list[tuple[tuple[str, tuple[str, str]], object]] = []
     computed: list[dict] = []
     for idx, cell in enumerate(cells_file.cells):
-        train, pair = cell.train, cell.pair
-        if cell.ipd is not None:
-            results[(train, pair)] = cell.ipd
-        else:
-            pairs, pair_id = _load_pairs(cell.real_manifest, cell.synth_manifest)
+        value: object = cell.ipd
+        if value is None:
             try:
-                results[(train, pair)], outcomes = evaluate_dataset_pair(pairs, config)
+                value, evaluated = _evaluate_manifests(
+                    cell.real_manifest, cell.synth_manifest, config
+                )
             except NoInstancesError as e:
                 raise NoInstancesError(f"cells file {args.cells}: cell #{idx}: {e}") from e
-            rows = [outcome.provenance_row() for outcome in outcomes]
-            computed.append(
-                {"train": train, "pair": list(pair), "dataset_pair_id": pair_id, "pairs": rows}
-            )
+            computed.append({"train": cell.train, "pair": list(cell.pair), **evaluated})
+        results.append(((cell.train, cell.pair), value))
 
     provenance = {
         "command": "crossval",

@@ -469,18 +469,37 @@ def read_manifest(path: str | Path) -> DatasetManifest:
         raise LoadError(str(e)) from e
 
 
+def _box_line_no(path: Path, index: int) -> int:
+    """The line number of box `index` of a label file that parsed: its
+    index-th line that is neither blank nor a `#` comment."""
+    lines = path.read_text(encoding="utf-8-sig").splitlines()
+    box_lines = [
+        line_no
+        for line_no, raw in enumerate(lines, start=1)
+        if (fields := raw.split()) and not fields[0].startswith("#")
+    ]
+    return box_lines[index]
+
+
 def load_entry(entry: ManifestEntry, coordinate_mode: str, root: Path) -> ImageLabels:
     """Load the labels of one manifest entry, its label paths taken
-    relative to root; any failure is a LoadError naming the entry."""
+    relative to root; any failure is a LoadError naming the entry. A box
+    line of the wrong kind for its file (a GT line with a confidence, a
+    prediction line without one) is named by its file and line number."""
     dims = (entry.width_px, entry.height_px)
+    paths = root / entry.gt_label_path, root / entry.pred_label_path
     try:
-        return ImageLabels(
-            image_id=entry.image_id,
-            width_px=entry.width_px,
-            height_px=entry.height_px,
-            gt=read_label_arrays(root / entry.gt_label_path, coordinate_mode, dims),
-            pred=read_label_arrays(root / entry.pred_label_path, coordinate_mode, dims),
-        )
+        gt, pred = (read_label_arrays(path, coordinate_mode, dims) for path in paths)
+        try:
+            return ImageLabels(entry.image_id, entry.width_px, entry.height_px, gt, pred)
+        except InputValidationError as e:
+            # the line is looked up only here, so a good file is read once
+            for path, arrays, needs_confidence in zip(paths, (gt, pred), (False, True)):
+                wrong = np.isnan(arrays.confidence) == needs_confidence
+                if wrong.any():
+                    line_no = _box_line_no(path, int(np.argmax(wrong)))
+                    raise ParseError(str(e), source=str(path), line_no=line_no) from e
+            raise
     except (ParseError, LoadError, InputValidationError) as e:
         raise LoadError(f"entry {entry.image_id!r}: {e}") from e
 

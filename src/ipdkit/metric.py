@@ -188,15 +188,16 @@ def domain_pairs(domains: Sequence[str]) -> list[tuple[str, str]]:
 
 def cross_validation(
     domains: Sequence[str],
-    results: Mapping,
+    results: Mapping | Sequence,
 ) -> list[list[CrossValCell]]:
     """Build the matrix of per-training-domain IPDs.
 
     results maps (train_domain, (domain_a, domain_b)) to an IpdResult or a
-    bare ipd, a real number that is not a bool; pair order inside keys
-    does not matter. Each cell whose pair involves the training domain is
-    filled by exactly one entry: an entry that fills no such cell, or a
-    second entry for a filled cell (its pair in the other order), raises.
+    bare ipd in [0, 1], a real number that is not a bool, or is a sequence
+    of such (key, value) entries; pair order inside keys does not matter.
+    Each cell whose pair involves the training domain is filled by exactly
+    one entry: an entry that fills no such cell, a second entry for a
+    filled cell, or a bad value raises, naming the entry by position and key.
     """
     if len(domains) < 2:
         raise InputValidationError("cross_validation requires at least 2 domains")
@@ -205,24 +206,25 @@ def cross_validation(
     pairs = domain_pairs(domains)
     filled = [(train, pair) for train in domains for pair in pairs if train in pair]
     columns = {(train, frozenset(pair)): pair for train, pair in filled}
-    cells: dict[tuple[str, frozenset], tuple[tuple, CrossValCell]] = {}
-    for (train, pair), value in results.items():
+    cells: dict[tuple[str, frozenset], tuple[str, CrossValCell]] = {}
+    entries = results.items() if isinstance(results, Mapping) else results
+    for idx, ((train, pair), value) in enumerate(entries):
         key = (train, frozenset(pair))
-        entry = f"result train={train!r} pair={tuple(pair)!r}"
+        entry = f"entry #{idx} train={train!r} pair={tuple(pair)!r}"
         if len(pair) != 2 or key not in columns:
             raise InputValidationError(f"{entry} fills no cell of the matrix")
         if key in cells:
-            first = cells[key][0]
-            raise InputValidationError(
-                f"{entry} fills the same cell as result train={train!r} pair={first!r}"
-            )
+            raise InputValidationError(f"{entry} fills the same cell as {cells[key][0]}")
         if isinstance(value, IpdResult):
             ipd, result = value.ipd, value
         elif isinstance(value, numbers.Real) and not isinstance(value, bool):
             ipd, result = float(value), None
         else:
             raise InputValidationError(f"{entry} is {value!r}, not an IpdResult or a real number")
-        cells[key] = tuple(pair), CrossValCell(train, columns[key], ipd, result)
+        try:
+            cells[key] = entry, CrossValCell(train, columns[key], ipd, result)
+        except InputValidationError as e:
+            raise InputValidationError(f"{entry}: {e}") from e
 
     missing = [f"train={t!r} pair={p!r}" for t, p in filled if (t, frozenset(p)) not in cells]
     if missing:

@@ -91,19 +91,10 @@ class RegistrationResult:
 
 
 def _fell_back(
-    synth: np.ndarray, real: np.ndarray, iterations_used: int, hypothesis_count: int
+    synth: np.ndarray, real: np.ndarray, reason: str, iterations_used: int, hypothesis_count: int
 ) -> RegistrationResult:
-    """The centroid translation of a search that found no map, with the
-    reason: a side under 3 points, no synthetic basis to try (all are
-    collinear), no valid fit, or no refined map with an inlier."""
-    if min(len(synth), len(real)) < 3:
-        reason = "has too few points for an affine fit"
-    elif iterations_used == 0:
-        reason = "has only collinear synthetic bases"
-    elif hypothesis_count == 0:
-        reason = f"had no valid affine fit in {iterations_used} iterations"
-    else:
-        reason = f"had no refined map score an inlier in {iterations_used} iterations"
+    """The centroid translation, for a search that found no map or was
+    not run, with the reason."""
     offset = real.mean(axis=0) - synth.mean(axis=0)
     t = AffineTransform2D.translation(float(offset[0]), float(offset[1]))
     return RegistrationResult(t, iterations_used, hypothesis_count, reason)
@@ -255,10 +246,12 @@ def register(
     synthetic point count, at once when w = 1, or when the bases run out;
     the winner is then refitted on the tight inliers of its own pass.
 
-    Sets with fewer than 3 points on either side fall back to the
-    centroid translation, and the result's fallback says why; so does a
-    search whose refined maps scored no inlier, or that refined nothing
-    (after 0 iterations when every synthetic basis is collinear).
+    Sets with fewer than 3 points on either side, or whose real layout
+    scale is 0 (most real points coincide with another), fall back to the
+    centroid translation without a search, and the result's fallback says
+    why; so does a search whose refined maps scored no inlier, or that
+    refined nothing (after 0 iterations when every synthetic basis is
+    collinear).
     """
     if cfg is None:
         cfg = RegistrationConfig()
@@ -271,10 +264,15 @@ def register(
 
     n, m = len(synth), len(real)
     if n < 3 or m < 3:
-        return _fell_back(synth, real, 0, 0)
+        return _fell_back(synth, real, "has too few points for an affine fit", 0, 0)
+    real_nbrs, spacing = _neighbours(real, min(_CHECK_NEIGHBOURS, m - 1))
+    if spacing == 0.0:
+        # both radii would be 0, where only a map that puts a synthetic
+        # point exactly on a real one scores an inlier
+        reason = "has no layout scale: most of its real centers coincide with another"
+        return _fell_back(synth, real, reason, 0, 0)
 
     synth_nbrs, _ = _neighbours(synth, min(_CHECK_NEIGHBOURS, n - 1))
-    real_nbrs, spacing = _neighbours(real, min(_CHECK_NEIGHBOURS, m - 1))
     capture_radius = _CAPTURE_RADIUS_FRACTION * spacing
     judge_radius = _JUDGE_RADIUS_FRACTION * spacing
 
@@ -300,7 +298,7 @@ def register(
 
         for idx in _refine_set(params, valid, check, near_x, near_y, capture_radius**2):
             # ascending (iteration, idx): only a strictly better one replaces;
-            # a map with no inlier never wins (at a zero layout scale, every map may have none)
+            # a map with no inlier never wins
             scored = _consensus(params[idx], synth, real, judge_radius)
             cand = _refine_params(scored, synth, real, capture_radius, judge_radius)
             if cand[0][0] < 0 and (best is None or cand[0] < best[0]):
@@ -314,7 +312,13 @@ def register(
                 break
 
     if best is None:
-        return _fell_back(synth, real, iterations_used, hypothesis_count)
+        if iterations_used == 0:
+            reason = "has only collinear synthetic bases"
+        elif hypothesis_count == 0:
+            reason = f"had no valid affine fit in {iterations_used} iterations"
+        else:
+            reason = f"had no refined map score an inlier in {iterations_used} iterations"
+        return _fell_back(synth, real, reason, iterations_used, hypothesis_count)
 
     _, best_params, _, _ = _refine_params(best, synth, real, judge_radius, judge_radius)
     return RegistrationResult(

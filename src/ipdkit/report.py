@@ -62,7 +62,7 @@ def ipd_result_to_dict(result: IpdResult) -> dict:
 
 def write_report(
     domains: Sequence[str],
-    results: Mapping,
+    results: Mapping | Sequence,
     fmt: str = "markdown",
     provenance: Mapping | None = None,
 ) -> str:

@@ -6,6 +6,7 @@ be asserted directly.
 
 import hashlib
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -592,6 +593,89 @@ GOLDEN_MARKDOWN = (
 )
 
 
+_MISSING_MANIFESTS = {"real_manifest": "nope_r.json", "synth_manifest": "nope_s.json"}
+
+
+def _whole_cells_file(k):
+    """A cells file filling each cell of the matrix of k domains once, in
+    row order; every other cell, the first included, is computed from
+    manifests that do not exist."""
+    domains = "abcd"[:k]
+    cells = []
+    for train in domains:
+        for pair in itertools.combinations(domains, 2):
+            if train in pair:
+                cell = {"train": train, "pair": list(pair)}
+                cell.update(_MISSING_MANIFESTS if len(cells) % 2 == 0 else {"ipd": 0.25})
+                cells.append(cell)
+    return {"domains": list(domains), "cells": cells}
+
+
+def _entry(idx, cell):
+    return f"entry #{idx} train={cell['train']!r} pair={tuple(cell['pair'])!r}"
+
+
+def _repeat(of, reverse, source):
+    """Insert a second entry for the cell that entry `of` fills, computed
+    or precomputed as `source` says, past the middle of the file; return
+    the refusal it must draw."""
+
+    def mutate(cells):
+        copy = {"train": cells[of]["train"], "pair": cells[of]["pair"][:: -1 if reverse else 1]}
+        copy.update(source)
+        idx = len(cells) // 2 + 1
+        cells.insert(idx, copy)
+        return f"{_entry(idx, copy)} fills the same cell as {_entry(of, cells[of])}"
+
+    return mutate
+
+
+def _bad_ipd(value):
+    """Set the last entry, a precomputed one, to an IPD outside [0, 1]."""
+
+    def mutate(cells):
+        cells[-1]["ipd"] = value
+        return f"{_entry(len(cells) - 1, cells[-1])}: ipd must lie in [0, 1], got {value!r}"
+
+    return mutate
+
+
+def _outside(train, pair):
+    """Insert a computed entry for (train, pair), which fills no cell of
+    the matrix, past the middle of the file."""
+
+    def mutate(cells):
+        cell = {"train": train, "pair": list(pair), **_MISSING_MANIFESTS}
+        idx = len(cells) // 2 + 1
+        cells.insert(idx, cell)
+        return f"{_entry(idx, cell)} fills no cell of the matrix"
+
+    return mutate
+
+
+# (name, the fewest domains it needs, mutate)
+_BAD_CELLS = [
+    *(
+        (f"repeat of {of_kind} #{of}{' reversed' if reverse else ''} by {kind}", 2,
+         _repeat(of, reverse, source))
+        for of, of_kind in ((0, "computed"), (1, "precomputed"))
+        for reverse in (False, True)
+        for kind, source in (("computed", _MISSING_MANIFESTS), ("precomputed", {"ipd": 0.5}))
+    ),
+    *((f"ipd {value!r}", 2, _bad_ipd(value)) for value in (math.nan, math.inf, -0.5, 1.5)),
+    ("unknown train", 2, _outside("q", ("a", "b"))),
+    ("unknown pair domain", 2, _outside("a", ("a", "q"))),
+    ("pair repeating a domain", 2, _outside("a", ("a", "a"))),
+    ("train not in pair", 3, _outside("c", ("a", "b"))),
+]
+BAD_CELLS = [
+    pytest.param(k, mutate, id=f"{k} domains, {name}")
+    for k in (2, 3, 4)
+    for name, fewest, mutate in _BAD_CELLS
+    if k >= fewest
+]
+
+
 class TestCrossval:
     def test_injected_cells_render_golden_markdown(self, tmp_path, capsys):
         cells_path = tmp_path / "cells.json"
@@ -635,57 +719,15 @@ class TestCrossval:
             ({"domains": ["a", "b"], "cells": [{"train": "a", "pair": ["a"], "ipd": 0.1}]},
              "cells[0].pair: expected an array of 2"),
             ({"domains": ["a", "b"], "cells": [{"train": "a", "pair": ["a", "b"]}]},
-             "cell #0 needs either an 'ipd' value or manifest paths"),
+             "cells[0]: needs either an 'ipd' value or both manifest paths"),
             # a ValueError traceback, exit 1, before
             ({"domains": ["a", "b"], "cells": [{"train": "a", "pair": ["a", "b"], "ipd": "x"}]},
              "cells[0].ipd"),
-            # refused without the file or the cell named, and only after
-            # every computed cell was evaluated, before
-            *(
-                ({"domains": ["a", "b"],
-                  "cells": [{"train": "b", "pair": ["a", "b"], "real_manifest": "nope_r.json",
-                             "synth_manifest": "nope_s.json"},
-                            {"train": "a", "pair": ["a", "b"], "ipd": bad}]},
-                 f"cells.json: cells[1]: ipd must lie in [0, 1], got {bad!r}")
-                for bad in (math.nan, math.inf, -0.5, 1.5)
-            ),
             # the ipd was taken and the manifests never read, before
             ({"domains": ["a", "b"], "cells": [{"train": "a", "pair": ["a", "b"], "ipd": 0.1,
                                                "real_manifest": "r.json",
                                                "synth_manifest": "s.json"}]},
-             "cell #0 needs either an 'ipd' value or manifest paths, not both"),
-            # evaluated, then dropped from the matrix, before; refused now
-            # before its manifests (which do not exist) are read
-            ({"domains": ["a", "b"], "cells": [{"train": "q", "pair": ["a", "b"],
-                                               "real_manifest": "nope_r.json",
-                                               "synth_manifest": "nope_s.json"}]},
-             "result train='q' pair=('a', 'b') fills no cell"),
-            ({"domains": ["a", "b"], "cells": [{"train": "a", "pair": ["a", "a"], "ipd": 0.1}]},
-             "result train='a' pair=('a', 'a') fills no cell"),
-            ({"domains": ["a", "b", "c"],
-              "cells": [{"train": "c", "pair": ["a", "b"], "ipd": 0.01}]},
-             "result train='c' pair=('a', 'b') fills no cell"),
-            # the later cell silently won, before
-            ({"domains": ["a", "b"],
-              "cells": [{"train": "a", "pair": ["a", "b"], "ipd": 0.1},
-                        {"train": "b", "pair": ["a", "b"], "ipd": 0.2},
-                        {"train": "a", "pair": ["a", "b"], "ipd": 0.9}]},
-             "cells.json: cell #2 fills the same cell as cell #0"),
-            # taken as one cell, before
-            ({"domains": ["a", "b"],
-              "cells": [{"train": "a", "pair": ["a", "b"], "ipd": 0.1},
-                        {"train": "a", "pair": ["b", "a"], "ipd": 0.1},
-                        {"train": "b", "pair": ["a", "b"], "ipd": 0.2}]},
-             "cells.json: cell #1 fills the same cell as cell #0"),
-            # both evaluated, before; refused now before its manifests
-            # (which do not exist) are read
-            ({"domains": ["a", "b"],
-              "cells": [{"train": "a", "pair": ["a", "b"], "real_manifest": "nope_r.json",
-                         "synth_manifest": "nope_s.json"},
-                        {"train": "b", "pair": ["a", "b"], "ipd": 0.2},
-                        {"train": "a", "pair": ["b", "a"], "real_manifest": "nope_r.json",
-                         "synth_manifest": "nope_s.json"}]},
-             "cells.json: cell #2 fills the same cell as cell #0"),
+             "cells[0]: needs either an 'ipd' value or both manifest paths"),
         ],
     )
     def test_bad_cells_file_is_exit_2(self, tmp_path, capsys, doc, message):
@@ -695,6 +737,25 @@ class TestCrossval:
         code, out, err = run_cli(["crossval", str(cells_path)], capsys)
         assert code == 2
         assert message in err
+
+    @pytest.mark.parametrize("k, mutate", BAD_CELLS)
+    def test_each_bad_cell_is_refused_by_position_before_any_manifest_is_read(
+        self, tmp_path, capsys, k, mutate
+    ):
+        # before, a repeat in the same order silently won, one in the other
+        # order was taken as one cell, a computed repeat was evaluated
+        # twice, an IPD outside [0, 1] was refused only after every computed
+        # cell was evaluated, and a cell outside the matrix was evaluated
+        # and then dropped. Every other cell here is computed from
+        # manifests that do not exist, so a refusal that comes after the
+        # evaluation shows as a LoadError.
+        cells = _whole_cells_file(k)
+        refusal = mutate(cells["cells"])
+        cells_path = tmp_path / "cells.json"
+        cells_path.write_text(json.dumps(cells))
+        code, out, err = run_cli(["crossval", str(cells_path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: cells file {cells_path}: {refusal}\n"
 
     def test_cell_without_instance_pairs_is_exit_3_naming_it(self, tmp_path, capsys):
         outdir = tmp_path / "data"
@@ -1109,11 +1170,34 @@ def _one_image_pair(tmp_path, real, synth) -> list[str]:
     return [str(tmp_path / f"manifest_{side}.json") for side in ("real", "synth")]
 
 
+@pytest.mark.parametrize(
+    "label_file, wrong, message",
+    [
+        ("real_gt.txt", "0 100 100 10 10 0.9", "GT box in image 'a' carries a confidence"),
+        ("synth_pred.txt", "0 100 100 10 10", "prediction in image 'a' lacks a confidence"),
+    ],
+)
+def test_a_box_line_of_the_wrong_kind_is_named_by_file_and_line(
+    tmp_path, capsys, label_file, wrong, message
+):
+    # the error named the entry only, before
+    gt = [(200.0, 300.0, 20.0, 30.0), (600.0, 250.0, 20.0, 30.0), (450.0, 700.0, 20.0, 30.0)]
+    labels = image_labels("a", gt, [(*box, 0.9) for box in gt])
+    manifests = _one_image_pair(tmp_path, labels, labels)
+    path = tmp_path / label_file
+    # 3 box lines, a comment and a blank line, then two lines of the wrong kind
+    path.write_text(path.read_text() + f"# more\n\n{wrong}\n{wrong}\n")
+    for argv in (["ipd", *manifests], ["register", *manifests, "a"]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: entry 'a': {path}:6: {message}\n"
+
+
 def test_ipd_runs_on_a_real_side_that_lists_every_box_twice(tmp_path, capsys):
-    # a zero layout scale leaves every map of this pair with no inlier:
-    # registration falls back instead of ending the run with a traceback.
-    # Every hypothesis passes the refine gate, as 3 synthetic points
-    # leave no check point, and the warning says no refined map scored
+    # a zero layout scale would leave every map of this pair with no
+    # inlier: registration falls back before its search, and the warning
+    # says why (after 3 iterations with "no refined map scored an inlier",
+    # before)
     centers = [(200.0, 300.0), (600.0, 250.0), (450.0, 700.0)]
     synth_gt = [(x, y, 20.0, 30.0) for x, y in centers]
     real_gt = [(x + 12.3, y - 4.7, 20.0, 30.0) for x, y in centers for _ in range(2)]
@@ -1124,12 +1208,10 @@ def test_ipd_runs_on_a_real_side_that_lists_every_box_twice(tmp_path, capsys):
     code, out, err = run_cli(["ipd", *manifests, "--format", "csv"], capsys)
     assert code == 0
     assert out.startswith("IPD 0.000000\n")
-    assert err == (
-        "warning: pair (a, a) had no refined map score an inlier in 3 iterations; "
-        "fell back to centroid translation\n"
-    )
+    reason = "has no layout scale: most of its real centers coincide with another"
+    assert err == f"warning: pair (a, a) {reason}; fell back to centroid translation\n"
     reg = align_pair(real, synth, PipelineConfig()).registration
-    assert reg.fallback == "had no refined map score an inlier in 3 iterations"
+    assert (reg.fallback, reg.iterations_used, reg.hypothesis_count) == (reason, 0, 0)
 
 
 def test_huge_boxes_give_a_strict_json_report_and_no_warning(tmp_path, capsys):

@@ -357,8 +357,35 @@ class TestCrossValidation:
         with pytest.raises(InputValidationError) as exc:
             cross_validation(DOMAINS, results)
         assert str(exc.value) == (
-            f"result train='Real' pair={second[1]!r} fills the same cell as "
-            f"result train='Real' pair={first[1]!r}"
+            f"entry #1 train='Real' pair={second[1]!r} fills the same cell as "
+            f"entry #0 train='Real' pair={first[1]!r}"
+        )
+
+    @pytest.mark.parametrize("position, first, second", [(0, 0, 6), (3, 3, 6), (6, 5, 6)])
+    def test_entries_may_be_a_sequence_that_repeats_a_key_exactly(self, position, first, second):
+        # a Mapping cannot hold an exact repeat; a sequence can, and the
+        # refusal names both entries by position
+        entries = list(TABLE_RESULTS.items())
+        assert cross_validation(DOMAINS, entries) == cross_validation(DOMAINS, TABLE_RESULTS)
+        key = ("Hapke", ("Real", "Hapke"))
+        assert entries[5][0] == key
+        entries.insert(position, (key, 0.4638))
+        with pytest.raises(InputValidationError) as exc:
+            cross_validation(DOMAINS, entries)
+        assert str(exc.value) == (
+            f"entry #{second} train='Hapke' pair=('Real', 'Hapke') fills the same "
+            f"cell as entry #{first} train='Hapke' pair=('Real', 'Hapke')"
+        )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5, 1.5])
+    def test_an_ipd_outside_0_1_names_its_entry(self, bad):
+        entries = [*TABLE_RESULTS.items()]
+        entries[2] = (entries[2][0], bad)
+        with pytest.raises(InputValidationError) as exc:
+            cross_validation(DOMAINS, entries)
+        assert str(exc.value) == (
+            f"entry #2 train='Principled' pair=('Principled', 'Hapke'): "
+            f"ipd must lie in [0, 1], got {bad!r}"
         )
 
     @pytest.mark.parametrize("value", ["0.25", True, None, [0.25]])
@@ -405,7 +432,8 @@ class TestCrossValidation:
     def test_result_that_fills_no_cell_raises(self, key):
         with pytest.raises(InputValidationError) as exc:
             cross_validation(DOMAINS, {**TABLE_RESULTS, key: 0.01})
-        assert f"result train={key[0]!r} pair={key[1]!r} fills no cell" in str(exc.value)
+        entry = f"entry #6 train={key[0]!r} pair={key[1]!r}"
+        assert str(exc.value) == f"{entry} fills no cell of the matrix"
 
     def test_cell_validation(self):
         with pytest.raises(InputValidationError):

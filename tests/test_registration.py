@@ -22,7 +22,9 @@ from ipdkit import (
 )
 from ipdkit import registration
 from ipdkit.geometry import transform_points
-from ipdkit.registration import _bases, _consensus, _neighbours, _refine_set, _turn
+from ipdkit.registration import (
+    _bases, _consensus, _neighbours, _refine_params, _refine_set, _turn,
+)
 
 from helpers import check_hits, left_turning_bases
 
@@ -130,20 +132,63 @@ def test_register_does_not_depend_on_the_order_of_either_side(n, grid, seed):
     assert [p.hex() for p in got.transform.params()] == [p.hex() for p in want.transform.params()]
 
 
-def test_register_survives_a_real_side_that_lists_every_point_twice():
+def test_register_falls_back_on_a_real_side_that_lists_every_point_twice():
     # the real points' median nearest-neighbour distance is then 0, and so
-    # is the judge radius: a map may score no inlier at all, and such a
-    # map must not win
-    fallbacks = 0
+    # would be both radii, where only a map that lands a synthetic point
+    # exactly on a real one counts an inlier: 7 of these 50 returned a map
+    # off by up to 473 px with no fallback, before
     for seed in range(50):
         rng = np.random.default_rng(seed)
         synth = rng.uniform(0.0, 500.0, size=(3, 2))
         real = np.repeat(synth + [12.3, -4.7], 2, axis=0)
         res = register(synth, real, RegistrationConfig(rng_seed=seed))
-        if res.used_fallback:
-            fallbacks += 1
-            assert res.transform.params() == pytest.approx((1.0, 0.0, 0.0, 1.0, 12.3, -4.7))
-    assert fallbacks > 0
+        assert res.fallback == "has no layout scale: most of its real centers coincide with another"
+        assert (res.iterations_used, res.hypothesis_count) == (0, 0)
+        assert res.transform.params() == pytest.approx((1.0, 0.0, 0.0, 1.0, 12.3, -4.7))
+
+
+def test_register_falls_back_exactly_when_most_real_points_coincide_with_another():
+    # the median nearest-neighbour distance is 0 then: 2r of the 8 + r
+    # real points below coincide with another. The cloud18 pin, 17
+    # distinct of 23 real points, returned a map 73.75 px off with no
+    # fallback, before
+    synth = np.random.default_rng(6).uniform(0.0, 500.0, size=(8, 2))
+    real = transform_points(T_TRUE, synth)
+    for repeated, falls_back in ((1, False), (2, False), (3, True), (8, True)):
+        pts = np.concatenate([real, real[:repeated]])
+        res = register(synth, pts, RegistrationConfig(rng_seed=0))
+        assert (res.iterations_used == 0) == res.used_fallback == falls_back, repeated
+        if not falls_back:
+            moved = transform_points(res.transform, synth)
+            assert np.max(np.hypot(*(moved - real).T)) < 1e-6
+
+
+def test_register_falls_back_when_no_refined_map_scores_an_inlier(monkeypatch):
+    # a map with no inlier never wins; a negative judge radius gives every
+    # map none
+    monkeypatch.setattr(registration, "_JUDGE_RADIUS_FRACTION", -1.0)
+    synth, real, _ = noisy_scene()
+    res = register(synth, real, RegistrationConfig(rng_seed=3, max_iterations=5))
+    assert res.fallback == "had no refined map score an inlier in 5 iterations"
+    assert res.hypothesis_count > 0
+
+
+@pytest.mark.parametrize("apart", [(2, 3, 4), (3, 4)], ids=["2 pairs", "collinear pairs"])
+def test_refine_params_keeps_a_map_whose_pairs_allow_no_refit(apart):
+    # the real points listed in `apart` lie far from where the map puts
+    # their twins, so the pairs within the fit radius are the first 2, or
+    # the first 3, which lie on a line. A least-squares refit through them
+    # would score better; it takes at least 3 pairs of rank 3.
+    synth = np.array([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0], [0.0, 10.0], [50.0, 50.0]])
+    real = synth + [5.0, -3.0]
+    real[list(apart)] += 400.0
+    scored = _consensus(np.array([1.0, 0.0, 0.0, 1.0, 5.3, -3.0]), synth, real, 1.0)
+    assert np.count_nonzero(scored[3] <= 2.0) == 5 - len(apart)
+    assert _refine_params(scored, synth, real, 2.0, 1.0) is scored
+    # with those pairs unmoved, the refit wins
+    real[list(apart)] -= 400.0
+    scored = _consensus(np.array([1.0, 0.0, 0.0, 1.0, 5.3, -3.0]), synth, real, 1.0)
+    assert _refine_params(scored, synth, real, 2.0, 1.0)[0] < scored[0]
 
 
 def test_register_is_deterministic():
