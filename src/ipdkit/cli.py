@@ -7,17 +7,18 @@ PairOutcome, whose provenance_row is the pair's row in every report.
 evaluate_dataset_pair runs it over a dataset pair without argparse.
 
 Exit codes: 0 success, 2 bad input (parse/validation/load), 3 zero
-matched instance pairs. A bad flag value is an argparse usage error:
-exit 2, with the flag named on stderr, before any file is read. Each
-flag's type= converts its text and runs the library's own check on the
-value. All randomness flows from --seed; per image pair
-a sub-seed is derived by hashing the image ids, so results do not depend
-on evaluation order.
+matched instance pairs. A bad flag value, or a per-scene scenegen flag
+given with --spec-file, is an argparse usage error: exit 2, with the
+flag named on stderr, before any file is read. Each flag's type=
+converts its text and runs the library's own check on the value. All
+randomness flows from --seed; per image pair a sub-seed is derived by
+hashing the image ids, so results do not depend on evaluation order.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -28,14 +29,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputValidationError, IpdKitError, NoInstancesError
+from .errors import InputValidationError, IpdKitError, LoadError, NoInstancesError
 from .geometry import AffineTransform2D
 from .ingestion import (
     ImageLabels, from_json, load_dataset, load_entry, merge_pairings, pair_datasets, read_json,
     read_manifest,
 )
 from .matching import InstancePairing, default_gate_distance, match_instances
-from .metric import IpdResult, check_conf_threshold, cross_validation, evaluate_pair
+from .metric import IpdResult, check_conf_threshold, cross_validation, entry_name, evaluate_pair
 from .registration import RegistrationConfig, RegistrationResult, register
 from .report import write_ipd_report, write_report
 from .scenegen import DetectorProfile, SceneSpec, check_rng_seed, emit_dataset, random_affine
@@ -233,12 +234,15 @@ def cmd_crossval(args: argparse.Namespace) -> int:
     for idx, cell in enumerate(cells_file.cells):
         value: object = cell.ipd
         if value is None:
+            where = f"cells file {args.cells}: {entry_name(idx, cell.train, cell.pair)}"
             try:
                 value, evaluated = _evaluate_manifests(
                     cell.real_manifest, cell.synth_manifest, config
                 )
             except NoInstancesError as e:
-                raise NoInstancesError(f"cells file {args.cells}: cell #{idx}: {e}") from e
+                raise NoInstancesError(f"{where}: {e}") from e
+            except IpdKitError as e:
+                raise LoadError(f"{where}: {e}") from e
             computed.append({"train": cell.train, "pair": list(cell.pair), **evaluated})
         results.append(((cell.train, cell.pair), value))
 
@@ -308,6 +312,20 @@ def cmd_scenegen(args: argparse.Namespace) -> int:
     print(f"synth manifest: {synth_path}")
     print(f"truth: {truth_path}")
     return 0
+
+
+class _SceneSource(argparse.Action):
+    """Store a scenegen flag that describes the scenes: --spec-file, or one
+    of the per-scene flags that a spec file replaces. Giving both kinds is
+    a usage error, whichever comes first."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        first = getattr(namespace, "first_scene_source", None)
+        if first is not None and (first.dest == "spec_file") != (self.dest == "spec_file"):
+            other = first.option_strings[0]
+            raise argparse.ArgumentError(self, f"not allowed with argument {other}")
+        namespace.first_scene_source = first or self
+        setattr(namespace, self.dest, values)
 
 
 def _flag_type(convert, check=None):
@@ -432,27 +450,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("scenegen", help="generate paired test scenes with ground truth")
     p_gen.add_argument("--out", required=True, help="output directory")
-    p_gen.add_argument("--scenes", type=_flag_type(int, _check_at_least_one), default=1)
+    add_source = functools.partial(p_gen.add_argument, action=_SceneSource)
+    add_source("--scenes", type=_flag_type(int, _check_at_least_one), default=1)
     span_type = _flag_type(_instance_span, lambda span: SceneSpec(span[0]))
-    p_gen.add_argument("--instances", type=span_type, default="30", help="count or low:high span")
-    p_gen.add_argument("--seed", type=_flag_type(int, check_rng_seed), default=0)
-    p_gen.add_argument(
+    add_source("--instances", type=span_type, default="30", help="count or low:high span")
+    add_source("--seed", type=_flag_type(int, check_rng_seed), default=0)
+    add_source(
         "--sigma", type=_spec_flag(float, "center_noise_sigma"), default=0.0, help="center noise (px)"
     )
-    p_gen.add_argument("--dropout-real", type=_spec_flag(float, "dropout_real"), default=0.0)
-    p_gen.add_argument("--dropout-synth", type=_spec_flag(float, "dropout_synth"), default=0.0)
+    add_source("--dropout-real", type=_spec_flag(float, "dropout_real"), default=0.0)
+    add_source("--dropout-synth", type=_spec_flag(float, "dropout_synth"), default=0.0)
     for flag in ("--profile-real", "--profile-synth"):
-        p_gen.add_argument(
-            flag, type=_flag_type(_profile), default="0.9", help="low[:high[:miss_rate]]"
-        )
-    p_gen.add_argument("--frame", type=_spec_flag(_frame, "frame"), default="1280x960")
-    p_gen.add_argument(
+        add_source(flag, type=_flag_type(_profile), default="0.9", help="low[:high[:miss_rate]]")
+    add_source("--frame", type=_spec_flag(_frame, "frame"), default="1280x960")
+    add_source(
         "--transform",
         type=_flag_type(_transform),
         default="identity",
         help="'identity', 'random', or 6 comma-separated affine params",
     )
-    p_gen.add_argument("--spec-file", default=None, help="JSON list of scene specs")
+    add_source("--spec-file", default=None, help="JSON list of scene specs, for the flags above")
     p_gen.set_defaults(func=cmd_scenegen)
     return parser
 

@@ -9,7 +9,8 @@ best_iou, each GT box's performance value, runs it only on the pairs
 whose boxes overlap along x, and is equal to the table's row maximum. BBox
 and the scalar iou, one box at a time, are the reference the tests check
 the kernel against and the form the benchmark's dataset builder takes.
-box_rule_error and its row form box_rule_mask alone state the box rules.
+box_rule_error alone states the box rules, and box_rule_mask, its form
+for the rows of a GT or a prediction file, follows it.
 Points are always (n, 2) float64 arrays, and apply_params is the one
 implementation of the affine map p -> Ap + t.
 """
@@ -58,10 +59,10 @@ def box_rule_error(
     return None
 
 
-def box_rule_mask(xywh: np.ndarray, confidence: np.ndarray, given: np.ndarray) -> np.ndarray:
+def box_rule_mask(xywh: np.ndarray, confidence: np.ndarray, given: bool) -> np.ndarray:
     """The rows box_rule_error refuses, as an (n,) bool mask, of an (n, 4)
-    cx, cy, w, h array and (n,) confidences, judged only where given: an
-    (n,) bool mask, or one bool for every row."""
+    cx, cy, w, h array and (n,) confidences, which are judged only when
+    given."""
     with np.errstate(over="ignore", invalid="ignore"):  # an area of inf or inf * 0 is refused
         area = xywh[:, 2] * xywh[:, 3]
     bad = ~np.isfinite(xywh).all(axis=1) | (xywh[:, 2] <= 0.0) | (xywh[:, 3] <= 0.0)

@@ -5,28 +5,29 @@ Label files are plain text, one box per line:
 
     class_id cx cy w h [confidence]
 
-Five fields mark a GT box, six a prediction. The class id is checked to
-be an integer and then ignored: ipdkit measures a single-class task, and
-serialize_labels writes 0. parse_label_arrays is the one label parser. It
-reads a file into a BoxArrays: an (n, 4) float64 cx, cy, w, h array in
-pixels and an (n,) confidence vector that is NaN on a GT line. The box
-rules (finite values, positive sides, a confidence in [0, 1], a positive
-and finite area) are checked on a file's arrays by geometry.box_rule_mask.
-numpy's C text reader is only an accelerator: it reads a file whose lines
-all have one field count and no comment, and its arrays are returned only
-when it took every line and every box keeps the box rules. Every other
-file (comments, GT and prediction lines mixed, a number the reader does
-not parse, a class id beyond int64, a malformed line, a bad box) goes
-through a per-line scan with Python's int and float. Both accept the same
-language and give the same bits, and the scan alone words and locates
-every error: the first bad line in file order, worded by box_rule_error.
-ImageLabels holds an image's GT and prediction arrays and checks the
-image rules (which side carries confidences, the 10% frame overhang) the
-same way. The pipeline, the scene generator and the AP baseline use only
-these arrays. BBox tuples are built from them only for callers that ask
-for them, such as the benchmark's dataset builder: parse_label_file,
-BoxArrays.boxes and ImageLabels.gt_boxes/pred_boxes. serialize_labels
-writes either form.
+A GT file has five fields a line and a prediction file six; the reader
+is told the file's kind and the image's frame. The class id is checked
+to be an integer and then ignored: ipdkit measures a single-class task,
+and serialize_labels writes 0. parse_label_arrays is the one label
+parser. It reads a file into a BoxArrays: an (n, 4) float64 cx, cy, w, h
+array in pixels and an (n,) confidence vector, NaN in a GT file. Every
+box keeps the box rules of geometry.box_rule_mask (finite values,
+positive sides, a confidence in [0, 1], a positive and finite area) and
+the frame rule of _outside_frame (a center at most 10% of the frame
+outside it). numpy's C text reader is only an accelerator: its arrays are
+returned only when it took every line with the kind's dtype and every
+box keeps every rule. Every other file (comments, a line of the other
+kind, a number the reader does not parse, a class id beyond int64, a
+malformed line, a bad box) goes through a per-line scan with Python's
+int and float. Both accept the same language and give the same bits, and
+the scan alone words and locates every error: the first bad line in file
+order, whichever rule it breaks. ImageLabels holds an image's GT and
+prediction arrays and checks the kind and frame rules again, for arrays
+that come from no file. The pipeline, the scene generator and the AP
+baseline use only these arrays. BBox tuples are built from them only for
+callers that ask for them, such as the benchmark's dataset builder:
+parse_label_file, BoxArrays.boxes and ImageLabels.gt_boxes/pred_boxes.
+serialize_labels writes either form.
 
 A manifest is one JSON document describing a dataset's images and,
 optionally, the real<->synth pairing. read_json reads every JSON input
@@ -103,6 +104,17 @@ class BoxArrays:
         )
 
 
+def _outside_frame(xywh: np.ndarray, image_dims: tuple[int, int]) -> np.ndarray:
+    """The frame rule: the rows of an (n, 4) cx, cy, w, h array whose
+    center falls outside the image frame expanded by 10% on each side, as
+    an (n,) bool mask."""
+    width, height = image_dims
+    cx, cy = xywh[:, 0], xywh[:, 1]
+    inside = (-0.1 * width <= cx) & (cx <= 1.1 * width)
+    inside &= (-0.1 * height <= cy) & (cy <= 1.1 * height)
+    return ~inside
+
+
 @dataclass(frozen=True)
 class ImageLabels:
     """All labels of one image, in pixel units: the GT and prediction
@@ -124,22 +136,17 @@ class ImageLabels:
             raise InputValidationError("image_id must be non-empty")
         if self.width_px <= 0 or self.height_px <= 0:
             raise InputValidationError("image dimensions must be positive")
+        image = f"image {self.image_id!r}"
         if not np.isnan(self.gt.confidence).all():
-            raise InputValidationError(
-                f"GT box in image {self.image_id!r} carries a confidence"
-            )
+            raise InputValidationError(f"GT box in {image} carries a confidence")
         if np.isnan(self.pred.confidence).any():
+            raise InputValidationError(f"prediction in {image} lacks a confidence")
+        xywh = np.concatenate([self.gt.xywh, self.pred.xywh])
+        outside = _outside_frame(xywh, (self.width_px, self.height_px))
+        if outside.any():
+            cx, cy = xywh[np.argmax(outside), :2].tolist()
             raise InputValidationError(
-                f"prediction in image {self.image_id!r} lacks a confidence"
-            )
-        cx, cy = np.concatenate([self.gt.xywh[:, :2], self.pred.xywh[:, :2]]).T
-        inside = (-0.1 * self.width_px <= cx) & (cx <= 1.1 * self.width_px)
-        inside &= (-0.1 * self.height_px <= cy) & (cy <= 1.1 * self.height_px)
-        if not inside.all():
-            first = int(np.argmin(inside))
-            raise InputValidationError(
-                f"box center ({cx[first].tolist()}, {cy[first].tolist()}) falls outside "
-                f"the expanded frame of image {self.image_id!r}"
+                f"box center ({cx}, {cy}) falls outside the expanded frame of {image}"
             )
 
     @cached_property
@@ -212,52 +219,55 @@ def _to_pixels(xywh: np.ndarray, coordinate_mode: str, image_dims: tuple[int, in
 
 
 def _read_uniform(
-    lines: list[str], coordinate_mode: str, image_dims: tuple[int, int]
+    lines: list[str], coordinate_mode: str, image_dims: tuple[int, int], predictions: bool
 ) -> BoxArrays | None:
-    """Read box lines that all have the field count of the first with
-    numpy's C text reader, or return None: where the reader refuses a line
-    and where a box breaks a box rule, so that the scan words the error.
+    """Read a GT or prediction file's box lines with numpy's C text reader,
+    or return None where it refuses a line or warns, and where a box breaks
+    a box rule or the frame rule, so that the scan words the error.
 
     The reader splits on the whitespace str.split splits on, parses each
     float through PyOS_string_to_double as float() does, and takes only
     ASCII [+-]digits as a class id (older numpy, which falls back to float
     with a DeprecationWarning, is held to that), so every text it accepts
-    the scan accepts with the same bits. It refuses the rest: a `#`, mixed
-    field counts, an underscore or non-ASCII digit in a number, NUL, a
-    class id beyond int64, and every line the scan calls malformed. It is
-    not run without a box line, where it would warn of empty input.
+    the scan accepts with the same bits. It refuses the rest: a `#`, a line
+    of the other kind or of another field count, an underscore or
+    non-ASCII digit in a number, NUL, a class id beyond int64, and every
+    line the scan calls malformed. It warns of a text without a box line.
     """
-    first = next((fields for raw in lines if (fields := raw.split())), None)
-    if first is None or len(first) not in _ROW_DTYPES:
-        return None
     try:
         with warnings.catch_warnings():
             # numpy from 1.23 until that deprecation expired reads a class
             # id such as 1.0 through float with only a DeprecationWarning;
-            # make that a refusal too
-            warnings.simplefilter("error", DeprecationWarning)
-            rows = np.loadtxt(lines, dtype=_ROW_DTYPES[len(first)], comments=None, ndmin=1)
-    except (ValueError, DeprecationWarning):
+            # make that, and the warning of empty input, a refusal too
+            warnings.simplefilter("error")
+            rows = np.loadtxt(lines, dtype=_ROW_DTYPES[5 + predictions], comments=None, ndmin=1)
+    except (ValueError, Warning):
         return None
     values = rows["values"]
-    given = len(first) == 6
     xywh = _to_pixels(values[:, :4].copy(), coordinate_mode, image_dims)
-    confidence = values[:, 4].copy() if given else np.full(len(rows), math.nan)
-    return None if box_rule_mask(xywh, confidence, given).any() else BoxArrays(xywh, confidence)
+    confidence = values[:, 4].copy() if predictions else np.full(len(rows), math.nan)
+    if (box_rule_mask(xywh, confidence, predictions) | _outside_frame(xywh, image_dims)).any():
+        return None
+    return BoxArrays(xywh, confidence)
 
 
 def _scan(
-    lines: list[str], coordinate_mode: str, image_dims: tuple[int, int], source: str
+    lines: list[str],
+    coordinate_mode: str,
+    image_dims: tuple[int, int],
+    predictions: bool,
+    source: str,
 ) -> BoxArrays:
-    """Read box lines one at a time through Python's int and float,
-    skipping blank lines and `#` comments, and raise a ParseError at the
-    first bad line in file order.
+    """Read the box lines of a GT or prediction file one at a time through
+    Python's int and float, skipping blank lines and `#` comments, and
+    raise a ParseError at the first bad line in file order.
 
-    A malformed line ends the scan; it is raised only if every box before
-    it passes the box rules, and otherwise the first box that breaks one.
+    A malformed line, or one of the other kind, ends the scan; it is raised
+    only if every box before it keeps the box and frame rules, and
+    otherwise the first box that breaks one.
     """
-    values: list[float] = []  # cx, cy, w, h, confidence per box (NaN: none given)
-    given: list[bool] = []
+    n_values = 4 + predictions  # cx, cy, w, h and, on a prediction line, the confidence
+    values: list[float] = []
     line_nos: list[int] = []
     error: str | None = None  # what is wrong with line line_no, where the scan stopped
     for line_no, raw in enumerate(lines, start=1):
@@ -268,30 +278,31 @@ def _scan(
         if n not in (5, 6):
             error = f"expected 5 or 6 fields, got {n}"
             break
+        if (n == 6) != predictions:
+            error = f"{'prediction lacks' if predictions else 'GT box carries'} a confidence"
+            break
         try:
             int(fields[0])
         except ValueError:
             error = f"class_id must be an integer, got {fields[0]!r}"
             break
         try:
-            row = list(map(float, fields[1:]))
+            values += list(map(float, fields[1:]))
         except ValueError as e:
             error = f"non-numeric field: {e}"
             break
-        if n == 5:
-            row.append(math.nan)
-        values += row
-        given.append(n == 6)
         line_nos.append(line_no)
 
-    table = np.array(values, dtype=np.float64).reshape(-1, 5)
+    table = np.array(values, dtype=np.float64).reshape(-1, n_values)
     xywh = _to_pixels(np.ascontiguousarray(table[:, :4]), coordinate_mode, image_dims)
-    confidence = table[:, 4].copy()
-    bad = box_rule_mask(xywh, confidence, np.array(given, dtype=bool))
+    confidence = table[:, 4].copy() if predictions else np.full(len(table), math.nan)
+    bad = box_rule_mask(xywh, confidence, predictions) | _outside_frame(xywh, image_dims)
     if bad.any():
         i = int(np.argmax(bad))
-        row = xywh[i].tolist() + [confidence[i].tolist() if given[i] else None]
-        error, line_no = box_rule_error(*row), line_nos[i]
+        cx, cy, w, h = xywh[i].tolist()
+        error = box_rule_error(cx, cy, w, h, confidence[i].tolist() if predictions else None)
+        error = error or f"box center ({cx}, {cy}) falls outside the expanded frame"
+        line_no = line_nos[i]
     if error is not None:
         raise ParseError(error, source=source, line_no=line_no)
     return BoxArrays(xywh, confidence)
@@ -302,12 +313,15 @@ def parse_label_arrays(
     coordinate_mode: str,
     image_dims: tuple[int, int],
     source: str = "<string>",
+    predictions: bool = False,
 ) -> BoxArrays:
-    """Parse label lines into pixel-unit box arrays.
+    """Parse the lines of a GT label file, or of a prediction file when
+    predictions is true, into pixel-unit box arrays.
 
     Blank lines and `#` comments are skipped. In normalized mode cx/w are
     scaled by the image width and cy/h by the height. A ParseError names
-    the first bad line in file order, whichever rule it breaks.
+    the first bad line in file order, whichever rule it breaks: a box
+    rule, the kind rule or the frame rule.
     """
     _require_mode(coordinate_mode)
     width, height = image_dims
@@ -317,32 +331,35 @@ def parse_label_arrays(
     # the reader gets the scan's lines: a file object would not break
     # lines at \x85 or \u2028
     lines = text.splitlines()
+    args = lines, coordinate_mode, image_dims, predictions
     # the reader refuses every file holding a `#`; spare it the attempt
-    arrays = None if "#" in text else _read_uniform(lines, coordinate_mode, image_dims)
-    return arrays if arrays is not None else _scan(lines, coordinate_mode, image_dims, source)
+    arrays = None if "#" in text else _read_uniform(*args)
+    return arrays if arrays is not None else _scan(*args, source)
 
 
 def read_label_arrays(
     path: str | Path,
     coordinate_mode: str,
     image_dims: tuple[int, int],
+    predictions: bool = False,
 ) -> BoxArrays:
-    """parse_label_arrays on a UTF-8 label file, located by its path; a
-    leading byte-order mark is dropped."""
+    """parse_label_arrays on a UTF-8 GT or prediction label file, located
+    by its path; a leading byte-order mark is dropped."""
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as e:
         raise LoadError(f"cannot read label file {p}: {e}") from e
-    return parse_label_arrays(text, coordinate_mode, image_dims, source=str(p))
+    return parse_label_arrays(text, coordinate_mode, image_dims, str(p), predictions)
 
 
 def parse_label_file(
     path: str | Path,
     coordinate_mode: str,
     image_dims: tuple[int, int],
+    predictions: bool = False,
 ) -> list[BBox]:
-    return list(read_label_arrays(path, coordinate_mode, image_dims).boxes())
+    return list(read_label_arrays(path, coordinate_mode, image_dims, predictions).boxes())
 
 
 def serialize_labels(
@@ -469,37 +486,16 @@ def read_manifest(path: str | Path) -> DatasetManifest:
         raise LoadError(str(e)) from e
 
 
-def _box_line_no(path: Path, index: int) -> int:
-    """The line number of box `index` of a label file that parsed: its
-    index-th line that is neither blank nor a `#` comment."""
-    lines = path.read_text(encoding="utf-8-sig").splitlines()
-    box_lines = [
-        line_no
-        for line_no, raw in enumerate(lines, start=1)
-        if (fields := raw.split()) and not fields[0].startswith("#")
-    ]
-    return box_lines[index]
-
-
 def load_entry(entry: ManifestEntry, coordinate_mode: str, root: Path) -> ImageLabels:
     """Load the labels of one manifest entry, its label paths taken
-    relative to root; any failure is a LoadError naming the entry. A box
-    line of the wrong kind for its file (a GT line with a confidence, a
-    prediction line without one) is named by its file and line number."""
+    relative to root; any failure is a LoadError naming the entry."""
     dims = (entry.width_px, entry.height_px)
-    paths = root / entry.gt_label_path, root / entry.pred_label_path
     try:
-        gt, pred = (read_label_arrays(path, coordinate_mode, dims) for path in paths)
-        try:
-            return ImageLabels(entry.image_id, entry.width_px, entry.height_px, gt, pred)
-        except InputValidationError as e:
-            # the line is looked up only here, so a good file is read once
-            for path, arrays, needs_confidence in zip(paths, (gt, pred), (False, True)):
-                wrong = np.isnan(arrays.confidence) == needs_confidence
-                if wrong.any():
-                    line_no = _box_line_no(path, int(np.argmax(wrong)))
-                    raise ParseError(str(e), source=str(path), line_no=line_no) from e
-            raise
+        gt, pred = (
+            read_label_arrays(root / path, coordinate_mode, dims, predictions)
+            for path, predictions in ((entry.gt_label_path, False), (entry.pred_label_path, True))
+        )
+        return ImageLabels(entry.image_id, entry.width_px, entry.height_px, gt, pred)
     except (ParseError, LoadError, InputValidationError) as e:
         raise LoadError(f"entry {entry.image_id!r}: {e}") from e
 

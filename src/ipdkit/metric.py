@@ -186,6 +186,11 @@ def domain_pairs(domains: Sequence[str]) -> list[tuple[str, str]]:
     return list(reversed(list(itertools.combinations(domains, 2))))
 
 
+def entry_name(idx: int, train: str, pair: Sequence[str]) -> str:
+    """How cross_validation names its idx-th entry, for (train, pair)."""
+    return f"entry #{idx} train={train!r} pair={tuple(pair)!r}"
+
+
 def cross_validation(
     domains: Sequence[str],
     results: Mapping | Sequence,
@@ -210,7 +215,7 @@ def cross_validation(
     entries = results.items() if isinstance(results, Mapping) else results
     for idx, ((train, pair), value) in enumerate(entries):
         key = (train, frozenset(pair))
-        entry = f"entry #{idx} train={train!r} pair={tuple(pair)!r}"
+        entry = entry_name(idx, train, pair)
         if len(pair) != 2 or key not in columns:
             raise InputValidationError(f"{entry} fills no cell of the matrix")
         if key in cells:

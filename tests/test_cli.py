@@ -262,6 +262,39 @@ class TestScenegen:
         assert not outdir.exists()
 
     @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--scenes", "4"),
+            ("--scenes", "1"),  # the default, given
+            ("--instances", "5:9"),
+            ("--seed", "0"),
+            ("--sigma", "3"),
+            ("--dropout-real", "0.1"),
+            ("--dropout-synth", "0.1"),
+            ("--profile-real", "0.8"),
+            ("--profile-synth", "0.8:0.9"),
+            ("--frame", "640x480"),
+            ("--transform", "random"),
+        ],
+    )
+    @pytest.mark.parametrize("spec_first", [True, False])
+    def test_a_per_scene_flag_with_a_spec_file_is_a_usage_error(
+        self, tmp_path, capsys, flag, value, spec_first
+    ):
+        # the flag was ignored, and the spec file's scenes written with
+        # exit 0, before
+        spec_path = tmp_path / "specs.json"
+        spec_path.write_text(json.dumps([{"n_instances": 2}]))
+        spec, given = ["--spec-file", str(spec_path)], [flag, value]
+        outdir = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            main(["scenegen", "--out", str(outdir), *(spec + given if spec_first else given + spec)])
+        assert exc.value.code == 2
+        second, first = (flag, "--spec-file") if spec_first else ("--spec-file", flag)
+        assert f"argument {second}: not allowed with argument {first}\n" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize(
         "spec, message",
         [
             ({"n_instances": -4}, "n_instances"),
@@ -769,10 +802,39 @@ class TestCrossval:
         capsys.readouterr()
         code, out, err = run_cli(["crossval", str(cells_path)], capsys)
         assert code == 3 and out == ""
-        # only "error: no matched instance pairs to aggregate", before
+        # "cell #1", which cross_validation calls "entry #1", before
         assert err == (
-            f"error: cells file {cells_path}: cell #1: no matched instance pairs to aggregate\n"
+            f"error: cells file {cells_path}: {_entry(1, cells['cells'][1])}: "
+            "no matched instance pairs to aggregate\n"
         )
+
+    @pytest.mark.parametrize("fault", ["missing manifest", "bad label line", "pairing conflict"])
+    def test_a_computed_cell_that_fails_is_exit_2_naming_it(self, tmp_path, capsys, fault):
+        # only the manifest's or the label file's own error, before
+        outdir = _scenegen(tmp_path, capsys)
+        real, synth = outdir / "manifest_real.json", outdir / "manifest_synth.json"
+        if fault == "missing manifest":
+            real = tmp_path / "nope.json"
+            message = f"cannot read manifest {real}: "
+        elif fault == "bad label line":
+            label = outdir / "synth" / "scene0001_pred.txt"
+            label.write_text("0 1 1 2 2\n")
+            message = f"entry 'scene0001': {label}:1: prediction lacks a confidence\n"
+        else:
+            doc = json.loads(synth.read_text())
+            doc["pairing"] = doc["pairing"][::-1] + [["scene0001", "scene0000"]]
+            synth.write_text(json.dumps(doc))
+            message = "the two manifests declare conflicting pairings\n"
+        cell = {"train": "real", "pair": ["synth", "real"]}
+        cells = {"domains": ["real", "synth"], "cells": [
+            {"train": "synth", "pair": ["real", "synth"], "ipd": 0.31},
+            {**cell, "real_manifest": str(real), "synth_manifest": str(synth)},
+        ]}
+        cells_path = tmp_path / "cells.json"
+        cells_path.write_text(json.dumps(cells))
+        code, out, err = run_cli(["crossval", str(cells_path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cells file {cells_path}: {_entry(1, cell)}: {message}")
 
     def test_missing_cell_is_exit_2(self, tmp_path, capsys):
         partial = {"domains": CELLS["domains"], "cells": CELLS["cells"][:-1]}
@@ -1173,24 +1235,37 @@ def _one_image_pair(tmp_path, real, synth) -> list[str]:
 @pytest.mark.parametrize(
     "label_file, wrong, message",
     [
-        ("real_gt.txt", "0 100 100 10 10 0.9", "GT box in image 'a' carries a confidence"),
-        ("synth_pred.txt", "0 100 100 10 10", "prediction in image 'a' lacks a confidence"),
+        ("real_gt.txt", "0 100 100 10 10 0.9", "GT box carries a confidence"),
+        ("synth_pred.txt", "0 100 100 10 10", "prediction lacks a confidence"),
+        # a center outside the expanded frame named neither file nor line, before
+        ("real_gt.txt", "0 5000 100 10 10",
+         "box center (5000.0, 100.0) falls outside the expanded frame"),
+        ("synth_pred.txt", "0 100 -500 10 10 0.9",
+         "box center (100.0, -500.0) falls outside the expanded frame"),
     ],
 )
 def test_a_box_line_of_the_wrong_kind_is_named_by_file_and_line(
-    tmp_path, capsys, label_file, wrong, message
+    tmp_path, capsys, monkeypatch, label_file, wrong, message
 ):
-    # the error named the entry only, before
+    # the error named the entry only, before, and a wrong-kind line was
+    # located by reading its file a second time
     gt = [(200.0, 300.0, 20.0, 30.0), (600.0, 250.0, 20.0, 30.0), (450.0, 700.0, 20.0, 30.0)]
     labels = image_labels("a", gt, [(*box, 0.9) for box in gt])
     manifests = _one_image_pair(tmp_path, labels, labels)
     path = tmp_path / label_file
-    # 3 box lines, a comment and a blank line, then two lines of the wrong kind
+    # 3 box lines, a comment and a blank line, then two bad lines
     path.write_text(path.read_text() + f"# more\n\n{wrong}\n{wrong}\n")
+    reads = []
+    read_text = Path.read_text
+    monkeypatch.setattr(
+        Path, "read_text", lambda self, *a, **k: reads.append(self) or read_text(self, *a, **k)
+    )
     for argv in (["ipd", *manifests], ["register", *manifests, "a"]):
+        reads.clear()
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, "")
         assert err == f"error: entry 'a': {path}:6: {message}\n"
+        assert reads.count(path) == 1
 
 
 def test_ipd_runs_on_a_real_side_that_lists_every_box_twice(tmp_path, capsys):

@@ -38,9 +38,10 @@ DIMS = (640, 480)
 
 class TestParseLabelArrays:
     def test_pixel_mode(self):
-        text = "0 100 200 40 30\n2 10.5 20.5 5 5 0.75\n"
-        arrays = parse_label_arrays(text, "pixel", DIMS)
-        assert arrays == box_arrays([(100.0, 200.0, 40.0, 30.0), (10.5, 20.5, 5.0, 5.0, 0.75)])
+        arrays = parse_label_arrays("0 100 200 40 30\n", "pixel", DIMS)
+        assert arrays == box_arrays([(100.0, 200.0, 40.0, 30.0)])
+        arrays = parse_label_arrays("2 10.5 20.5 5 5 0.75\n", "pixel", DIMS, predictions=True)
+        assert arrays == box_arrays([(10.5, 20.5, 5.0, 5.0, 0.75)])
 
     def test_normalized_mode_scales_each_axis(self):
         arrays = parse_label_arrays("0 0.5 0.5 0.1 0.1\n", "normalized", DIMS)
@@ -75,8 +76,9 @@ class TestParseLabelArrays:
         ],
     )
     def test_bad_lines_rejected(self, line):
+        # a line of six fields is read as a prediction file's
         with pytest.raises(ParseError):
-            parse_label_arrays(line + "\n", "pixel", DIMS)
+            parse_label_arrays(line + "\n", "pixel", DIMS, predictions=len(line.split()) == 6)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(InputValidationError):
@@ -94,6 +96,9 @@ class TestParseLabelArrays:
             ("0 1 1 2 2\n0 a 1 2 2\n0 1 1\n", "non-numeric field"),
             # a box-rule error is found after the scan, and still wins
             ("0 1 1 2 2\n0 1 1 0 2\n0 1 1\n", "box sides must be positive"),
+            # so do a line of the other kind and a center outside the frame
+            ("0 1 1 2 2\n0 1 1 2 2 0.5\n0 1 1\n", "GT box carries a confidence"),
+            ("0 1 1 2 2\n0 5000 1 2 2\n0 1 1\n", r"center \(5000\.0, 1\.0\) falls outside"),
         ],
     )
     def test_earlier_bad_line_wins_over_a_field_count_error(self, text, message):
@@ -102,27 +107,57 @@ class TestParseLabelArrays:
         assert exc.value.line_no == 2
 
     def test_six_field_nan_confidence_is_not_a_gt_box(self):
+        text = "0 1 1 2 2 0.5\n0 1 1 2 2 nan\n"
         with pytest.raises(ParseError, match="confidence must be finite") as exc:
+            parse_label_arrays(text, "pixel", DIMS, predictions=True)
+        assert exc.value.line_no == 2
+        with pytest.raises(ParseError, match="GT box carries a confidence") as exc:
             parse_label_arrays("0 1 1 2 2\n0 1 1 2 2 nan\n", "pixel", DIMS)
         assert exc.value.line_no == 2
 
+    def test_the_first_bad_line_aborts_whichever_rule_it_breaks(self):
+        # a confidence on line 2 and three fields on line 5 of a GT file:
+        # reported at line 5, before
+        text = "0 1 1 2 2\n0 3 3 2 2 0.5\n0 5 5 2 2\n\n0 1 1\n"
+        with pytest.raises(ParseError) as exc:
+            parse_label_arrays(text, "pixel", DIMS, source="g.txt")
+        assert str(exc.value) == "g.txt:2: GT box carries a confidence"
+
+    @pytest.mark.parametrize("comment", ["", "# scan\n"])
+    @pytest.mark.parametrize("predictions", [False, True])
+    def test_a_mixed_file_is_refused_at_its_first_line_of_the_other_kind(
+        self, predictions, comment
+    ):
+        # the parser took a mixed file, before; only ImageLabels refused it
+        gt, pred = "0 1 1 2 2\n", "0 3 3 2 2 0.5\n"
+        own, other = (pred, gt) if predictions else (gt, pred)
+        text = comment + own * 2 + other + own + other
+        assert _read_uniform(text.splitlines(), "pixel", DIMS, predictions) is None
+        with pytest.raises(ParseError) as exc:
+            parse_label_arrays(text, "pixel", DIMS, source="f.txt", predictions=predictions)
+        message = "prediction lacks a confidence" if predictions else "GT box carries a confidence"
+        assert str(exc.value) == f"f.txt:{3 + bool(comment)}: {message}"
+
     def test_class_id_beyond_64_bits_loads(self):
         text = f"0 1 1 2 2\n{2**63} 3 3 2 2\n{-(2**70)} 5 5 2 2\n"
-        assert _read_uniform(text.splitlines(), "pixel", DIMS) is None
+        assert _read_uniform(text.splitlines(), "pixel", DIMS, False) is None
         arrays = parse_label_arrays(text, "pixel", DIMS)
         assert arrays == box_arrays([(1, 1, 2, 2), (3, 3, 2, 2), (5, 5, 2, 2)])
 
     def test_arrays_hold_pixel_units_and_nan_for_gt(self):
-        text = "3 0.5 0.5 0.1 0.2\n1 0.25 0.5 0.5 0.5 0.75\n"
-        arrays = parse_label_arrays(text, "normalized", DIMS)
-        assert arrays.xywh.tolist() == [[320.0, 240.0, 64.0, 96.0], [160.0, 240.0, 320.0, 240.0]]
-        assert math.isnan(arrays.confidence[0]) and arrays.confidence[1] == 0.75
+        gt = parse_label_arrays("3 0.5 0.5 0.1 0.2\n", "normalized", DIMS)
+        pred = parse_label_arrays("1 0.25 0.5 0.5 0.5 0.75\n", "normalized", DIMS, predictions=True)
+        assert gt.xywh.tolist() == [[320.0, 240.0, 64.0, 96.0]]
+        assert pred.xywh.tolist() == [[160.0, 240.0, 320.0, 240.0]]
+        assert math.isnan(gt.confidence[0]) and pred.confidence[0] == 0.75
         assert parse_label_arrays("# only a comment\n", "pixel", DIMS).xywh.shape == (0, 4)
 
 
-def _reference_parse(text, mode, dims, source="<string>"):
-    """Per-line parser: every box line becomes a BBox, which checks its
-    own rules, so the first bad line raises."""
+def _reference_parse(text, mode, dims, source="<string>", predictions=False):
+    """Per-line parser of a GT file, or of a prediction file: every box
+    line must be of the file's kind and becomes a BBox, which checks its
+    own rules, with its center inside the frame expanded by 10% on each
+    side, so the first bad line raises."""
     width, height = dims
     boxes = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -134,6 +169,9 @@ def _reference_parse(text, mode, dims, source="<string>"):
             raise ParseError(
                 f"expected 5 or 6 fields, got {len(fields)}", source=source, line_no=line_no
             )
+        if (len(fields) == 6) != predictions:
+            kind = "prediction lacks" if predictions else "GT box carries"
+            raise ParseError(f"{kind} a confidence", source=source, line_no=line_no)
         try:
             int(fields[0])
         except ValueError:
@@ -152,6 +190,12 @@ def _reference_parse(text, mode, dims, source="<string>"):
             boxes.append(BBox(cx, cy, w, h, confidence))
         except InputValidationError as e:
             raise ParseError(str(e), source=source, line_no=line_no) from None
+        if not (-0.1 * width <= cx <= 1.1 * width and -0.1 * height <= cy <= 1.1 * height):
+            raise ParseError(
+                f"box center ({cx}, {cy}) falls outside the expanded frame",
+                source=source,
+                line_no=line_no,
+            )
     return boxes
 
 
@@ -181,8 +225,9 @@ _BAD_FIELDS = {
 
 
 @st.composite
-def _label_line(draw, allow_bad):
-    kinds = ["gt"] * 4 + ["pred"] * 4 + ["comment", "blank"] + ["bad"] * allow_bad
+def _label_line(draw, allow_bad, predictions):
+    # a box line of the file's kind or, as a bad line, of the other kind
+    kinds = ["box"] * 8 + ["comment", "blank"] + ["bad", "other"] * allow_bad
     kind = draw(st.sampled_from(kinds))
     if kind == "blank":
         return draw(st.sampled_from(["", "   ", "\t"]))
@@ -192,7 +237,7 @@ def _label_line(draw, allow_bad):
         fields = _BAD_FIELDS[draw(st.sampled_from(sorted(_BAD_FIELDS)))]
     else:
         fields = [draw(_CLASS), draw(_COORD), draw(_COORD), draw(_SIDE), draw(_SIDE)]
-        if kind == "pred":
+        if predictions != (kind == "other"):
             fields.append(draw(_CONF))
     sep = draw(st.sampled_from([" ", "  ", "\t", " \t "]))
     pad = draw(st.sampled_from(["", " ", "\t"]))
@@ -201,34 +246,37 @@ def _label_line(draw, allow_bad):
 
 @st.composite
 def _label_text(draw):
+    """A label file's text and whether it is a prediction file."""
     # texts without bad lines exercise the accepting path
-    lines = draw(st.lists(_label_line(draw(st.booleans())), max_size=12))
-    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    predictions = draw(st.booleans())
+    lines = draw(st.lists(_label_line(draw(st.booleans()), predictions), max_size=12))
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines), predictions
 
 
 class TestArrayParserMatchesPerLineReference:
     @settings(max_examples=400, deadline=None)
-    @given(text=_label_text(), mode=st.sampled_from(["pixel", "normalized"]))
-    def test_same_boxes_or_same_error(self, text, mode):
+    @given(drawn=_label_text(), mode=st.sampled_from(["pixel", "normalized"]))
+    def test_same_boxes_or_same_error(self, drawn, mode):
+        text, predictions = drawn
         try:
-            expected = _reference_parse(text, mode, DIMS, source="f.txt")
+            expected = _reference_parse(text, mode, DIMS, "f.txt", predictions)
         except ParseError as e:
             with pytest.raises(ParseError) as exc:
-                parse_label_arrays(text, mode, DIMS, source="f.txt")
+                parse_label_arrays(text, mode, DIMS, "f.txt", predictions)
             assert (exc.value.line_no, str(exc.value)) == (e.line_no, str(e))
             return
-        assert parse_label_arrays(text, mode, DIMS, source="f.txt") == box_arrays(expected)
+        assert parse_label_arrays(text, mode, DIMS, "f.txt", predictions) == box_arrays(expected)
 
 
-def _assert_matches_reference(text, mode):
+def _assert_matches_reference(text, mode, predictions):
     try:
-        expected = _reference_parse(text, mode, DIMS, source="f.txt")
+        expected = _reference_parse(text, mode, DIMS, "f.txt", predictions)
     except ParseError as e:
         with pytest.raises(ParseError) as exc:
-            parse_label_arrays(text, mode, DIMS, source="f.txt")
+            parse_label_arrays(text, mode, DIMS, "f.txt", predictions)
         assert (exc.value.line_no, str(exc.value)) == (e.line_no, str(e))
         return
-    arrays = parse_label_arrays(text, mode, DIMS, source="f.txt")
+    arrays = parse_label_arrays(text, mode, DIMS, "f.txt", predictions)
     assert arrays == box_arrays(expected)
     # bit for bit, -0.0 included
     assert arrays.xywh.tobytes() == box_arrays(expected).xywh.tobytes()
@@ -244,7 +292,8 @@ _ODD_TOKENS = [
 
 @st.composite
 def _uniform_label_text(draw):
-    # one field count per text, no comments: the texts numpy's reader takes
+    """A label file's text of one kind and no comment, which numpy's
+    reader takes, and whether it is a prediction file."""
     n_fields = draw(st.sampled_from([5, 6]))
     lines = []
     for _ in range(draw(st.integers(0, 10))):
@@ -257,14 +306,16 @@ def _uniform_label_text(draw):
         if draw(st.integers(0, 3)) == 0:
             fields[draw(st.integers(0, n_fields - 1))] = draw(st.sampled_from(_ODD_TOKENS))
         lines.append(draw(st.sampled_from([" ", "\t", "\xa0", "　", " \t"])).join(fields))
-    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    return text, n_fields == 6
 
 
 class TestNumpyReaderMatchesPerLineReference:
     @settings(max_examples=400, deadline=None)
-    @given(text=_uniform_label_text(), mode=st.sampled_from(["pixel", "normalized"]))
-    def test_uniform_texts(self, text, mode):
-        _assert_matches_reference(text, mode)
+    @given(drawn=_uniform_label_text(), mode=st.sampled_from(["pixel", "normalized"]))
+    def test_uniform_texts(self, drawn, mode):
+        text, predictions = drawn
+        _assert_matches_reference(text, mode, predictions)
 
     @pytest.mark.parametrize(
         "text",
@@ -280,7 +331,8 @@ class TestNumpyReaderMatchesPerLineReference:
         ],
     )
     def test_texts_the_reader_refuses(self, text):
-        _assert_matches_reference(text, "pixel")
+        # a text whose first line has six fields is a prediction file's
+        _assert_matches_reference(text, "pixel", len(text.splitlines()[0].split()) == 6)
 
     def test_a_class_id_read_through_float_with_a_warning_is_refused(self, monkeypatch):
         # numpy 1.23 on reads "1.5" into an int64 field through float, and
@@ -305,16 +357,17 @@ class TestNumpyReaderMatchesPerLineReference:
     @pytest.mark.parametrize(
         "text, reader",
         [
-            ("0 1 1 2 2\n1 3 3 2 2\n", True),
-            ("0 1 1 2 2 0.5\n1 3 3 2 2 0.25\n", True),
-            ("# scan\n0 1 1 2 2\n", False),
-            ("0 1 1 2 2\n1 3 3 2 2 0.25\n", False),
+            ("0 0.1 0.1 0.2 0.2\n1 0.3 0.3 0.2 0.2\n", True),
+            ("0 0.1 0.1 0.2 0.2 0.5\n1 0.3 0.3 0.2 0.2 0.25\n", True),
+            ("# scan\n0 0.1 0.1 0.2 0.2\n", False),
+            ("# scan\n0 0.1 0.1 0.2 0.2 0.5\n1 0.3 0.3 0.2 0.2 0.25\n", False),
         ],
     )
     @pytest.mark.parametrize("mode", ["pixel", "normalized"])
     def test_both_paths_return_contiguous_typed_arrays(self, text, reader, mode):
-        assert (_read_uniform(text.splitlines(), mode, DIMS) is not None) == reader
-        arrays = parse_label_arrays(text, mode, DIMS)
+        predictions = "0.5" in text
+        assert (_read_uniform(text.splitlines(), mode, DIMS, predictions) is not None) == reader
+        arrays = parse_label_arrays(text, mode, DIMS, predictions=predictions)
         for values in (arrays.xywh, arrays.confidence):
             assert values.dtype == np.float64 and values.flags.c_contiguous
             if reader:  # no view into the reader's record buffer
@@ -355,19 +408,21 @@ class TestBoxRuleMasksMatchBBox:
         # accepted by BBox, the parser would return without refusing it
         lines = [["0", *fields], ["0", "1", "1", "0", "2", *fields[4:]]]
         text = "# scan\n" * scan + "".join(" ".join(line) + "\n" for line in lines)
-        _assert_matches_reference(text, mode)
+        _assert_matches_reference(text, mode, len(fields) == 5)
 
 
 class TestSerializeLabels:
     @pytest.mark.parametrize("mode", ["pixel", "normalized"])
     def test_round_trip_is_exact(self, mode, tmp_path):
-        boxes = [BBox(100.25, 200.5, 40.125, 30.0), BBox(10.5, 20.5, 5.0, 5.0, 0.7512345)]
-        text = serialize_labels(box_arrays(boxes), mode, DIMS)
-        assert serialize_labels(boxes, mode, DIMS) == text
-        assert [line.split()[0] for line in text.splitlines()] == ["0", "0"]
-        assert parse_label_arrays(text, mode, DIMS) == box_arrays(boxes)
-        (tmp_path / "labels.txt").write_text(text)
-        assert parse_label_file(tmp_path / "labels.txt", mode, DIMS) == boxes
+        for first, second in ((None, None), (0.7512345, 0.25)):
+            boxes = [BBox(100.25, 200.5, 40.125, 30.0, first), BBox(10.5, 20.5, 5.0, 5.0, second)]
+            predictions = first is not None
+            text = serialize_labels(box_arrays(boxes), mode, DIMS)
+            assert serialize_labels(boxes, mode, DIMS) == text
+            assert [line.split()[0] for line in text.splitlines()] == ["0", "0"]
+            assert parse_label_arrays(text, mode, DIMS, predictions=predictions) == box_arrays(boxes)
+            (tmp_path / "labels.txt").write_text(text)
+            assert parse_label_file(tmp_path / "labels.txt", mode, DIMS, predictions) == boxes
 
     def test_empty_input_gives_empty_text(self):
         assert serialize_labels([], "pixel", DIMS) == ""
