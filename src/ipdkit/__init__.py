@@ -21,7 +21,6 @@ from .geometry import (
     iou_table,
 )
 from .ingestion import (
-    BoxArrays,
     DatasetManifest,
     ImageLabels,
     ManifestEntry,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineTransform2D",
     "BBox",
-    "BoxArrays",
     "CrossValCell",
     "DatasetManifest",
     "DetectorProfile",

@@ -48,13 +48,13 @@ def _greedy_outcomes(
     counts = [len(image.pred) for image in labels]
     # every prediction in image order, then file order; the stable sort
     # keeps that order among equal confidences
-    confs = np.concatenate([image.pred.confidence for image in labels])
+    confs = np.concatenate([image.pred[:, 4] for image in labels])
     image_of = np.repeat(np.arange(len(labels)), counts).tolist()
     col_of = np.concatenate([np.arange(k) for k in counts]).tolist()
     order = np.argsort(-confs, kind="stable")
 
     # claimed GT rows are zeroed, which no threshold in (0, 1) accepts
-    tables = [iou_table(image.gt.xywh, image.pred.xywh) for image in labels]
+    tables = [iou_table(image.gt, image.pred[:, :4]) for image in labels]
     tp = np.zeros(len(confs), dtype=bool)
     for rank, idx in enumerate(order.tolist()):
         table = tables[image_of[idx]]

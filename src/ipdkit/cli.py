@@ -110,12 +110,10 @@ def align_pair(real: ImageLabels, synth: ImageLabels, config: PipelineConfig) ->
     seeded by the pair's sub-seed, then match them inside the gate."""
     real_id, synth_id = real.image_id, synth.image_id
     sub_seed = stable_subseed(config.seed, real_id, synth_id)
-    real_gt, synth_gt = real.gt.xywh, synth.gt.xywh
-    if len(real_gt) == 0 or len(synth_gt) == 0:
-        unmatched = tuple(range(len(real_gt))), tuple(range(len(synth_gt)))
+    if len(real.gt) == 0 or len(synth.gt) == 0:
+        unmatched = tuple(range(len(real.gt))), tuple(range(len(synth.gt)))
         return PairOutcome(real_id, synth_id, sub_seed, None, InstancePairing((), *unmatched))
-    real_centers = real_gt[:, :2]
-    synth_centers = synth_gt[:, :2]
+    real_centers, synth_centers = real.gt[:, :2], synth.gt[:, :2]
     cfg = RegistrationConfig(max_iterations=config.max_iterations, rng_seed=sub_seed)
     reg = register(synth_centers, real_centers, cfg)
     if reg.fallback is not None:
@@ -124,7 +122,7 @@ def align_pair(real: ImageLabels, synth: ImageLabels, config: PipelineConfig) ->
             "fell back to centroid translation",
             file=sys.stderr,
         )
-    gate = default_gate_distance(real_gt) if config.gate is None else config.gate
+    gate = default_gate_distance(real.gt) if config.gate is None else config.gate
     pairing = match_instances(reg.transform, synth_centers, real_centers, gate)
     return PairOutcome(real_id, synth_id, sub_seed, reg, pairing)
 
@@ -331,15 +329,16 @@ class _SceneSource(argparse.Action):
 def _flag_type(convert, check=None):
     """An argparse type=: convert the flag's text, then run check, the
     library's own validation, on the value. A ValueError from either (an
-    InputValidationError is one) becomes a usage error, exit 2, that
-    names the flag and its text."""
+    InputValidationError is one), or an OverflowError of an integer past
+    float's range, becomes a usage error, exit 2, that names the flag and
+    its text."""
 
     def flag_type(text: str):
         try:
             value = convert(text)
             if check is not None:
                 check(value)
-        except ValueError as e:
+        except (ValueError, OverflowError) as e:
             raise argparse.ArgumentTypeError(f"bad value {text!r}: {e}") from e
         return value
 
@@ -358,11 +357,12 @@ def _check_at_least_one(n: int) -> None:
 
 def _instance_span(text: str) -> tuple[int, int]:
     bounds = [int(v) for v in text.split(":")]
-    if len(bounds) == 1:
-        return bounds[0], bounds[0]
-    if len(bounds) != 2 or bounds[0] > bounds[1]:
+    low, high = bounds[0], bounds[-1]
+    if len(bounds) > 2 or low > high:
         raise ValueError("expected COUNT or LOW:HIGH with LOW <= HIGH")
-    return bounds[0], bounds[1]
+    if high >= 2**63:  # cmd_scenegen draws each scene's count as an int64
+        raise ValueError("a count must be below 2**63")
+    return low, high
 
 
 def _profile(text: str) -> DetectorProfile:

@@ -10,7 +10,8 @@ whose boxes overlap along x, and is equal to the table's row maximum. BBox
 and the scalar iou, one box at a time, are the reference the tests check
 the kernel against and the form the benchmark's dataset builder takes.
 box_rule_error alone states the box rules, and box_rule_mask, its form
-for the rows of a GT or a prediction file, follows it.
+for the rows of a GT file (cx, cy, w, h) or of a prediction file (the
+confidence last), follows it.
 Points are always (n, 2) float64 arrays, and apply_params is the one
 implementation of the affine map p -> Ap + t.
 """
@@ -59,14 +60,13 @@ def box_rule_error(
     return None
 
 
-def box_rule_mask(xywh: np.ndarray, confidence: np.ndarray, given: bool) -> np.ndarray:
+def box_rule_mask(boxes: np.ndarray) -> np.ndarray:
     """The rows box_rule_error refuses, as an (n,) bool mask, of an (n, 4)
-    cx, cy, w, h array and (n,) confidences, which are judged only when
-    given."""
+    cx, cy, w, h array, or of an (n, 5) one with the confidence last."""
     with np.errstate(over="ignore", invalid="ignore"):  # an area of inf or inf * 0 is refused
-        area = xywh[:, 2] * xywh[:, 3]
-    bad = ~np.isfinite(xywh).all(axis=1) | (xywh[:, 2] <= 0.0) | (xywh[:, 3] <= 0.0)
-    bad |= given & ~((confidence >= 0.0) & (confidence <= 1.0))
+        area = boxes[:, 2] * boxes[:, 3]
+    bad = ~np.isfinite(boxes).all(axis=1) | (boxes[:, 2] <= 0.0) | (boxes[:, 3] <= 0.0)
+    bad |= ~((boxes[:, 4:] >= 0.0) & (boxes[:, 4:] <= 1.0)).all(axis=1)
     bad |= ~((area > 0.0) & (area < math.inf))
     return bad
 

@@ -9,48 +9,49 @@ A GT file has five fields a line and a prediction file six; the reader
 is told the file's kind and the image's frame. The class id is checked
 to be an integer and then ignored: ipdkit measures a single-class task,
 and serialize_labels writes 0. parse_label_arrays is the one label
-parser. It reads a file into a BoxArrays: an (n, 4) float64 cx, cy, w, h
-array in pixels and an (n,) confidence vector, NaN in a GT file. Every
-box keeps the box rules of geometry.box_rule_mask (finite values,
-positive sides, a confidence in [0, 1], a positive and finite area) and
-the frame rule of _outside_frame (a center at most 10% of the frame
-outside it). numpy's C text reader is only an accelerator: its arrays are
-returned only when it took every line with the kind's dtype and every
-box keeps every rule. Every other file (comments, a line of the other
-kind, a number the reader does not parse, a class id beyond int64, a
-malformed line, a bad box) goes through a per-line scan with Python's
-int and float. Both accept the same language and give the same bits, and
-the scan alone words and locates every error: the first bad line in file
-order, whichever rule it breaks. ImageLabels holds an image's GT and
-prediction arrays and checks the kind and frame rules again, for arrays
-that come from no file. The pipeline, the scene generator and the AP
-baseline use only these arrays. BBox tuples are built from them only for
-callers that ask for them, such as the benchmark's dataset builder:
-parse_label_file, BoxArrays.boxes and ImageLabels.gt_boxes/pred_boxes.
+parser. It reads a file into one float64 array of the columns after the
+class id, in pixels: (n, 4) cx, cy, w, h rows in a GT file, and (n, 5)
+rows with the confidence last in a prediction file. Every box keeps the
+box rules of geometry.box_rule_mask (finite values, positive sides, a
+confidence in [0, 1], a positive and finite area) and the frame rule of
+_outside_frame (a center at most 10% of the frame outside it). numpy's C
+text reader is only an accelerator: its arrays are returned only when it
+took every line with the kind's dtype and every box keeps every rule.
+Every other file (comments, a line of the other kind, a number the
+reader does not parse, a class id beyond int64, a malformed line, a bad
+box) goes through a per-line scan with Python's int and float. Both
+accept the same language and give the same bits, and the scan alone
+words and locates every error: the first bad line in file order,
+whichever rule it breaks. ImageLabels holds an image's GT and prediction
+arrays and checks their shapes and the frame rule again, for arrays that
+come from no file. The pipeline, the scene generator and the AP baseline
+use only these arrays. BBox tuples, BBox(*row) of either kind, are built
+from them only for callers that ask for them, such as the benchmark's
+dataset builder: parse_label_file and ImageLabels.gt_boxes/pred_boxes.
 serialize_labels writes either form.
 
 A manifest is one JSON document describing a dataset's images and,
 optionally, the real<->synth pairing. read_json reads every JSON input
-file, and from_json decodes each into a frozen dataclass (DatasetManifest
-here, SceneSpec and the cells file in the CLI) by one rule on its field
-types: a str takes a string, an int a whole number (1280.0 is 1280), a
-float any number, and neither a boolean; tuple[T, ...] and tuple[T, U] an
-array of that length, T | None null or a T, and a dataclass an object of
-its fields or an array of them in order. An unknown key or a missing
-required field is refused. Errors name a field path: entries[1].width_px.
+file, and from_json decodes each into a frozen dataclass
+(DatasetManifest here, SceneSpec and the cells file in the CLI) by one
+rule on its field types: a str takes a string, an int a whole number
+(1280.0 is 1280), a float any number, neither a boolean nor an integer
+past float's range; tuple[T, ...] and tuple[T, U] an array of that
+length, T | None null or a T, and a dataclass an object of its fields or
+an array of them in order. An unknown key or a missing required field is
+refused. Errors name a field path: entries[1].width_px.
 load_dataset(path) reads a manifest and loads every image it lists
 through load_entry, with label paths taken relative to the manifest's
 directory. Loading is atomic: the first bad line or missing file aborts
-the whole dataset with a located error. merge_pairings reconciles the two
-manifests' pairings, and pair_datasets checks the result once, against
-both datasets: their loaded images, or just their manifest entries when
-only one pair is to be loaded.
+the whole dataset with a located error. merge_pairings reconciles the
+two manifests' pairings, and pair_datasets checks the result once,
+against both datasets: their loaded images, or just their manifest
+entries when only one pair is to be loaded.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from functools import cache, cached_property
@@ -73,63 +74,33 @@ def _require_mode(coordinate_mode: str) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class BoxArrays:
-    """The boxes of one label file, one row per box in file order.
-
-    xywh is (n, 4) float64 cx, cy, w, h; confidence is (n,) float64 with
-    NaN for "no confidence" (a GT box). No class id is kept. Every row
-    satisfies the box rules of geometry.box_rule_error, which
-    parse_label_arrays checks and the scene generator's SceneSpec
-    guarantees. Equality is exact, NaN-aware on confidence.
-    """
-
-    xywh: np.ndarray
-    confidence: np.ndarray
-
-    def boxes(self) -> tuple[BBox, ...]:
-        return tuple(
-            BBox(cx, cy, w, h, None if math.isnan(c) else c)
-            for (cx, cy, w, h), c in zip(self.xywh.tolist(), self.confidence.tolist())
-        )
-
-    def __len__(self) -> int:
-        return len(self.xywh)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BoxArrays):
-            return NotImplemented
-        return np.array_equal(self.xywh, other.xywh) and np.array_equal(
-            self.confidence, other.confidence, equal_nan=True
-        )
-
-
-def _outside_frame(xywh: np.ndarray, image_dims: tuple[int, int]) -> np.ndarray:
-    """The frame rule: the rows of an (n, 4) cx, cy, w, h array whose
+def _outside_frame(boxes: np.ndarray, image_dims: tuple[int, int]) -> np.ndarray:
+    """The frame rule: the rows of a box array, cx and cy first, whose
     center falls outside the image frame expanded by 10% on each side, as
     an (n,) bool mask."""
     width, height = image_dims
-    cx, cy = xywh[:, 0], xywh[:, 1]
+    cx, cy = boxes[:, 0], boxes[:, 1]
     inside = (-0.1 * width <= cx) & (cx <= 1.1 * width)
     inside &= (-0.1 * height <= cy) & (cy <= 1.1 * height)
     return ~inside
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImageLabels:
-    """All labels of one image, in pixel units: the GT and prediction
-    boxes as BoxArrays.
+    """All labels of one image, in pixel units, as float64 arrays of a
+    label file's columns after the class id, one row per box: gt is
+    (n, 4) cx, cy, w, h and pred (m, 5), the confidence last.
 
-    Box centers may overhang the frame by 10% on each side; GT boxes must
-    not carry a confidence, predictions must. gt_boxes and pred_boxes are
-    the same boxes as BBox tuples, built the first time they are read.
+    Box centers may overhang the frame by 10% on each side. gt_boxes and
+    pred_boxes are the same boxes as BBox tuples, built the first time
+    they are read. Two ImageLabels are equal only when they are one.
     """
 
     image_id: str
     width_px: int
     height_px: int
-    gt: BoxArrays
-    pred: BoxArrays
+    gt: np.ndarray
+    pred: np.ndarray
 
     def __post_init__(self):
         if not self.image_id:
@@ -137,25 +108,27 @@ class ImageLabels:
         if self.width_px <= 0 or self.height_px <= 0:
             raise InputValidationError("image dimensions must be positive")
         image = f"image {self.image_id!r}"
-        if not np.isnan(self.gt.confidence).all():
-            raise InputValidationError(f"GT box in {image} carries a confidence")
-        if np.isnan(self.pred.confidence).any():
-            raise InputValidationError(f"prediction in {image} lacks a confidence")
-        xywh = np.concatenate([self.gt.xywh, self.pred.xywh])
-        outside = _outside_frame(xywh, (self.width_px, self.height_px))
+        for name, boxes, columns in (("GT", self.gt, 4), ("prediction", self.pred, 5)):
+            if boxes.ndim != 2 or boxes.shape[1] != columns:
+                raise InputValidationError(
+                    f"{name} boxes of {image} must be an (n, {columns}) array, "
+                    f"got shape {boxes.shape}"
+                )
+        centers = np.concatenate([self.gt[:, :2], self.pred[:, :2]])
+        outside = _outside_frame(centers, (self.width_px, self.height_px))
         if outside.any():
-            cx, cy = xywh[np.argmax(outside), :2].tolist()
+            cx, cy = centers[np.argmax(outside)].tolist()
             raise InputValidationError(
                 f"box center ({cx}, {cy}) falls outside the expanded frame of {image}"
             )
 
     @cached_property
     def gt_boxes(self) -> tuple[BBox, ...]:
-        return self.gt.boxes()
+        return tuple(BBox(*row) for row in self.gt.tolist())
 
     @cached_property
     def pred_boxes(self) -> tuple[BBox, ...]:
-        return self.pred.boxes()
+        return tuple(BBox(*row) for row in self.pred.tolist())
 
 
 @dataclass(frozen=True)
@@ -209,18 +182,18 @@ _ROW_DTYPES = {
 }
 
 
-def _to_pixels(xywh: np.ndarray, coordinate_mode: str, image_dims: tuple[int, int]) -> np.ndarray:
-    """Scale cx, cy, w, h rows to pixels in place, in normalized mode."""
+def _to_pixels(boxes: np.ndarray, coordinate_mode: str, image_dims: tuple[int, int]) -> None:
+    """Scale the cx, cy, w, h columns of box rows to pixels in place, in
+    normalized mode."""
     if coordinate_mode == "normalized":
         width, height = image_dims
         with np.errstate(over="ignore"):  # an overflow to inf breaks the box rules
-            xywh *= np.array([width, height, width, height], dtype=np.float64)
-    return xywh
+            boxes[:, :4] *= np.array([width, height, width, height], dtype=np.float64)
 
 
 def _read_uniform(
     lines: list[str], coordinate_mode: str, image_dims: tuple[int, int], predictions: bool
-) -> BoxArrays | None:
+) -> np.ndarray | None:
     """Read a GT or prediction file's box lines with numpy's C text reader,
     or return None where it refuses a line or warns, and where a box breaks
     a box rule or the frame rule, so that the scan words the error.
@@ -243,12 +216,11 @@ def _read_uniform(
             rows = np.loadtxt(lines, dtype=_ROW_DTYPES[5 + predictions], comments=None, ndmin=1)
     except (ValueError, Warning):
         return None
-    values = rows["values"]
-    xywh = _to_pixels(values[:, :4].copy(), coordinate_mode, image_dims)
-    confidence = values[:, 4].copy() if predictions else np.full(len(rows), math.nan)
-    if (box_rule_mask(xywh, confidence, predictions) | _outside_frame(xywh, image_dims)).any():
+    boxes = rows["values"].copy()
+    _to_pixels(boxes, coordinate_mode, image_dims)
+    if (box_rule_mask(boxes) | _outside_frame(boxes, image_dims)).any():
         return None
-    return BoxArrays(xywh, confidence)
+    return boxes
 
 
 def _scan(
@@ -257,7 +229,7 @@ def _scan(
     image_dims: tuple[int, int],
     predictions: bool,
     source: str,
-) -> BoxArrays:
+) -> np.ndarray:
     """Read the box lines of a GT or prediction file one at a time through
     Python's int and float, skipping blank lines and `#` comments, and
     raise a ParseError at the first bad line in file order.
@@ -293,19 +265,18 @@ def _scan(
             break
         line_nos.append(line_no)
 
-    table = np.array(values, dtype=np.float64).reshape(-1, n_values)
-    xywh = _to_pixels(np.ascontiguousarray(table[:, :4]), coordinate_mode, image_dims)
-    confidence = table[:, 4].copy() if predictions else np.full(len(table), math.nan)
-    bad = box_rule_mask(xywh, confidence, predictions) | _outside_frame(xywh, image_dims)
+    boxes = np.array(values, dtype=np.float64).reshape(-1, n_values)
+    _to_pixels(boxes, coordinate_mode, image_dims)
+    bad = box_rule_mask(boxes) | _outside_frame(boxes, image_dims)
     if bad.any():
         i = int(np.argmax(bad))
-        cx, cy, w, h = xywh[i].tolist()
-        error = box_rule_error(cx, cy, w, h, confidence[i].tolist() if predictions else None)
-        error = error or f"box center ({cx}, {cy}) falls outside the expanded frame"
+        row = boxes[i].tolist()
+        error = box_rule_error(*row)
+        error = error or f"box center ({row[0]}, {row[1]}) falls outside the expanded frame"
         line_no = line_nos[i]
     if error is not None:
         raise ParseError(error, source=source, line_no=line_no)
-    return BoxArrays(xywh, confidence)
+    return boxes
 
 
 def parse_label_arrays(
@@ -314,9 +285,10 @@ def parse_label_arrays(
     image_dims: tuple[int, int],
     source: str = "<string>",
     predictions: bool = False,
-) -> BoxArrays:
+) -> np.ndarray:
     """Parse the lines of a GT label file, or of a prediction file when
-    predictions is true, into pixel-unit box arrays.
+    predictions is true, into a pixel-unit box array: (n, 4) cx, cy, w, h
+    rows, or (n, 5) with the confidence last.
 
     Blank lines and `#` comments are skipped. In normalized mode cx/w are
     scaled by the image width and cy/h by the height. A ParseError names
@@ -333,8 +305,8 @@ def parse_label_arrays(
     lines = text.splitlines()
     args = lines, coordinate_mode, image_dims, predictions
     # the reader refuses every file holding a `#`; spare it the attempt
-    arrays = None if "#" in text else _read_uniform(*args)
-    return arrays if arrays is not None else _scan(*args, source)
+    boxes = None if "#" in text else _read_uniform(*args)
+    return boxes if boxes is not None else _scan(*args, source)
 
 
 def read_label_arrays(
@@ -342,7 +314,7 @@ def read_label_arrays(
     coordinate_mode: str,
     image_dims: tuple[int, int],
     predictions: bool = False,
-) -> BoxArrays:
+) -> np.ndarray:
     """parse_label_arrays on a UTF-8 GT or prediction label file, located
     by its path; a leading byte-order mark is dropped."""
     p = Path(path)
@@ -359,33 +331,28 @@ def parse_label_file(
     image_dims: tuple[int, int],
     predictions: bool = False,
 ) -> list[BBox]:
-    return list(read_label_arrays(path, coordinate_mode, image_dims, predictions).boxes())
+    rows = read_label_arrays(path, coordinate_mode, image_dims, predictions).tolist()
+    return [BBox(*row) for row in rows]
 
 
 def serialize_labels(
-    boxes: BoxArrays | Sequence[BBox], coordinate_mode: str, image_dims: tuple[int, int]
+    boxes: np.ndarray | Sequence[BBox], coordinate_mode: str, image_dims: tuple[int, int]
 ) -> str:
-    """Label-file text of a BoxArrays (or of a sequence of BBoxes), one
+    """Label-file text of a box array (or of a sequence of BBoxes), one
     line per box with class id 0: the inverse of parse_label_arrays, exact
     in pixel mode."""
     _require_mode(coordinate_mode)
     width, height = image_dims
-    if isinstance(boxes, BoxArrays):
-        rows = zip(boxes.xywh.tolist(), boxes.confidence.tolist())
+    if isinstance(boxes, np.ndarray):
+        rows = boxes.tolist()
     else:
-        rows = (
-            ((b.cx, b.cy, b.w, b.h), math.nan if b.confidence is None else b.confidence)
-            for b in boxes
-        )
+        rows = [(b.cx, b.cy, b.w, b.h, b.confidence)[: 5 - (b.confidence is None)] for b in boxes]
     lines = []
-    for (cx, cy, w, h), confidence in rows:
+    for cx, cy, w, h, *confidence in rows:
         if coordinate_mode == "normalized":
             cx, w = cx / width, w / width
             cy, h = cy / height, h / height
-        parts = ["0", repr(cx), repr(cy), repr(w), repr(h)]
-        if not math.isnan(confidence):
-            parts.append(repr(confidence))
-        lines.append(" ".join(parts))
+        lines.append(" ".join(["0", *map(repr, (cx, cy, w, h, *confidence))]))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -433,9 +400,11 @@ def _decode(kind: object, value: object, path: str) -> object:
         # type(), not isinstance: a JSON true is an int to isinstance
         if type(value) is float and (kind is float or value.is_integer()) or type(value) is int:
             try:
-                return kind(value)
-            except OverflowError:  # an integer literal past float's range
+                float(value)  # an integer literal past float's range, for either kind
+            except OverflowError:
                 pass
+            else:
+                return kind(value)
         expected = "a whole number" if kind is int else "a number"
     elif is_dataclass(kind):
         spec = _json_fields(kind)

@@ -166,7 +166,7 @@ def evaluate_pair(
                 "labeled (real, synthetic) instances"
             )
         perf_real, perf_synth = (
-            best_iou(labels.gt.xywh, labels.pred.xywh[labels.pred.confidence >= conf_threshold])
+            best_iou(labels.gt, labels.pred[labels.pred[:, 4] >= conf_threshold, :4])
             for labels in (real, synth)
         )
         for r_idx, s_idx, _ in sorted(pairing.pairs):

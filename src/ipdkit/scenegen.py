@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InputValidationError
 from .geometry import AffineTransform2D, BBox, box_rule_error, iou_rows, transform_points
-from .ingestion import BoxArrays, DatasetManifest, ImageLabels, ManifestEntry, serialize_labels
+from .ingestion import DatasetManifest, ImageLabels, ManifestEntry, serialize_labels
 
 _IOU_TOL = 1e-4  # internal bisection tolerance, tighter than the 1e-3 contract
 _PLACEMENT_ATTEMPT_FACTOR = 400
@@ -245,10 +245,10 @@ def _simulate_detector(
     u_target: np.ndarray,
     angles: np.ndarray,
     confidences: np.ndarray,
-) -> tuple[BoxArrays, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One prediction per GT row the detector does not miss, at a target
-    IOU drawn from profile; returns the predictions and each GT row's
-    realized IOU (0.0 where missed)."""
+    IOU drawn from profile; returns the (k, 5) prediction rows, confidence
+    last, and each GT row's realized IOU (0.0 where missed)."""
     hit = u_miss >= profile.miss_rate
     # math's cos, sin and hypot, element by element: numpy's may round
     # differently, and the predictions' bytes are pinned
@@ -258,11 +258,7 @@ def _simulate_detector(
     pred = _shift_to_target_iou(gt[hit], dx, dy, norm, profile.target(u_target[hit]))
     ious = np.zeros(len(gt))
     ious[hit] = iou_rows(gt[hit], pred)
-    return BoxArrays(pred, confidences[hit]), ious
-
-
-def _gt_arrays(xywh: np.ndarray) -> BoxArrays:
-    return BoxArrays(xywh, np.full(len(xywh), math.nan))
+    return np.column_stack([pred, confidences[hit]]), ious
 
 
 def generate_scene_pair(
@@ -324,8 +320,8 @@ def generate_scene_pair(
     )
 
     w, h = spec.frame
-    real = ImageLabels(image_id, w, h, _gt_arrays(real_gt), real_pred)
-    synth = ImageLabels(image_id, w, h, _gt_arrays(synth_gt), synth_pred)
+    real = ImageLabels(image_id, w, h, real_gt, real_pred)
+    synth = ImageLabels(image_id, w, h, synth_gt, synth_pred)
     ious = SceneIous(tuple(real_ious.tolist()), tuple(synth_ious.tolist()))
     return real, synth, correspondence, ious
 

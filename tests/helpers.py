@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from ipdkit import BBox, BoxArrays, ImageLabels, iou
+from ipdkit import BBox, ImageLabels, iou
 
 
 def grid_iou(a: BBox, b: BBox, cells: int = 1000) -> float:
@@ -118,19 +118,27 @@ def bisect_shift(gt: BBox, direction: tuple[float, float], target: float) -> BBo
     return shifted(0.5 * (lo + hi))
 
 
-def box_arrays(rows) -> BoxArrays:
-    """BoxArrays of BBoxes or of (cx, cy, w, h[, confidence]) rows, each
-    checked by BBox's rules; no confidence (or None) marks a GT box."""
+def box_array(rows, predictions: bool = False) -> np.ndarray:
+    """The (n, 4) cx, cy, w, h array of GT rows, or the (n, 5) array of
+    prediction rows with the confidence last, from BBoxes or from
+    (cx, cy, w, h[, confidence]) tuples, each checked by BBox's rules and
+    to be of that kind."""
     boxes = [row if isinstance(row, BBox) else BBox(*row) for row in rows]
-    return BoxArrays(
-        np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4),
-        np.array([math.nan if b.confidence is None else b.confidence for b in boxes]),
-    )
+    assert all((b.confidence is not None) == predictions for b in boxes)
+    values = [(b.cx, b.cy, b.w, b.h, b.confidence)[: 4 + predictions] for b in boxes]
+    return np.array(values, dtype=np.float64).reshape(-1, 4 + predictions)
 
 
 def image_labels(image_id, gt, pred=(), frame=(1000, 1000)) -> ImageLabels:
-    """ImageLabels of one image from box_arrays rows."""
-    return ImageLabels(image_id, frame[0], frame[1], box_arrays(gt), box_arrays(pred))
+    """ImageLabels of one image from box_array's GT and prediction rows."""
+    return ImageLabels(image_id, frame[0], frame[1], box_array(gt), box_array(pred, True))
+
+
+def same_labels(a: ImageLabels, b: ImageLabels) -> bool:
+    """Whether two ImageLabels hold the same image and equal boxes."""
+    boxes = ((a.gt, b.gt), (a.pred, b.pred))
+    same_image = (a.image_id, a.width_px, a.height_px) == (b.image_id, b.width_px, b.height_px)
+    return same_image and all(np.array_equal(x, y) for x, y in boxes)
 
 
 def check_hits(params, valid, check, near_x, near_y, capture_radius) -> np.ndarray:

@@ -128,11 +128,11 @@ def _recovery_scene(master: np.random.Generator, index: int):
 
 def _run_pipeline(spec: SceneSpec, reg_seed: int):
     real, synth, corr, ious = generate_scene_pair(spec)
-    real_centers = real.gt.xywh[:, :2]
-    synth_centers = synth.gt.xywh[:, :2]
+    real_centers = real.gt[:, :2]
+    synth_centers = synth.gt[:, :2]
     start = time.perf_counter()
     reg = register(synth_centers, real_centers, RegistrationConfig(rng_seed=reg_seed))
-    gate = default_gate_distance(real.gt.xywh)
+    gate = default_gate_distance(real.gt)
     pairing = match_instances(reg.transform, synth_centers, real_centers, gate)
     elapsed = time.perf_counter() - start
     return real, synth, corr, ious, pairing, elapsed

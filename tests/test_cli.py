@@ -248,6 +248,11 @@ class TestScenegen:
             # exit 0 and two manifests without entries, before
             ("--scenes", "0"),
             ("--scenes", "-3"),
+            # an OverflowError traceback of the frame's int-to-float, exit 1, before
+            pytest.param("--frame", f"{10**400}x960", id="--frame-1e400x960"),
+            # numpy's "high is out of bounds for int64" traceback, exit 1, before
+            pytest.param("--instances", str(10**30), id="--instances-1e30"),
+            pytest.param("--instances", f"5:{10**30}", id="--instances-5:1e30"),
         ],
     )
     def test_bad_flag_is_a_usage_error_before_any_file_is_written(
@@ -322,6 +327,15 @@ class TestScenegen:
                 {"n_instances": 1000, "frame": [20000, 20000], "min_separation_factor": math.nan},
                 "min_separation_factor must be finite",
             ),
+            # an OverflowError traceback, exit 1, before
+            pytest.param(
+                {"n_instances": 5, "frame": [10**400, 960]},
+                "frame[0]: expected a whole number",
+                id="frame-1e400",
+            ),
+            pytest.param(
+                {"n_instances": 10**400}, "n_instances: expected a whole number", id="n_instances-1e400"
+            ),
         ],
     )
     def test_bad_spec_file_is_exit_2(self, tmp_path, capsys, spec, message):
@@ -381,7 +395,7 @@ class TestIpd:
         outdir = _scenegen(tmp_path, capsys)
         (outdir / "real" / "scene0001_gt.txt").write_text("")
         real_labels, _ = load_dataset(outdir / "manifest_real.json")
-        assert real_labels[1].gt.xywh.shape == (0, 4)
+        assert real_labels[1].gt.shape == (0, 4)
         assert real_labels[1].gt_boxes == ()
         synth_labels, _ = load_dataset(outdir / "manifest_synth.json")
         report = tmp_path / "report.json"
@@ -534,12 +548,19 @@ class TestIpd:
         assert message in err
 
     @pytest.mark.parametrize(
-        "field, value", [("width_px", 1280.9), ("height_px", True), ("width_px", "1280")]
+        "field, value",
+        [
+            ("width_px", 1280.9),
+            ("height_px", True),
+            ("width_px", "1280"),
+            pytest.param("width_px", 10**400, id="width_px-1e400"),
+        ],
     )
     def test_image_size_that_is_not_a_whole_number_is_exit_2(
         self, tmp_path, capsys, field, value
     ):
-        # int() read 1280.9 as 1280 and true as 1, without a word
+        # int() read 1280.9 as 1280 and true as 1, without a word; a width
+        # past float's range was an OverflowError traceback, exit 1
         outdir = _scenegen(tmp_path, capsys)
         path = outdir / "manifest_real.json"
         doc = json.loads(path.read_text())
@@ -1384,7 +1405,7 @@ def test_bench_counters_match_the_label_arrays(tmp_path, capsys, monkeypatch):
     counts = recorder.counts()
     labels = [lab for path in manifests for lab in load_dataset(path)[0]]
     assert counts["ingestion.boxes"] == sum(len(lab.gt) + len(lab.pred) for lab in labels)
-    kept = [int((lab.pred.confidence >= 0.75).sum()) for lab in labels]
+    kept = [int((lab.pred[:, 4] >= 0.75).sum()) for lab in labels]
     assert 0 < sum(kept) < sum(len(lab.pred) for lab in labels)
     assert counts["metric.iou_cells"] == sum(len(lab.gt) * k for lab, k in zip(labels, kept))
 

@@ -5,7 +5,7 @@ import io
 import json
 import math
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from ipdkit.errors import InputValidationError, LoadError, ParseError
 from ipdkit.geometry import AffineTransform2D, BBox
 from ipdkit.ingestion import (
     DatasetManifest,
+    ImageLabels,
     ManifestEntry,
     _read_uniform,
     from_json,
@@ -31,7 +32,7 @@ from ipdkit.metric import CrossValCell, IpdResult, PerfRecord, cross_validation
 from ipdkit.report import ipd_result_to_dict, write_ipd_report, write_report
 from ipdkit.scenegen import DetectorProfile, SceneSpec
 
-from helpers import box_arrays, image_labels
+from helpers import box_array, image_labels
 
 DIMS = (640, 480)
 
@@ -39,13 +40,13 @@ DIMS = (640, 480)
 class TestParseLabelArrays:
     def test_pixel_mode(self):
         arrays = parse_label_arrays("0 100 200 40 30\n", "pixel", DIMS)
-        assert arrays == box_arrays([(100.0, 200.0, 40.0, 30.0)])
+        assert arrays.tolist() == [[100.0, 200.0, 40.0, 30.0]]
         arrays = parse_label_arrays("2 10.5 20.5 5 5 0.75\n", "pixel", DIMS, predictions=True)
-        assert arrays == box_arrays([(10.5, 20.5, 5.0, 5.0, 0.75)])
+        assert arrays.tolist() == [[10.5, 20.5, 5.0, 5.0, 0.75]]
 
     def test_normalized_mode_scales_each_axis(self):
         arrays = parse_label_arrays("0 0.5 0.5 0.1 0.1\n", "normalized", DIMS)
-        assert arrays == box_arrays([(320.0, 240.0, 64.0, 48.0)])
+        assert arrays.tolist() == [[320.0, 240.0, 64.0, 48.0]]
 
     def test_blank_lines_and_comments_skipped(self):
         text = "\n# header\n0 1 1 2 2\n   \n# trailing\n"
@@ -142,15 +143,16 @@ class TestParseLabelArrays:
         text = f"0 1 1 2 2\n{2**63} 3 3 2 2\n{-(2**70)} 5 5 2 2\n"
         assert _read_uniform(text.splitlines(), "pixel", DIMS, False) is None
         arrays = parse_label_arrays(text, "pixel", DIMS)
-        assert arrays == box_arrays([(1, 1, 2, 2), (3, 3, 2, 2), (5, 5, 2, 2)])
+        assert arrays.tolist() == [[1, 1, 2, 2], [3, 3, 2, 2], [5, 5, 2, 2]]
 
-    def test_arrays_hold_pixel_units_and_nan_for_gt(self):
+    def test_arrays_hold_pixel_units_in_the_files_columns(self):
         gt = parse_label_arrays("3 0.5 0.5 0.1 0.2\n", "normalized", DIMS)
         pred = parse_label_arrays("1 0.25 0.5 0.5 0.5 0.75\n", "normalized", DIMS, predictions=True)
-        assert gt.xywh.tolist() == [[320.0, 240.0, 64.0, 96.0]]
-        assert pred.xywh.tolist() == [[160.0, 240.0, 320.0, 240.0]]
-        assert math.isnan(gt.confidence[0]) and pred.confidence[0] == 0.75
-        assert parse_label_arrays("# only a comment\n", "pixel", DIMS).xywh.shape == (0, 4)
+        assert gt.tolist() == [[320.0, 240.0, 64.0, 96.0]]
+        assert pred.tolist() == [[160.0, 240.0, 320.0, 240.0, 0.75]]
+        empty = "# only a comment\n"
+        assert parse_label_arrays(empty, "pixel", DIMS).shape == (0, 4)
+        assert parse_label_arrays(empty, "pixel", DIMS, predictions=True).shape == (0, 5)
 
 
 def _reference_parse(text, mode, dims, source="<string>", predictions=False):
@@ -199,12 +201,16 @@ def _reference_parse(text, mode, dims, source="<string>", predictions=False):
     return boxes
 
 
-# 1e308 overflows to inf in normalized mode
-_COORD = (
-    st.floats(-100.0, 800.0).map(repr)
-    | st.integers(-100, 800).map(str)
-    | st.sampled_from(["-0.0", "1e308"])
-)
+# box centers by coordinate mode: pixel ones reach past the frame
+# expanded by 10% on each side, normalized ones stay within it, so that
+# normalized texts are mostly accepted; 1e308 overflows to inf in
+# normalized mode
+_MODES = ["pixel", "normalized"]
+_ODD_COORD = st.sampled_from(["-0.0", "1e308"])
+_COORD = {
+    "pixel": st.floats(-100.0, 800.0).map(repr) | st.integers(-100, 800).map(str) | _ODD_COORD,
+    "normalized": st.floats(-0.1, 1.1).map(repr) | st.integers(0, 1).map(str) | _ODD_COORD,
+}
 _SIDE = st.floats(1e-3, 500.0).map(repr) | st.integers(1, 500).map(str)
 _CONF = st.floats(0.0, 1.0).map(repr) | st.sampled_from(["0", "1", "1.0", "0.5"])
 _CLASS = st.integers(0, 9).map(str) | st.integers(-(2**63), 2**63 - 1).map(str)
@@ -225,7 +231,7 @@ _BAD_FIELDS = {
 
 
 @st.composite
-def _label_line(draw, allow_bad, predictions):
+def _label_line(draw, allow_bad, predictions, mode):
     # a box line of the file's kind or, as a bad line, of the other kind
     kinds = ["box"] * 8 + ["comment", "blank"] + ["bad", "other"] * allow_bad
     kind = draw(st.sampled_from(kinds))
@@ -236,7 +242,7 @@ def _label_line(draw, allow_bad, predictions):
     if kind == "bad":
         fields = _BAD_FIELDS[draw(st.sampled_from(sorted(_BAD_FIELDS)))]
     else:
-        fields = [draw(_CLASS), draw(_COORD), draw(_COORD), draw(_SIDE), draw(_SIDE)]
+        fields = [draw(_CLASS), draw(_COORD[mode]), draw(_COORD[mode]), draw(_SIDE), draw(_SIDE)]
         if predictions != (kind == "other"):
             fields.append(draw(_CONF))
     sep = draw(st.sampled_from([" ", "  ", "\t", " \t "]))
@@ -246,18 +252,21 @@ def _label_line(draw, allow_bad, predictions):
 
 @st.composite
 def _label_text(draw):
-    """A label file's text and whether it is a prediction file."""
+    """A label file's text, its coordinate mode and whether it is a
+    prediction file."""
     # texts without bad lines exercise the accepting path
+    mode = draw(st.sampled_from(_MODES))
     predictions = draw(st.booleans())
-    lines = draw(st.lists(_label_line(draw(st.booleans()), predictions), max_size=12))
-    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines), predictions
+    lines = draw(st.lists(_label_line(draw(st.booleans()), predictions, mode), max_size=12))
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    return text, mode, predictions
 
 
 class TestArrayParserMatchesPerLineReference:
     @settings(max_examples=400, deadline=None)
-    @given(drawn=_label_text(), mode=st.sampled_from(["pixel", "normalized"]))
-    def test_same_boxes_or_same_error(self, drawn, mode):
-        text, predictions = drawn
+    @given(drawn=_label_text())
+    def test_same_boxes_or_same_error(self, drawn):
+        text, mode, predictions = drawn
         try:
             expected = _reference_parse(text, mode, DIMS, "f.txt", predictions)
         except ParseError as e:
@@ -265,7 +274,8 @@ class TestArrayParserMatchesPerLineReference:
                 parse_label_arrays(text, mode, DIMS, "f.txt", predictions)
             assert (exc.value.line_no, str(exc.value)) == (e.line_no, str(e))
             return
-        assert parse_label_arrays(text, mode, DIMS, "f.txt", predictions) == box_arrays(expected)
+        arrays = parse_label_arrays(text, mode, DIMS, "f.txt", predictions)
+        assert np.array_equal(arrays, box_array(expected, predictions))
 
 
 def _assert_matches_reference(text, mode, predictions):
@@ -277,9 +287,9 @@ def _assert_matches_reference(text, mode, predictions):
         assert (exc.value.line_no, str(exc.value)) == (e.line_no, str(e))
         return
     arrays = parse_label_arrays(text, mode, DIMS, "f.txt", predictions)
-    assert arrays == box_arrays(expected)
+    expected = box_array(expected, predictions)
     # bit for bit, -0.0 included
-    assert arrays.xywh.tobytes() == box_arrays(expected).xywh.tobytes()
+    assert arrays.shape == expected.shape and arrays.tobytes() == expected.tobytes()
 
 
 # tokens that Python's int and float and numpy's text reader treat alike
@@ -293,29 +303,30 @@ _ODD_TOKENS = [
 @st.composite
 def _uniform_label_text(draw):
     """A label file's text of one kind and no comment, which numpy's
-    reader takes, and whether it is a prediction file."""
+    reader takes, its coordinate mode and whether it is a prediction
+    file."""
+    mode = draw(st.sampled_from(_MODES))
     n_fields = draw(st.sampled_from([5, 6]))
     lines = []
     for _ in range(draw(st.integers(0, 10))):
         if draw(st.integers(0, 5)) == 0:
             lines.append(draw(st.sampled_from(["", "  ", "\t"])))
             continue
-        fields = [draw(_CLASS), draw(_COORD), draw(_COORD), draw(_SIDE), draw(_SIDE)]
+        fields = [draw(_CLASS), draw(_COORD[mode]), draw(_COORD[mode]), draw(_SIDE), draw(_SIDE)]
         if n_fields == 6:
             fields.append(draw(_CONF))
         if draw(st.integers(0, 3)) == 0:
             fields[draw(st.integers(0, n_fields - 1))] = draw(st.sampled_from(_ODD_TOKENS))
         lines.append(draw(st.sampled_from([" ", "\t", "\xa0", "　", " \t"])).join(fields))
     text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
-    return text, n_fields == 6
+    return text, mode, n_fields == 6
 
 
 class TestNumpyReaderMatchesPerLineReference:
     @settings(max_examples=400, deadline=None)
-    @given(drawn=_uniform_label_text(), mode=st.sampled_from(["pixel", "normalized"]))
-    def test_uniform_texts(self, drawn, mode):
-        text, predictions = drawn
-        _assert_matches_reference(text, mode, predictions)
+    @given(drawn=_uniform_label_text())
+    def test_uniform_texts(self, drawn):
+        _assert_matches_reference(*drawn)
 
     @pytest.mark.parametrize(
         "text",
@@ -352,7 +363,7 @@ class TestNumpyReaderMatchesPerLineReference:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             arrays = parse_label_arrays(text, "pixel", DIMS)
-        assert arrays.xywh.shape == (0, 4) and len(arrays.confidence) == 0
+        assert arrays.shape == (0, 4)
 
     @pytest.mark.parametrize(
         "text, reader",
@@ -368,10 +379,10 @@ class TestNumpyReaderMatchesPerLineReference:
         predictions = "0.5" in text
         assert (_read_uniform(text.splitlines(), mode, DIMS, predictions) is not None) == reader
         arrays = parse_label_arrays(text, mode, DIMS, predictions=predictions)
-        for values in (arrays.xywh, arrays.confidence):
-            assert values.dtype == np.float64 and values.flags.c_contiguous
-            if reader:  # no view into the reader's record buffer
-                assert values.base is None
+        assert arrays.shape[1] == 4 + predictions
+        assert arrays.dtype == np.float64 and arrays.flags.c_contiguous
+        if reader:  # no view into the reader's record buffer
+            assert arrays.base is None
 
 
 # values at the edges of BBox's rules: NaN, infinities, signed zeros,
@@ -387,23 +398,21 @@ _EXTREME_CONF = st.floats(-0.5, 1.5).map(repr) | st.sampled_from(
 
 @st.composite
 def _extreme_box_fields(draw):
-    # an ordinary box with one or two values made extreme, so that one
-    # rule decides the line
-    fields = [draw(_COORD), draw(_COORD), draw(_SIDE), draw(_SIDE)]
+    # a coordinate mode, and an ordinary box with one or two values made
+    # extreme, so that one rule decides the line
+    mode = draw(st.sampled_from(_MODES))
+    fields = [draw(_COORD[mode]), draw(_COORD[mode]), draw(_SIDE), draw(_SIDE)]
     for i in draw(st.lists(st.integers(0, 3), min_size=1, max_size=2)):
         fields[i] = draw(_EXTREME)
     confidence = draw(st.none() | _CONF | _EXTREME_CONF)
-    return fields + ([] if confidence is None else [confidence])
+    return mode, fields + ([] if confidence is None else [confidence])
 
 
 class TestBoxRuleMasksMatchBBox:
     @settings(max_examples=400, deadline=None)
-    @given(
-        fields=_extreme_box_fields(),
-        mode=st.sampled_from(["pixel", "normalized"]),
-        scan=st.booleans(),
-    )
-    def test_a_line_is_refused_as_bbox_refuses_it(self, fields, mode, scan):
+    @given(drawn=_extreme_box_fields(), scan=st.booleans())
+    def test_a_line_is_refused_as_bbox_refuses_it(self, drawn, scan):
+        mode, fields = drawn
         # a zero-width line follows: were a line flagged by the masks and
         # accepted by BBox, the parser would return without refusing it
         lines = [["0", *fields], ["0", "1", "1", "0", "2", *fields[4:]]]
@@ -417,10 +426,11 @@ class TestSerializeLabels:
         for first, second in ((None, None), (0.7512345, 0.25)):
             boxes = [BBox(100.25, 200.5, 40.125, 30.0, first), BBox(10.5, 20.5, 5.0, 5.0, second)]
             predictions = first is not None
-            text = serialize_labels(box_arrays(boxes), mode, DIMS)
+            arrays = box_array(boxes, predictions)
+            text = serialize_labels(arrays, mode, DIMS)
             assert serialize_labels(boxes, mode, DIMS) == text
             assert [line.split()[0] for line in text.splitlines()] == ["0", "0"]
-            assert parse_label_arrays(text, mode, DIMS, predictions=predictions) == box_arrays(boxes)
+            assert np.array_equal(parse_label_arrays(text, mode, DIMS, predictions=predictions), arrays)
             (tmp_path / "labels.txt").write_text(text)
             assert parse_label_file(tmp_path / "labels.txt", mode, DIMS, predictions) == boxes
 
@@ -430,12 +440,29 @@ class TestSerializeLabels:
 
 class TestImageLabels:
     def test_gt_with_confidence_rejected(self):
-        with pytest.raises(InputValidationError):
-            image_labels("img", (BBox(10, 10, 4, 4, 0.5),), (), frame=(100, 100))
+        message = r"GT boxes of image 'img' must be an \(n, 4\) array, got shape \(1, 5\)"
+        with pytest.raises(InputValidationError, match=message):
+            ImageLabels("img", 100, 100, np.array([[10.0, 10.0, 4.0, 4.0, 0.5]]), np.zeros((0, 5)))
 
     def test_prediction_without_confidence_rejected(self):
-        with pytest.raises(InputValidationError):
-            image_labels("img", (), (BBox(10, 10, 4, 4),), frame=(100, 100))
+        message = r"prediction boxes of image 'img' must be an \(n, 5\) array, got shape \(1, 4\)"
+        with pytest.raises(InputValidationError, match=message):
+            ImageLabels("img", 100, 100, np.zeros((0, 4)), np.array([[10.0, 10.0, 4.0, 4.0]]))
+
+    @pytest.mark.parametrize(
+        "gt, pred, message",
+        [
+            # (n, 3) arrays were taken on both sides, and failed inside the
+            # pipeline, before
+            ((2, 3), (0, 5), r"GT boxes .* got shape \(2, 3\)"),
+            ((0, 4), (2, 3), r"prediction boxes .* got shape \(2, 3\)"),
+            ((4,), (0, 5), r"GT boxes .* got shape \(4,\)"),
+            ((0, 4), (1, 5, 1), r"prediction boxes .* got shape \(1, 5, 1\)"),
+        ],
+    )
+    def test_an_array_of_another_shape_is_refused(self, gt, pred, message):
+        with pytest.raises(InputValidationError, match=message):
+            ImageLabels("img", 100, 100, np.full(gt, 50.0), np.full(pred, 0.5))
 
     @pytest.mark.parametrize(
         "image_id, frame, message",
@@ -463,14 +490,12 @@ class TestImageLabels:
         with pytest.raises(InputValidationError, match=r"\(-20\.25, 50\.0\)"):
             image_labels("img", gt[:1], pred, frame=(100, 100))
 
-    def test_equality_is_exact(self):
-        gt = [BBox(10.0, 20.0, 4.0, 4.0)]
-        pred = [BBox(11.0, 20.0, 4.0, 4.0, 0.5)]
+    def test_equality_is_identity(self):
+        # a generated __eq__ would raise on the arrays' ambiguous truth value
+        gt, pred = [(10.0, 20.0, 4.0, 4.0)], [(11.0, 20.0, 4.0, 4.0, 0.5)]
         a = image_labels("img", gt, pred, frame=(100, 100))
-        assert a == image_labels("img", list(gt), list(pred), frame=(100, 100))
-        nudged = [BBox(math.nextafter(10.0, 11.0), 20.0, 4.0, 4.0)]
-        assert a != image_labels("img", nudged, pred, frame=(100, 100))
-        assert a != image_labels("img", gt, [BBox(11.0, 20.0, 4.0, 4.0, 0.25)], frame=(100, 100))
+        assert a == a
+        assert a != image_labels("img", gt, pred, frame=(100, 100))
 
     def test_boxes_are_built_from_the_arrays(self):
         gt = (BBox(10.0, 20.0, 4.0, 4.0),)
@@ -629,6 +654,18 @@ class TestFromJson:
         doc = json.loads('{"n_instances": 1, "center_noise_sigma": 1%s}' % ("0" * 400))
         with pytest.raises(InputValidationError, match="s: center_noise_sigma: expected a number"):
             from_json(SceneSpec, doc, "s")
+        # an int field took it, and a float() of it raised OverflowError
+        # further on, before
+        with pytest.raises(InputValidationError, match="s: n_instances: expected a whole number"):
+            from_json(SceneSpec, {"n_instances": 10**400}, "s")
+
+    def test_a_field_of_a_type_the_rule_does_not_know_is_a_type_error(self):
+        @dataclass(frozen=True)
+        class Tagged:
+            tags: frozenset[str]
+
+        with pytest.raises(TypeError, match="from_json cannot decode a field of type"):
+            from_json(Tagged, {"tags": ["a"]}, "t")
 
 
 class TestLoadDataset:

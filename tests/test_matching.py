@@ -17,7 +17,7 @@ from ipdkit.matching import (
     match_instances,
 )
 
-from helpers import box_arrays, brute_force_assignment
+from helpers import box_array, brute_force_assignment
 
 IDENTITY = AffineTransform2D(1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
 
@@ -277,16 +277,16 @@ class TestMatchInstances:
 
 class TestDefaultGateDistance:
     def test_half_median_diagonal(self):
-        boxes = box_arrays([(0.0, 0.0, 3.0, 4.0), (10.0, 10.0, 6.0, 8.0), (20.0, 20.0, 9.0, 12.0)])
-        assert default_gate_distance(boxes.xywh) == pytest.approx(5.0)
+        boxes = box_array([(0.0, 0.0, 3.0, 4.0), (10.0, 10.0, 6.0, 8.0), (20.0, 20.0, 9.0, 12.0)])
+        assert default_gate_distance(boxes) == pytest.approx(5.0)
 
     def test_single_box(self):
-        boxes = box_arrays([(0.0, 0.0, 6.0, 8.0)])
-        assert default_gate_distance(boxes.xywh) == pytest.approx(5.0)
+        boxes = box_array([(0.0, 0.0, 6.0, 8.0)])
+        assert default_gate_distance(boxes) == pytest.approx(5.0)
 
     def test_rejects_empty(self):
         with pytest.raises(InputValidationError):
-            default_gate_distance(box_arrays([]).xywh)
+            default_gate_distance(box_array([]))
 
     def test_bit_identical_to_scalar_hypot(self):
         # the gate goes into the report by repr; np.hypot differs from
@@ -294,6 +294,6 @@ class TestDefaultGateDistance:
         rng = np.random.default_rng(23)
         for n in [1] * 3000 + [2, 5, 40, 41] * 50:
             sides = np.exp(rng.uniform(-1.0, 7.5, (n, 2))).tolist()
-            boxes = box_arrays([(0.0, 0.0, w, h) for w, h in sides])
+            boxes = box_array([(0.0, 0.0, w, h) for w, h in sides])
             expected = 0.5 * float(np.median([math.hypot(w, h) for w, h in sides]))
-            assert default_gate_distance(boxes.xywh) == expected
+            assert default_gate_distance(boxes) == expected

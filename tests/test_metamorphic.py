@@ -9,7 +9,7 @@ import pytest
 
 from ipdkit import DetectorProfile, SceneSpec, emit_dataset, random_affine
 from ipdkit.cli import PipelineConfig, evaluate_dataset_pair
-from ipdkit.ingestion import BoxArrays, load_dataset, pair_datasets
+from ipdkit.ingestion import load_dataset, pair_datasets
 
 CONFIG = PipelineConfig(seed=7)
 
@@ -69,9 +69,10 @@ def test_base_scenes_are_recovered(base):
 
 
 def test_scaling_and_shifting_the_synthetic_side_keeps_the_ipd(datasets, base):
-    def moved(labels: BoxArrays) -> BoxArrays:
-        xywh = labels.xywh * 2.0 + np.array([10.0, 20.0, 0.0, 0.0])
-        return BoxArrays(xywh, labels.confidence)
+    def moved(boxes: np.ndarray) -> np.ndarray:
+        out = boxes.copy()
+        out[:, :4] = boxes[:, :4] * 2.0 + np.array([10.0, 20.0, 0.0, 0.0])
+        return out
 
     def grown(synth):
         width, height = 2 * synth.width_px + 10, 2 * synth.height_px + 20
@@ -118,10 +119,10 @@ def test_mirroring_both_sides_keeps_the_ipd_and_the_pairs(datasets, base):
     # mirrored sides keeps orientation, and the search favours neither
     # handedness. Mirroring one side only is not registered.
     def mirrored(labels):
-        def flip(boxes: BoxArrays) -> BoxArrays:
-            xywh = boxes.xywh.copy()
-            xywh[:, 0] = labels.width_px - xywh[:, 0]
-            return BoxArrays(xywh, boxes.confidence)
+        def flip(boxes: np.ndarray) -> np.ndarray:
+            out = boxes.copy()
+            out[:, 0] = labels.width_px - boxes[:, 0]
+            return out
 
         return replace(labels, gt=flip(labels.gt), pred=flip(labels.pred))
 

@@ -21,7 +21,7 @@ from ipdkit.metric import (
 )
 from ipdkit.report import write_report
 
-from helpers import box_arrays, image_labels
+from helpers import box_array, image_labels
 
 
 def _record(p_real, p_synth, image_id="img", idx=0):
@@ -52,7 +52,7 @@ class TestIouTable:
     def test_values_match_pairwise_iou(self):
         gt = [BBox(0.0, 0.0, 2.0, 2.0), BBox(5.0, 5.0, 2.0, 2.0)]
         pred = [BBox(0.0, 0.0, 2.0, 2.0, 0.9), BBox(1.0, 0.0, 2.0, 2.0, 0.8)]
-        table = iou_table(box_arrays(gt).xywh, box_arrays(pred).xywh)
+        table = iou_table(box_array(gt), box_array(pred, True)[:, :4])
         assert table.shape == (2, 2)
         assert table[0, 0] == 1.0
         assert table[0, 1] == pytest.approx(1.0 / 3.0)
@@ -62,14 +62,14 @@ class TestIouTable:
         for make in (_grid_boxes, _continuous_boxes):
             for _ in range(20):
                 gt, pred = make(rng, rng.integers(1, 15)), make(rng, rng.integers(1, 15))
-                table = iou_table(box_arrays(gt).xywh, box_arrays(pred).xywh)
+                table = iou_table(box_array(gt, True)[:, :4], box_array(pred, True)[:, :4])
                 assert table.shape == (len(gt), len(pred))
                 for i, g in enumerate(gt):
                     for j, p in enumerate(pred):
                         assert table[i, j] == iou(g, p)
 
     def test_empty_sides(self):
-        empty, box = box_arrays([]).xywh, box_arrays([(0, 0, 1, 1)]).xywh
+        empty, box = box_array([]), box_array([(0, 0, 1, 1)])
         assert iou_table(empty, empty).shape == (0, 0)
         assert iou_table(box, empty).shape == (1, 0)
         assert iou_table(empty, box).shape == (0, 1)

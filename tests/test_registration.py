@@ -451,7 +451,7 @@ def _recalls(scenes):
     _align recovers."""
     out = []
     for i, (real, synth, corr) in enumerate(scenes):
-        pairing = _align(real.gt.xywh, synth.gt.xywh, RegistrationConfig(rng_seed=i))
+        pairing = _align(real.gt, synth.gt, RegistrationConfig(rng_seed=i))
         truth = set(corr)
         found = {(r, s) for r, s, _ in pairing.pairs}
         out.append(len(found & truth) / len(truth) if truth else 1.0)
@@ -510,7 +510,7 @@ def test_heavy_dropout_pairs_match_alike_under_another_seed():
     # true map, another order finds it too and matches the same pairs
     for i, (real, synth, _) in enumerate(_scenes(30, 30, (20, 61), 0.3, min_separation_factor=2.0)):
         matched = [
-            {(r, s) for r, s, _ in _align(real.gt.xywh, synth.gt.xywh, cfg).pairs}
+            {(r, s) for r, s, _ in _align(real.gt, synth.gt, cfg).pairs}
             for cfg in (RegistrationConfig(rng_seed=i), RegistrationConfig(rng_seed=i + 1000))
         ]
         assert matched[0] == matched[1], i
@@ -520,11 +520,11 @@ def test_pairing_invariant_under_affine_remap_of_synthetic_side():
     remaps = np.random.default_rng(78)
     for i, (real, synth, _) in enumerate(_scenes(77, 50, (20, 51), 0.2)):
         remap = random_affine(remaps, (1280, 960))
-        remapped = synth.gt.xywh.copy()
-        remapped[:, :2] = transform_points(remap, synth.gt.xywh[:, :2])
+        remapped = synth.gt.copy()
+        remapped[:, :2] = transform_points(remap, synth.gt[:, :2])
         cfg = RegistrationConfig(rng_seed=i)
-        before = _align(real.gt.xywh, synth.gt.xywh, cfg)
-        after = _align(real.gt.xywh, remapped, cfg)
+        before = _align(real.gt, synth.gt, cfg)
+        after = _align(real.gt, remapped, cfg)
         assert [(r, s) for r, s, _ in after.pairs] == [(r, s) for r, s, _ in before.pairs], i
 
 
@@ -592,7 +592,7 @@ def _pin_cases():
         real, synth = generate_scene_pair(spec)[:2]
         cfg = RegistrationConfig(rng_seed=i)
         cases[f"scene_{n}_{round(dropout * 100)}"] = (
-            "scene", synth.gt.xywh[:, :2], real.gt.xywh[:, :2], cfg
+            "scene", synth.gt[:, :2], real.gt[:, :2], cfg
         )
     # the 20x20 lattice and its exact image, which register gets wrong
     grid = np.stack(np.meshgrid(np.arange(20.0), np.arange(20.0)), axis=-1).reshape(-1, 2)

@@ -26,7 +26,7 @@ from ipdkit.scenegen import (
     _place_centers,
     _shift_to_target_iou,
 )
-from helpers import bisect_shift, random_box
+from helpers import bisect_shift, random_box, same_labels
 
 
 class TestDetectorProfile:
@@ -179,7 +179,9 @@ def _spec(**overrides):
 class TestGenerateScenePair:
     def test_deterministic(self):
         spec = _spec()
-        assert generate_scene_pair(spec) == generate_scene_pair(spec)
+        (real, synth, *truth), again = generate_scene_pair(spec), generate_scene_pair(spec)
+        assert same_labels(real, again[0]) and same_labels(synth, again[1])
+        assert truth == list(again[2:])
 
     def test_no_dropout_gives_identity_correspondence(self):
         spec = _spec(dropout_real=0.0, dropout_synth=0.0)
@@ -209,7 +211,7 @@ class TestGenerateScenePair:
         # achieves against a GT box is that box's own prediction
         real, synth, corr, ious = generate_scene_pair(_spec())
         for labels, realized in ((real, ious.real), (synth, ious.synth)):
-            row_max = iou_table(labels.gt.xywh, labels.pred.xywh).max(axis=1, initial=0.0)
+            row_max = iou_table(labels.gt, labels.pred[:, :4]).max(axis=1, initial=0.0)
             assert row_max.tolist() == list(realized)
 
     def test_identical_profiles_pin_the_gap_near_zero(self):
@@ -224,8 +226,8 @@ class TestGenerateScenePair:
         spec = _spec(transform=t, center_noise_sigma=0.0, dropout_real=0.0, dropout_synth=0.0)
         real, synth, corr, _ = generate_scene_pair(spec)
         rows, cols = np.array(corr).T
-        moved = transform_points(t, synth.gt.xywh[cols, :2])
-        assert np.abs(real.gt.xywh[rows, :2] - moved).max() < 1e-9
+        moved = transform_points(t, synth.gt[cols, :2])
+        assert np.abs(real.gt[rows, :2] - moved).max() < 1e-9
 
     def test_empty_scene(self):
         real, synth, corr, ious = generate_scene_pair(_spec(n_instances=0))
@@ -280,8 +282,8 @@ class TestEmitDataset:
 
         for i, spec in enumerate(specs):
             gen_real, gen_synth, _, _ = generate_scene_pair(spec, image_id=f"scene{i:04d}")
-            assert pairs[i][0] == gen_real
-            assert pairs[i][1] == gen_synth
+            assert same_labels(pairs[i][0], gen_real)
+            assert same_labels(pairs[i][1], gen_synth)
 
     @pytest.mark.parametrize("mode", ["pixel", "normalized"])
     def test_numpy_reader_takes_every_label_file_written(self, tmp_path, mode):
