@@ -74,6 +74,16 @@ def _require_mode(coordinate_mode: str) -> None:
         )
 
 
+def check_float_range(values: Sequence[int], names: Sequence[str]) -> None:
+    """Raise an InputValidationError naming the first of the integer
+    values that no float holds: a frame's sides are scaled by floats."""
+    for value, name in zip(values, names):
+        try:
+            float(value)
+        except OverflowError:
+            raise InputValidationError(f"{name} lies past float's range") from None
+
+
 def _outside_frame(boxes: np.ndarray, image_dims: tuple[int, int]) -> np.ndarray:
     """The frame rule: the rows of a box array, cx and cy first, whose
     center falls outside the image frame expanded by 10% on each side, as
@@ -107,6 +117,7 @@ class ImageLabels:
             raise InputValidationError("image_id must be non-empty")
         if self.width_px <= 0 or self.height_px <= 0:
             raise InputValidationError("image dimensions must be positive")
+        check_float_range((self.width_px, self.height_px), ("width_px", "height_px"))
         image = f"image {self.image_id!r}"
         for name, boxes, columns in (("GT", self.gt, 4), ("prediction", self.pred, 5)):
             if boxes.ndim != 2 or boxes.shape[1] != columns:
@@ -299,6 +310,7 @@ def parse_label_arrays(
     width, height = image_dims
     if width <= 0 or height <= 0:
         raise InputValidationError("image_dims must be positive")
+    check_float_range(image_dims, ("image_dims[0]", "image_dims[1]"))
 
     # the reader gets the scan's lines: a file object would not break
     # lines at \x85 or \u2028

@@ -31,6 +31,11 @@ one. The search stops by the adaptive RANSAC bound (Fischler & Bolles
 1981) on the best consensus so far, and the winner is refitted on the
 tight inliers of the pass it was scored on, the last step of a fixed
 LO-RANSAC (Lebeda, Matas & Chum 2012).
+
+Every map of one image pair is scored in one (2, n, m) workspace,
+allocated once per pair: a fresh n x m distance table per map is freed
+past malloc's trim threshold on dense layouts, and the next map faults
+its pages in again.
 """
 
 from __future__ import annotations
@@ -144,19 +149,24 @@ def _consensus(
     synth: np.ndarray,
     real: np.ndarray,
     radius: float,
+    work: np.ndarray,
 ) -> tuple[tuple[int, float], np.ndarray, np.ndarray, np.ndarray]:
     """The scored map of one hypothesis, a (6,) params row: (quality,
     params, nn_idx, nn_d), where nn_idx and nn_d are the nearest-neighbor
     pass it is counted on and quality is (-count, mean) over the distinct
     real points within the radius, ready for lexicographic comparison
-    (smaller is better).
+    (smaller is better). work is a (2, n, m) float64 scratch array for
+    the squared-distance table; nothing returned refers to it.
 
     Counting distinct real nearest neighbors instead of raw pairs keeps a
     near-collapse map (everything lands on one real point) from faking a
     large consensus.
     """
     moved_x, moved_y = apply_params(params, synth)
-    d2 = (moved_x[:, None] - real[None, :, 0]) ** 2 + (moved_y[:, None] - real[None, :, 1]) ** 2
+    d2, dy2 = work
+    np.square(np.subtract(moved_x[:, None], real[:, 0], out=d2), out=d2)
+    np.square(np.subtract(moved_y[:, None], real[:, 1], out=dy2), out=dy2)
+    d2 += dy2
     nn_idx = d2.argmin(axis=1)
     nn_d = np.sqrt(d2[np.arange(len(synth)), nn_idx])
     mask = nn_d <= radius
@@ -172,12 +182,14 @@ def _refine_params(
     real: np.ndarray,
     fit_radius: float,
     judge_radius: float,
+    work: np.ndarray,
 ) -> tuple:
     """One least-squares refit step of a scored map (from _consensus) on
     its pairs within the fit radius, as a raw 3-point fit through noisy
     points extrapolates poorly far from its triple. Returns the better
     scored at the judge radius of the map and its refit; the map when
-    fewer than 3 pairs, or pairs of rank < 3, allow no refit.
+    fewer than 3 pairs, or pairs of rank < 3, allow no refit. work is
+    _consensus' scratch array.
     """
     _, params, nn_idx, nn_d = scored
     inliers = np.flatnonzero(nn_d <= fit_radius)
@@ -188,7 +200,7 @@ def _refine_params(
     if rank < 3:
         return scored
     refit = np.array([sol[0, 0], sol[1, 0], sol[0, 1], sol[1, 1], sol[2, 0], sol[2, 1]])
-    refit = _consensus(refit, synth, real, judge_radius)
+    refit = _consensus(refit, synth, real, judge_radius, work)
     return refit if refit[0] < scored[0] else scored
 
 
@@ -285,6 +297,7 @@ def register(
     near_x, near_y = real[near, 0], real[near, 1]
 
     synth_bases = _bases(synth, synth_nbrs, min(_BASIS_NEIGHBOURS, n - 1))
+    work = np.empty((2, n, m))  # every map's distance table, in _consensus
     order = np.random.default_rng(cfg.rng_seed).permutation(len(synth_bases))
     best: tuple | None = None  # the scored winner, from _consensus
     hypothesis_count = 0
@@ -299,8 +312,8 @@ def register(
         for idx in _refine_set(params, valid, check, near_x, near_y, capture_radius**2):
             # ascending (iteration, idx): only a strictly better one replaces;
             # a map with no inlier never wins
-            scored = _consensus(params[idx], synth, real, judge_radius)
-            cand = _refine_params(scored, synth, real, capture_radius, judge_radius)
+            scored = _consensus(params[idx], synth, real, judge_radius, work)
+            cand = _refine_params(scored, synth, real, capture_radius, judge_radius, work)
             if cand[0][0] < 0 and (best is None or cand[0] < best[0]):
                 best = cand
 
@@ -320,7 +333,7 @@ def register(
             reason = f"had no refined map score an inlier in {iterations_used} iterations"
         return _fell_back(synth, real, reason, iterations_used, hypothesis_count)
 
-    _, best_params, _, _ = _refine_params(best, synth, real, judge_radius, judge_radius)
+    _, best_params, _, _ = _refine_params(best, synth, real, judge_radius, judge_radius, work)
     return RegistrationResult(
         AffineTransform2D.from_params(best_params), iterations_used, hypothesis_count
     )

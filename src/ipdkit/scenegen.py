@@ -25,7 +25,9 @@ import numpy as np
 
 from .errors import InputValidationError
 from .geometry import AffineTransform2D, BBox, box_rule_error, iou_rows, transform_points
-from .ingestion import DatasetManifest, ImageLabels, ManifestEntry, serialize_labels
+from .ingestion import (
+    DatasetManifest, ImageLabels, ManifestEntry, check_float_range, serialize_labels,
+)
 
 _IOU_TOL = 1e-4  # internal bisection tolerance, tighter than the 1e-3 contract
 _PLACEMENT_ATTEMPT_FACTOR = 400
@@ -93,6 +95,7 @@ class SceneSpec:
         object.__setattr__(self, "frame", tuple(map(operator.index, self.frame)))
         if self.frame[0] <= 0 or self.frame[1] <= 0:
             raise InputValidationError("frame dimensions must be positive")
+        check_float_range(self.frame, ("frame[0]", "frame[1]"))
         if not (math.isfinite(self.center_noise_sigma) and self.center_noise_sigma >= 0.0):
             raise InputValidationError("center_noise_sigma must be finite and >= 0")
         for name in ("dropout_real", "dropout_synth"):

@@ -91,6 +91,14 @@ class TestParseLabelArrays:
             parse_label_arrays("0 1 1 2 2\n", "pixel", dims)
 
     @pytest.mark.parametrize(
+        "dims, side", [((10**400, 5), 0), ((5, 10**400), 1)], ids=["1e400-5", "5-1e400"]
+    )
+    def test_image_dims_past_float_range_rejected(self, dims, side):
+        # an OverflowError of the frame rule's int-to-float, before
+        with pytest.raises(InputValidationError, match=rf"image_dims\[{side}\] lies past"):
+            parse_label_arrays("0 1 1 2 2\n", "pixel", dims)
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             # a line the scan stops at, then a field-count error
@@ -470,6 +478,9 @@ class TestImageLabels:
             ("", (100, 100), "image_id must be non-empty"),
             ("img", (0, 100), "image dimensions must be positive"),
             ("img", (100, -5), "image dimensions must be positive"),
+            # an OverflowError of the frame rule's int-to-float, before
+            pytest.param("img", (10**400, 5), "width_px lies past", id="img-1e400-5"),
+            pytest.param("img", (5, 10**400), "height_px lies past", id="img-5-1e400"),
         ],
     )
     def test_empty_id_and_non_positive_dimensions_rejected(self, image_id, frame, message):

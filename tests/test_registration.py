@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,11 @@ from helpers import check_hits, left_turning_bases
 
 def scatter(rng, n, span=1000.0):
     return rng.uniform(0.0, span, size=(n, 2))
+
+
+def workspace(synth, real):
+    """The scoring workspace register() hands _consensus for one pair."""
+    return np.empty((2, len(synth), len(real)))
 
 
 T_TRUE = AffineTransform2D(1.1, 0.25, -0.2, 0.9, 140.0, -60.0)
@@ -182,13 +188,14 @@ def test_refine_params_keeps_a_map_whose_pairs_allow_no_refit(apart):
     synth = np.array([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0], [0.0, 10.0], [50.0, 50.0]])
     real = synth + [5.0, -3.0]
     real[list(apart)] += 400.0
-    scored = _consensus(np.array([1.0, 0.0, 0.0, 1.0, 5.3, -3.0]), synth, real, 1.0)
+    work = workspace(synth, real)
+    scored = _consensus(np.array([1.0, 0.0, 0.0, 1.0, 5.3, -3.0]), synth, real, 1.0, work)
     assert np.count_nonzero(scored[3] <= 2.0) == 5 - len(apart)
-    assert _refine_params(scored, synth, real, 2.0, 1.0) is scored
+    assert _refine_params(scored, synth, real, 2.0, 1.0, work) is scored
     # with those pairs unmoved, the refit wins
     real[list(apart)] -= 400.0
-    scored = _consensus(np.array([1.0, 0.0, 0.0, 1.0, 5.3, -3.0]), synth, real, 1.0)
-    assert _refine_params(scored, synth, real, 2.0, 1.0)[0] < scored[0]
+    scored = _consensus(np.array([1.0, 0.0, 0.0, 1.0, 5.3, -3.0]), synth, real, 1.0, work)
+    assert _refine_params(scored, synth, real, 2.0, 1.0, work)[0] < scored[0]
 
 
 def test_register_is_deterministic():
@@ -379,7 +386,9 @@ def test_consensus_equals_a_brute_force_count(n, m, radius, seed):
     real = rng.integers(0, 5, size=(m, 2)).astype(float)
     params = rng.integers(-1, 2, size=6).astype(float)
     params[4:] = rng.integers(-2, 3, size=2)
-    (neg_count, mean), scored, nn_idx, nn_d = _consensus(params, synth, real, radius)
+    (neg_count, mean), scored, nn_idx, nn_d = _consensus(
+        params, synth, real, radius, workspace(synth, real)
+    )
     assert scored is params
 
     a11, a12, a21, a22, tx, ty = params.tolist()
@@ -397,6 +406,37 @@ def test_consensus_equals_a_brute_force_count(n, m, radius, seed):
     want_mean = math.fsum(d for _, d in inside) / len(inside) if inside else math.inf
     # numpy sums in another order than fsum: a few ulps of 12 terms
     assert math.isclose(mean, want_mean, rel_tol=1e-12)
+
+
+def test_consensus_returns_nothing_that_lives_in_the_workspace():
+    # register scores every map of a pair in one workspace, and the best
+    # scored map so far must survive the maps scored after it
+    rng = np.random.default_rng(4)
+    synth, real = scatter(rng, 30), scatter(rng, 35)
+    work = workspace(synth, real)
+    first = _consensus(np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]), synth, real, 50.0, work)
+    nn_idx, nn_d = first[2].copy(), first[3].copy()
+    _consensus(np.array([0.5, 0.2, -0.1, 0.7, 300.0, -80.0]), synth, real, 50.0, work)
+    assert first[2].tolist() == nn_idx.tolist()
+    assert first[3].tolist() == nn_d.tolist()
+    assert not np.shares_memory(first[2], work) and not np.shares_memory(first[3], work)
+
+
+def test_consensus_allocates_no_distance_table():
+    # a fresh n x m table per map, on dense layouts, is freed past
+    # malloc's trim threshold and faulted in again by the next map
+    rng = np.random.default_rng(8)
+    synth, real = scatter(rng, 200), scatter(rng, 210)
+    params = np.array([1.0, 0.1, -0.1, 1.0, 5.0, -3.0])
+    work = workspace(synth, real)
+    _consensus(params, synth, real, 10.0, work)  # numpy's first-call set-up
+    tracemalloc.start()
+    try:
+        _consensus(params, synth, real, 10.0, work)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < synth.shape[0] * real.shape[0] * 8
 
 
 @pytest.mark.parametrize(

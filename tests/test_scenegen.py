@@ -65,6 +65,13 @@ class TestSceneSpecValidation:
             with pytest.raises(InputValidationError, match="confidence_range"):
                 SceneSpec(n_instances=1, confidence_range=confidence_range)
 
+    def test_rejects_a_frame_past_float_range(self):
+        # an OverflowError of the center_region check's int-to-float, before
+        with pytest.raises(InputValidationError, match=r"frame\[0\] lies past float's range"):
+            SceneSpec(n_instances=1, frame=(10**400, 960))
+        with pytest.raises(InputValidationError, match=r"frame\[1\] lies past float's range"):
+            SceneSpec(n_instances=1, frame=(1280, 10**400))
+
     @pytest.mark.parametrize(
         "size_range",
         [
