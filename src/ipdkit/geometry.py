@@ -13,7 +13,10 @@ box_rule_error alone states the box rules, and box_rule_mask, its form
 for the rows of a GT file (cx, cy, w, h) or of a prediction file (the
 confidence last), follows it.
 Points are always (n, 2) float64 arrays, and apply_params is the one
-implementation of the affine map p -> Ap + t.
+implementation of the affine map p -> Ap + t. fit_affine_batch is the one
+affine fit: least squares in closed form, exact for a triple, with no
+LAPACK or BLAS call; registration's 3-point hypotheses and its refits
+both use it.
 """
 
 from __future__ import annotations
@@ -26,10 +29,10 @@ import numpy as np
 
 from .errors import InputValidationError
 
-# Relative determinant threshold under which a 3-point sample counts as
-# collinear. Scaled by the squared extent of the source triple so the
-# test is invariant to the coordinate unit.
-DEGENERACY_RTOL = 1e-9
+# A point set counts as collinear when the determinant of its centred
+# scatter matrix is at most this times the squared trace: a test of any
+# coordinate unit, below which the normal equations are roundoff.
+DEGENERACY_RTOL = 1e-12
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -213,48 +216,38 @@ def best_iou(gt: np.ndarray, pred: np.ndarray) -> np.ndarray:
 
 
 def fit_affine_batch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact affine maps taking each source triple onto its destination
-    triple, by a Cramer solve of the 3-point system for a whole batch.
-
-    src, dst: (H, 3, 2); src may also be one (3, 2) triple, fitted onto
-    every destination triple. Returns (params (H, 6) in from_params order,
-    valid (H,) bool). A row is invalid when its source triple is collinear
-    or coincident (|det| at most DEGENERACY_RTOL x squared extent) or the
-    fitted linear part is singular; invalid rows may hold NaN or inf
-    params (a near-degenerate triple overflows, and fails the same test).
+    """Least-squares affine maps taking each source point set onto its
+    destination set, in closed form, exact for a triple, with no LAPACK or
+    BLAS call: src, dst (..., k, 2), broadcast over the leading axes, give
+    params (..., 6) in from_params order and valid (...) bool. One
+    Gram-Schmidt step (y less its projection on x) solves the normal
+    equations in the centred source points, so the error grows with their
+    condition number, not its square. A fit is invalid, its params NaN,
+    when the source set is collinear, coincident or under 3 points (the
+    scatter determinant sxx * syy at most DEGENERACY_RTOL x trace^2) or its
+    linear part is singular (|det A| <= 1e-9).
     """
-    x0, y0 = src[..., 0, 0], src[..., 0, 1]
-    x1, y1 = src[..., 1, 0], src[..., 1, 1]
-    x2, y2 = src[..., 2, 0], src[..., 2, 1]
-    u0, v0 = dst[..., 0, 0], dst[..., 0, 1]
-    u1, v1 = dst[..., 1, 0], dst[..., 1, 1]
-    u2, v2 = dst[..., 2, 0], dst[..., 2, 1]
-
-    det = x0 * (y1 - y2) + x1 * (y2 - y0) + x2 * (y0 - y1)
+    k, ndim = src.shape[-2], max(src.ndim, dst.ndim)
+    # (k, 2, ...) copies, the batch axes reversed last: numpy's loops then
+    # run along the batch, and a sum over the points adds whole rows
+    src, dst = (a[(None,) * (ndim - a.ndim)].T.swapaxes(0, 1) for a in (src, dst))
+    src, dst = np.ascontiguousarray(src), np.ascontiguousarray(dst)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        inv = 1.0 / det
-        c_a = (y1 - y2) * inv, (y2 - y0) * inv, (y0 - y1) * inv
-        c_b = (x2 - x1) * inv, (x0 - x2) * inv, (x1 - x0) * inv
-        c_t = (
-            (x1 * y2 - x2 * y1) * inv,
-            (x2 * y0 - x0 * y2) * inv,
-            (x0 * y1 - x1 * y0) * inv,
-        )
-        params = np.empty((dst.shape[0], 6), dtype=np.float64)
-        params[:, 0] = u0 * c_a[0] + u1 * c_a[1] + u2 * c_a[2]
-        params[:, 1] = u0 * c_b[0] + u1 * c_b[1] + u2 * c_b[2]
-        params[:, 4] = u0 * c_t[0] + u1 * c_t[1] + u2 * c_t[2]
-        params[:, 2] = v0 * c_a[0] + v1 * c_a[1] + v2 * c_a[2]
-        params[:, 3] = v0 * c_b[0] + v1 * c_b[1] + v2 * c_b[2]
-        params[:, 5] = v0 * c_t[0] + v1 * c_t[1] + v2 * c_t[2]
-        det_a = params[:, 0] * params[:, 3] - params[:, 1] * params[:, 2]
-    extent = np.maximum(
-        src[..., 0].max(axis=-1) - src[..., 0].min(axis=-1),
-        src[..., 1].max(axis=-1) - src[..., 1].min(axis=-1),
-    )
-    valid = np.abs(det) > DEGENERACY_RTOL * extent * extent
-    valid &= np.isfinite(det_a) & (np.abs(det_a) > 1e-9)
-    return params, valid
+        src_mean, dst_mean = src.sum(axis=0) / k, dst.sum(axis=0) / k
+        x, y = (src - src_mean).swapaxes(0, 1)
+        sxx = (x * x).sum(axis=0)
+        slope = (x * y).sum(axis=0) / sxx
+        y = y - slope * x
+        syy = (y * y).sum(axis=0)
+        weight_y = y / syy
+        weights = np.stack((x / sxx - slope * weight_y, weight_y), axis=1)
+        linear = ((dst - dst_mean)[:, :, None] * weights[:, None]).sum(axis=0)
+        shift = dst_mean - linear[:, 0] * src_mean[0] - linear[:, 1] * src_mean[1]
+        params = np.concatenate((linear.reshape((4,) + linear.shape[2:]), shift))
+        det_a = linear[0, 0] * linear[1, 1] - linear[0, 1] * linear[1, 0]
+        trace = sxx + syy + slope * slope * sxx
+        valid = (sxx * syy > DEGENERACY_RTOL * trace * trace) & (np.abs(det_a) > 1e-9)
+    return np.where(valid, params, np.nan).T, valid.T
 
 
 def points_to_array(points: np.ndarray) -> np.ndarray:

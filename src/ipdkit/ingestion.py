@@ -23,12 +23,12 @@ box) goes through a per-line scan with Python's int and float. Both
 accept the same language and give the same bits, and the scan alone
 words and locates every error: the first bad line in file order,
 whichever rule it breaks. ImageLabels holds an image's GT and prediction
-arrays and checks their shapes and the frame rule again, for arrays that
-come from no file. The pipeline, the scene generator and the AP baseline
-use only these arrays. BBox tuples, BBox(*row) of either kind, are built
-from them only for callers that ask for them, such as the benchmark's
-dataset builder: parse_label_file and ImageLabels.gt_boxes/pred_boxes.
-serialize_labels writes either form.
+arrays and checks their shapes, the box rules and the frame rule again,
+for arrays that come from no file. The pipeline, the scene generator and
+the AP baseline use only these arrays. BBox tuples, BBox(*row) of either
+kind, are built from them only for callers that ask for them, such as
+the benchmark's dataset builder: parse_label_file and
+ImageLabels.gt_boxes/pred_boxes. serialize_labels writes either form.
 
 A manifest is one JSON document describing a dataset's images and,
 optionally, the real<->synth pairing. read_json reads every JSON input
@@ -101,9 +101,10 @@ class ImageLabels:
     label file's columns after the class id, one row per box: gt is
     (n, 4) cx, cy, w, h and pred (m, 5), the confidence last.
 
-    Box centers may overhang the frame by 10% on each side. gt_boxes and
-    pred_boxes are the same boxes as BBox tuples, built the first time
-    they are read. Two ImageLabels are equal only when they are one.
+    Every box keeps the box rules, and its center may overhang the frame
+    by 10% on each side. gt_boxes and pred_boxes are the same boxes as BBox
+    tuples, built the first time they are read. Two ImageLabels are equal
+    only when they are one.
     """
 
     image_id: str
@@ -125,6 +126,10 @@ class ImageLabels:
                     f"{name} boxes of {image} must be an (n, {columns}) array, "
                     f"got shape {boxes.shape}"
                 )
+            if (bad := box_rule_mask(boxes)).any():
+                row = int(np.argmax(bad))
+                error = box_rule_error(*boxes[row].tolist())
+                raise InputValidationError(f"{name} box {row} of {image}: {error}")
         centers = np.concatenate([self.gt[:, :2], self.pred[:, :2]])
         outside = _outside_frame(centers, (self.width_px, self.height_px))
         if outside.any():

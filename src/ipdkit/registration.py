@@ -21,7 +21,9 @@ survived on the real side.
 Each hypothesis carries the synthetic point's wider neighbourhood over,
 and only the ones that land the most of it, and at least one point, on
 the real point's neighbourhood are refitted once by least squares
-(LO-RANSAC, Chum, Matas & Kittler 2003) and judged.
+(LO-RANSAC, Chum, Matas & Kittler 2003) and judged. One fit serves both
+steps, geometry.fit_affine_batch: exact for a triple, and with no LAPACK
+call, so a run's bits do not follow the CPU's BLAS kernel.
 One signal ranks them: the nearest-neighbor consensus, i.e. how many
 distinct real points lie within a tight, layout-derived radius of the
 aligned synthetic points, with the mean inlier distance breaking ties.
@@ -187,19 +189,15 @@ def _refine_params(
     """One least-squares refit step of a scored map (from _consensus) on
     its pairs within the fit radius, as a raw 3-point fit through noisy
     points extrapolates poorly far from its triple. Returns the better
-    scored at the judge radius of the map and its refit; the map when
-    fewer than 3 pairs, or pairs of rank < 3, allow no refit. work is
+    scored at the judge radius of the map and its refit; the map when its
+    pairs allow no valid fit (under 3, collinear or coincident). work is
     _consensus' scratch array.
     """
     _, params, nn_idx, nn_d = scored
     inliers = np.flatnonzero(nn_d <= fit_radius)
-    if inliers.size < 3:
+    refit, valid = fit_affine_batch(synth[inliers], real[nn_idx[inliers]])
+    if not valid:
         return scored
-    design = np.column_stack([synth[inliers], np.ones(inliers.size)])
-    sol, _, rank, _ = np.linalg.lstsq(design, real[nn_idx[inliers]], rcond=None)
-    if rank < 3:
-        return scored
-    refit = np.array([sol[0, 0], sol[1, 0], sol[0, 1], sol[1, 1], sol[2, 0], sol[2, 1]])
     refit = _consensus(refit, synth, real, judge_radius, work)
     return refit if refit[0] < scored[0] else scored
 
@@ -217,8 +215,8 @@ def _refine_set(
     within sqrt(radius2) of one of their real near neighbours (near_x and
     near_y (K, H)), when that is at least one, or there are no check points.
     """
-    # moved points are laid out (c, H); invalid rows may hold NaN or inf
-    # params, and score -1
+    # moved points are laid out (c, H); invalid rows hold NaN params, and
+    # score -1
     with np.errstate(invalid="ignore", over="ignore"):
         moved_x, moved_y = apply_params(params, check)
         nearest = np.full(moved_x.shape, np.inf)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ipdkit import (
@@ -13,6 +13,7 @@ from ipdkit import (
     fit_affine_batch,
     iou,
     iou_table,
+    random_affine,
 )
 from ipdkit.geometry import apply_params, iou_rows, median, points_to_array, transform_points
 
@@ -123,7 +124,7 @@ _COORDS = st.floats(-1e4, 1e4, allow_subnormal=False) | st.sampled_from([0.0, 1.
     src=st.lists(_COORDS, min_size=6, max_size=6),
     dst=st.lists(st.lists(_COORDS, min_size=6, max_size=6), min_size=1, max_size=8),
 )
-# a near-degenerate source triple whose fit overflows: invalid, and silent
+# a near-degenerate source triple: invalid, and silent
 @example(src=[1.0, 1.0, 9.039768412805586e-203, 0.0, 0.0, 0.0], dst=[[0.0, 0.0, 0.0, 0.0, 1.0, 1.0]])
 def test_one_source_triple_fits_like_the_repeated_triple(src, dst):
     # the sampled 0, 1 and 2 make collinear, coincident and singular
@@ -134,6 +135,46 @@ def test_one_source_triple_fits_like_the_repeated_triple(src, dst):
     want_params, want_valid = fit_affine_batch(np.broadcast_to(one, dst.shape), dst)
     assert params.tobytes() == want_params.tobytes()
     assert valid.shape == want_valid.shape and (valid == want_valid).all()
+
+
+def _lstsq_params(src, dst):
+    """The least-squares affine map by LAPACK, in from_params order."""
+    sol = np.linalg.lstsq(np.column_stack([src, np.ones(len(src))]), dst, rcond=None)[0]
+    return np.concatenate([sol[:2].T.ravel(), sol[2]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(3, 60), seed=st.integers(0, 2**32 - 1))
+def test_fit_predicts_as_the_lapack_least_squares_fit(k, seed):
+    # one noisy source set fitted onto three noisy images of it at once;
+    # layouts of any offset, span and aspect that are not near a line
+    rng = np.random.default_rng(seed)
+    span = 10.0 ** rng.uniform(-1.0, 4.0, size=2)
+    src = rng.uniform(-1e4, 1e4, size=2) + rng.uniform(0.0, 1.0, size=(k, 2)) * span
+    s = np.linalg.svd(src - src.mean(axis=0), compute_uv=False)
+    assume(s[1] > 1e-3 * s[0])
+    images = [transform_points(random_affine(rng, (1280, 960)), src) for _ in range(3)]
+    dst = np.stack(images) + rng.normal(0.0, span.min() / 50, (3, k, 2))
+    params, valid = fit_affine_batch(src, dst)
+    assert valid.all()
+    for got, want_dst in zip(params, dst):
+        want = _lstsq_params(src, want_dst)
+        predicted = [transform_points(AffineTransform2D.from_params(p), src) for p in (got, want)]
+        extent = np.ptp(want_dst, axis=0).max()
+        assert np.abs(predicted[0] - predicted[1]).max() <= 1e-9 * extent
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 8, 20, 60])
+def test_fit_of_a_line_a_point_or_under_3_points_is_invalid(k):
+    rng = np.random.default_rng(k)
+    start, step = rng.uniform(-1e3, 1e3, size=2), rng.uniform(-1.0, 1.0, size=2)
+    sources = [start + rng.uniform(0.0, 100.0, size=(k, 1)) * step, np.tile(start, (k, 1))]
+    if k < 3:
+        sources.append(rng.uniform(0.0, 100.0, size=(k, 2)))
+    dst = rng.uniform(0.0, 100.0, size=(k, 2))
+    for src in sources:
+        params, valid = fit_affine_batch(src, dst)
+        assert not valid and np.isnan(params).all()
 
 
 def test_degeneracy_threshold_scales_with_extent():

@@ -473,6 +473,32 @@ class TestImageLabels:
             ImageLabels("img", 100, 100, np.full(gt, 50.0), np.full(pred, 0.5))
 
     @pytest.mark.parametrize(
+        "gt, pred, message",
+        [
+            # a NaN confidence was accepted, and pred_boxes raised on it
+            (
+                [[50.0, 50, 4, 4]],
+                [[50.0, 50, 4, 4, math.nan], [50.0, 50, -4, 4, 1.5]],
+                "prediction box 0 of image 'a': confidence must be finite, got nan",
+            ),
+            (
+                [[50.0, 50, 4, 4], [50.0, 50, 0, 4]],
+                [[50.0, 50, 4, 4, 1.5]],
+                r"GT box 1 of image 'a': box sides must be positive, got w=0\.0, h=4\.0",
+            ),
+            ([[math.inf, 50, 4, 4]], np.zeros((0, 5)), "GT box 0 of image 'a': cx must be finite"),
+            (
+                np.zeros((0, 4)),
+                [[50.0, 50, 1e200, 1e200, 0.5]],
+                "prediction box 0 of image 'a': box area must be positive and finite",
+            ),
+        ],
+    )
+    def test_a_box_that_breaks_a_box_rule_is_refused(self, gt, pred, message):
+        with pytest.raises(InputValidationError, match=message):
+            ImageLabels("a", 100, 100, np.array(gt), np.array(pred))
+
+    @pytest.mark.parametrize(
         "image_id, frame, message",
         [
             ("", (100, 100), "image_id must be non-empty"),

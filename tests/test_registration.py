@@ -184,7 +184,8 @@ def test_refine_params_keeps_a_map_whose_pairs_allow_no_refit(apart):
     # the real points listed in `apart` lie far from where the map puts
     # their twins, so the pairs within the fit radius are the first 2, or
     # the first 3, which lie on a line. A least-squares refit through them
-    # would score better; it takes at least 3 pairs of rank 3.
+    # would score better; it takes a valid fit, of at least 3 pairs off a
+    # line.
     synth = np.array([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0], [0.0, 10.0], [50.0, 50.0]])
     real = synth + [5.0, -3.0]
     real[list(apart)] += 400.0
@@ -312,6 +313,27 @@ def test_register_collinear_synth_falls_back():
     real = scatter(rng, 5, span=100.0)
     res = register(synth, real, RegistrationConfig(rng_seed=0, max_iterations=64))
     assert res.fallback == "has only collinear synthetic bases" and res.used_fallback
+
+
+def test_a_near_collinear_layout_never_gets_a_confident_wrong_map():
+    # 8 points bent off a line by 1e-7 px, and their exact image: every fit
+    # through them is roundoff. With a closed-form refit but the hypotheses
+    # still fitted by a separate 3-point solve, the pinned layout came back
+    # 237 px off, with no fallback. Either the map is exact or the result
+    # says why there is none.
+    line = np.column_stack([np.arange(8.0), 2.0 * np.arange(8.0)]) * 15.0
+    layouts = [_pin_cases()["collinear_near"][1]]
+    for seed in range(10):
+        bend = 1e-7 * np.random.default_rng(seed).standard_normal(8)
+        layouts.append(line + np.column_stack([np.zeros(8), bend]))
+    for synth in layouts:
+        real = transform_points(T_TRUE, synth)
+        res = register(synth, real, RegistrationConfig(max_iterations=40))
+        if res.fallback is None:
+            moved = transform_points(res.transform, synth)
+            assert np.max(np.hypot(*(moved - real).T)) < 1e-6
+        else:
+            assert res.fallback
 
 
 def test_fallback_translation_aligns_centroids():
@@ -639,7 +661,7 @@ def _pin_cases():
     grid *= 40.0
     cases["lattice"] = ("lattice", grid, transform_points(T_TRUE, grid), RegistrationConfig())
     # repeated points, whose refits find fewer than 3 inliers (the first)
-    # or a rank-deficient design (the second); no draw from rng
+    # or inliers on a line (the second); no draw from rng
     real = np.array([[30, 10], [10, 30], [0, 30], [10, 0], [30, 10], [10, 30], [0, 30]], float)
     cfg = RegistrationConfig(max_iterations=20, rng_seed=94)
     cases["duplicates_few_inliers"] = ("duplicates", 0.5 * real + 3.0, real, cfg)
