@@ -10,7 +10,6 @@ curve.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,6 +18,7 @@ import numpy as np
 from .errors import InputValidationError, UndefinedApError
 from .geometry import iou_table
 from .ingestion import ImageLabels
+from .metric import check_unit_range
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,7 @@ class PrCurvePoint:
 
     def __post_init__(self):
         for name in ("recall", "precision", "confidence"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and 0.0 <= v <= 1.0):
-                raise InputValidationError(f"{name} must lie in [0, 1], got {v!r}")
+            check_unit_range(name, getattr(self, name))
 
 
 def _greedy_outcomes(

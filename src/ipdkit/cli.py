@@ -36,7 +36,7 @@ from .ingestion import (
     read_manifest,
 )
 from .matching import InstancePairing, default_gate_distance, match_instances
-from .metric import IpdResult, check_conf_threshold, cross_validation, entry_name, evaluate_pair
+from .metric import IpdResult, check_unit_range, cross_validation, entry_name, evaluate_pair
 from .registration import RegistrationConfig, RegistrationResult, register
 from .report import write_ipd_report, write_report
 from .scenegen import DetectorProfile, SceneSpec, check_rng_seed, emit_dataset, random_affine
@@ -66,7 +66,7 @@ class PipelineConfig:
         # cannot hold
         if self.gate is not None and not 0.0 < self.gate < math.inf:
             raise InputValidationError("gate must be a positive, finite distance")
-        check_conf_threshold(self.conf_threshold)
+        check_unit_range("conf_threshold", self.conf_threshold)
 
 
 @dataclass(frozen=True)

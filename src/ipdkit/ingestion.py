@@ -11,23 +11,26 @@ to be an integer and then ignored: ipdkit measures a single-class task,
 and serialize_labels writes 0. parse_label_arrays is the one label
 parser. It reads a file into one float64 array of the columns after the
 class id, in pixels: (n, 4) cx, cy, w, h rows in a GT file, and (n, 5)
-rows with the confidence last in a prediction file. Every box keeps the
-box rules of geometry.box_rule_mask (finite values, positive sides, a
-confidence in [0, 1], a positive and finite area) and the frame rule of
-_outside_frame (a center at most 10% of the frame outside it). numpy's C
-text reader is only an accelerator: its arrays are returned only when it
-took every line with the kind's dtype and every box keeps every rule.
+rows with the confidence last in a prediction file. Each input rule has
+one function that checks it and words its refusal: check_frame a frame's
+sides (positive, and held by a float), _first_bad_box the first box of an
+array that breaks a box rule of geometry.box_rule_mask (finite values,
+positive sides, a confidence in [0, 1], a positive and finite area) or
+the frame rule (a center at most 10% of the frame outside it), and
+_read_text an input file's text (UTF-8, a byte-order mark dropped).
+numpy's C text reader is only an accelerator: its arrays are returned
+only when it took every line with the kind's dtype and no box is bad.
 Every other file (comments, a line of the other kind, a number the
 reader does not parse, a class id beyond int64, a malformed line, a bad
 box) goes through a per-line scan with Python's int and float. Both
 accept the same language and give the same bits, and the scan alone
-words and locates every error: the first bad line in file order,
-whichever rule it breaks. ImageLabels holds an image's GT and prediction
-arrays and checks their shapes, the box rules and the frame rule again,
-for arrays that come from no file. The pipeline, the scene generator and
-the AP baseline use only these arrays. BBox tuples, BBox(*row) of either
-kind, are built from them only for callers that ask for them, such as
-the benchmark's dataset builder: parse_label_file and
+locates every error: the first bad line in file order, whichever rule it
+breaks. ImageLabels holds an image's GT and prediction arrays and checks
+each, GT first, for its shape and then its boxes again, for arrays that
+come from no file. The pipeline, the scene generator and the AP
+baseline use only these arrays. BBox tuples, BBox(*row) of either kind,
+are built from them only for callers that ask for them, such as the
+benchmark's dataset builder: parse_label_file and
 ImageLabels.gt_boxes/pred_boxes. serialize_labels writes either form.
 
 A manifest is one JSON document describing a dataset's images and,
@@ -74,25 +77,35 @@ def _require_mode(coordinate_mode: str) -> None:
         )
 
 
-def check_float_range(values: Sequence[int], names: Sequence[str]) -> None:
-    """Raise an InputValidationError naming the first of the integer
-    values that no float holds: a frame's sides are scaled by floats."""
-    for value, name in zip(values, names):
+def check_frame(sides: Sequence[int], names: Sequence[str]) -> None:
+    """The rule of a frame's sides: raise an InputValidationError naming
+    the first side that is not positive or that no float holds, since the
+    frame rule and normalized labels scale floats by the sides."""
+    for side, name in zip(sides, names):
+        if not side > 0:  # NaN too
+            raise InputValidationError(f"{name} must be positive")
         try:
-            float(value)
+            float(side)
         except OverflowError:
             raise InputValidationError(f"{name} lies past float's range") from None
 
 
-def _outside_frame(boxes: np.ndarray, image_dims: tuple[int, int]) -> np.ndarray:
-    """The frame rule: the rows of a box array, cx and cy first, whose
-    center falls outside the image frame expanded by 10% on each side, as
-    an (n,) bool mask."""
+def _first_bad_box(boxes: np.ndarray, image_dims: tuple[int, int]) -> tuple[int, str] | None:
+    """The first row of a box array, cx and cy first, that breaks a box
+    rule or the frame rule (a center at most 10% of the frame outside it),
+    and the words of its error; None when every row keeps them."""
     width, height = image_dims
     cx, cy = boxes[:, 0], boxes[:, 1]
     inside = (-0.1 * width <= cx) & (cx <= 1.1 * width)
     inside &= (-0.1 * height <= cy) & (cy <= 1.1 * height)
-    return ~inside
+    bad = box_rule_mask(boxes)
+    bad |= ~inside
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad))
+    values = boxes[row].tolist()
+    words = box_rule_error(*values)
+    return row, words or f"box center ({values[0]}, {values[1]}) falls outside the expanded frame"
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,9 +129,7 @@ class ImageLabels:
     def __post_init__(self):
         if not self.image_id:
             raise InputValidationError("image_id must be non-empty")
-        if self.width_px <= 0 or self.height_px <= 0:
-            raise InputValidationError("image dimensions must be positive")
-        check_float_range((self.width_px, self.height_px), ("width_px", "height_px"))
+        check_frame((self.width_px, self.height_px), ("width_px", "height_px"))
         image = f"image {self.image_id!r}"
         for name, boxes, columns in (("GT", self.gt, 4), ("prediction", self.pred, 5)):
             if boxes.ndim != 2 or boxes.shape[1] != columns:
@@ -126,17 +137,9 @@ class ImageLabels:
                     f"{name} boxes of {image} must be an (n, {columns}) array, "
                     f"got shape {boxes.shape}"
                 )
-            if (bad := box_rule_mask(boxes)).any():
-                row = int(np.argmax(bad))
-                error = box_rule_error(*boxes[row].tolist())
-                raise InputValidationError(f"{name} box {row} of {image}: {error}")
-        centers = np.concatenate([self.gt[:, :2], self.pred[:, :2]])
-        outside = _outside_frame(centers, (self.width_px, self.height_px))
-        if outside.any():
-            cx, cy = centers[np.argmax(outside)].tolist()
-            raise InputValidationError(
-                f"box center ({cx}, {cy}) falls outside the expanded frame of {image}"
-            )
+            if bad := _first_bad_box(boxes, (self.width_px, self.height_px)):
+                row, words = bad
+                raise InputValidationError(f"{name} box {row} of {image}: {words}")
 
     @cached_property
     def gt_boxes(self) -> tuple[BBox, ...]:
@@ -158,10 +161,7 @@ class ManifestEntry:
     def __post_init__(self):
         if not self.image_id:
             raise InputValidationError("manifest entry needs an image_id")
-        if self.width_px <= 0 or self.height_px <= 0:
-            raise InputValidationError(
-                f"entry {self.image_id!r}: image dimensions must be positive"
-            )
+        check_frame((self.width_px, self.height_px), ("width_px", "height_px"))
 
 
 @dataclass(frozen=True)
@@ -234,9 +234,7 @@ def _read_uniform(
         return None
     boxes = rows["values"].copy()
     _to_pixels(boxes, coordinate_mode, image_dims)
-    if (box_rule_mask(boxes) | _outside_frame(boxes, image_dims)).any():
-        return None
-    return boxes
+    return None if _first_bad_box(boxes, image_dims) else boxes
 
 
 def _scan(
@@ -283,13 +281,9 @@ def _scan(
 
     boxes = np.array(values, dtype=np.float64).reshape(-1, n_values)
     _to_pixels(boxes, coordinate_mode, image_dims)
-    bad = box_rule_mask(boxes) | _outside_frame(boxes, image_dims)
-    if bad.any():
-        i = int(np.argmax(bad))
-        row = boxes[i].tolist()
-        error = box_rule_error(*row)
-        error = error or f"box center ({row[0]}, {row[1]}) falls outside the expanded frame"
-        line_no = line_nos[i]
+    if bad := _first_bad_box(boxes, image_dims):
+        row, error = bad
+        line_no = line_nos[row]
     if error is not None:
         raise ParseError(error, source=source, line_no=line_no)
     return boxes
@@ -312,10 +306,7 @@ def parse_label_arrays(
     rule, the kind rule or the frame rule.
     """
     _require_mode(coordinate_mode)
-    width, height = image_dims
-    if width <= 0 or height <= 0:
-        raise InputValidationError("image_dims must be positive")
-    check_float_range(image_dims, ("image_dims[0]", "image_dims[1]"))
+    check_frame(image_dims, ("image_dims[0]", "image_dims[1]"))
 
     # the reader gets the scan's lines: a file object would not break
     # lines at \x85 or \u2028
@@ -326,19 +317,25 @@ def parse_label_arrays(
     return boxes if boxes is not None else _scan(*args, source)
 
 
+def _read_text(path: Path, what: str) -> str:
+    """The text of a UTF-8 input file, a leading byte-order mark dropped.
+    A failure to read or decode it is a LoadError naming `what` and the path."""
+    try:
+        return path.read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as e:
+        raise LoadError(f"cannot read {what} {path}: {e}") from e
+
+
 def read_label_arrays(
     path: str | Path,
     coordinate_mode: str,
     image_dims: tuple[int, int],
     predictions: bool = False,
 ) -> np.ndarray:
-    """parse_label_arrays on a UTF-8 GT or prediction label file, located
-    by its path; a leading byte-order mark is dropped."""
+    """parse_label_arrays on the text of a GT or prediction label file,
+    located by its path."""
     p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as e:
-        raise LoadError(f"cannot read label file {p}: {e}") from e
+    text = _read_text(p, "label file")
     return parse_label_arrays(text, coordinate_mode, image_dims, str(p), predictions)
 
 
@@ -374,14 +371,11 @@ def serialize_labels(
 
 
 def read_json(path: str | Path, what: str) -> object:
-    """Read a UTF-8 JSON file (a leading byte-order mark dropped) and decode
-    it. A failure to do either, or a key repeated in one object, is a
-    LoadError naming `what` and the path."""
+    """Read a JSON input file's text and decode it. A failure to do
+    either, or a key repeated in one object, is a LoadError naming `what`
+    and the path."""
     p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as e:
-        raise LoadError(f"cannot read {what} {p}: {e}") from e
+    text = _read_text(p, what)
 
     def unique_keys(pairs: list[tuple[str, object]]) -> dict:
         obj = dict(pairs)

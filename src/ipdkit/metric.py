@@ -15,7 +15,6 @@ exactly one entry: the one owner of that layout, which write_report renders.
 from __future__ import annotations
 
 import itertools
-import math
 import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -30,6 +29,13 @@ if TYPE_CHECKING:
     from .ingestion import ImageLabels
 
 
+def check_unit_range(name: str, value: float) -> None:
+    """Raise an InputValidationError naming value unless it lies in [0, 1],
+    as a performance value, an IPD and a confidence threshold do; NaN does not."""
+    if not 0.0 <= value <= 1.0:
+        raise InputValidationError(f"{name} must lie in [0, 1], got {value!r}")
+
+
 @dataclass(frozen=True)
 class PerfRecord:
     """Performance values of one matched instance pair."""
@@ -41,10 +47,8 @@ class PerfRecord:
     p_synth: float
 
     def __post_init__(self):
-        for name in ("p_real", "p_synth"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and 0.0 <= v <= 1.0):
-                raise InputValidationError(f"{name} must lie in [0, 1], got {v!r}")
+        check_unit_range("p_real", self.p_real)
+        check_unit_range("p_synth", self.p_synth)
         if self.real_index < 0 or self.synth_index < 0:
             raise InputValidationError("instance indices must be non-negative")
 
@@ -118,19 +122,7 @@ class CrossValCell:
                 f"cell ({self.train_domain}, {self.eval_pair}) must be blank"
             )
         if self.ipd is not None:
-            check_ipd(self.ipd)
-
-
-def check_ipd(ipd: float) -> None:
-    """Raise unless an IPD value lies in [0, 1], as every mean of |p_real - p_synth| does."""
-    if not 0.0 <= ipd <= 1.0:
-        raise InputValidationError(f"ipd must lie in [0, 1], got {ipd!r}")
-
-
-def check_conf_threshold(conf_threshold: float) -> None:
-    """Raise unless the confidence threshold lies in [0, 1]."""
-    if not (math.isfinite(conf_threshold) and 0.0 <= conf_threshold <= 1.0):
-        raise InputValidationError("conf_threshold must lie in [0, 1]")
+            check_unit_range("ipd", self.ipd)
 
 
 def evaluate_pair(
@@ -153,7 +145,7 @@ def evaluate_pair(
             "real_labels, synth_labels and pairings must have equal lengths "
             f"(got {len(real_labels)}, {len(synth_labels)}, {len(pairings)})"
         )
-    check_conf_threshold(conf_threshold)
+    check_unit_range("conf_threshold", conf_threshold)
 
     records: list[PerfRecord] = []
     for real, synth, pairing in zip(real_labels, synth_labels, pairings):

@@ -87,7 +87,8 @@ class TestParseLabelArrays:
 
     @pytest.mark.parametrize("dims", [(0, 480), (640, -1)])
     def test_non_positive_image_dims_rejected(self, dims):
-        with pytest.raises(InputValidationError, match="image_dims must be positive"):
+        side = int(dims[0] > 0)
+        with pytest.raises(InputValidationError, match=rf"image_dims\[{side}\] must be positive"):
             parse_label_arrays("0 1 1 2 2\n", "pixel", dims)
 
     @pytest.mark.parametrize(
@@ -502,8 +503,10 @@ class TestImageLabels:
         "image_id, frame, message",
         [
             ("", (100, 100), "image_id must be non-empty"),
-            ("img", (0, 100), "image dimensions must be positive"),
-            ("img", (100, -5), "image dimensions must be positive"),
+            ("img", (0, 100), "width_px must be positive"),
+            ("img", (100, -5), "height_px must be positive"),
+            # taken with empty arrays, before
+            pytest.param("img", (math.nan, 5), "width_px must be positive", id="img-nan-5"),
             # an OverflowError of the frame rule's int-to-float, before
             pytest.param("img", (10**400, 5), "width_px lies past", id="img-1e400-5"),
             pytest.param("img", (5, 10**400), "height_px lies past", id="img-5-1e400"),
@@ -526,6 +529,40 @@ class TestImageLabels:
             image_labels("img", gt, pred, frame=(100, 100))
         with pytest.raises(InputValidationError, match=r"\(-20\.25, 50\.0\)"):
             image_labels("img", gt[:1], pred, frame=(100, 100))
+
+    def test_the_gt_side_is_checked_before_the_prediction_side(self):
+        # both sides' box rules came before the frame rule, so the
+        # prediction's sides were named, before
+        with pytest.raises(InputValidationError) as exc:
+            ImageLabels(
+                "a", 100, 100, np.array([[500.0, 50, 4, 4]]), np.array([[50.0, 50, -4, 4, 0.5]])
+            )
+        assert str(exc.value) == (
+            "GT box 0 of image 'a': box center (500.0, 50.0) falls outside the expanded frame"
+        )
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            "0 inf 1 2 2",  # a box rule each
+            "0 1 1 0 2",
+            "0 100 100 1e-200 1e-200",
+            "0 5000 1 2 2",  # the frame rule, worded two ways before
+        ],
+    )
+    def test_a_bad_box_is_worded_alike_at_every_entry_point(self, bad_line):
+        good_line = "0 1 1 2 2"
+        words = []
+        for text in (f"{good_line}\n{bad_line}\n", f"# scan\n{good_line}\n{bad_line}\n"):
+            with pytest.raises(ParseError) as exc:
+                parse_label_arrays(text, "pixel", DIMS, source="g.txt")
+            line_no = text.count("\n")
+            words.append(str(exc.value).removeprefix(f"g.txt:{line_no}: "))
+        gt = np.array([[float(v) for v in line.split()[1:]] for line in (good_line, bad_line)])
+        with pytest.raises(InputValidationError) as exc:
+            ImageLabels("a", *DIMS, gt, np.zeros((0, 5)))
+        words.append(str(exc.value).removeprefix("GT box 1 of image 'a': "))
+        assert words[0] == words[1] == words[2] != str(exc.value)
 
     def test_equality_is_identity(self):
         # a generated __eq__ would raise on the arrays' ambiguous truth value
@@ -576,6 +613,14 @@ class TestDatasetManifest:
         with pytest.raises(InputValidationError, match="img0"):
             from_json(DatasetManifest, doc, "manifest")
 
+    @pytest.mark.parametrize(
+        "frame, name", [((10**400, 5), "width_px"), ((5, 10**400), "height_px")]
+    )
+    def test_an_entry_with_a_side_past_floats_range_is_refused(self, frame, name):
+        # it was refused only when its label files were read, before
+        with pytest.raises(InputValidationError, match=f"{name} lies past float's range"):
+            ManifestEntry("a", "g.txt", "p.txt", *frame)
+
     def test_invalid_json_reported_with_line(self, tmp_path):
         mpath = tmp_path / "manifest.json"
         mpath.write_text('{"dataset_id": "x",\n not json}')
@@ -595,7 +640,7 @@ class TestDatasetManifest:
             (_manifest(entries=[{"image_id": "a"}]), "entries[0]: missing field 'gt_label_path'"),
             # the class's own refusals, located the same way
             (_manifest(entries=[{**_manifest()["entries"][0], "width_px": 0}]),
-             "entries[0]: entry 'img0': image dimensions must be positive"),
+             "entries[0]: width_px must be positive"),
             (_manifest(entries=[{**_manifest()["entries"][0], "image_id": ""}]),
              "entries[0]: manifest entry needs an image_id"),
             (_manifest(dataset_id=""), "dataset_id must be non-empty"),

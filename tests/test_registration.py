@@ -502,10 +502,11 @@ def _scenes(master_seed, count, n_range, dropout, **layout):
 
 def _align(real_gt, synth_gt, cfg):
     """The pipeline's per-pair step at a given registration config:
-    register the GT centers, then match them inside the default gate."""
+    register the GT centers, then match them inside the default gate.
+    Returns the registration result and the pairing."""
     real, synth = real_gt[:, :2].copy(), synth_gt[:, :2].copy()
     reg = register(synth, real, cfg)
-    return match_instances(reg.transform, synth, real, default_gate_distance(real_gt))
+    return reg, match_instances(reg.transform, synth, real, default_gate_distance(real_gt))
 
 
 def _recalls(scenes):
@@ -513,7 +514,7 @@ def _recalls(scenes):
     _align recovers."""
     out = []
     for i, (real, synth, corr) in enumerate(scenes):
-        pairing = _align(real.gt, synth.gt, RegistrationConfig(rng_seed=i))
+        _, pairing = _align(real.gt, synth.gt, RegistrationConfig(rng_seed=i))
         truth = set(corr)
         found = {(r, s) for r, s, _ in pairing.pairs}
         out.append(len(found & truth) / len(truth) if truth else 1.0)
@@ -572,7 +573,7 @@ def test_heavy_dropout_pairs_match_alike_under_another_seed():
     # true map, another order finds it too and matches the same pairs
     for i, (real, synth, _) in enumerate(_scenes(30, 30, (20, 61), 0.3, min_separation_factor=2.0)):
         matched = [
-            {(r, s) for r, s, _ in _align(real.gt, synth.gt, cfg).pairs}
+            {(r, s) for r, s, _ in _align(real.gt, synth.gt, cfg)[1].pairs}
             for cfg in (RegistrationConfig(rng_seed=i), RegistrationConfig(rng_seed=i + 1000))
         ]
         assert matched[0] == matched[1], i
@@ -585,8 +586,8 @@ def test_pairing_invariant_under_affine_remap_of_synthetic_side():
         remapped = synth.gt.copy()
         remapped[:, :2] = transform_points(remap, synth.gt[:, :2])
         cfg = RegistrationConfig(rng_seed=i)
-        before = _align(real.gt, synth.gt, cfg)
-        after = _align(real.gt, remapped, cfg)
+        _, before = _align(real.gt, synth.gt, cfg)
+        _, after = _align(real.gt, remapped, cfg)
         assert [(r, s) for r, s, _ in after.pairs] == [(r, s) for r, s, _ in before.pairs], i
 
 
